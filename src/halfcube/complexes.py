@@ -8,19 +8,23 @@ lexicographically by canonical vertex key inside each dimension.
 Incidence signs are geometric.  Every cell carries an orientation: the
 lexicographically smallest affinely independent subsequence of its
 (canonically ordered) vertices.  The sign of facet t in cell s compares
-the basis (outward normal of t inside s's hull, then t's basis) against
-s's basis; the boundary-squared assertion certifies the convention.
+the basis (outward vector from s's barycenter to t's, then t's basis)
+against s's basis; the boundary-squared assertion certifies the
+convention.  The outward vector needs no projection off t's hull, since
+adding multiples of t's basis to it leaves the determinant unchanged.  A
+simplex is oriented by its whole sorted key, so a simplex cell's sign for
+facet t is (-1)^i, with i the position in s's key of the vertex t drops;
+half-cube and top cells, and every reoriented cell, take the determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .core import MAX_DIM
-from .faces import KIND_HALFCUBE, KIND_TOP, FaceLattice, build_face_lattice
-from .linalg import det_sign, solve_fractions
+from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, FaceLattice, build_face_lattice
+from .linalg import det_sign
 
 
 class CellComplex:
@@ -166,9 +170,22 @@ def _flip(tup):
     return tup[:-2] + (tup[-1], tup[-2])
 
 
+def _coord_sums(n: int, face) -> list:
+    """Sum of the +-1 vertex coordinates of ``face``, from per-bit counts."""
+    key = face.key
+    m = len(key)
+    return [m - 2 * sum(b >> i & 1 for b in key) for i in range(n)]
+
+
 def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) -> int:
     """Sign of the facet ``child`` in ``parent`` under the chosen orientations."""
     if not flip_parent and not flip_child:
+        if parent.kind == KIND_SIMPLEX:
+            # the orientation tuple of a simplex is its whole sorted key, so
+            # the outward-first convention gives (-1)^i, where i, the position
+            # of the dropped vertex in parent.key, counts the smaller vertices
+            dropped = parent.vset ^ child.vset
+            return -1 if (parent.vset & (dropped - 1)).bit_count() & 1 else 1
         got = lattice._sign_memo.get((parent.key, child.key))
         if got is not None:
             return got
@@ -183,34 +200,17 @@ def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) 
     cb = _basis_from_tuple(n, ctup)  # d-1 vectors
 
     # outward direction: from the parent barycenter toward the child's,
-    # scaled to stay integral, then projected off the child's hull
+    # scaled to stay integral; its component along the cb columns does not
+    # change the determinant, so it is used as is
+    sum_p = _coord_sums(n, parent)
+    sum_c = _coord_sums(n, child)
     m_p = len(parent.key)
     m_c = len(child.key)
-    sum_p = [0] * n
-    for b in parent.key:
-        for i, x in enumerate(_coords(n, b)):
-            sum_p[i] += x
-    sum_c = [0] * n
-    for b in child.key:
-        for i, x in enumerate(_coords(n, b)):
-            sum_c[i] += x
     w = [m_p * a - m_c * b for a, b in zip(sum_c, sum_p)]
-
-    if cb:
-        gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in cb] for r1 in cb]
-        rhs = [sum(x * y for x, y in zip(r, w)) for r in cb]
-        a = solve_fractions(gram, rhs)
-        u_frac = [Fraction(wi) - sum(ai * r[i] for ai, r in zip(a, cb)) for i, wi in enumerate(w)]
-        den = 1
-        for x in u_frac:
-            den = den * x.denominator // gcd(den, x.denominator)
-        u = [int(x * den) for x in u_frac]
-    else:
-        u = w
-    if all(x == 0 for x in u):
+    if not any(w):
         raise AssertionError("degenerate outward direction")
 
-    cols = [u] + cb
+    cols = [w] + cb
     mat = [[sum(p[i] * c[i] for i in range(n)) for c in cols] for p in pb]
     s = det_sign(mat)
     if s == 0:

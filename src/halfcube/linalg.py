@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import _elim_py
@@ -313,24 +312,6 @@ def det_sign(mat) -> int:
     if last == 0:
         return 0
     return sign if last > 0 else -sign
-
-
-def solve_fractions(a_rows, b):
-    """Solve the square rational system A x = b exactly."""
-    n = len(a_rows)
-    a = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
 
 
 def mat_mul(a, b):

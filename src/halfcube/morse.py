@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .complexes import CellComplex
-from .faces import KIND_SIMPLEX
+from .faces import KIND_SIMPLEX, _k_key
 
 EMPTY_CELL = ()  # the (-1)-dimensional empty cell, always unpaired
 
@@ -80,20 +80,10 @@ def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatch
             if j in lower.mask:
                 continue
             upper_mask = lower.mask.with_coord(j)
-            upper = cx.lattice.index[_k_key_of(lower.point.bits, upper_mask.bits)]
+            upper = cx.lattice.index[_k_key(lower.point.bits, upper_mask.bits)]
             pairs.append((lower, upper))
     pairs.sort(key=lambda p: (p[0].dim, p[0].key))
     return MorseMatching(cx, tuple(pairs), j)
-
-
-def _k_key_of(v_bits: int, mask_bits: int) -> tuple:
-    out = []
-    m = mask_bits
-    while m:
-        b = m & -m
-        out.append(v_bits ^ b)
-        m ^= b
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -9,10 +10,11 @@ from halfcube.complexes import (
     boundary_matrices,
     build_complex,
     euler_characteristic,
+    incidence_sign,
     orientation_tuple,
     random_flip_set,
 )
-from halfcube.faces import build_face_lattice
+from halfcube.faces import KIND_SIMPLEX, build_face_lattice
 from halfcube.linalg import rank_over_q
 
 
@@ -152,3 +154,52 @@ def test_orientation_accessor():
 
     with pytest.raises(ValueError):
         cx.orientation_of(top_face(5))
+
+
+# simplex-parent incidences of the full complex: edges -> vertices plus
+# every simplex -> simplex facet
+SIMPLEX_INCIDENCES = {5: 1040, 6: 5472, 7: 26880}
+
+
+@pytest.mark.parametrize("n", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_simplex_closed_form_matches_determinant(n):
+    # the closed form (-1)^i against the determinant route: reorienting the
+    # parent forces the determinant, and negates the sign
+    lat = build_face_lattice(n)
+    seen = 0
+    for dim_faces in lat.faces[1:]:
+        for p in dim_faces:
+            if p.kind != KIND_SIMPLEX:
+                continue
+            for c in lat.facets(p):
+                want = -incidence_sign(lat, p, c, flip_parent=True)
+                assert incidence_sign(lat, p, c) == want, (p, c)
+                seen += 1
+    assert seen == SIMPLEX_INCIDENCES[n]
+
+
+# SHA-256 of the boundary triplets ("degree nrows ncols" header, then
+# "row col val" lines per matrix), k = n+1 being the full complex
+TRIPLET_SHA256 = {
+    (4, 3): "fdd50902f751f515d0831cacb9af0f71cc592ffe55b2ccee66144cc18fb51b91",
+    (4, 4): "fe70204568ac3de6803e290d02477259675d652fa63a03ebe48fa47c109c5ec3",
+    (4, 5): "e3cc307348335ddddf1f6dfcd7334af2f00c339c36f39abf7031631fc4254667",
+    (5, 3): "8806ffc5a390f6e3f9545b075264e4ddcb76606bd56e8afe569a88a9a6b8e0c6",
+    (5, 4): "5427e1580470b8880f064af7c8f108de2c26a34069991844f3416049d96f422c",
+    (5, 5): "2bae1e3beae0f25aea2c80d46b97a7777fa69a264c9ef31440b49e7a14adfe2d",
+    (5, 6): "2bb904070d574e738a8c324f04bae2bd1377db760d0dd7d5630384ab43e4a8d6",
+    (6, 3): "fd1ef8c9cd9ee6ef637fdb876ba4f72766a86adfb25d24498247e08fb415d131",
+    (6, 4): "37c44f7933ac51758cf7a083cfa808e947802fb0bff36668e0801653407e102f",
+    (6, 5): "2bb0b54fd0e56e52106fdf9817fb3350eac526b131f84e818d73ec7076c61415",
+    (6, 6): "2f2e20cfc1a659bce24294370e543855de9517ea71e97d25ff815078ef4590b1",
+    (6, 7): "1aa97cf8523b23455119c398c9b5a016d5fbf9a9c8762450ab5fa176fcbc3f1d",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(TRIPLET_SHA256))
+def test_boundary_triplets_are_pinned(n, k):
+    h = hashlib.sha256()
+    for m in build_complex(n, k).matrices():
+        h.update(f"{m.degree} {m.nrows} {m.ncols}\n".encode())
+        h.update("".join(f"{r} {c} {v}\n" for r, c, v in m.entries).encode())
+    assert h.hexdigest() == TRIPLET_SHA256[(n, k)]

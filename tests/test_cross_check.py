@@ -1,9 +1,11 @@
 """Independent simplicial route to the homology of the k = 3, 4 cuts.
 
 Those cuts are simplicial complexes (every cell is a simplex on its
-vertices), so the classical alternating-sign boundary over sorted vertex
-lists must produce the same Betti numbers as the geometric-orientation
-matrices, despite assigning different signs.
+vertices).  A simplex is oriented by its sorted vertex key, so the
+classical alternating-sign boundary over sorted vertex lists, built here
+from the keys alone, must reproduce the library's matrices entry for entry
+and hence its Betti numbers.  The geometric derivation of those signs is
+checked against the determinant in test_complexes.
 """
 
 import itertools
@@ -59,6 +61,9 @@ def test_simplicial_route_matches_geometric_route(n, k):
             assert len(f.key) == f.dim + 1
     mats = simplicial_boundaries(cx)
     assert boundary_squared_is_zero(mats)
+    for (nr, nc, trip), m in zip(mats, cx.matrices(), strict=True):
+        assert (nr, nc) == (m.nrows, m.ncols)
+        assert sorted(trip, key=lambda t: (t[1], t[0])) == list(m.entries), (n, k, m.degree)
     counts = cx.cell_counts()
     ranks = [0] * (len(counts) + 1)
     for d, (nr, nc, trip) in enumerate(mats, start=1):

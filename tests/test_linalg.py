@@ -184,15 +184,6 @@ def test_det_sign_matches_fraction_determinant():
         assert linalg.det_sign(m) == want
 
 
-def test_solve_fractions():
-    from fractions import Fraction
-
-    x = linalg.solve_fractions([[2, 0], [1, 3]], [4, 7])
-    assert x == [Fraction(2), Fraction(5, 3)]
-    with pytest.raises(ValueError):
-        linalg.solve_fractions([[1, 1], [1, 1]], [1, 2])
-
-
 def test_kernel_equivalence_on_boundary_matrices():
     from halfcube.complexes import build_complex
 
