@@ -1,4 +1,7 @@
-"""Compare the compiled and pure-Python rank kernels on real boundary matrices.
+"""Time the rank kernels and Smith normal form on real boundary matrices.
+
+Compares the compiled and pure-Python rank kernels, and prints the time of
+``linalg.smith_normal_form`` on the same matrix next to the rank time.
 
 Usage: python benchmarks/bench_rank.py [--n-max 7]
 """
@@ -20,6 +23,12 @@ def bench_matrix(label, m):
     rank_pure = _elim_py.rank_int(m.nrows, m.ncols, rows, cols, vals)
     t_pure = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
+    t_snf = time.perf_counter() - t0
+    assert sf.rank == rank_pure
+    snf = f"snf {t_snf*1000:9.1f} ms"
+
     if linalg.USING_COMPILED:
         t0 = time.perf_counter()
         rank_fast = linalg._impl.rank_int(m.nrows, m.ncols, rows, cols, vals)
@@ -28,12 +37,12 @@ def bench_matrix(label, m):
         speedup = t_pure / t_fast if t_fast > 0 else float("inf")
         print(
             f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {rank_pure:5d}   "
-            f"pure {t_pure*1000:9.1f} ms   compiled {t_fast*1000:9.1f} ms   x{speedup:.1f}"
+            f"pure {t_pure*1000:9.1f} ms   compiled {t_fast*1000:9.1f} ms   x{speedup:.1f}   {snf}"
         )
     else:
         print(
             f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {rank_pure:5d}   "
-            f"pure {t_pure*1000:9.1f} ms   (compiled kernel not built)"
+            f"pure {t_pure*1000:9.1f} ms   {snf}   (compiled kernel not built)"
         )
 
 

@@ -283,9 +283,10 @@ def boundary_matrices(cx: CellComplex, flips=frozenset()) -> list:
 
 
 def assert_boundary_squared_zero(mats) -> None:
-    for lower, upper in zip(mats, mats[1:]):
-        lower_cols = lower.columns()
-        upper_cols = upper.columns()
+    # each matrix's columns are built once and serve as upper, then lower
+    columns = (m.columns() for m in mats)
+    lower_cols = next(columns, None)
+    for upper, upper_cols in zip(mats[1:], columns):
         for j, col in enumerate(upper_cols):
             acc = {}
             for mid, v in col:
@@ -295,6 +296,7 @@ def assert_boundary_squared_zero(mats) -> None:
                 raise AssertionError(
                     f"boundary squared nonzero in degree {upper.degree} column {j}"
                 )
+        lower_cols = upper_cols
 
 
 def random_flip_set(cx: CellComplex, rng) -> frozenset:

@@ -105,62 +105,54 @@ class HomologyProfile:
 
 def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_SNF):
     """Homology of an explicit chain complex (no caching)."""
-    ranks = [0] * (len(cell_counts) + 1)
-    torsion = None
-    if certification == CERT_SNF:
-        torsion = [[] for _ in cell_counts]
-        for m in mats:
-            sf = linalg.smith_normal_form(m.nrows, m.ncols, m.triplets())
-            ranks[m.degree] = sf.rank
-            torsion[m.degree - 1] = [f for f in sf.factors if f > 1]
-    else:
-        for m in mats:
-            ranks[m.degree] = linalg.rank_over_q(m.nrows, m.ncols, m.triplets())
-        if certification == CERT_RANK_AGREE:
-            for m in mats:
-                for p in _AGREE_PRIMES:
-                    rp = linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), p)
-                    if rp != ranks[m.degree]:
-                        raise ValueError(
-                            f"rank over F_{p} differs from rank over Q in degree "
-                            f"{m.degree}: torsion at {p}"
-                        )
-            torsion = [[] for _ in cell_counts]
-        elif certification != CERT_RANK:
-            raise ValueError(f"unknown certification {certification!r}")
-    betti = [
-        cell_counts[d] - ranks[d] - ranks[d + 1] for d in range(len(cell_counts))
-    ]
-    if reduced:
-        betti[0] -= 1
-    return HomologyProfile(
-        tuple(betti),
-        None if torsion is None else tuple(tuple(t) for t in torsion),
+    by_degree = {m.degree: m for m in mats}
+
+    def rank(d, modulus):
+        m = by_degree[d]
+        if modulus:
+            return linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), modulus)
+        return linalg.rank_over_q(m.nrows, m.ncols, m.triplets())
+
+    def smith(d):
+        m = by_degree[d]
+        return linalg.smith_normal_form(m.nrows, m.ncols, m.triplets())
+
+    return _homology(cell_counts, by_degree, rank, smith, reduced, certification)
+
+
+def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> HomologyProfile:
+    """Homology of a cut complex, with cached ranks shared across the sweep."""
+    return _homology(
+        cx.cell_counts(),
+        range(1, cx.top_dim + 1),
+        lambda d, modulus: rank_of_boundary(cx, d, modulus),
+        lambda d: smith_of_boundary(cx, d),
         reduced,
         certification,
     )
 
 
-def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> HomologyProfile:
-    """Homology of a cut complex, with cached ranks shared across the sweep."""
-    counts = cx.cell_counts()
+def _homology(counts, degrees, rank, smith, reduced, certification) -> HomologyProfile:
+    # rank(d, modulus) and smith(d) give the degree-d boundary's rank over Q
+    # (modulus 0) or F_p and its Smith form, for each d in degrees
     ranks = [0] * (len(counts) + 1)
     torsion = None
     if certification == CERT_SNF:
         torsion = [[] for _ in counts]
-        for d in range(1, cx.top_dim + 1):
-            sf = smith_of_boundary(cx, d)
+        for d in degrees:
+            sf = smith(d)
             ranks[d] = sf.rank
             torsion[d - 1] = [f for f in sf.factors if f > 1]
     elif certification in (CERT_RANK, CERT_RANK_AGREE):
-        for d in range(1, cx.top_dim + 1):
-            ranks[d] = rank_of_boundary(cx, d)
+        for d in degrees:
+            ranks[d] = rank(d, 0)
         if certification == CERT_RANK_AGREE:
-            for d in range(1, cx.top_dim + 1):
+            for d in degrees:
                 for p in _AGREE_PRIMES:
-                    if rank_of_boundary(cx, d, p) != ranks[d]:
+                    if rank(d, p) != ranks[d]:
                         raise ValueError(
-                            f"rank over F_{p} differs from rank over Q in degree {d}"
+                            f"rank over F_{p} differs from rank over Q in degree {d}: "
+                            f"torsion at {p}"
                         )
             torsion = [[] for _ in counts]
     else:

@@ -2,12 +2,15 @@
 
 The rank kernels run on the compiled extension when it imported cleanly
 (set HALFCUBE_PURE=1 to force the pure-Python fallback).  Smith normal
-form always runs in pure Python: invariant factors need arbitrary
-precision and the certified matrices are small.
+form always runs in pure Python, since invariant factors need arbitrary
+precision.  It is sparse and runs in two phases: unit pivots (+-1 entries,
+sparsest column first) are split off as invariant factors 1, then the
+small residual is reduced with smallest-magnitude pivots.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from math import gcd
@@ -78,9 +81,20 @@ class SmithForm:
 def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
     """Diagonalize by unimodular row/column operations; sparse, exact.
 
-    Pivots are the smallest nonzero magnitude with (row, col) tie-break.
-    After a pivot clears its row and column it is made to divide every
-    remaining entry, so the recorded factors form the divisibility chain.
+    Unit phase: while some live column holds a +-1 entry, take the
+    sparsest such column (heap of live column counts), pivot on its +-1
+    entry in the shortest row (ties by row index) and clear the column by
+    the row operations row += (-w * pv) * prow.  The column operations that
+    would clear the pivot row then touch no other row, so the pivot splits
+    off as a 1x1 block [+-1]: its row and column are deleted and factor 1
+    is recorded.  The boundary matrices of every cut complex with n <= 7
+    reduce entirely in this phase.
+
+    Residual phase: on what is left, pivots are the smallest nonzero
+    magnitude with (row, col) tie-break.  After a pivot clears its row and
+    column it is made to divide every remaining entry, so the recorded
+    factors form the divisibility chain (the 1s of the unit phase divide
+    everything and come first).
     """
     rows = {}
     cols = {}
@@ -97,6 +111,51 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
             cols[c].discard(r)
     if any(r >= nrows for r in rows) or any(c >= ncols for c in cols):
         raise ValueError("triplet index outside the stated shape")
+
+    factors = []
+    counts = {c: len(s) for c, s in cols.items()}
+    heap = [(cnt, c) for c, cnt in counts.items() if cnt]
+    heapq.heapify(heap)
+    while heap:
+        cnt, c = heapq.heappop(heap)
+        if counts.get(c) != cnt:
+            continue
+        best = None
+        for r in cols[c]:
+            if abs(rows[r][c]) == 1:
+                score = (len(rows[r]), r)
+                if best is None or score < best:
+                    best = score
+        if best is None:
+            # no unit entry; the column is pushed again when its count changes
+            continue
+        pr = best[1]
+        prow = rows.pop(pr)
+        pv = prow.pop(c)
+        for r in cols.pop(c):
+            if r == pr:
+                continue
+            row = rows[r]
+            m = -row.pop(c) * pv
+            for cc, x in prow.items():
+                cur = row.get(cc, 0) + m * x
+                if cur:
+                    row[cc] = cur
+                    cols[cc].add(r)
+                else:
+                    del row[cc]
+                    cols[cc].discard(r)
+            if not row:
+                del rows[r]
+        del counts[c]
+        for cc in prow:
+            col = cols[cc]
+            col.discard(pr)
+            if len(col) != counts[cc]:
+                counts[cc] = len(col)
+                if col:
+                    heapq.heappush(heap, (len(col), cc))
+        factors.append(1)
 
     def set_entry(r, c, v):
         row = rows.setdefault(r, {})
@@ -122,7 +181,6 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
             x = rows[r][src]
             set_entry(r, dst, rows[r].get(dst, 0) + m * x)
 
-    factors = []
     while True:
         # re-pick the global smallest-magnitude pivot after every pass;
         # quotient reduction leaves remainders strictly smaller, so the

@@ -338,7 +338,7 @@ class HomologyBasis:
         for mcol in range(self.r2, z):
             tail = [self.U2inv[i][mcol] for i in range(z)]
             full = [0] * r1 + tail
-            self.cycles.append(mat_vec_cols(self.V, full))
+            self.cycles.append(mat_vec(self.V, full))
 
     def coords(self, cycle) -> list:
         w = mat_vec(self.Vinv, cycle)
@@ -346,11 +346,6 @@ class HomologyBasis:
             raise AssertionError("not a cycle")
         y = mat_vec(self.U2, w[self.r1:])
         return y[self.r2:]
-
-
-def mat_vec_cols(mat, vec):
-    # mat as rows; product mat @ vec
-    return [sum(a * b for a, b in zip(row, vec)) for row in mat]
 
 
 def _dense(bm):

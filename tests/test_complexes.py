@@ -128,6 +128,16 @@ def test_flipped_orientations_still_give_chain_complex():
     assert changed
 
 
+def test_boundary_squared_check_catches_a_flipped_entry():
+    # a wrong sign in any degree breaks the product with its neighbours
+    mats = build_complex(4, 4).matrices()
+    for i, m in enumerate(mats):
+        r, c, v = m.entries[0]
+        bad = BoundaryMatrix(m.degree, m.nrows, m.ncols, ((r, c, -v),) + m.entries[1:])
+        with pytest.raises(AssertionError, match="boundary squared nonzero"):
+            assert_boundary_squared_zero(mats[:i] + [bad] + mats[i + 1:])
+
+
 def test_triplet_text_round_trip():
     cx = build_complex(4, 3)
     for m in cx.matrices():

@@ -137,6 +137,42 @@ def test_smith_recovers_known_invariant_factors():
         assert list(sf.factors) == invariant_factors_of_diagonal(diag), (diag, m)
 
 
+def test_smith_matches_dense_route_on_boundary_matrices():
+    from halfcube.complexes import build_complex
+
+    for n in (4, 5):
+        for k in range(3, n + 2):
+            for m in build_complex(n, k).matrices():
+                trip = m.triplets()
+                sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
+                st = linalg.smith_with_transforms(triplets_to_dense(m.nrows, m.ncols, trip))
+                assert list(sf.factors) == st.factors, (n, k, m.degree)
+
+
+def test_smith_near_unimodular_random():
+    # mostly +-1 entries with a few larger ones: the unit pivots split off
+    # first and the smallest-magnitude reduction finishes the residual
+    rng = random.Random(31)
+    saw_torsion = False
+    for _ in range(120):
+        nr = rng.randrange(1, 13)
+        nc = rng.randrange(1, 13)
+        trip = []
+        for i in range(nr):
+            for j in range(nc):
+                x = rng.random()
+                if x < 0.3:
+                    trip.append((i, j, rng.choice((-1, 1))))
+                elif x < 0.36:
+                    trip.append((i, j, rng.choice((-3, -2, 2, 3))))
+        dense = triplets_to_dense(nr, nc, trip)
+        sf = linalg.smith_normal_form(nr, nc, trip)
+        assert list(sf.factors) == linalg.smith_with_transforms(dense).factors, trip
+        assert sf.rank == dense_rank(dense)
+        saw_torsion = saw_torsion or sf.factors[-1:] > (1,)
+    assert saw_torsion
+
+
 def test_smith_with_transforms_identities():
     rng = random.Random(10)
     for _ in range(100):
