@@ -34,12 +34,26 @@ def _build(nrows, ncols, r_idx, c_idx, vals):
     return rows, cols
 
 
-def _pick_column(cols, heap, counts):
+def _pick_column(heap, counts):
+    """Pop the live column with the smallest (count, column) pair, or -1.
+
+    A column's entry is pushed only when its count falls to a positive
+    value, and a count rises only in a column of the pivot row, which falls
+    again when that row retires.  So between pivot steps every live column
+    has an entry equal to its count, and entries that differ are stale.  A
+    column that reaches count 0 has no rows left and never fills in again.
+    """
     while heap:
         cnt, c = heapq.heappop(heap)
-        if counts[c] == cnt and cnt > 0:
+        if counts[c] == cnt:
             return c
     return -1
+
+
+def _set_count(heap, counts, c, cnt):
+    if 0 < cnt < counts[c]:
+        heapq.heappush(heap, (cnt, c))
+    counts[c] = cnt
 
 
 def rank_int(nrows, ncols, r_idx, c_idx, vals) -> int:
@@ -49,12 +63,9 @@ def rank_int(nrows, ncols, r_idx, c_idx, vals) -> int:
     heap = [(counts[c], c) for c in range(ncols) if counts[c]]
     heapq.heapify(heap)
 
-    def adjust(c):
-        heapq.heappush(heap, (counts[c], c))
-
     rank = 0
     while True:
-        c = _pick_column(cols, heap, counts)
+        c = _pick_column(heap, counts)
         if c < 0:
             break
         # prefer unit pivots, then small magnitude, then short rows
@@ -86,17 +97,12 @@ def rank_int(nrows, ncols, r_idx, c_idx, vals) -> int:
                     cols[cc].add(r)
                     if abs(cur) > big:
                         big = abs(cur)
-                else:
-                    if cc in row:
-                        del row[cc]
-                        cols[cc].discard(r)
-                        counts[cc] = len(cols[cc])
-                        adjust(cc)
-                        continue
-                counts_cc = len(cols[cc])
-                if counts[cc] != counts_cc:
-                    counts[cc] = counts_cc
-                    adjust(cc)
+                elif cc in row:
+                    del row[cc]
+                    cols[cc].discard(r)
+                    _set_count(heap, counts, cc, len(cols[cc]))
+                    continue
+                counts[cc] = len(cols[cc])
             if scale != 1:
                 for cc in row:
                     if cc not in prow:
@@ -113,8 +119,7 @@ def rank_int(nrows, ncols, r_idx, c_idx, vals) -> int:
         # retire the pivot row and column
         for cc in prow:
             cols[cc].discard(pr)
-            counts[cc] = len(cols[cc])
-            adjust(cc)
+            _set_count(heap, counts, cc, len(cols[cc]))
         rows[pr] = dict()
         cols[c] = set()
         counts[c] = 0
@@ -140,7 +145,7 @@ def rank_mod(nrows, ncols, r_idx, c_idx, vals, p) -> int:
 
     rank = 0
     while True:
-        c = _pick_column(cols, heap, counts)
+        c = _pick_column(heap, counts)
         if c < 0:
             break
         best = None
@@ -165,13 +170,12 @@ def rank_mod(nrows, ncols, r_idx, c_idx, vals, p) -> int:
                     del row[cc]
                     cols[cc].discard(r)
                 cnt = len(cols[cc])
-                if counts[cc] != cnt:
-                    counts[cc] = cnt
+                if 0 < cnt < counts[cc]:
                     heapq.heappush(heap, (cnt, cc))
+                counts[cc] = cnt
         for cc in prow:
             cols[cc].discard(pr)
-            counts[cc] = len(cols[cc])
-            heapq.heappush(heap, (counts[cc], cc))
+            _set_count(heap, counts, cc, len(cols[cc]))
         rows[pr] = dict()
         cols[c] = set()
         counts[c] = 0

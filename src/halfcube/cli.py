@@ -4,8 +4,9 @@ Every command emits a results payload plus a list of named checks
 (expected vs actual); the exit status is 0 exactly when no check failed.
 JSON output is schema-stable: {schema_version, command, params, results,
 checks}.  Built complexes are cached on disk as descriptor keys plus
-sparse-triplet boundary matrices, keyed by (n, k_cut) and invalidated when
-the format or orientation convention changes.
+sparse-triplet boundary matrices, keyed by (n, k_cut), and rebuilt when
+the format or orientation convention changes or the file fails its checks
+on load.
 """
 
 from __future__ import annotations
@@ -17,10 +18,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import pairwise, repeat, starmap
+from operator import add, lt, mul
 
 from . import homology, morse, symmetry, triangle
-from .complexes import BoundaryMatrix, CellComplex, build_complex, euler_characteristic
-from .faces import build_face_lattice, face_count, face_counts_by_type
+from .complexes import (
+    BoundaryMatrix,
+    CellComplex,
+    assert_boundary_squared_zero,
+    build_complex,
+    euler_characteristic,
+)
+from .faces import build_face_lattice, check_face_budget, face_count, face_counts_by_type
 from .homology import CERT_RANK_AGREE, CERT_SNF
 
 SCHEMA_VERSION = 1
@@ -76,40 +85,81 @@ def save_complex(cx: CellComplex, cache_dir: str) -> str:
 
 
 def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
+    """The cached complex, or None when the file is missing, stale or fails a check.
+
+    Cached cells must be the complex's own, in order, and the matrices must
+    fit them: one per degree with matching shapes, indices in range, entries
+    +-1 sorted by (col, row) without repeats, and boundary squared zero.
+    """
     path = cache_path(cache_dir, n, k_cut)
     if not os.path.exists(path):
         return None
+    cx = build_complex(n, k_cut)
+    # the parsed file is freed on return, before the check builds its columns
+    mats = _read_matrices(path, cx)
+    if mats is None:
+        return None
+    try:
+        assert_boundary_squared_zero(mats)
+    except AssertionError:
+        return None
+    cx._matrices = mats
+    return cx
+
+
+def _read_matrices(path: str, cx: CellComplex) -> list | None:
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
     if (
-        payload.get("format_version") != CACHE_FORMAT
+        not isinstance(payload, dict)
+        or payload.get("format_version") != CACHE_FORMAT
         or payload.get("orientation") != ORIENTATION_TAG
-        or payload.get("n") != n
-        or payload.get("k_cut") != k_cut
+        or payload.get("n") != cx.n
+        or payload.get("k_cut") != cx.k_cut
     ):
         return None
-    lattice = build_face_lattice(n)
+    cells = cx.cells
     try:
-        cells = [
-            [lattice.index[tuple(key)] for key in dim_cells]
-            for dim_cells in payload["cells"]
+        cached = payload["cells"]
+        if [len(keys) for keys in cached] != cx.cell_counts() or any(
+            key != list(f.key) for keys, cs in zip(cached, cells) for key, f in zip(keys, cs)
+        ):
+            return None
+        records = payload["matrices"]
+        if len(records) != len(cells) - 1:
+            return None
+        mats = [
+            _parse_matrix(d, m, len(cells[d - 1]), len(cells[d]))
+            for d, m in enumerate(records, start=1)
         ]
-    except KeyError:
+    except (KeyError, TypeError):
         return None
-    cx = CellComplex(n, k_cut, lattice, cells)
-    cx._matrices = [
-        BoundaryMatrix(
-            m["degree"],
-            m["nrows"],
-            m["ncols"],
-            tuple(tuple(t) for t in m["triplets"]),
-        )
-        for m in payload["matrices"]
-    ]
-    return cx
+    return None if None in mats else mats
+
+
+def _parse_matrix(degree, record, nrows, ncols) -> BoundaryMatrix | None:
+    """The cached matrix of one degree, or None when it does not fit its cells."""
+    if (record["degree"], record["nrows"], record["ncols"]) != (degree, nrows, ncols):
+        return None
+    triplets = record["triplets"]
+    if not triplets:
+        return BoundaryMatrix(degree, nrows, ncols, ())
+    if set(map(len, triplets)) != {3}:
+        return None
+    rows, cols, vals = zip(*triplets)
+    if set(map(type, rows)) | set(map(type, cols)) | set(map(type, vals)) != {int}:
+        return None
+    if min(rows) < 0 or max(rows) >= nrows or min(cols) < 0 or max(cols) >= ncols:
+        return None
+    if not set(vals) <= {1, -1}:
+        return None
+    # with rows in range, col * nrows + row orders entries by (col, row)
+    if not all(starmap(lt, pairwise(map(add, map(mul, cols, repeat(nrows)), rows)))):
+        return None
+    return BoundaryMatrix(degree, nrows, ncols, tuple(zip(rows, cols, vals)))
 
 
 def complexes_equal(a: CellComplex, b: CellComplex) -> bool:
@@ -565,6 +615,13 @@ def validate_args(args) -> None:
     n_max = getattr(args, "n_max", None)
     if n_max is not None and not 4 <= n_max <= 32:
         raise SystemExit(f"usage error: --n-max must be in 4..32, got {n_max}")
+    # face counts grow with n, so the largest n of a command decides
+    largest = n if n is not None else n_max
+    if largest is not None:
+        try:
+            check_face_budget(largest)
+        except ValueError as exc:
+            raise SystemExit(f"usage error: {exc}") from None
 
 
 def main(argv=None) -> int:

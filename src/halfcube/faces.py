@@ -33,6 +33,9 @@ from .core import (
     recover_K_descriptor,
 )
 
+# the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not
+MAX_FACES = 4_000_000
+
 KIND_VERTEX = "vertex"
 KIND_SIMPLEX = "simplex"
 KIND_HALFCUBE = "halfcube"
@@ -195,6 +198,15 @@ def face_counts(n: int) -> list:
     return [face_count(n, k) for k in range(n + 1)]
 
 
+def check_face_budget(n: int) -> None:
+    """Refuse, before building anything, a lattice of more than MAX_FACES faces."""
+    total = sum(face_counts(n))
+    if total > MAX_FACES:
+        raise ValueError(
+            f"the n = {n} half cube has {total} faces, above the limit of {MAX_FACES}"
+        )
+
+
 def face_counts_by_type(n: int) -> list:
     """Per-dimension (simplex-count, halfcube-count); the top cell counts as half cube."""
     out = []
@@ -315,6 +327,7 @@ def build_face_lattice(n: int) -> FaceLattice:
     got = _lattice_cache.get(n)
     if got is not None:
         return got
+    check_face_budget(n)
 
     import itertools
 

@@ -5,9 +5,19 @@ half cube by permuting coordinates and flipping an even number of signs.
 It maps each descriptor family to itself, so its face orbits follow the
 kind split; at n = 4 one extra orthogonal reflection (perpendicular to the
 all-ones vector) stabilizes the polytope and merges the two tetrahedron
-orbits.  On the cut complexes the action is cellular and therefore acts on
-the one nonzero homology group; the matrices of that action are assembled
-from a kernel-modulo-image basis extracted from Smith transforms.
+orbits.
+
+Every such map is linear, so it permutes the even vertices, and the image
+of a face is the face on the image vertex set.  Orbits and chain maps move
+faces through a vertex permutation table (``vertex_table``) instead of
+rebuilding descriptors; ``act_on_face`` and ``face_image_by_vertices`` are
+the descriptor-level routes the tables are tested against.  A simplex is
+oriented by its whole sorted key, so its chain-map sign is the parity of
+the permutation that sorts its image vertices; half-cube and top cells
+compare orientation bases by a determinant.  On the cut complexes the
+action is cellular and therefore acts on the one nonzero homology group;
+the matrices of that action are assembled from a kernel-modulo-image basis
+extracted from Smith transforms.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .faces import (
     top_face,
     vertex_face,
 )
-from .linalg import det_sign, mat_vec, smith_with_transforms
+from .linalg import det_sign, mat_mul, mat_vec, smith_with_transforms
 from .triangle import predicted_betti
 
 
@@ -166,6 +176,32 @@ def face_image_by_vertices(g, f, lattice):
     return got
 
 
+def vertex_table(g, n: int) -> list:
+    """The list t with t[b] = bits of g's image of the vertex b, 0 <= b < 2^n.
+
+    g is a SignedPermutation, which moves odd vertices too, or another
+    vertex map with ``vertex_image``, such as SpecialReflection4, which is
+    tabulated on the even vertices only (odd entries are -1).
+    """
+    if g.n != n:
+        raise ValueError("dimension mismatch")
+    if isinstance(g, SignedPermutation):
+        # the image is linear over GF(2) in the bits, plus the flipped signs
+        flips = 0
+        for t, s in enumerate(g.signs):
+            if s == -1:
+                flips |= 1 << t
+        lin = [0] * (1 << n)
+        for b in range(1, 1 << n):
+            low = b & -b
+            lin[b] = lin[b ^ low] | 1 << g.perm[low.bit_length() - 1]
+        return [x ^ flips for x in lin]
+    return [
+        g.vertex_image(Vertex(n, b)).bits if b.bit_count() % 2 == 0 else -1
+        for b in range(1 << n)
+    ]
+
+
 def coxeter_generators(n: int) -> list:
     """Adjacent transpositions plus the double sign flip at the last two coordinates."""
     gens = [SignedPermutation.transposition(n, i, i + 1) for i in range(1, n)]
@@ -227,7 +263,9 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
         raise ValueError("the special reflection exists only at n = 4")
     lattice = build_face_lattice(n)
     gens = coxeter_generators(n)
-    special = SpecialReflection4() if extended else None
+    if extended:
+        gens.append(SpecialReflection4())
+    tables = [vertex_table(g, n) for g in gens]
 
     report = []
     for dim_faces in lattice.faces:
@@ -239,17 +277,16 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
                 i = parent[i]
             return i
 
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
         pos = {f.key: i for i, f in enumerate(dim_faces)}
-        for i, f in enumerate(dim_faces):
-            for g in gens:
-                union(i, pos[act_on_face(g, f).key])
-            if special is not None:
-                union(i, pos[face_image_by_vertices(special, f, lattice).key])
+        for t in tables:
+            image = t.__getitem__
+            for i, f in enumerate(dim_faces):
+                j = pos.get(tuple(sorted(map(image, f.key))))
+                if j is None:
+                    raise ValueError("image vertex set is not a face")
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
 
         groups = {}
         for i, f in enumerate(dim_faces):
@@ -330,6 +367,9 @@ class HomologyBasis:
         self.r2 = st2.rank
         self.U2 = st2.U
         self.U2inv = st2.Uinv
+        # coordinates of a cycle x are rows r2.. of U2 . (Vinv x)[r1:]
+        self.P = mat_mul(self.U2[self.r2:], self.Vinv[r1:])
+        self._down_cols = mats[d - 1].columns()
         self.rank = z - self.r2
         if self.rank != predicted_betti(n, k):
             raise AssertionError("basis size disagrees with the predicted Betti number")
@@ -341,11 +381,16 @@ class HomologyBasis:
             self.cycles.append(mat_vec(self.V, full))
 
     def coords(self, cycle) -> list:
-        w = mat_vec(self.Vinv, cycle)
-        if any(w[: self.r1]):
+        # U . boundary . V = D is zero outside its first r1 columns and U is
+        # invertible, so (Vinv x)[:r1] = 0 exactly when boundary . x = 0
+        acc = {}
+        for j, coef in enumerate(cycle):
+            if coef:
+                for r, v in self._down_cols[j]:
+                    acc[r] = acc.get(r, 0) + coef * v
+        if any(acc.values()):
             raise AssertionError("not a cycle")
-        y = mat_vec(self.U2, w[self.r1:])
-        return y[self.r2:]
+        return mat_vec(self.P, cycle)
 
 
 def _dense(bm):
@@ -365,22 +410,38 @@ def homology_basis(n: int, k: int) -> HomologyBasis:
     return got
 
 
+def _sort_sign(seq) -> int:
+    """Sign of the permutation that sorts the distinct items of seq."""
+    inversions = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                inversions += 1
+    return -1 if inversions & 1 else 1
+
+
 def chain_map_on_cells(g, cx, dim):
     """The signed permutation matrix of g on the dimension-dim chain group."""
+    if not g.is_even_signed:
+        raise ValueError("only even-signed permutations act on the half cube")
+    image = vertex_table(g, cx.n).__getitem__
     lat = cx.lattice
     cells = cx.cells[dim]
     index = cx.index[dim]
     out = []  # (target index, sign) per source cell
     for f in cells:
-        img = act_on_face(g, f)
-        j = index.get(img.key)
+        moved = [image(b) for b in f.key]
+        j = index.get(tuple(sorted(moved)))
         if j is None:
             raise ValueError("image cell left the complex")
-        if dim == 0:
-            out.append((j, 1))
+        if f.kind in (KIND_VERTEX, KIND_SIMPLEX):
+            # oriented by the whole sorted key, and g is linear: moving the
+            # vertices in key order gives the image's orientation up to the
+            # sorting permutation
+            out.append((j, _sort_sign(moved)))
             continue
         tup_src = orientation_tuple(lat, f)
-        tup_dst = orientation_tuple(lat, img)
+        tup_dst = orientation_tuple(lat, cells[j])
         base_src = _basis_from_tuple(cx.n, tup_src)
         base_dst = _basis_from_tuple(cx.n, tup_dst)
         mapped = [g.vector_image(vec) for vec in base_src]

@@ -1,7 +1,9 @@
 """Independent brute-force references the tests check the library against.
 
 Everything here works from first principles on explicit vertex sets; none
-of it reuses the descriptor arithmetic under test.
+of it reuses the descriptor arithmetic under test, except reference_orbits,
+which moves faces by their descriptors (act_on_face) to check the
+vertex-table orbits of halfcube.symmetry.
 """
 
 from fractions import Fraction
@@ -98,4 +100,49 @@ def triplets_to_dense(nrows, ncols, trip):
     out = [[0] * ncols for _ in range(nrows)]
     for r, c, v in trip:
         out[r][c] += v
+    return out
+
+
+def reference_orbits(n, extended=False):
+    """Face orbits per dimension by breadth-first closure of descriptor images.
+
+    Each orbit is (smallest key, size, kind), with kind "mixed" for an orbit
+    of several kinds; orbits are listed in the order of their smallest key.
+    """
+    from halfcube.faces import build_face_lattice
+    from halfcube.symmetry import (
+        SpecialReflection4,
+        act_on_face,
+        coxeter_generators,
+        face_image_by_vertices,
+    )
+
+    lattice = build_face_lattice(n)
+    moves = [lambda f, g=g: act_on_face(g, f) for g in coxeter_generators(n)]
+    if extended:
+        sp = SpecialReflection4()
+        moves.append(lambda f: face_image_by_vertices(sp, f, lattice))
+    out = []
+    for dim_faces in lattice.faces:
+        seen = set()
+        dim_orbits = []
+        for f in dim_faces:
+            if f.key in seen:
+                continue
+            orbit = {f.key: f}
+            frontier = [f]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for move in moves:
+                        y = move(x)
+                        if y.key not in orbit:
+                            orbit[y.key] = y
+                            nxt.append(y)
+                frontier = nxt
+            seen.update(orbit)
+            kinds = {y.kind for y in orbit.values()}
+            kind = kinds.pop() if len(kinds) == 1 else "mixed"
+            dim_orbits.append((min(orbit), len(orbit), kind))
+        out.append(sorted(dim_orbits))
     return out

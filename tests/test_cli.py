@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from halfcube import cli
+from halfcube import cli, faces
 from halfcube.complexes import build_complex
 
 
@@ -189,3 +189,73 @@ def test_failed_check_yields_nonzero_exit():
     report = {"checks": []}
     cli.skip(report["checks"], "demo", 1, "budget")
     assert cli.exit_code(report) == 0
+
+
+def test_oversized_lattice_fails_fast(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"built the n = {n} lattice")
+
+    monkeypatch.setattr(cli, "build_face_lattice", refuse)
+    for argv, n in ((["faces", "--n", "16"], 16), (["verify", "--n-max", "12"], 12)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert f"the n = {n} half cube has" in str(exc.value)
+        assert f"above the limit of {faces.MAX_FACES}" in str(exc.value)
+        assert n not in faces._lattice_cache
+    # n = 11 is within the limit
+    cli.validate_args(cli.build_parser().parse_args(["orbits", "--n", "11"]))
+    with pytest.raises(ValueError, match="above the limit"):
+        faces.build_face_lattice(12)
+
+
+def _edit_flip_sign(payload):
+    payload["matrices"][1]["triplets"][0][2] *= -1
+
+
+def _edit_wrong_nrows(payload):
+    payload["matrices"][0]["nrows"] += 1
+
+
+def _edit_row_out_of_range(payload):
+    m = payload["matrices"][-1]
+    m["triplets"][-1][0] = m["nrows"]
+
+
+def _edit_duplicate_entry(payload):
+    trip = payload["matrices"][0]["triplets"]
+    trip.insert(1, list(trip[0]))
+
+
+def _edit_swap_entries(payload):
+    trip = payload["matrices"][0]["triplets"]
+    trip[0], trip[1] = trip[1], trip[0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _edit_flip_sign,
+        _edit_wrong_nrows,
+        _edit_row_out_of_range,
+        _edit_duplicate_entry,
+        _edit_swap_entries,
+    ],
+)
+def test_edited_cache_is_rebuilt(tmp_path, capsys, edit):
+    argv = ["betti", "--n", "4", "--k", "3", "--format", "json"]
+    _, fresh_out = run_cli(capsys, *argv)
+    cache = str(tmp_path)
+    run_cli(capsys, *argv, "--cache-dir", cache)
+    path = cli.cache_path(cache, 4, 3)
+    with open(path) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert cli.load_complex(cache, 4, 3) is None
+    code, out = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 0 and out == fresh_out
+    # the miss rewrote the file from a fresh build
+    fresh = build_complex(4, 3)
+    fresh.matrices()
+    assert cli.complexes_equal(fresh, cli.load_complex(cache, 4, 3))

@@ -237,3 +237,29 @@ def test_kernel_equivalence_on_boundary_matrices():
             assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == _elim_py.rank_mod(
                 m.nrows, m.ncols, rows, cols, vals, p
             )
+
+
+def test_pure_kernels_pivot_on_the_sparsest_live_column(monkeypatch):
+    # every pick must be the smallest (count, column) pair among live columns
+    from halfcube.complexes import build_complex
+
+    pick = _elim_py._pick_column
+    picks = []
+
+    def checked(heap, counts):
+        live = [(cnt, c) for c, cnt in enumerate(counts) if cnt > 0]
+        c = pick(heap, counts)
+        assert c == (min(live)[1] if live else -1)
+        picks.append(c)
+        return c
+
+    monkeypatch.setattr(_elim_py, "_pick_column", checked)
+    rng = random.Random(43)
+    mats = [(m.nrows, m.ncols, m.triplets()) for m in build_complex(5, 4).matrices()]
+    mats += [(9, 9, random_triplets(rng, 9, 9, -2, 2)) for _ in range(60)]
+    for nr, nc, trip in mats:
+        rows, cols, vals = ([t[i] for t in trip] for i in range(3))
+        _elim_py.rank_int(nr, nc, rows, cols, vals)
+        for p in (2, 3):
+            _elim_py.rank_mod(nr, nc, rows, cols, vals, p)
+    assert len(picks) > 1000

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
+from oracles import reference_orbits
 
-from halfcube.complexes import build_complex
+from halfcube.complexes import build_complex, orientation_tuple
 from halfcube.core import Mask, Vertex, even_vertices, hamming_distance
 from halfcube.faces import build_face_lattice, halfcube_face, simplex_face
 from halfcube.linalg import det_sign, mat_mul
@@ -20,6 +23,7 @@ from halfcube.symmetry import (
     homology_basis,
     orbits,
     random_wdn,
+    vertex_table,
 )
 
 
@@ -213,3 +217,87 @@ def test_vertex_transitivity():
                     nxt.append(w)
         frontier = nxt
     assert seen == set(even_vertices(n))
+
+
+def test_vertex_table_matches_vertex_images():
+    rng = random.Random(6)
+    for n in (4, 5, 6):
+        for g in [random_wdn(n, rng) for _ in range(10)] + coxeter_generators(n):
+            t = vertex_table(g, n)
+            for v in even_vertices(n):
+                assert t[v.bits] == act_on_vertex(g, v).bits
+    sp = SpecialReflection4()
+    t = vertex_table(sp, 4)
+    for v in even_vertices(4):
+        assert t[v.bits] == sp.vertex_image(v).bits
+    with pytest.raises(ValueError):
+        vertex_table(SignedPermutation.identity(5), 4)
+
+
+@pytest.mark.parametrize("n, extended", [(4, False), (4, True), (5, False), (6, False)])
+def test_orbits_match_descriptor_closure(n, extended):
+    rep = orbits(n, extended=extended)
+    got = [[(o.representative.key, o.size, o.kind) for o in dim] for dim in rep.orbits]
+    assert got == reference_orbits(n, extended)
+
+
+def _determinant_chain_map(g, cx, dim):
+    """(index, sign) per cell from descriptor transport and an orientation determinant."""
+    n, lat = cx.n, cx.lattice
+    out = []
+    for f in cx.cells[dim]:
+        img = act_on_face(g, f)
+        j = cx.index[dim][img.key]
+        if dim == 0:
+            out.append((j, 1))
+            continue
+        bases = []
+        for face in (f, img):
+            tup = orientation_tuple(lat, face)
+            o = Vertex(n, tup[0]).signs()
+            bases.append([[x - y for x, y in zip(Vertex(n, b).signs(), o)] for b in tup[1:]])
+        mapped = [g.vector_image(vec) for vec in bases[0]]
+        mat = [[sum(a * b for a, b in zip(row, col)) for col in mapped] for row in bases[1]]
+        out.append((j, det_sign(mat)))
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (5, 4), (5, 5), (5, 6), (6, 5)])
+def test_chain_map_matches_determinant_route(n, k):
+    cx = build_complex(n, k)
+    rng = random.Random(100 * n + k)
+    for _ in range(10):
+        g = random_wdn(n, rng)
+        for dim in range(len(cx.cells)):
+            assert chain_map_on_cells(g, cx, dim) == _determinant_chain_map(g, cx, dim), dim
+
+
+def test_chain_map_rejects_odd():
+    cx = build_complex(4, 3)
+    with pytest.raises(ValueError, match="even-signed"):
+        chain_map_on_cells(SignedPermutation.sign_flips(4, (1,)), cx, 1)
+
+
+def test_coords_of_basis_cycles_and_non_cycles():
+    basis = homology_basis(4, 3)
+    for i, cycle in enumerate(basis.cycles):
+        assert basis.coords(cycle) == [int(i == j) for j in range(basis.rank)]
+    single = [0] * basis.c
+    single[0] = 1
+    with pytest.raises(AssertionError, match="not a cycle"):
+        basis.coords(single)
+
+
+# SHA-256 of json.dumps of the 8 action matrices below, recorded before the
+# chain map and coordinates moved to vertex tables and a projection matrix
+ACTION_PINS = {
+    (5, 4): "7438496827b9775b14142701e23d40285eba7b53a17e26d5231ca5142268213b",
+    (6, 5): "d8c80c90a6b3f1cd75c093957a33b7258a541e8dc9a59f618ad1a974e747d17d",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(ACTION_PINS))
+def test_homology_action_is_pinned(n, k):
+    rng = random.Random(20261018)
+    mats = [homology_action(n, k, random_wdn(n, rng)) for _ in range(8)]
+    assert hashlib.sha256(json.dumps(mats).encode()).hexdigest() == ACTION_PINS[(n, k)]
