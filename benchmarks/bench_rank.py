@@ -1,7 +1,9 @@
 """Time the rank kernels and Smith normal form on real boundary matrices.
 
-Compares the compiled and pure-Python rank kernels, and prints the time of
-``linalg.smith_normal_form`` on the same matrix next to the rank time.
+For the largest boundary matrix of each C(n, k), k = 3, 4, times the rank
+over Q, the ranks over F_2, F_3, F_5 and the sparse Smith normal form, and
+checks that all five ranks agree.  The sum of the four rank times is what
+``verify``'s rank-agreement certificate costs next to a full SNF.
 
 Usage: python benchmarks/bench_rank.py [--n-max 7]
 """
@@ -9,41 +11,33 @@ Usage: python benchmarks/bench_rank.py [--n-max 7]
 import argparse
 import time
 
-from halfcube import _elim_py, linalg
+from halfcube import linalg
 from halfcube.complexes import build_complex
+
+PRIMES = (2, 3, 5)
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
 
 
 def bench_matrix(label, m):
     trip = m.triplets()
-    rows = [t[0] for t in trip]
-    cols = [t[1] for t in trip]
-    vals = [t[2] for t in trip]
-
-    t0 = time.perf_counter()
-    rank_pure = _elim_py.rank_int(m.nrows, m.ncols, rows, cols, vals)
-    t_pure = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
-    t_snf = time.perf_counter() - t0
-    assert sf.rank == rank_pure
-    snf = f"snf {t_snf*1000:9.1f} ms"
-
-    if linalg.USING_COMPILED:
-        t0 = time.perf_counter()
-        rank_fast = linalg._impl.rank_int(m.nrows, m.ncols, rows, cols, vals)
-        t_fast = time.perf_counter() - t0
-        assert rank_fast == rank_pure
-        speedup = t_pure / t_fast if t_fast > 0 else float("inf")
-        print(
-            f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {rank_pure:5d}   "
-            f"pure {t_pure*1000:9.1f} ms   compiled {t_fast*1000:9.1f} ms   x{speedup:.1f}   {snf}"
-        )
-    else:
-        print(
-            f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {rank_pure:5d}   "
-            f"pure {t_pure*1000:9.1f} ms   {snf}   (compiled kernel not built)"
-        )
+    rank_q, t_q = timed(linalg.rank_over_q, m.nrows, m.ncols, trip)
+    ranks_p, times_p = zip(
+        *(timed(linalg.rank_mod_p, m.nrows, m.ncols, trip, p) for p in PRIMES)
+    )
+    sf, t_snf = timed(linalg.smith_normal_form, m.nrows, m.ncols, trip)
+    assert {rank_q, *ranks_p, sf.rank} == {rank_q}, (label, rank_q, ranks_p, sf.rank)
+    per_p = "  ".join(f"F_{p} {t*1000:8.1f}" for p, t in zip(PRIMES, times_p))
+    agree = t_q + sum(times_p)
+    print(
+        f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {rank_q:5d}   "
+        f"Q {t_q*1000:8.1f}  {per_p}   rank-agree {agree*1000:9.1f} ms   "
+        f"snf {t_snf*1000:8.1f} ms"
+    )
 
 
 def main():
@@ -51,7 +45,7 @@ def main():
     ap.add_argument("--n-max", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"active kernel: {linalg.kernel_name()}")
+    print(f"kernel: {linalg.kernel_name()}")
     for n in range(5, args.n_max + 1):
         for k in (3, 4):
             if k > n:

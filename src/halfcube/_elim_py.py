@@ -1,10 +1,10 @@
-"""Pure-Python sparse elimination kernels.
+"""Sparse elimination kernels for matrix rank over Q and over F_p.
 
-Reference implementations of the two rank kernels; halfcube._elim is the
-compiled drop-in replacement.  Both compute matrix rank by row elimination
-on a dict-of-rows sparse layout, picking pivots from the sparsest live
-column and preferring unit entries so that integer elimination stays
-division-free.
+Both compute matrix rank by row elimination on a dict-of-rows sparse
+layout, taking (row, col, value) triplets as input, picking pivots from
+the sparsest live column and preferring unit entries so that integer
+elimination stays division-free.  Entries are Python integers throughout;
+rows whose entries grow large are divided by their content.
 """
 
 from __future__ import annotations
@@ -12,16 +12,14 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-COMPILED = False
-
 # rows whose largest entry passes this bound get divided by their content
 _REDUCE_LIMIT = 1 << 256
 
 
-def _build(nrows, ncols, r_idx, c_idx, vals):
+def _build(nrows, ncols, triplets):
     rows = [dict() for _ in range(nrows)]
     cols = [set() for _ in range(ncols)]
-    for r, c, v in zip(r_idx, c_idx, vals):
+    for r, c, v in triplets:
         if v == 0:
             continue
         cur = rows[r].get(c, 0) + v
@@ -56,9 +54,9 @@ def _set_count(heap, counts, c, cnt):
     counts[c] = cnt
 
 
-def rank_int(nrows, ncols, r_idx, c_idx, vals) -> int:
+def rank_int(nrows, ncols, triplets) -> int:
     """Exact rank over the rationals of an integer matrix in triplet form."""
-    rows, cols = _build(nrows, ncols, r_idx, c_idx, vals)
+    rows, cols = _build(nrows, ncols, triplets)
     counts = [len(s) for s in cols]
     heap = [(counts[c], c) for c in range(ncols) if counts[c]]
     heapq.heapify(heap)
@@ -127,11 +125,11 @@ def rank_int(nrows, ncols, r_idx, c_idx, vals) -> int:
     return rank
 
 
-def rank_mod(nrows, ncols, r_idx, c_idx, vals, p) -> int:
+def rank_mod(nrows, ncols, triplets, p) -> int:
     """Rank of an integer matrix over the field of p elements (p prime)."""
     rows = [dict() for _ in range(nrows)]
     cols = [set() for _ in range(ncols)]
-    for r, c, v in zip(r_idx, c_idx, vals):
+    for r, c, v in triplets:
         cur = (rows[r].get(c, 0) + v) % p
         if cur:
             rows[r][c] = cur

@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import pairwise, repeat, starmap
 from operator import add, lt, mul
 
@@ -268,15 +267,23 @@ def cmd_faces(args) -> int:
     return exit_code(report)
 
 
-def run_betti(n, k, cert, cache_dir, max_cells, characters=0):
+def budgeted_complex(n, k, cache_dir, max_cells) -> CellComplex | None:
+    """The (n, k) complex, or None, before anything is built, when its
+    largest chain group exceeds max_cells."""
+    if max_cells is not None and homology._peak_cells(n, k) > max_cells:
+        return None
+    return get_complex(n, k, cache_dir)
+
+
+def run_betti(n, k, cert, cx, characters=0):
+    """Homology report of one cut complex; cx is None for a job over the cell budget."""
     checks = []
     predicted = triangle.predicted_betti(n, k)
     result = {"n": n, "k": k, "predicted": predicted, "certificate": None, "betti": None}
-    if max_cells is not None and homology._peak_cells(n, k) > max_cells:
+    if cx is None:
         result["status"] = "skipped"
         skip(checks, f"betti.n={n}.k={k}.rank", predicted, "cell budget exceeded")
         return result, checks
-    cx = get_complex(n, k, cache_dir)
     certification = CERT_SNF if cert == "snf" else CERT_RANK_AGREE
     prof = homology.homology_of(cx, reduced=True, certification=certification)
     result["betti"] = list(prof.betti)
@@ -323,9 +330,8 @@ def character_samples(n, k, count, seed=0):
 
 
 def cmd_betti(args) -> int:
-    result, checks = run_betti(
-        args.n, args.k, args.cert, args.cache_dir, args.max_cells, args.characters
-    )
+    cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
+    result, checks = run_betti(args.n, args.k, args.cert, cx, args.characters)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "betti",
@@ -349,9 +355,8 @@ def cmd_betti(args) -> int:
     return exit_code(report)
 
 
-def run_morse(n, k, cache_dir):
+def run_morse(n, k, cx):
     checks = []
-    cx = get_complex(n, k, cache_dir)
     matching = morse.build_matching(cx)
     matching.validate()
     cert = morse.check_acyclic(matching)
@@ -376,7 +381,7 @@ def run_morse(n, k, cache_dir):
 
 
 def cmd_morse(args) -> int:
-    result, checks = run_morse(args.n, args.k, args.cache_dir)
+    result, checks = run_morse(args.n, args.k, get_complex(args.n, args.k, args.cache_dir))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "morse",
@@ -472,10 +477,15 @@ def cmd_triangle(args) -> int:
     return exit_code(report)
 
 
-def _betti_job(job):
-    n, k, cert, cache_dir, max_cells = job
-    result, checks = run_betti(n, k, cert, cache_dir, max_cells)
-    return result, checks
+def verify_cut(n, k, cache_dir, max_cells):
+    """The betti and Morse reports of one (n, k), on one fetch of the complex."""
+    cert = "snf" if n <= 6 else "rank"
+    cx = budgeted_complex(n, k, cache_dir, max_cells)
+    betti = run_betti(n, k, cert, cx)
+    # the Morse report has no cell budget: a skipped betti job still gets its complex
+    if cx is None:
+        cx = get_complex(n, k, cache_dir)
+    return betti, run_morse(n, k, cx)
 
 
 def cmd_verify(args) -> int:
@@ -491,24 +501,15 @@ def cmd_verify(args) -> int:
     results["triangle"] = res
     checks.extend(ch)
 
-    jobs = []
-    for n in range(4, args.n_max + 1):
-        for k in range(3, n + 1):
-            cert = "snf" if n <= 6 else "rank"
-            jobs.append((n, k, cert, args.cache_dir, args.max_cells))
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            job_out = list(pool.map(_betti_job, jobs))
-    else:
-        job_out = [_betti_job(j) for j in jobs]
-    for (result, ch) in job_out:
-        results["betti"].append(result)
-        checks.extend(ch)
-
-    for n in range(4, args.n_max + 1):
-        for k in range(3, n + 1):
-            result, ch = run_morse(n, k, args.cache_dir)
-            results["morse"].append(result)
+    # one pass over (n, k); the report lists every betti job before every Morse job
+    betti_out, morse_out = zip(*(
+        verify_cut(n, k, args.cache_dir, args.max_cells)
+        for n in range(4, args.n_max + 1)
+        for k in range(3, n + 1)
+    ))
+    for section, outs in (("betti", betti_out), ("morse", morse_out)):
+        for result, ch in outs:
+            results[section].append(result)
             checks.extend(ch)
 
     for n in range(4, args.n_max + 1):
@@ -523,7 +524,7 @@ def cmd_verify(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "params": {"n_max": args.n_max, "threads": args.threads},
+        "params": {"n_max": args.n_max, "threads": 1},
         "results": results,
         "checks": checks,
     }
@@ -546,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"directory for cached complexes (default: ${ENV_CACHE_DIR})",
     )
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--threads", type=int, default=1, help="parallel (n,k) jobs in verify")
     common.add_argument(
         "--max-cells",
         type=int,

@@ -1,64 +1,38 @@
 """Exact integer linear algebra: rank kernels, Smith normal form, small solvers.
 
-The rank kernels run on the compiled extension when it imported cleanly
-(set HALFCUBE_PURE=1 to force the pure-Python fallback).  Smith normal
-form always runs in pure Python, since invariant factors need arbitrary
-precision.  It is sparse and runs in two phases: unit pivots (+-1 entries,
-sparsest column first) are split off as invariant factors 1, then the
-small residual is reduced with smallest-magnitude pivots.
+The rank kernels (rank over Q and over F_p) are the sparse elimination
+routines of ``halfcube._elim_py``, run on Python integers, so no answer
+depends on a machine word size.  Smith normal form is sparse and runs in
+two phases: unit pivots (+-1 entries, sparsest column first) are split
+off as invariant factors 1, then the small residual is reduced with
+smallest-magnitude pivots.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
-from math import gcd
 
 from . import _elim_py
 
-if os.environ.get("HALFCUBE_PURE") == "1":
-    _impl = _elim_py
-else:
-    try:
-        from . import _elim as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _elim_py
-
-USING_COMPILED = bool(getattr(_impl, "COMPILED", False))
-
 
 def kernel_name() -> str:
-    return "compiled" if USING_COMPILED else "pure-python"
-
-
-def _split(triplets):
-    r_idx = [t[0] for t in triplets]
-    c_idx = [t[1] for t in triplets]
-    vals = [t[2] for t in triplets]
-    return r_idx, c_idx, vals
+    """The rank kernel in use; the benchmark records it with every run."""
+    return "pure-python"
 
 
 def rank_over_q(nrows: int, ncols: int, triplets) -> int:
     """Rank over Q of an integer matrix given as (row, col, value) triplets."""
     if nrows == 0 or ncols == 0 or not triplets:
         return 0
-    r_idx, c_idx, vals = _split(triplets)
-    if _impl is not _elim_py:
-        try:
-            return _impl.rank_int(nrows, ncols, r_idx, c_idx, vals)
-        except OverflowError:
-            # entries outgrew machine words; redo with big integers
-            pass
-    return _elim_py.rank_int(nrows, ncols, r_idx, c_idx, vals)
+    return _elim_py.rank_int(nrows, ncols, triplets)
 
 
 def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p."""
     if nrows == 0 or ncols == 0 or not triplets:
         return 0
-    r_idx, c_idx, vals = _split(triplets)
-    return _impl.rank_mod(nrows, ncols, r_idx, c_idx, vals, p)
+    return _elim_py.rank_mod(nrows, ncols, triplets, p)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +354,3 @@ def mat_mul(a, b):
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
-
-def int_gcd_vector(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,11 +175,36 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "halfcube-n4-k4-v1.json").exists()
 
 
-def test_verify_threads(capsys):
-    code, out = run_cli(capsys, "verify", "--n-max", "4", "--threads", "2", "--format", "json")
+# SHA-256 of `verify --n-max 5 --format json` stdout, as pinned in perfbench/pins.json
+VERIFY_N5_SHA256 = "b4cdba20306d35d00acd230050806ce041fae945b99ea397858426f147523c7d"
+
+
+def test_verify_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "--n-max", "5", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
-    assert all(c["status"] == "pass" for c in doc["checks"])
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N5_SHA256
+    # verify runs serially; params keeps "threads": 1 for schema stability
+    assert json.loads(out)["params"] == {"n_max": 5, "threads": 1}
+
+
+def test_verify_loads_each_cached_complex_once(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path)
+    argv = ("verify", "--n-max", "5", "--format", "json", "--cache-dir", cache)
+    code, cold_out = run_cli(capsys, *argv)
+    assert code == 0
+    loads = []
+    load_complex = cli.load_complex
+
+    def counting_load(cache_dir, n, k_cut):
+        cx = load_complex(cache_dir, n, k_cut)
+        loads.append((n, k_cut, cx is not None))
+        return cx
+
+    monkeypatch.setattr(cli, "load_complex", counting_load)
+    code, warm_out = run_cli(capsys, *argv)
+    assert code == 0 and warm_out == cold_out
+    # one load per (n, k) job, each a hit
+    assert loads == [(n, k, True) for n in (4, 5) for k in range(3, n + 1)]
 
 
 def test_failed_check_yields_nonzero_exit():

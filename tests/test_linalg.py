@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from halfcube import _elim_py, linalg
 from oracles import dense_rank, dense_rank_mod, triplets_to_dense
 
@@ -22,16 +20,11 @@ def test_rank_kernels_against_dense_oracle():
         dense = triplets_to_dense(nr, nc, trip)
         want = dense_rank(dense)
         assert linalg.rank_over_q(nr, nc, trip) == want
-        rows, cols, vals = (
-            [t[0] for t in trip],
-            [t[1] for t in trip],
-            [t[2] for t in trip],
-        )
-        assert _elim_py.rank_int(nr, nc, rows, cols, vals) == want
+        assert _elim_py.rank_int(nr, nc, trip) == want
         for p in (2, 3, 5, 7):
             wantp = dense_rank_mod(dense, p)
             assert linalg.rank_mod_p(nr, nc, trip, p) == wantp
-            assert _elim_py.rank_mod(nr, nc, rows, cols, vals, p) == wantp
+            assert _elim_py.rank_mod(nr, nc, trip, p) == wantp
 
 
 def test_rank_empty_and_zero():
@@ -46,21 +39,6 @@ def test_rank_duplicate_triplets_accumulate():
     trip = [(0, 0, 2), (0, 0, -2)]
     assert linalg.rank_over_q(1, 1, trip) == 0
     assert linalg.rank_mod_p(1, 1, trip, 3) == 0
-
-
-def test_compiled_overflow_falls_back(monkeypatch):
-    calls = {"n": 0}
-
-    def boom(*a):
-        calls["n"] += 1
-        raise OverflowError("forced")
-
-    if linalg._impl is linalg._elim_py:
-        pytest.skip("compiled kernel not active")
-    monkeypatch.setattr(linalg._impl, "rank_int", boom)
-    trip = [(0, 0, 1), (1, 1, 1)]
-    assert linalg.rank_over_q(2, 2, trip) == 2
-    assert calls["n"] == 1
 
 
 def test_smith_diag_and_rank_one():
@@ -221,22 +199,18 @@ def test_det_sign_matches_fraction_determinant():
 
 
 def test_kernel_equivalence_on_boundary_matrices():
+    # the sparse rank kernels against two independent routes: the dense
+    # elimination oracles, and the rank of the sparse Smith normal form
     from halfcube.complexes import build_complex
 
-    cx = build_complex(5, 3)
-    for m in cx.matrices():
+    for m in build_complex(5, 3).matrices():
         trip = m.triplets()
-        rows, cols, vals = (
-            [t[0] for t in trip],
-            [t[1] for t in trip],
-            [t[2] for t in trip],
-        )
-        want = _elim_py.rank_int(m.nrows, m.ncols, rows, cols, vals)
+        dense = triplets_to_dense(m.nrows, m.ncols, trip)
+        want = dense_rank(dense)
+        assert linalg.smith_normal_form(m.nrows, m.ncols, trip).rank == want
         assert linalg.rank_over_q(m.nrows, m.ncols, trip) == want
         for p in (2, 3, 5):
-            assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == _elim_py.rank_mod(
-                m.nrows, m.ncols, rows, cols, vals, p
-            )
+            assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == dense_rank_mod(dense, p)
 
 
 def test_pure_kernels_pivot_on_the_sparsest_live_column(monkeypatch):
@@ -258,8 +232,7 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column(monkeypatch):
     mats = [(m.nrows, m.ncols, m.triplets()) for m in build_complex(5, 4).matrices()]
     mats += [(9, 9, random_triplets(rng, 9, 9, -2, 2)) for _ in range(60)]
     for nr, nc, trip in mats:
-        rows, cols, vals = ([t[i] for t in trip] for i in range(3))
-        _elim_py.rank_int(nr, nc, rows, cols, vals)
+        _elim_py.rank_int(nr, nc, trip)
         for p in (2, 3):
-            _elim_py.rank_mod(nr, nc, rows, cols, vals, p)
+            _elim_py.rank_mod(nr, nc, trip, p)
     assert len(picks) > 1000
