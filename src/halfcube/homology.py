@@ -1,9 +1,11 @@
 """Integer homology of the cut complexes, by exact rank and Smith normal form.
 
-Betti numbers come from the rank-only fast path (fraction-free elimination
-over Q); torsion is certified either by full Smith normal form or, for the
-largest sweeps, by rank agreement over Q and F_p for p in {2, 3, 5} -- the
-latter rules out p-torsion at exactly those primes and is reported as such.
+All ranks come from the one sparse elimination routine of ``linalg``: the
+rank over Q is the rank of the Smith normal form, and each rank over F_p is
+an elimination over F_p of its own.  Torsion is certified either by the
+full Smith normal form or, for the largest sweeps, by rank agreement over
+Q and F_p for p in {2, 3, 5} -- the latter rules out p-torsion at exactly
+those primes and is reported as such.
 
 Boundary matrices of a cut complex agree with those of the full complex in
 all degrees below the cut, so ranks are cached by (n, degree, row-mode,

@@ -1,19 +1,21 @@
-"""Exact integer linear algebra: rank kernels, Smith normal form, small solvers.
+"""Exact integer linear algebra: sparse elimination, Smith normal form, small solvers.
 
-The rank kernels (rank over Q and over F_p) are the sparse elimination
-routines of ``halfcube._elim_py``, run on Python integers, so no answer
-depends on a machine word size.  Smith normal form is sparse and runs in
-two phases: unit pivots (+-1 entries, sparsest column first) are split
-off as invariant factors 1, then the small residual is reduced with
-smallest-magnitude pivots.
+One sparse elimination routine, ``_unit_phase``, serves every rank and
+Smith form.  It takes the sparsest live column that holds a unit, pivots
+on that unit in the shortest row and clears the column.  Over the
+integers (modulus 0) a unit is +-1: each pivot splits off an invariant
+factor 1, and a smallest-magnitude reduction of what is left finishes
+the Smith normal form, whose rank is the rank over Q.  Over F_p every
+nonzero residue is a unit and entries are reduced mod p, so the pivot
+count is the rank over F_p.  Entries are Python integers throughout, so
+no answer depends on a machine word size.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-from . import _elim_py
+from math import isqrt
 
 
 def kernel_name() -> str:
@@ -22,81 +24,90 @@ def kernel_name() -> str:
 
 
 def rank_over_q(nrows: int, ncols: int, triplets) -> int:
-    """Rank over Q of an integer matrix given as (row, col, value) triplets."""
-    if nrows == 0 or ncols == 0 or not triplets:
-        return 0
-    return _elim_py.rank_int(nrows, ncols, triplets)
+    """Rank over Q of an integer matrix given as (row, col, value) triplets.
+
+    This is the rank of its Smith normal form: the unit pivots plus the
+    nonzero factors of the residual.
+    """
+    rows, cols = _sparse(nrows, ncols, triplets, 0)
+    return _unit_phase(rows, cols, 0) + len(_residual_factors(rows, cols))
 
 
 def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
-    """Rank of an integer matrix over the prime field F_p."""
-    if nrows == 0 or ncols == 0 or not triplets:
-        return 0
-    return _elim_py.rank_mod(nrows, ncols, triplets, p)
+    """Rank of an integer matrix over the prime field F_p.
+
+    It is an elimination over F_p of its own, so a rank over F_p that
+    agrees with the rank over Q is evidence, not a restatement of the
+    Smith form.
+    """
+    if not (isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))):
+        raise ValueError(f"modulus must be a prime, got {p!r}")
+    rows, cols = _sparse(nrows, ncols, triplets, p)
+    return _unit_phase(rows, cols, p)
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Sparse elimination
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Nonzero invariant factors d1 | d2 | ... | dr of an integer matrix."""
+def _sparse(nrows, ncols, triplets, p):
+    """Rows {r: {c: v}} and columns {c: {r}} of the nonzero entries, mod p if p.
 
-    factors: tuple
-    rank: int
-
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors violate the divisibility chain")
-
-
-def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
-    """Diagonalize by unimodular row/column operations; sparse, exact.
-
-    Unit phase: while some live column holds a +-1 entry, take the
-    sparsest such column (heap of live column counts), pivot on its +-1
-    entry in the shortest row (ties by row index) and clear the column by
-    the row operations row += (-w * pv) * prow.  The column operations that
-    would clear the pivot row then touch no other row, so the pivot splits
-    off as a 1x1 block [+-1]: its row and column are deleted and factor 1
-    is recorded.  The boundary matrices of every cut complex with n <= 7
-    reduce entirely in this phase.
-
-    Residual phase: on what is left, pivots are the smallest nonzero
-    magnitude with (row, col) tie-break.  After a pivot clears its row and
-    column it is made to divide every remaining entry, so the recorded
-    factors form the divisibility chain (the 1s of the unit phase divide
-    everything and come first).
+    Repeated (row, col) triplets add up; an index outside the shape raises
+    ValueError, whatever its value.
     """
     rows = {}
     cols = {}
     for r, c, v in triplets:
-        if v == 0:
-            continue
-        row = rows.setdefault(r, {})
+        row = rows.get(r)
+        if row is None:
+            if not 0 <= r < nrows:
+                raise ValueError("triplet index outside the stated shape")
+            row = rows[r] = {}
+        col = cols.get(c)
+        if col is None:
+            if not 0 <= c < ncols:
+                raise ValueError("triplet index outside the stated shape")
+            col = cols[c] = set()
         cur = row.get(c, 0) + v
+        if p:
+            cur %= p
         if cur:
             row[c] = cur
-            cols.setdefault(c, set()).add(r)
-        else:
+            col.add(r)
+        elif c in row:
             del row[c]
-            cols[c].discard(r)
-    if any(r >= nrows for r in rows) or any(c >= ncols for c in cols):
-        raise ValueError("triplet index outside the stated shape")
+            col.discard(r)
+    return rows, cols
 
-    factors = []
+
+def _unit_phase(rows, cols, p) -> int:
+    """Eliminate unit pivots in place; return how many there were.
+
+    While some live column holds a unit, take the sparsest such column
+    (heap of live column counts, ties by column index), pivot on its unit
+    in the shortest row (ties by row index) and clear the column by the
+    row operations row += -w * pv^-1 * prow.  The column operations that
+    would clear the pivot row then touch no other row, so the pivot splits
+    off as a 1x1 block: its row and column are deleted.
+
+    With p = 0 a unit is +-1, each pivot is an invariant factor 1, and what
+    is left in rows/cols is the residual of the Smith normal form (the
+    boundary matrices of every cut complex with n <= 7 leave none).  With p
+    prime every nonzero residue is a unit and entries stay reduced mod p,
+    so nothing is left and the count is the rank over F_p.
+    """
     counts = {c: len(s) for c, s in cols.items()}
     heap = [(cnt, c) for c, cnt in counts.items() if cnt]
     heapq.heapify(heap)
+    pivots = 0
     while heap:
         cnt, c = heapq.heappop(heap)
         if counts.get(c) != cnt:
             continue
         best = None
         for r in cols[c]:
-            if abs(rows[r][c]) == 1:
+            if p or abs(rows[r][c]) == 1:
                 score = (len(rows[r]), r)
                 if best is None or score < best:
                     best = score
@@ -106,13 +117,18 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
         pr = best[1]
         prow = rows.pop(pr)
         pv = prow.pop(c)
+        inv = pow(pv, -1, p) if p else pv
         for r in cols.pop(c):
             if r == pr:
                 continue
             row = rows[r]
-            m = -row.pop(c) * pv
+            m = -row.pop(c) * inv
+            if p:
+                m %= p
             for cc, x in prow.items():
                 cur = row.get(cc, 0) + m * x
+                if p:
+                    cur %= p
                 if cur:
                     row[cc] = cur
                     cols[cc].add(r)
@@ -129,7 +145,19 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
                 counts[cc] = len(col)
                 if col:
                     heapq.heappush(heap, (len(col), cc))
-        factors.append(1)
+        pivots += 1
+    return pivots
+
+
+def _residual_factors(rows, cols) -> list:
+    """Nonzero invariant factors of what the unit phase left, in chain order.
+
+    Pivots are the smallest nonzero magnitude with (row, col) tie-break.
+    After a pivot clears its row and column it is made to divide every
+    remaining entry, so the factors form a divisibility chain (the 1s of
+    the unit phase divide everything and come before them).
+    """
+    factors = []
 
     def set_entry(r, c, v):
         row = rows.setdefault(r, {})
@@ -198,6 +226,34 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
         set_entry(pr, pc, 0)
         if not rows.get(pr):
             rows.pop(pr, None)
+    return factors
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+
+
+@dataclass(frozen=True)
+class SmithForm:
+    """Nonzero invariant factors d1 | d2 | ... | dr of an integer matrix."""
+
+    factors: tuple
+    rank: int
+
+    def __post_init__(self):
+        for a, b in zip(self.factors, self.factors[1:]):
+            if b % a:
+                raise ValueError("invariant factors violate the divisibility chain")
+
+
+def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
+    """Diagonalize by unimodular row/column operations; sparse, exact.
+
+    The unit phase splits off every +-1 pivot it finds as a factor 1; the
+    residual phase reduces what is left with smallest-magnitude pivots.
+    """
+    rows, cols = _sparse(nrows, ncols, triplets, 0)
+    factors = [1] * _unit_phase(rows, cols, 0) + _residual_factors(rows, cols)
     return SmithForm(tuple(factors), len(factors))
 
 

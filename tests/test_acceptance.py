@@ -27,7 +27,7 @@ from halfcube.homology import (
     homology_from_matrices,
     homology_of,
 )
-from halfcube.linalg import det_sign, mat_mul, rank_over_q, smith_normal_form
+from halfcube.linalg import det_sign, mat_mul, rank_mod_p, smith_normal_form
 from halfcube.morse import build_matching, check_acyclic, unpaired_census
 from halfcube.symmetry import (
     SignedPermutation,
@@ -114,14 +114,15 @@ def test_criterion_03_homology_sweep_n7():
 @pytest.mark.slow
 def test_criterion_03_snf_certificate_n7():
     # full Smith normal form of every n = 7 cut complex: torsion-free, and
-    # each rank agrees with the independent rank over Q
+    # each rank agrees with the independent eliminations over F_2, F_3, F_5
     for k in range(3, 9):
         cx = build_complex(7, k)
         for m in cx.matrices():
             trip = m.triplets()
             sf = smith_normal_form(m.nrows, m.ncols, trip)
             assert set(sf.factors) <= {1}, (k, m.degree, sf.factors)
-            assert sf.rank == rank_over_q(m.nrows, m.ncols, trip), (k, m.degree)
+            for p in (2, 3, 5):
+                assert sf.rank == rank_mod_p(m.nrows, m.ncols, trip, p), (k, m.degree, p)
     done("3 homology sweep n=7 (full SNF certificates)")
 
 

@@ -86,6 +86,50 @@ def test_betti_budget_skip(capsys):
     assert all(c["status"] == "skipped" for c in doc["checks"])
 
 
+def test_verify_budget_skips_whole_jobs(capsys, monkeypatch):
+    # a job over --max-cells fetches no complex: its betti and Morse
+    # reports both skip, and every other job runs as usual
+    fetched = []
+    get_complex = cli.get_complex
+
+    def recording(n, k_cut, cache_dir):
+        fetched.append((n, k_cut))
+        return get_complex(n, k_cut, cache_dir)
+
+    monkeypatch.setattr(cli, "get_complex", recording)
+    code, out = run_cli(capsys, "verify", "--n-max", "6", "--max-cells", "500", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    jobs = {(n, k) for n in (4, 5, 6) for k in range(3, n + 1)}
+    skipped = {(r["n"], r["k"]) for r in doc["results"]["betti"] if r["status"] == "skipped"}
+    assert len(skipped) == 4
+    morse_skipped = [r for r in doc["results"]["morse"] if r.get("status") == "skipped"]
+    assert {(r["n"], r["k"]) for r in morse_skipped} == skipped
+    assert all(r["pairs"] is None and r["acyclic"] is None for r in morse_skipped)
+    assert sorted(fetched) == sorted(jobs - skipped)
+    for n, k in jobs:
+        statuses = {
+            c["status"]
+            for c in doc["checks"]
+            if c["name"].startswith((f"betti.n={n}.k={k}.", f"morse.n={n}.k={k}."))
+        }
+        assert statuses == ({"skipped"} if (n, k) in skipped else {"pass"}), (n, k)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n-max", "4", "--max-cells", "-1"),
+        ("betti", "--n", "4", "--k", "3", "--max-cells", "-1"),
+        ("betti", "--n", "4", "--k", "3", "--characters", "-1"),
+        ("triangle", "--rows", "-1"),
+    ],
+)
+def test_negative_counts_are_usage_errors(argv):
+    with pytest.raises(SystemExit, match="must be nonnegative"):
+        cli.main(list(argv))
+
+
 def test_betti_k_range_usage_error():
     with pytest.raises(SystemExit):
         cli.main(["betti", "--n", "5", "--k", "6"])

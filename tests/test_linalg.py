@@ -1,6 +1,8 @@
 import random
 
-from halfcube import _elim_py, linalg
+import pytest
+
+from halfcube import linalg
 from oracles import dense_rank, dense_rank_mod, triplets_to_dense
 
 
@@ -20,11 +22,8 @@ def test_rank_kernels_against_dense_oracle():
         dense = triplets_to_dense(nr, nc, trip)
         want = dense_rank(dense)
         assert linalg.rank_over_q(nr, nc, trip) == want
-        assert _elim_py.rank_int(nr, nc, trip) == want
         for p in (2, 3, 5, 7):
-            wantp = dense_rank_mod(dense, p)
-            assert linalg.rank_mod_p(nr, nc, trip, p) == wantp
-            assert _elim_py.rank_mod(nr, nc, trip, p) == wantp
+            assert linalg.rank_mod_p(nr, nc, trip, p) == dense_rank_mod(dense, p)
 
 
 def test_rank_empty_and_zero():
@@ -199,40 +198,66 @@ def test_det_sign_matches_fraction_determinant():
 
 
 def test_kernel_equivalence_on_boundary_matrices():
-    # the sparse rank kernels against two independent routes: the dense
-    # elimination oracles, and the rank of the sparse Smith normal form
+    # rank over Q is the rank of the Smith normal form, so both are checked
+    # against an independent route: the dense elimination oracles
     from halfcube.complexes import build_complex
 
-    for m in build_complex(5, 3).matrices():
-        trip = m.triplets()
-        dense = triplets_to_dense(m.nrows, m.ncols, trip)
-        want = dense_rank(dense)
-        assert linalg.smith_normal_form(m.nrows, m.ncols, trip).rank == want
-        assert linalg.rank_over_q(m.nrows, m.ncols, trip) == want
-        for p in (2, 3, 5):
-            assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == dense_rank_mod(dense, p)
+    for k in range(3, 7):
+        for m in build_complex(5, k).matrices():
+            trip = m.triplets()
+            dense = triplets_to_dense(m.nrows, m.ncols, trip)
+            want = dense_rank(dense)
+            assert linalg.smith_normal_form(m.nrows, m.ncols, trip).rank == want
+            assert linalg.rank_over_q(m.nrows, m.ncols, trip) == want
+            for p in (2, 3, 5):
+                assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == dense_rank_mod(dense, p)
 
 
-def test_pure_kernels_pivot_on_the_sparsest_live_column(monkeypatch):
-    # every pick must be the smallest (count, column) pair among live columns
+def test_pure_kernels_pivot_on_the_sparsest_live_column():
+    # over F_p every nonzero entry is a unit, so each pivot column must be
+    # the smallest (count, column) pair among live columns; the routine
+    # retires a pivot column with cols.pop, which is where the pick is seen
     from halfcube.complexes import build_complex
 
-    pick = _elim_py._pick_column
     picks = []
 
-    def checked(heap, counts):
-        live = [(cnt, c) for c, cnt in enumerate(counts) if cnt > 0]
-        c = pick(heap, counts)
-        assert c == (min(live)[1] if live else -1)
-        picks.append(c)
-        return c
+    class Columns(dict):
+        def pop(self, c):
+            live = min((len(rs), cc) for cc, rs in self.items() if rs)
+            assert (len(self[c]), c) == live
+            picks.append(c)
+            return super().pop(c)
 
-    monkeypatch.setattr(_elim_py, "_pick_column", checked)
     rng = random.Random(43)
     mats = [(m.nrows, m.ncols, m.triplets()) for m in build_complex(5, 4).matrices()]
     mats += [(9, 9, random_triplets(rng, 9, 9, -2, 2)) for _ in range(60)]
     for nr, nc, trip in mats:
-        _elim_py.rank_int(nr, nc, trip)
+        dense = triplets_to_dense(nr, nc, trip)
         for p in (2, 3):
-            _elim_py.rank_mod(nr, nc, trip, p)
+            rows, cols = linalg._sparse(nr, nc, trip, p)
+            rank = linalg._unit_phase(rows, Columns(cols), p)
+            assert rank == dense_rank_mod(dense, p)
+            assert not rows or not any(rows.values())
     assert len(picks) > 1000
+
+
+@pytest.mark.parametrize("p", [4, 6, 1, 0, -3, 2.0, None])
+def test_rank_mod_p_rejects_a_modulus_that_is_not_prime(p):
+    # [[2, 1], [1, 3]] has determinant 5: rank 2 over every F_p but F_5
+    trip = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]
+    assert [linalg.rank_mod_p(2, 2, trip, q) for q in (2, 3, 5, 7, 97)] == [2, 2, 1, 2, 2]
+    with pytest.raises(ValueError, match="prime"):
+        linalg.rank_mod_p(2, 2, trip, p)
+
+
+@pytest.mark.parametrize(
+    "trip", [[(2, 0, 1)], [(0, 2, 1)], [(-1, 0, 1)], [(0, -1, 1)], [(0, 0, 1), (5, 1, 0)]]
+)
+def test_rank_functions_reject_triplets_outside_the_shape(trip):
+    for rank in (
+        linalg.rank_over_q,
+        lambda nr, nc, t: linalg.rank_mod_p(nr, nc, t, 3),
+        linalg.smith_normal_form,
+    ):
+        with pytest.raises(ValueError, match="triplet index outside the stated shape"):
+            rank(2, 2, trip)
