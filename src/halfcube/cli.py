@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from itertools import pairwise, repeat, starmap
+from math import comb
 from operator import add, lt, mul
 
 from . import homology, morse, symmetry, triangle
@@ -267,10 +268,21 @@ def cmd_faces(args) -> int:
     return exit_code(report)
 
 
+def _peak_cells(n: int, k: int) -> int:
+    """Size of the largest chain group of the (n, k) cut complex, from the census."""
+    peak = 0
+    for d in range(n + 1):
+        if d < k:
+            peak = max(peak, face_count(n, d))
+        elif d < n:
+            peak = max(peak, (1 << (n - 1)) * comb(n, d + 1))
+    return peak
+
+
 def budgeted_complex(n, k, cache_dir, max_cells) -> CellComplex | None:
     """The (n, k) complex, or None, before anything is built, when its
     largest chain group exceeds max_cells."""
-    if max_cells is not None and homology._peak_cells(n, k) > max_cells:
+    if max_cells is not None and _peak_cells(n, k) > max_cells:
         return None
     return get_complex(n, k, cache_dir)
 
@@ -287,9 +299,7 @@ def run_betti(n, k, cert, cx, characters=0):
     certification = CERT_SNF if cert == "snf" else CERT_RANK_AGREE
     prof = homology.homology_of(cx, reduced=True, certification=certification)
     result["betti"] = list(prof.betti)
-    result["torsion"] = (
-        None if prof.torsion is None else [list(t) for t in prof.torsion]
-    )
+    result["torsion"] = [list(t) for t in prof.torsion]
     result["certificate"] = prof.certificate
     result["status"] = "ok"
     check(checks, f"betti.n={n}.k={k}.rank", predicted, prof.betti[k - 1])
@@ -390,7 +400,8 @@ def run_morse(n, k, cx):
 
 
 def cmd_morse(args) -> int:
-    result, checks = run_morse(args.n, args.k, get_complex(args.n, args.k, args.cache_dir))
+    cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
+    result, checks = run_morse(args.n, args.k, cx)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "morse",
@@ -398,9 +409,10 @@ def cmd_morse(args) -> int:
         "results": result,
         "checks": checks,
     }
+    unpaired = result["unpaired"]
     rows = [
         (result["n"], result["k"], result["pairs"], result["acyclic"],
-         " ".join(map(str, result["unpaired"])), result["euler"])
+         None if unpaired is None else " ".join(map(str, unpaired)), result["euler"])
     ]
     sys.stdout.write(
         render(report, args.format, rows, ["n", "k", "pairs", "acyclic", "unpaired", "euler"])
@@ -549,17 +561,20 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+    # betti, morse and verify build cut complexes: only they cache and budget them
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument(
         "--cache-dir",
         default=os.environ.get(ENV_CACHE_DIR),
         help=f"directory for cached complexes (default: ${ENV_CACHE_DIR})",
     )
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument(
+    budgeted.add_argument(
         "--max-cells",
         type=int,
         default=DEFAULT_MAX_CELLS,
-        help="skip betti and verify jobs whose largest chain group exceeds this",
+        help="skip jobs whose largest chain group exceeds this",
     )
 
     ap = argparse.ArgumentParser(
@@ -574,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_faces)
 
-    p = sub.add_parser("betti", parents=[common], help="homology of one cut complex")
+    p = sub.add_parser("betti", parents=[budgeted], help="homology of one cut complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cert", choices=("rank", "snf"), default="snf")
@@ -587,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_betti)
 
-    p = sub.add_parser("morse", parents=[common], help="canonical matching report")
+    p = sub.add_parser("morse", parents=[budgeted], help="canonical matching report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_morse)
@@ -601,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.set_defaults(func=cmd_triangle)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[budgeted],
                        help="full sweep; exit 0 only if everything matches")
     p.add_argument("--n-max", type=int, default=6)
     p.set_defaults(func=cmd_verify)

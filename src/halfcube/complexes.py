@@ -182,10 +182,15 @@ def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) 
     if not flip_parent and not flip_child:
         if parent.kind == KIND_SIMPLEX:
             # the orientation tuple of a simplex is its whole sorted key, so
-            # the outward-first convention gives (-1)^i, where i, the position
-            # of the dropped vertex in parent.key, counts the smaller vertices
-            dropped = parent.vset ^ child.vset
-            return -1 if (parent.vset & (dropped - 1)).bit_count() & 1 else 1
+            # the outward-first convention gives (-1)^i, where i is the position
+            # of the dropped vertex in parent.key: the first place the keys differ
+            pkey = parent.key
+            i = 0
+            for b in child.key:
+                if pkey[i] != b:
+                    break
+                i += 1
+            return -1 if i & 1 else 1
         got = lattice._sign_memo.get((parent.key, child.key))
         if got is not None:
             return got

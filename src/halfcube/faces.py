@@ -45,7 +45,7 @@ KIND_TOP = "top"
 class FaceDescriptor:
     """One face; equality and hashing go through the canonical vertex key."""
 
-    __slots__ = ("kind", "n", "point", "mask", "dim", "key", "vset")
+    __slots__ = ("kind", "n", "point", "mask", "dim", "key")
 
     def __init__(self, kind, n, point, mask, dim, key):
         self.kind = kind
@@ -54,10 +54,6 @@ class FaceDescriptor:
         self.mask = mask
         self.dim = dim
         self.key = key
-        vs = 0
-        for b in key:
-            vs |= 1 << b
-        self.vset = vs
 
     def __eq__(self, other):
         return isinstance(other, FaceDescriptor) and self.n == other.n and self.key == other.key
@@ -281,12 +277,7 @@ class FaceLattice:
     def __init__(self, n: int, faces_by_dim: list):
         self.n = n
         self.faces = faces_by_dim
-        self.index = {}
-        self.by_vset = {}
-        for dim_faces in faces_by_dim:
-            for f in dim_faces:
-                self.index[f.key] = f
-                self.by_vset[f.vset] = f
+        self.index = {f.key: f for dim_faces in faces_by_dim for f in dim_faces}
         self._facet_memo = {}
         self._sign_memo = {}
 
@@ -305,10 +296,11 @@ class FaceLattice:
         """The face on the common vertices, or None when disjoint."""
         if f.key not in self.index or g.key not in self.index:
             raise ValueError("faces do not belong to this lattice")
-        common = f.vset & g.vset
-        if common == 0:
+        other = set(g.key)
+        common = tuple(b for b in f.key if b in other)  # f.key is sorted
+        if not common:
             return None
-        got = self.by_vset.get(common)
+        got = self.index.get(common)
         if got is None:
             raise ValueError("vertex-set intersection is not a face")
         return got

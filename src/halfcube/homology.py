@@ -1,28 +1,26 @@
 """Integer homology of the cut complexes, by exact rank and Smith normal form.
 
 All ranks come from the one sparse elimination routine of ``linalg``: the
-rank over Q is the rank of the Smith normal form, and each rank over F_p is
-an elimination over F_p of its own.  Torsion is certified either by the
-full Smith normal form or, for the largest sweeps, by rank agreement over
-Q and F_p for p in {2, 3, 5} -- the latter rules out p-torsion at exactly
-those primes and is reported as such.
+rank over Q is always the rank of the cached Smith normal form, and each
+rank over F_p is an elimination over F_p of its own.  Torsion is certified
+either by the full Smith normal form or, for the largest sweeps, by rank
+agreement over Q and F_p for p in {2, 3, 5} -- the latter rules out
+p-torsion at exactly those primes and is reported as such.
 
 Boundary matrices of a cut complex agree with those of the full complex in
-all degrees below the cut, so ranks are cached by (n, degree, row-mode,
-column-mode, modulus) and shared across the (n, k) sweep.
+all degrees below the cut, so results are cached by (n, degree, row-mode,
+column-mode) and shared across the (n, k) sweep: Smith forms in
+``_snf_cache``, ranks over F_p (keyed by p as well) in ``_rank_cache``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import linalg
-from .complexes import BoundaryMatrix, CellComplex, build_complex
-from .triangle import predicted_betti
+from .complexes import BoundaryMatrix, CellComplex
 
 CERT_SNF = "snf"
-CERT_RANK = "rank"
 CERT_RANK_AGREE = "rank-agree(2,3,5)"
 
 _AGREE_PRIMES = (2, 3, 5)
@@ -36,28 +34,26 @@ def _mode(cx: CellComplex, dim: int) -> str:
     return "full" if dim < cx.k_cut else "simplex"
 
 
-def _cache_key(cx: CellComplex, d: int, modulus: int):
-    return (cx.n, d, _mode(cx, d - 1), _mode(cx, d), modulus)
+def _cache_key(cx: CellComplex, d: int, *extra):
+    return (cx.n, d, _mode(cx, d - 1), _mode(cx, d), *extra)
 
 
-def rank_of_boundary(cx: CellComplex, d: int, modulus: int = 0) -> int:
-    """Rank of the degree-d boundary matrix, over Q (modulus 0) or F_p."""
+def rank_of_boundary(cx: CellComplex, d: int, p: int) -> int:
+    """Rank over F_p of the degree-d boundary matrix."""
     if d < 1 or d > cx.top_dim:
         return 0
-    key = _cache_key(cx, d, modulus)
+    key = _cache_key(cx, d, p)
     got = _rank_cache.get(key)
     if got is None:
         m = cx.matrices()[d - 1]
-        if modulus:
-            got = linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), modulus)
-        else:
-            got = linalg.rank_over_q(m.nrows, m.ncols, m.triplets())
+        got = linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), p)
         _rank_cache[key] = got
     return got
 
 
 def smith_of_boundary(cx: CellComplex, d: int) -> linalg.SmithForm:
-    key = _cache_key(cx, d, "snf")
+    """Smith normal form of the degree-d boundary matrix; its rank is the rank over Q."""
+    key = _cache_key(cx, d)
     got = _snf_cache.get(key)
     if got is None:
         m = cx.matrices()[d - 1]
@@ -90,7 +86,7 @@ class HomologyProfile:
     """Per-degree Betti numbers and torsion lists of one complex."""
 
     betti: tuple
-    torsion: tuple | None  # per degree: invariant factors > 1, or None if uncertified
+    torsion: tuple  # per degree: invariant factors > 1
     reduced: bool
     certificate: str
 
@@ -100,8 +96,6 @@ class HomologyProfile:
             expect_zero = d != degree
             if expect_zero and b != 0:
                 return False
-        if self.torsion is None:
-            return False
         return all(not t for t in self.torsion)
 
 
@@ -109,11 +103,9 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
     """Homology of an explicit chain complex (no caching)."""
     by_degree = {m.degree: m for m in mats}
 
-    def rank(d, modulus):
+    def rank(d, p):
         m = by_degree[d]
-        if modulus:
-            return linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), modulus)
-        return linalg.rank_over_q(m.nrows, m.ncols, m.triplets())
+        return linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), p)
 
     def smith(d):
         m = by_degree[d]
@@ -127,7 +119,7 @@ def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> Homol
     return _homology(
         cx.cell_counts(),
         range(1, cx.top_dim + 1),
-        lambda d, modulus: rank_of_boundary(cx, d, modulus),
+        lambda d, p: rank_of_boundary(cx, d, p),
         lambda d: smith_of_boundary(cx, d),
         reduced,
         certification,
@@ -135,94 +127,32 @@ def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> Homol
 
 
 def _homology(counts, degrees, rank, smith, reduced, certification) -> HomologyProfile:
-    # rank(d, modulus) and smith(d) give the degree-d boundary's rank over Q
-    # (modulus 0) or F_p and its Smith form, for each d in degrees
-    ranks = [0] * (len(counts) + 1)
-    torsion = None
-    if certification == CERT_SNF:
-        torsion = [[] for _ in counts]
-        for d in degrees:
-            sf = smith(d)
-            ranks[d] = sf.rank
-            torsion[d - 1] = [f for f in sf.factors if f > 1]
-    elif certification in (CERT_RANK, CERT_RANK_AGREE):
-        for d in degrees:
-            ranks[d] = rank(d, 0)
-        if certification == CERT_RANK_AGREE:
-            for d in degrees:
-                for p in _AGREE_PRIMES:
-                    if rank(d, p) != ranks[d]:
-                        raise ValueError(
-                            f"rank over F_{p} differs from rank over Q in degree {d}: "
-                            f"torsion at {p}"
-                        )
-            torsion = [[] for _ in counts]
-    else:
+    # smith(d) gives the degree-d boundary's Smith form, whose rank is the
+    # rank over Q; rank(d, p) gives its rank over F_p, an elimination of its own
+    if certification not in (CERT_SNF, CERT_RANK_AGREE):
         raise ValueError(f"unknown certification {certification!r}")
+    ranks = [0] * (len(counts) + 1)
+    torsion = [[] for _ in counts]
+    for d in degrees:
+        sf = smith(d)
+        ranks[d] = sf.rank
+        if certification == CERT_SNF:
+            torsion[d - 1] = [f for f in sf.factors if f > 1]
+        else:
+            for p in _AGREE_PRIMES:
+                if rank(d, p) != sf.rank:
+                    raise ValueError(
+                        f"rank over F_{p} differs from rank over Q in degree {d}: "
+                        f"torsion at {p}"
+                    )
     betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(len(counts))]
     if reduced:
         betti[0] -= 1
     return HomologyProfile(
-        tuple(betti),
-        None if torsion is None else tuple(tuple(t) for t in torsion),
-        reduced,
-        certification,
+        tuple(betti), tuple(tuple(t) for t in torsion), reduced, certification
     )
 
 
 def betti_numbers(cx: CellComplex, reduced=False) -> tuple:
-    """Rank-only fast path."""
-    return homology_of(cx, reduced=reduced, certification=CERT_RANK).betti
-
-
-def closed_form_rank(n: int, k: int) -> int:
-    """Alternating-sum formula for the rank of H_{k-1} of the cut complex."""
-    return sum((-1) ** (k + i) * (1 << (n - i)) * comb(n, i) for i in range(k, n + 1))
-
-
-def betti_table(n_max: int, mode: str = "both", max_cells: int | None = None) -> list:
-    """Rows (n, k, entries...) comparing computed and closed-form ranks.
-
-    mode 'closed_form' skips all matrix work; 'computed' skips the formulas;
-    'both' checks the two agree.  Oversized jobs are reported as skipped.
-    """
-    if mode not in ("computed", "closed_form", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
-    out = []
-    for n in range(4, n_max + 1):
-        for k in range(3, n + 1):
-            row = {"n": n, "k": k}
-            if mode in ("closed_form", "both"):
-                cf = closed_form_rank(n, k)
-                row["closed_form"] = cf
-                row["triangle"] = predicted_betti(n, k)
-            if mode in ("computed", "both"):
-                if max_cells is not None and _peak_cells(n, k) > max_cells:
-                    row["computed"] = None
-                    row["status"] = "skipped"
-                    out.append(row)
-                    continue
-                cx = build_complex(n, k)
-                row["computed"] = betti_numbers(cx, reduced=True)[k - 1]
-            if mode == "both":
-                row["status"] = (
-                    "ok"
-                    if row["computed"] == row["closed_form"] == row["triangle"]
-                    else "mismatch"
-                )
-            else:
-                row["status"] = "ok"
-            out.append(row)
-    return out
-
-
-def _peak_cells(n: int, k: int) -> int:
-    from .faces import face_count
-
-    peak = 0
-    for d in range(n + 1):
-        if d < k:
-            peak = max(peak, face_count(n, d))
-        elif d < n:
-            peak = max(peak, (1 << (n - 1)) * comb(n, d + 1))
-    return peak
+    """Betti numbers of a cut complex, from the Smith forms of its boundaries."""
+    return homology_of(cx, reduced=reduced).betti

@@ -5,10 +5,10 @@ Smith form.  It takes the sparsest live column that holds a unit, pivots
 on that unit in the shortest row and clears the column.  Over the
 integers (modulus 0) a unit is +-1: each pivot splits off an invariant
 factor 1, and a smallest-magnitude reduction of what is left finishes
-the Smith normal form, whose rank is the rank over Q.  Over F_p every
-nonzero residue is a unit and entries are reduced mod p, so the pivot
-count is the rank over F_p.  Entries are Python integers throughout, so
-no answer depends on a machine word size.
+the Smith normal form; its rank is the rank over Q, which has no other
+entry point.  Over F_p every nonzero residue is a unit and entries are
+reduced mod p, so the pivot count is the rank over F_p.  Entries are
+Python integers throughout, so no answer depends on a machine word size.
 """
 
 from __future__ import annotations
@@ -23,22 +23,12 @@ def kernel_name() -> str:
     return "pure-python"
 
 
-def rank_over_q(nrows: int, ncols: int, triplets) -> int:
-    """Rank over Q of an integer matrix given as (row, col, value) triplets.
-
-    This is the rank of its Smith normal form: the unit pivots plus the
-    nonzero factors of the residual.
-    """
-    rows, cols = _sparse(nrows, ncols, triplets, 0)
-    return _unit_phase(rows, cols, 0) + len(_residual_factors(rows, cols))
-
-
 def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p.
 
     It is an elimination over F_p of its own, so a rank over F_p that
-    agrees with the rank over Q is evidence, not a restatement of the
-    Smith form.
+    agrees with the rank over Q (the rank of ``smith_normal_form``) is
+    evidence, not a restatement of the Smith form.
     """
     if not (isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))):
         raise ValueError(f"modulus must be a prime, got {p!r}")

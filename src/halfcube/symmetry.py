@@ -167,10 +167,8 @@ class SpecialReflection4:
 
 def face_image_by_vertices(g, f, lattice):
     """Image of a face under any vertex map that stabilizes the polytope."""
-    vset = 0
-    for b in f.key:
-        vset |= 1 << g.vertex_image(Vertex(lattice.n, b)).bits
-    got = lattice.by_vset.get(vset)
+    key = tuple(sorted(g.vertex_image(Vertex(lattice.n, b)).bits for b in f.key))
+    got = lattice.index.get(key)
     if got is None:
         raise ValueError("image vertex set is not a face")
     return got

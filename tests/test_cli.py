@@ -137,6 +137,38 @@ def test_betti_k_range_usage_error():
         cli.main(["betti", "--n", "5", "--k", "2"])
 
 
+def test_morse_budget_skip(capsys, monkeypatch):
+    # a morse job over --max-cells fetches no complex and skips its four checks
+    def refuse(n, k_cut, cache_dir):
+        raise AssertionError(f"fetched the ({n}, {k_cut}) complex")
+
+    monkeypatch.setattr(cli, "get_complex", refuse)
+    argv = ("morse", "--n", "5", "--k", "3", "--max-cells", "1")
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["status"] == "skipped"
+    assert [c["status"] for c in doc["checks"]] == ["skipped"] * 4
+    for fmt in ("table", "csv"):
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("faces", "--n", "4", "--max-cells", "5"),
+        ("orbits", "--n", "4", "--cache-dir", "unused"),
+        ("triangle", "--rows", "3", "--max-cells", "5"),
+    ],
+)
+def test_flags_a_command_does_not_use_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_morse_command(capsys):
     code, out = run_cli(capsys, "morse", "--n", "5", "--k", "3", "--format", "json")
     assert code == 0

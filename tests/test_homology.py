@@ -1,15 +1,11 @@
 import random
 
-import pytest
-
+from halfcube import homology, linalg
 from halfcube.complexes import boundary_matrices, build_complex, random_flip_set
 from halfcube.homology import (
-    CERT_RANK,
     CERT_RANK_AGREE,
     CERT_SNF,
     betti_numbers,
-    betti_table,
-    closed_form_rank,
     homology_from_matrices,
     homology_of,
     smith_normal_form,
@@ -45,13 +41,33 @@ def test_unreduced_degree_zero():
 def test_certifications_agree():
     cx = build_complex(5, 4)
     a = homology_of(cx, reduced=True, certification=CERT_SNF)
-    b = homology_of(cx, reduced=True, certification=CERT_RANK)
     c = homology_of(cx, reduced=True, certification=CERT_RANK_AGREE)
-    assert a.betti == b.betti == c.betti
-    assert b.torsion is None
+    assert a.betti == c.betti
     assert c.torsion == tuple(() for _ in a.betti)
-    assert not b.is_concentrated(3)  # rank-only cannot certify torsion freeness
     assert c.is_concentrated(3)
+
+
+def test_both_certificates_share_one_integer_elimination(monkeypatch):
+    # the rank over Q comes only from the cached Smith form: rank agreement
+    # followed by snf eliminates each degree over the integers once, and
+    # over F_p once per prime
+    monkeypatch.setattr(homology, "_rank_cache", {})
+    monkeypatch.setattr(homology, "_snf_cache", {})
+    moduli = []
+    unit_phase = linalg._unit_phase
+
+    def counting(rows, cols, p):
+        moduli.append(p)
+        return unit_phase(rows, cols, p)
+
+    monkeypatch.setattr(linalg, "_unit_phase", counting)
+    cx = build_complex(5, 4)
+    agree = homology_of(cx, reduced=True, certification=CERT_RANK_AGREE)
+    snf = homology_of(cx, reduced=True, certification=CERT_SNF)
+    assert agree.betti == snf.betti
+    assert agree.torsion == snf.torsion
+    for p in (0, 2, 3, 5):
+        assert moduli.count(p) == cx.top_dim, p
 
 
 def test_betti_numbers_fast_path():
@@ -62,27 +78,7 @@ def test_betti_numbers_fast_path():
 def test_closed_form_matches_triangle_route():
     for n in range(4, 10):
         for k in range(3, n + 1):
-            assert closed_form_rank(n, k) == triangle_alternating(n, n - k)
-            assert closed_form_rank(n, k) == predicted_betti(n, k)
-
-
-def test_betti_table_modes():
-    rows = betti_table(5, "both")
-    assert all(r["status"] == "ok" for r in rows)
-    assert {(r["n"], r["k"]): r["computed"] for r in rows}[(5, 3)] == 31
-    cf = betti_table(6, "closed_form")
-    assert {(r["n"], r["k"]): r["closed_form"] for r in cf}[(6, 3)] == 111
-    with pytest.raises(ValueError):
-        betti_table(5, "nonsense")
-
-
-def test_betti_table_budget_skip():
-    rows = betti_table(5, "both", max_cells=20)
-    assert all(r["status"] == "skipped" and r["computed"] is None for r in rows)
-    assert all(r["closed_form"] == r["triangle"] for r in rows)
-    # a generous budget admits everything
-    rows = betti_table(4, "both", max_cells=10**6)
-    assert all(r["status"] == "ok" for r in rows)
+            assert triangle_alternating(n, n - k) == predicted_betti(n, k)
 
 
 def test_homology_from_matrices_with_flips():
@@ -123,7 +119,7 @@ def test_alternating_betti_sum_matches_closed_form_euler():
     for n in (4, 5):
         for k in range(3, n + 1):
             cx = build_complex(n, k)
-            prof = homology_of(cx, reduced=False, certification=CERT_RANK)
+            prof = homology_of(cx, reduced=False)
             alt = sum((-1) ** d * b for d, b in enumerate(prof.betti))
             assert alt == euler_characteristic(cx)
             assert alt == 1 + (-1) ** (k - 1) * predicted_betti(n, k)

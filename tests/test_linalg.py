@@ -21,22 +21,22 @@ def test_rank_kernels_against_dense_oracle():
         trip = random_triplets(rng, nr, nc)
         dense = triplets_to_dense(nr, nc, trip)
         want = dense_rank(dense)
-        assert linalg.rank_over_q(nr, nc, trip) == want
+        assert linalg.smith_normal_form(nr, nc, trip).rank == want
         for p in (2, 3, 5, 7):
             assert linalg.rank_mod_p(nr, nc, trip, p) == dense_rank_mod(dense, p)
 
 
 def test_rank_empty_and_zero():
-    assert linalg.rank_over_q(0, 5, []) == 0
-    assert linalg.rank_over_q(5, 0, []) == 0
-    assert linalg.rank_over_q(3, 3, [(0, 0, 0)]) == 0
-    assert linalg.rank_over_q(3, 3, [(1, 1, 5)]) == 1
+    assert linalg.smith_normal_form(0, 5, []).rank == 0
+    assert linalg.smith_normal_form(5, 0, []).rank == 0
+    assert linalg.smith_normal_form(3, 3, [(0, 0, 0)]).rank == 0
+    assert linalg.smith_normal_form(3, 3, [(1, 1, 5)]).rank == 1
 
 
 def test_rank_duplicate_triplets_accumulate():
     # (0,0) gets 2 + (-2) = 0; the matrix is the zero matrix
     trip = [(0, 0, 2), (0, 0, -2)]
-    assert linalg.rank_over_q(1, 1, trip) == 0
+    assert linalg.smith_normal_form(1, 1, trip).rank == 0
     assert linalg.rank_mod_p(1, 1, trip, 3) == 0
 
 
@@ -198,8 +198,8 @@ def test_det_sign_matches_fraction_determinant():
 
 
 def test_kernel_equivalence_on_boundary_matrices():
-    # rank over Q is the rank of the Smith normal form, so both are checked
-    # against an independent route: the dense elimination oracles
+    # the rank over Q is the rank of the Smith normal form; it and the ranks
+    # over F_p are checked against an independent route, the dense oracles
     from halfcube.complexes import build_complex
 
     for k in range(3, 7):
@@ -208,7 +208,6 @@ def test_kernel_equivalence_on_boundary_matrices():
             dense = triplets_to_dense(m.nrows, m.ncols, trip)
             want = dense_rank(dense)
             assert linalg.smith_normal_form(m.nrows, m.ncols, trip).rank == want
-            assert linalg.rank_over_q(m.nrows, m.ncols, trip) == want
             for p in (2, 3, 5):
                 assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == dense_rank_mod(dense, p)
 
@@ -255,7 +254,6 @@ def test_rank_mod_p_rejects_a_modulus_that_is_not_prime(p):
 )
 def test_rank_functions_reject_triplets_outside_the_shape(trip):
     for rank in (
-        linalg.rank_over_q,
         lambda nr, nc, t: linalg.rank_mod_p(nr, nc, t, 3),
         linalg.smith_normal_form,
     ):
