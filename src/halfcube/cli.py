@@ -3,10 +3,11 @@
 Every command emits a results payload plus a list of named checks
 (expected vs actual); the exit status is 0 exactly when no check failed.
 JSON output is schema-stable: {schema_version, command, params, results,
-checks}.  Built complexes are cached on disk as descriptor keys plus
-sparse-triplet boundary matrices, keyed by (n, k_cut), and rebuilt when
-the format or orientation convention changes or the file fails its checks
-on load.
+checks}.  Built complexes are cached on disk, one file per (n, k_cut),
+as the signs of their incidences alone: the cells and the incidences
+follow from (n, k_cut), so a load rebuilds them and reads the signs.  A
+file with another format or orientation convention, or one that fails its
+checks on load, is a miss, and the complex is rebuilt and rewritten.
 """
 
 from __future__ import annotations
@@ -17,23 +18,23 @@ import io
 import json
 import os
 import sys
-from itertools import pairwise, repeat, starmap
+import tempfile
 from math import comb
-from operator import add, lt, mul
 
 from . import homology, morse, symmetry, triangle
 from .complexes import (
-    BoundaryMatrix,
     CellComplex,
     assert_boundary_squared_zero,
     build_complex,
     euler_characteristic,
+    incidences,
+    signed_matrix,
 )
 from .faces import build_face_lattice, check_face_budget, face_count, face_counts_by_type
 from .homology import CERT_RANK_AGREE, CERT_SNF
 
 SCHEMA_VERSION = 1
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 ORIENTATION_TAG = "lexmin-outward-v1"
 DEFAULT_MAX_CELLS = 20000
 
@@ -59,107 +60,70 @@ def cache_path(cache_dir: str, n: int, k_cut: int) -> str:
 
 
 def save_complex(cx: CellComplex, cache_dir: str) -> str:
-    payload = {
-        "format_version": CACHE_FORMAT,
-        "orientation": ORIENTATION_TAG,
-        "n": cx.n,
-        "k_cut": cx.k_cut,
-        "cells": [[list(f.key) for f in dim_cells] for dim_cells in cx.cells],
-        "matrices": [
-            {
-                "degree": m.degree,
-                "nrows": m.nrows,
-                "ncols": m.ncols,
-                "triplets": [list(t) for t in m.entries],
-            }
-            for m in cx.matrices()
-        ],
-    }
+    """Write the signs of cx's incidences; every other part of a complex is rebuilt on load."""
+    text = json.dumps(
+        {
+            "format_version": CACHE_FORMAT,
+            "orientation": ORIENTATION_TAG,
+            "n": cx.n,
+            "k_cut": cx.k_cut,
+            "signs": [
+                "".join("+" if v > 0 else "-" for _, _, v in m.entries) for m in cx.matrices()
+            ],
+        },
+        sort_keys=True,
+    )
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, cx.n, cx.k_cut)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    # a temp file of its own, so that concurrent writers of one path never collide
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
     """The cached complex, or None when the file is missing, stale or fails a check.
 
-    Cached cells must be the complex's own, in order, and the matrices must
-    fit them: one per degree with matching shapes, indices in range, entries
-    +-1 sorted by (col, row) without repeats, and boundary squared zero.
+    The cells and incidences are rebuilt from (n, k_cut); the file supplies
+    only their signs.  It must carry this format, orientation, n and k_cut,
+    one string of '+' and '-' per degree, each as long as that degree's
+    incidence list, and the signed matrices must square to zero.
     """
     path = cache_path(cache_dir, n, k_cut)
-    if not os.path.exists(path):
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):  # missing, unreadable, not UTF-8 or not JSON
+        return None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format_version") != CACHE_FORMAT
+        or payload.get("orientation") != ORIENTATION_TAG
+        or payload.get("n") != n
+        or payload.get("k_cut") != k_cut
+    ):
         return None
     cx = build_complex(n, k_cut)
-    # the parsed file is freed on return, before the check builds its columns
-    mats = _read_matrices(path, cx)
-    if mats is None:
+    signs = payload.get("signs")
+    if not isinstance(signs, list) or len(signs) != cx.top_dim:
         return None
+    mats = []
+    for d, (pairs, s) in enumerate(zip(incidences(cx), signs), start=1):
+        if not isinstance(s, str) or len(s) != len(pairs) or not set(s) <= {"+", "-"}:
+            return None
+        mats.append(signed_matrix(cx, d, pairs, [1 if c == "+" else -1 for c in s]))
     try:
         assert_boundary_squared_zero(mats)
     except AssertionError:
         return None
     cx._matrices = mats
     return cx
-
-
-def _read_matrices(path: str, cx: CellComplex) -> list | None:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format_version") != CACHE_FORMAT
-        or payload.get("orientation") != ORIENTATION_TAG
-        or payload.get("n") != cx.n
-        or payload.get("k_cut") != cx.k_cut
-    ):
-        return None
-    cells = cx.cells
-    try:
-        cached = payload["cells"]
-        if [len(keys) for keys in cached] != cx.cell_counts() or any(
-            key != list(f.key) for keys, cs in zip(cached, cells) for key, f in zip(keys, cs)
-        ):
-            return None
-        records = payload["matrices"]
-        if len(records) != len(cells) - 1:
-            return None
-        mats = [
-            _parse_matrix(d, m, len(cells[d - 1]), len(cells[d]))
-            for d, m in enumerate(records, start=1)
-        ]
-    except (KeyError, TypeError):
-        return None
-    return None if None in mats else mats
-
-
-def _parse_matrix(degree, record, nrows, ncols) -> BoundaryMatrix | None:
-    """The cached matrix of one degree, or None when it does not fit its cells."""
-    if (record["degree"], record["nrows"], record["ncols"]) != (degree, nrows, ncols):
-        return None
-    triplets = record["triplets"]
-    if not triplets:
-        return BoundaryMatrix(degree, nrows, ncols, ())
-    if set(map(len, triplets)) != {3}:
-        return None
-    rows, cols, vals = zip(*triplets)
-    if set(map(type, rows)) | set(map(type, cols)) | set(map(type, vals)) != {int}:
-        return None
-    if min(rows) < 0 or max(rows) >= nrows or min(cols) < 0 or max(cols) >= ncols:
-        return None
-    if not set(vals) <= {1, -1}:
-        return None
-    # with rows in range, col * nrows + row orders entries by (col, row)
-    if not all(starmap(lt, pairwise(map(add, map(mul, cols, repeat(nrows)), rows)))):
-        return None
-    return BoundaryMatrix(degree, nrows, ncols, tuple(zip(rows, cols, vals)))
 
 
 def complexes_equal(a: CellComplex, b: CellComplex) -> bool:

@@ -137,9 +137,7 @@ class _IntEchelon:
 
 def orientation_tuple(lattice: FaceLattice, face) -> tuple:
     """Lexicographically smallest affinely independent vertex subsequence."""
-    memo = getattr(lattice, "_orient_memo", None)
-    if memo is None:
-        memo = lattice._orient_memo = {}
+    memo = lattice._orient_memo
     got = memo.get(face.key)
     if got is not None:
         return got
@@ -264,6 +262,24 @@ class BoundaryMatrix:
         return cols
 
 
+def incidences(cx: CellComplex):
+    """Yields, per degree 1..top, the (row, col) of each facet incidence in (col, row) order."""
+    lat = cx.lattice
+    for d in range(1, cx.top_dim + 1):
+        row_of = cx.index[d - 1]
+        yield [
+            (r, j)
+            for j, cell in enumerate(cx.cells[d])
+            for r in sorted(row_of[g.key] for g in lat.facets(cell))
+        ]
+
+
+def signed_matrix(cx: CellComplex, d: int, pairs: list, signs) -> BoundaryMatrix:
+    """The degree-d matrix of cx with the incidences ``pairs`` and their +-1 ``signs``."""
+    entries = tuple((r, c, s) for (r, c), s in zip(pairs, signs, strict=True))
+    return BoundaryMatrix(d, len(cx.cells[d - 1]), len(cx.cells[d]), entries)
+
+
 def boundary_matrices(cx: CellComplex, flips=frozenset()) -> list:
     """One signed matrix per degree 1..top; asserts boundary-of-boundary = 0.
 
@@ -273,16 +289,13 @@ def boundary_matrices(cx: CellComplex, flips=frozenset()) -> list:
     lat = cx.lattice
     flips = frozenset(flips)
     mats = []
-    for d in range(1, cx.top_dim + 1):
-        row_of = cx.index[d - 1]
-        entries = []
-        for j, cell in enumerate(cx.cells[d]):
-            fp = cell.key in flips
-            for facet in lat.facets(cell):
-                s = incidence_sign(lat, cell, facet, fp, facet.key in flips)
-                entries.append((row_of[facet.key], j, s))
-        entries.sort(key=lambda t: (t[1], t[0]))
-        mats.append(BoundaryMatrix(d, len(cx.cells[d - 1]), len(cx.cells[d]), tuple(entries)))
+    for d, pairs in enumerate(incidences(cx), start=1):
+        rows, cols = cx.cells[d - 1], cx.cells[d]
+        signs = [
+            incidence_sign(lat, cols[c], rows[r], cols[c].key in flips, rows[r].key in flips)
+            for r, c in pairs
+        ]
+        mats.append(signed_matrix(cx, d, pairs, signs))
     assert_boundary_squared_zero(mats)
     return mats
 

@@ -29,8 +29,6 @@ from .core import (
     classify_clique,
     disagreement_mask,
     even_vertices,
-    odd_vertices,
-    recover_K_descriptor,
 )
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not
@@ -216,61 +214,6 @@ def face_counts_by_type(n: int) -> list:
     return out
 
 
-def facets_of(f: FaceDescriptor) -> list:
-    """Codimension-1 faces of f, from descriptor arithmetic alone."""
-    n = f.n
-    if f.dim == 0:
-        raise ValueError("vertices have no facets")
-    if f.kind == KIND_SIMPLEX:
-        if f.mask.size == 2:
-            return [vertex_face(v) for v in f.vertices()]
-        return [simplex_face(f.point, f.mask.without(i)) for i in f.mask]
-    if f.kind == KIND_HALFCUBE and f.mask.size == 3:
-        # half-cube tetrahedron: its four triangles are all simplex faces
-        out = []
-        for skip in f.key:
-            tri = CliqueSet.of(Vertex(n, b) for b in f.key if b != skip)
-            v_opp, mask = recover_K_descriptor(tri)
-            out.append(simplex_face(v_opp, mask))
-        return out
-    if f.kind == KIND_HALFCUBE:
-        return _halfcube_facets(n, f.point, f.mask, f.key)
-    if f.kind == KIND_TOP:
-        simplices = [simplex_face(v, Mask.full(n)) for v in odd_vertices(n)]
-        cubes = []
-        for i in range(1, n + 1):
-            sub = Mask.full(n).without(i)
-            for sgn in (0, 1):
-                base_bits = next(
-                    b for b in f.key if (b >> (i - 1)) & 1 == sgn
-                )
-                cubes.append(halfcube_face(Vertex(n, base_bits), sub))
-        return simplices + cubes
-    raise ValueError(f"unknown face kind {f.kind}")
-
-
-def _halfcube_facets(n, base, mask, key):
-    # simplex facets: K(u', S) for every odd u' agreeing with the base outside S
-    simplices = []
-    outside = base.bits & ~mask.bits
-    sub = mask.bits
-    while True:
-        u = outside | sub
-        if u.bit_count() % 2 == 1:
-            simplices.append(simplex_face(Vertex(n, u), mask))
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask.bits
-    # half-cube facets: fix one masked coordinate to either sign
-    cubes = []
-    for i in mask:
-        smaller = mask.without(i)
-        for sgn in (0, 1):
-            base_bits = next(b for b in key if (b >> (i - 1)) & 1 == sgn)
-            cubes.append(halfcube_face(Vertex(n, base_bits), smaller))
-    return simplices + cubes
-
-
 class FaceLattice:
     """All faces of the half cube, indexed by canonical vertex key."""
 
@@ -280,16 +223,40 @@ class FaceLattice:
         self.index = {f.key: f for dim_faces in faces_by_dim for f in dim_faces}
         self._facet_memo = {}
         self._sign_memo = {}
+        self._orient_memo = {}
 
     def face(self, key) -> FaceDescriptor:
         return self.index[tuple(key)]
 
     def facets(self, f: FaceDescriptor) -> list:
-        """Facets of f resolved to this lattice's descriptors."""
+        """The codimension-1 faces of f, from its vertex key alone.
+
+        A face with dim + 1 vertices (a simplex, or the half-cube
+        tetrahedron) loses one vertex at a time.  A larger half cube or the
+        top cell, varying on the coordinate set S, has for each i in S the
+        two halves of its key with bit i clear and set, and for each odd
+        vertex u of its subcube the simplex of the neighbours u ^ (1 << i),
+        i in S.
+        """
         got = self._facet_memo.get(f.key)
-        if got is None:
-            got = [self.index[g.key] for g in facets_of(f)]
-            self._facet_memo[f.key] = got
+        if got is not None:
+            return got
+        if f.dim == 0:
+            raise ValueError("vertices have no facets")
+        key = f.key
+        if len(key) == f.dim + 1:
+            keys = [key[:i] + key[i + 1 :] for i in range(len(key))]
+        else:
+            bits = [1 << i for i in range(self.n) if f.mask.bits >> i & 1]
+            keys = []
+            for bit in bits:
+                keys.append(tuple(b for b in key if not b & bit))
+                keys.append(tuple(b for b in key if b & bit))
+            # b ^ bits[0] runs over the odd vertices of the subcube
+            for u in (b ^ bits[0] for b in key):
+                keys.append(tuple(sorted(u ^ bit for bit in bits)))
+        got = [self.index[k] for k in keys]
+        self._facet_memo[f.key] = got
         return got
 
     def intersection(self, f: FaceDescriptor, g: FaceDescriptor):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import os
 
 import pytest
 
-from halfcube import cli, faces
+from halfcube import cli, complexes, faces
 from halfcube.complexes import build_complex
 
 
@@ -215,20 +216,63 @@ def test_verify_small(capsys):
     assert any(name.startswith("triangle.") for name in names)
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    code, _ = run_cli(capsys, "betti", "--n", "4", "--k", "3", "--cache-dir", cache)
-    assert code == 0
-    fresh = build_complex(4, 3)
-    fresh.matrices()
-    loaded = cli.load_complex(cache, 4, 3)
-    assert loaded is not None
-    assert cli.complexes_equal(fresh, loaded)
-    # corrupt the payload: loader must ignore it
-    path = cli.cache_path(cache, 4, 3)
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    assert cli.load_complex(cache, 4, 3) is None
+def test_cache_round_trip(tmp_path):
+    cache = str(tmp_path)
+    for n, k in ((n, k) for n in (4, 5) for k in range(3, n + 2)):
+        cli.get_complex(n, k, cache)
+        fresh = build_complex(n, k)
+        fresh.matrices()
+        loaded = cli.load_complex(cache, n, k)
+        assert loaded is not None
+        assert cli.complexes_equal(fresh, loaded), (n, k)
+        # corrupt the payload: loader must ignore it
+        path = cli.cache_path(cache, n, k)
+        for junk in (b"{not json", b"\xff\xfe"):
+            with open(path, "wb") as fh:
+                fh.write(junk)
+            assert cli.load_complex(cache, n, k) is None
+
+
+def test_warm_load_computes_no_sign(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    path = cli.save_complex(cli.get_complex(5, 4, None), cache)
+    with open(path) as fh:
+        assert set(json.load(fh)) == {"format_version", "orientation", "n", "k_cut", "signs"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache load computed an incidence sign")
+
+    monkeypatch.setattr(complexes, "incidence_sign", refuse)
+    loaded = cli.load_complex(cache, 5, 4)
+    assert loaded is not None and loaded._matrices is not None
+
+
+def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    cx = cli.get_complex(4, 3, None)
+    replace = os.replace
+    sources = []
+
+    def racing_replace(src, dst):
+        sources.append(src)
+        if len(sources) == 1:
+            cli.save_complex(cx, cache)  # a second writer of the same file finishes first
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    path = cli.save_complex(cx, cache)
+    assert len(set(sources)) == 2
+    assert os.listdir(cache) == [os.path.basename(path)]
+    assert cli.complexes_equal(cx, cli.load_complex(cache, 4, 3))
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cli.save_complex(cx, cache)
+    # a failed write removes its temp file
+    assert os.listdir(cache) == [os.path.basename(path)]
 
 
 def test_cache_version_mismatch_ignored(tmp_path):
@@ -248,7 +292,7 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_CACHE_DIR, str(tmp_path))
     code, _ = run_cli(capsys, "betti", "--n", "4", "--k", "4")
     assert code == 0
-    assert (tmp_path / "halfcube-n4-k4-v1.json").exists()
+    assert os.path.exists(cli.cache_path(str(tmp_path), 4, 4))
 
 
 # SHA-256 of `verify --n-max 5 --format json` stdout, as pinned in perfbench/pins.json
@@ -311,36 +355,44 @@ def test_oversized_lattice_fails_fast(monkeypatch):
 
 
 def _edit_flip_sign(payload):
-    payload["matrices"][1]["triplets"][0][2] *= -1
+    s = payload["signs"][1]
+    payload["signs"][1] = ("-" if s[0] == "+" else "+") + s[1:]
 
 
-def _edit_wrong_nrows(payload):
-    payload["matrices"][0]["nrows"] += 1
+def _edit_drop_sign(payload):
+    payload["signs"][0] = payload["signs"][0][:-1]
 
 
-def _edit_row_out_of_range(payload):
-    m = payload["matrices"][-1]
-    m["triplets"][-1][0] = m["nrows"]
+def _edit_add_sign(payload):
+    payload["signs"][0] += "+"
 
 
-def _edit_duplicate_entry(payload):
-    trip = payload["matrices"][0]["triplets"]
-    trip.insert(1, list(trip[0]))
+def _edit_foreign_character(payload):
+    payload["signs"][-1] = "0" + payload["signs"][-1][1:]
 
 
-def _edit_swap_entries(payload):
-    trip = payload["matrices"][0]["triplets"]
-    trip[0], trip[1] = trip[1], trip[0]
+def _edit_drop_degree(payload):
+    payload["signs"].pop()
+
+
+def _edit_n(payload):
+    payload["n"] += 1
+
+
+def _edit_k_cut(payload):
+    payload["k_cut"] += 1
 
 
 @pytest.mark.parametrize(
     "edit",
     [
         _edit_flip_sign,
-        _edit_wrong_nrows,
-        _edit_row_out_of_range,
-        _edit_duplicate_entry,
-        _edit_swap_entries,
+        _edit_drop_sign,
+        _edit_add_sign,
+        _edit_foreign_character,
+        _edit_drop_degree,
+        _edit_n,
+        _edit_k_cut,
     ],
 )
 def test_edited_cache_is_rebuilt(tmp_path, capsys, edit):

@@ -11,7 +11,6 @@ from halfcube.faces import (
     face_count,
     face_counts,
     face_from_vertices,
-    facets_of,
     halfcube_face,
     simplex_face,
     simplex_contains_point,
@@ -51,21 +50,21 @@ def test_top_cell_facet_census():
 
 def test_edge_facets_are_vertices():
     e = simplex_face(odd_vertices(5)[0], Mask.of(5, 1, 2))
-    fs = facets_of(e)
+    fs = build_face_lattice(5).facets(e)
     assert [f.kind for f in fs] == [KIND_VERTEX, KIND_VERTEX]
     assert {f.key[0] for f in fs} == set(e.key)
 
 
 def test_halfcube_tetrahedron_facets_are_simplices():
     f = halfcube_face(Vertex.from_signs((1, -1, -1, 1, 1)), Mask.of(5, 1, 3, 4))
-    fs = facets_of(f)
+    fs = build_face_lattice(5).facets(f)
     assert len(fs) == 4
     assert all(g.kind == KIND_SIMPLEX and g.dim == 2 for g in fs)
 
 
 def test_halfcube_facet_rule():
     f = halfcube_face(Vertex(6, 0), Mask.of(6, 1, 2, 3, 4))
-    fs = facets_of(f)
+    fs = build_face_lattice(6).facets(f)
     simp = [g for g in fs if g.kind == KIND_SIMPLEX]
     hc = [g for g in fs if g.kind == KIND_HALFCUBE]
     assert len(simp) == 2**3 and len(hc) == 2 * 4
@@ -83,9 +82,20 @@ def test_facets_have_codimension_one_everywhere():
                 assert set(g.key) < set(f.key)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_facets_match_brute_force(n):
+    # the facets of f are exactly the (dim - 1)-faces on a subset of its vertices
+    lat = build_face_lattice(n)
+    for dim in range(1, n + 1):
+        for f in lat.faces[dim]:
+            got = [g.key for g in lat.facets(f)]
+            want = {g.key for g in lat.faces[dim - 1] if set(g.key) <= set(f.key)}
+            assert len(got) == len(set(got)) and set(got) == want, f
+
+
 def test_vertices_have_no_facets():
     with pytest.raises(ValueError):
-        facets_of(vertex_face(Vertex(5, 0)))
+        build_face_lattice(5).facets(vertex_face(Vertex(5, 0)))
 
 
 def test_hasse_reaches_every_face():
