@@ -197,6 +197,19 @@ def exit_code(report) -> int:
     return 1 if any(c["status"] == "fail" for c in report["checks"]) else 0
 
 
+def emit(args, params, results, checks, table_rows, header) -> int:
+    """Write the report of ``args.command`` in ``args.format``; return its exit status."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "params": params,
+        "results": results,
+        "checks": checks,
+    }
+    sys.stdout.write(render(report, args.format, table_rows, header))
+    return exit_code(report)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -220,16 +233,9 @@ def run_faces(n: int):
 
 def cmd_faces(args) -> int:
     results, checks = run_faces(args.n)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "faces",
-        "params": {"n": args.n},
-        "results": results,
-        "checks": checks,
-    }
     rows = [(r["dim"], r["simplex"], r["halfcube"], r["total"]) for r in results]
-    sys.stdout.write(render(report, args.format, rows, ["dim", "simplex", "halfcube", "total"]))
-    return exit_code(report)
+    return emit(args, {"n": args.n}, results, checks, rows,
+                ["dim", "simplex", "halfcube", "total"])
 
 
 def _peak_cells(n: int, k: int) -> int:
@@ -306,13 +312,7 @@ def character_samples(n, k, count, seed=0):
 def cmd_betti(args) -> int:
     cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
     result, checks = run_betti(args.n, args.k, args.cert, cx, args.characters)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "betti",
-        "params": {"n": args.n, "k": args.k, "cert": args.cert, "characters": args.characters},
-        "results": result,
-        "checks": checks,
-    }
+    params = {"n": args.n, "k": args.k, "cert": args.cert, "characters": args.characters}
     rows = [
         (
             result["n"],
@@ -323,10 +323,8 @@ def cmd_betti(args) -> int:
             result["status"],
         )
     ]
-    sys.stdout.write(
-        render(report, args.format, rows, ["n", "k", "predicted", "computed", "certificate", "status"])
-    )
-    return exit_code(report)
+    return emit(args, params, result, checks, rows,
+                ["n", "k", "predicted", "computed", "certificate", "status"])
 
 
 def run_morse(n, k, cx):
@@ -366,22 +364,13 @@ def run_morse(n, k, cx):
 def cmd_morse(args) -> int:
     cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
     result, checks = run_morse(args.n, args.k, cx)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "morse",
-        "params": {"n": args.n, "k": args.k},
-        "results": result,
-        "checks": checks,
-    }
     unpaired = result["unpaired"]
     rows = [
         (result["n"], result["k"], result["pairs"], result["acyclic"],
          None if unpaired is None else " ".join(map(str, unpaired)), result["euler"])
     ]
-    sys.stdout.write(
-        render(report, args.format, rows, ["n", "k", "pairs", "acyclic", "unpaired", "euler"])
-    )
-    return exit_code(report)
+    return emit(args, {"n": args.n, "k": args.k}, result, checks, rows,
+                ["n", "k", "pairs", "acyclic", "unpaired", "euler"])
 
 
 def run_orbits(n, extended):
@@ -407,16 +396,9 @@ def run_orbits(n, extended):
 
 def cmd_orbits(args) -> int:
     results, checks = run_orbits(args.n, args.extended)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "orbits",
-        "params": {"n": args.n, "extended": args.extended},
-        "results": results,
-        "checks": checks,
-    }
     rows = [(r["dim"], r["kind"], r["size"]) for r in results]
-    sys.stdout.write(render(report, args.format, rows, ["dim", "kind", "size"]))
-    return exit_code(report)
+    return emit(args, {"n": args.n, "extended": args.extended}, results, checks, rows,
+                ["dim", "kind", "size"])
 
 
 def run_triangle(rows_max):
@@ -450,16 +432,8 @@ def run_triangle(rows_max):
 
 def cmd_triangle(args) -> int:
     results, checks = run_triangle(args.rows)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "triangle",
-        "params": {"rows": args.rows},
-        "results": results,
-        "checks": checks,
-    }
     rows = [(r["n"], " ".join(map(str, r["row"]))) for r in results]
-    sys.stdout.write(render(report, args.format, rows, ["n", "row"]))
-    return exit_code(report)
+    return emit(args, {"rows": args.rows}, results, checks, rows, ["n", "row"])
 
 
 def verify_cut(n, k, cache_dir, max_cells):
@@ -505,18 +479,11 @@ def cmd_verify(args) -> int:
             results["orbits"].append({"n": 4, "extended": True})
             checks.extend(ch)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "params": {"n_max": args.n_max, "threads": 1},
-        "results": results,
-        "checks": checks,
-    }
     rows = [(c["name"], c["status"]) for c in checks if c["status"] != "pass"] or [
         ("all", "pass")
     ]
-    sys.stdout.write(render(report, args.format, rows, ["check", "status"]))
-    return exit_code(report)
+    return emit(args, {"n_max": args.n_max, "threads": 1}, results, checks, rows,
+                ["check", "status"])
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +578,18 @@ def validate_args(args) -> None:
             check_face_budget(largest)
         except ValueError as exc:
             raise SystemExit(f"usage error: {exc}") from None
+    # the flag or $HALFCUBE_CACHE_DIR: made or checked before any complex is built
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            reason = None if os.access(cache_dir, os.W_OK | os.X_OK) else "not writable"
+        except OSError as exc:
+            reason = exc.strerror
+        if reason:
+            raise SystemExit(
+                f"usage error: --cache-dir {cache_dir!r} is not a usable directory: {reason}"
+            )
 
 
 def main(argv=None) -> int:

@@ -159,9 +159,22 @@ def orientation_tuple(lattice: FaceLattice, face) -> tuple:
     return got
 
 
-def _basis_from_tuple(n, tup):
+def orientation_basis(n, tup):
+    """The edge vectors from the first vertex of an orientation tuple to the others."""
     base = _coords(n, tup[0])
     return [[x - y for x, y in zip(_coords(n, b), base)] for b in tup[1:]]
+
+
+def orientation_sign(basis, frame) -> int:
+    """+1 when ``frame`` is oriented like ``basis``, -1 when opposite.
+
+    Both are lists of vectors spanning the same space: the sign of the
+    determinant of their Gram matrix <basis_i, frame_j> compares them.
+    """
+    s = det_sign([[sum(a * b for a, b in zip(row, col)) for col in frame] for row in basis])
+    if s == 0:
+        raise AssertionError("degenerate orientation comparison")
+    return s
 
 
 def _flip(tup):
@@ -199,8 +212,8 @@ def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) 
         ptup = _flip(ptup)
     if flip_child and len(ctup) >= 2:
         ctup = _flip(ctup)
-    pb = _basis_from_tuple(n, ptup)  # d vectors
-    cb = _basis_from_tuple(n, ctup)  # d-1 vectors
+    pb = orientation_basis(n, ptup)  # d vectors
+    cb = orientation_basis(n, ctup)  # d-1 vectors
 
     # outward direction: from the parent barycenter toward the child's,
     # scaled to stay integral; its component along the cb columns does not
@@ -213,11 +226,7 @@ def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) 
     if not any(w):
         raise AssertionError("degenerate outward direction")
 
-    cols = [w] + cb
-    mat = [[sum(p[i] * c[i] for i in range(n)) for c in cols] for p in pb]
-    s = det_sign(mat)
-    if s == 0:
-        raise AssertionError("incidence determinant vanished")
+    s = orientation_sign(pb, [w] + cb)
     if not flip_parent and not flip_child:
         lattice._sign_memo[(parent.key, child.key)] = s
     return s

@@ -4,11 +4,13 @@ One sparse elimination routine, ``_unit_phase``, serves every rank and
 Smith form.  It takes the sparsest live column that holds a unit, pivots
 on that unit in the shortest row and clears the column.  Over the
 integers (modulus 0) a unit is +-1: each pivot splits off an invariant
-factor 1, and a smallest-magnitude reduction of what is left finishes
-the Smith normal form; its rank is the rank over Q, which has no other
-entry point.  Over F_p every nonzero residue is a unit and entries are
-reduced mod p, so the pivot count is the rank over F_p.  Entries are
-Python integers throughout, so no answer depends on a machine word size.
+factor 1, and the dense smallest-magnitude reduction
+``smith_with_transforms``, the one that also gives the homology bases
+their transforms, finishes the Smith normal form on what is left; its
+rank is the rank over Q, which has no other entry point.  Over F_p
+every nonzero residue is a unit and entries are reduced mod p, so the
+pivot count is the rank over F_p.  Entries are Python integers
+throughout, so no answer depends on a machine word size.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def _unit_phase(rows, cols, p) -> int:
     off as a 1x1 block: its row and column are deleted.
 
     With p = 0 a unit is +-1, each pivot is an invariant factor 1, and what
-    is left in rows/cols is the residual of the Smith normal form (the
-    boundary matrices of every cut complex with n <= 7 leave none).  With p
+    is left in rows/cols is the residual that ``smith_normal_form`` hands
+    to the dense reduction (the boundary matrices of every cut complex
+    with n <= 8 leave none).  With p
     prime every nonzero residue is a unit and entries stay reduced mod p,
     so nothing is left and the count is the rank over F_p.
     """
@@ -139,86 +142,6 @@ def _unit_phase(rows, cols, p) -> int:
     return pivots
 
 
-def _residual_factors(rows, cols) -> list:
-    """Nonzero invariant factors of what the unit phase left, in chain order.
-
-    Pivots are the smallest nonzero magnitude with (row, col) tie-break.
-    After a pivot clears its row and column it is made to divide every
-    remaining entry, so the factors form a divisibility chain (the 1s of
-    the unit phase divide everything and come before them).
-    """
-    factors = []
-
-    def set_entry(r, c, v):
-        row = rows.setdefault(r, {})
-        if v:
-            row[c] = v
-            cols.setdefault(c, set()).add(r)
-        else:
-            if c in row:
-                del row[c]
-                cols[c].discard(r)
-
-    def add_row(dst, src, m):
-        # row dst += m * row src
-        if m == 0:
-            return
-        for c, x in list(rows.get(src, {}).items()):
-            set_entry(dst, c, rows.get(dst, {}).get(c, 0) + m * x)
-
-    def add_col(dst, src, m):
-        if m == 0:
-            return
-        for r in list(cols.get(src, set())):
-            x = rows[r][src]
-            set_entry(r, dst, rows[r].get(dst, 0) + m * x)
-
-    while True:
-        # re-pick the global smallest-magnitude pivot after every pass;
-        # quotient reduction leaves remainders strictly smaller, so the
-        # minimum entry is a descent measure and the loop terminates
-        pivot = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                score = (abs(v), r, c)
-                if pivot is None or score < pivot[0]:
-                    pivot = (score, r, c)
-        if pivot is None:
-            break
-        _, pr, pc = pivot
-        v = rows[pr][pc]
-
-        others_col = [r for r in cols.get(pc, set()) if r != pr]
-        others_row = [c for c in rows.get(pr, {}) if c != pc]
-        if others_col or others_row:
-            for r in sorted(others_col):
-                add_row(r, pr, -(rows[r][pc] // v))
-            for c in sorted(others_row):
-                add_col(c, pc, -(rows[pr][c] // v))
-            continue
-
-        # pivot row and column are clear; it must divide all that remains
-        offender = None
-        for r, row in sorted(rows.items()):
-            if r == pr:
-                continue
-            for c, w in sorted(row.items()):
-                if w % v:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(pr, offender, 1)
-            continue
-
-        factors.append(abs(v))
-        set_entry(pr, pc, 0)
-        if not rows.get(pr):
-            rows.pop(pr, None)
-    return factors
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -239,11 +162,17 @@ class SmithForm:
 def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
     """Diagonalize by unimodular row/column operations; sparse, exact.
 
-    The unit phase splits off every +-1 pivot it finds as a factor 1; the
-    residual phase reduces what is left with smallest-magnitude pivots.
+    The unit phase splits off every +-1 pivot it finds as a factor 1.  The
+    live rows and columns it leaves are densified and reduced by
+    ``smith_with_transforms``, the smallest-magnitude routine that also
+    serves the homology bases; its factors follow the 1s.
     """
     rows, cols = _sparse(nrows, ncols, triplets, 0)
-    factors = [1] * _unit_phase(rows, cols, 0) + _residual_factors(rows, cols)
+    factors = [1] * _unit_phase(rows, cols, 0)
+    live = sorted(c for c, col in cols.items() if col)
+    residual = [[row.get(c, 0) for c in live] for _, row in sorted(rows.items()) if row]
+    if residual:
+        factors += smith_with_transforms(residual).factors
     return SmithForm(tuple(factors), len(factors))
 
 

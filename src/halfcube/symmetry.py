@@ -14,8 +14,9 @@ rebuilding descriptors; ``act_on_face`` and ``face_image_by_vertices`` are
 the descriptor-level routes the tables are tested against.  A simplex is
 oriented by its whole sorted key, so its chain-map sign is the parity of
 the permutation that sorts its image vertices; half-cube and top cells
-compare orientation bases by a determinant.  On the cut complexes the
-action is cellular and therefore acts on the one nonzero homology group;
+compare orientation bases by ``complexes.orientation_sign``, the rule
+the incidence signs use.  On the cut complexes the action is cellular
+and therefore acts on the one nonzero homology group;
 the matrices of that action are assembled from a kernel-modulo-image basis
 extracted from Smith transforms.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import _basis_from_tuple, build_complex, orientation_tuple
+from .complexes import build_complex, orientation_basis, orientation_sign, orientation_tuple
 from .core import Mask, Vertex
 from .faces import (
     KIND_HALFCUBE,
@@ -38,7 +39,7 @@ from .faces import (
     top_face,
     vertex_face,
 )
-from .linalg import det_sign, mat_mul, mat_vec, smith_with_transforms
+from .linalg import mat_mul, mat_vec, smith_with_transforms
 from .triangle import predicted_betti
 
 
@@ -438,19 +439,10 @@ def chain_map_on_cells(g, cx, dim):
             # sorting permutation
             out.append((j, _sort_sign(moved)))
             continue
-        tup_src = orientation_tuple(lat, f)
-        tup_dst = orientation_tuple(lat, cells[j])
-        base_src = _basis_from_tuple(cx.n, tup_src)
-        base_dst = _basis_from_tuple(cx.n, tup_dst)
+        base_src = orientation_basis(cx.n, orientation_tuple(lat, f))
+        base_dst = orientation_basis(cx.n, orientation_tuple(lat, cells[j]))
         mapped = [g.vector_image(vec) for vec in base_src]
-        mat = [
-            [sum(a * b for a, b in zip(row, col)) for col in mapped]
-            for row in base_dst
-        ]
-        s = det_sign(mat)
-        if s == 0:
-            raise AssertionError("degenerate orientation comparison")
-        out.append((j, s))
+        out.append((j, orientation_sign(base_dst, mapped)))
     return out
 
 

@@ -50,11 +50,12 @@ def triangle_recurrence(n_max: int) -> TriangleTable:
 
 
 def triangle_alternating(n: int, k: int) -> int:
-    """T(n, k) as sum_{i=n-k}^{n} (-1)^(n-k-i) 2^(n-i) C(n, i)."""
+    """T(n, k) as sum_{i=n-k}^{n} (-1)^(i-n+k) 2^(n-i) C(n, i)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    # the exponent i - (n - k) is never negative, so every term stays an int
     return sum(
-        (-1) ** (n - k - i) * (1 << (n - i)) * comb(n, i) for i in range(n - k, n + 1)
+        (-1) ** (i - (n - k)) * (1 << (n - i)) * comb(n, i) for i in range(n - k, n + 1)
     )
 
 

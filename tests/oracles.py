@@ -7,6 +7,8 @@ vertex-table orbits of halfcube.symmetry.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 
 def even_bits(n):
@@ -94,6 +96,47 @@ def dense_rank_mod(rows, p):
         r += 1
         rank += 1
     return rank
+
+
+def dense_det(rows):
+    """Determinant of a square integer matrix by fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return int(det)
+
+
+def invariant_factors(rows):
+    """Nonzero invariant factors from the determinantal divisors.
+
+    The k-th determinantal divisor d_k is the gcd of all k x k minors, and
+    the k-th invariant factor is d_k / d_(k-1); the number of minors grows
+    fast, so this is for matrices of a few rows and columns.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    out = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                d = gcd(d, dense_det([[rows[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
 
 
 def triplets_to_dense(nrows, ncols, trip):

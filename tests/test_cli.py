@@ -203,6 +203,15 @@ def test_triangle_command_csv(capsys):
     assert lines[-1].endswith('"1 11 49 111 129 63 1"') or "1 11 49 111 129 63 1" in lines[-1]
 
 
+def test_triangle_rows_40_passes_every_check(capsys):
+    # rows past 35 are where a float in the alternating sum would round
+    code, out = run_cli(capsys, "triangle", "--rows", "40", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert [c["name"] for c in doc["checks"] if c["status"] != "pass"] == []
+    assert "triangle.routes_agree.n<=40" in {c["name"] for c in doc["checks"]}
+
+
 def test_verify_small(capsys):
     code, out = run_cli(capsys, "verify", "--n-max", "4", "--format", "json")
     assert code == 0
@@ -293,6 +302,34 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(capsys, "betti", "--n", "4", "--k", "4")
     assert code == 0
     assert os.path.exists(cli.cache_path(str(tmp_path), 4, 4))
+
+
+def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch):
+    # checked before any complex is fetched, whether from the flag or the environment
+    def refuse(n, k_cut, cache_dir):
+        raise AssertionError(f"fetched the ({n}, {k_cut}) complex")
+
+    monkeypatch.setattr(cli, "get_complex", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for bad in (str(blocker), str(blocker / "x"), os.devnull + "/x"):
+        with pytest.raises(SystemExit, match="usage error: --cache-dir"):
+            cli.main(["verify", "--n-max", "4", "--cache-dir", bad])
+        monkeypatch.setenv(cli.ENV_CACHE_DIR, bad)
+        with pytest.raises(SystemExit, match="usage error: --cache-dir"):
+            cli.main(["betti", "--n", "4", "--k", "3"])
+        monkeypatch.delenv(cli.ENV_CACHE_DIR)
+    # a directory that exists but cannot be written (access is stubbed, since
+    # a superuser may write anywhere)
+    with monkeypatch.context() as m:
+        m.setattr(os, "access", lambda path, mode: False)
+        with pytest.raises(SystemExit, match="usage error: --cache-dir .*not writable"):
+            cli.main(["verify", "--n-max", "4", "--cache-dir", str(tmp_path)])
+    # a missing directory is created before any work
+    made = tmp_path / "new" / "cache"
+    cli.validate_args(cli.build_parser().parse_args(["morse", "--n", "4", "--k", "3",
+                                                     "--cache-dir", str(made)]))
+    assert made.is_dir()
 
 
 # SHA-256 of `verify --n-max 5 --format json` stdout, as pinned in perfbench/pins.json
