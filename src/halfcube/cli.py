@@ -37,6 +37,10 @@ SCHEMA_VERSION = 1
 CACHE_FORMAT = 2
 ORIENTATION_TAG = "lexmin-outward-v1"
 DEFAULT_MAX_CELLS = 20000
+# run_triangle's alternating and positive sums grow steeply with the rows:
+# on a 2-vCPU host with Python 3.11, 100 rows take about 0.3 s, 150 about
+# 1.3 s and 400 about 98 s
+MAX_ROWS = 100
 
 ENV_CACHE_DIR = "HALFCUBE_CACHE_DIR"
 
@@ -555,29 +559,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def usage_error(message: str):
+    """Refuse the invocation: the message on stderr, exit status 2, as argparse does."""
+    print(f"usage error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def validate_args(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and not 4 <= n <= 32:
-        raise SystemExit(f"usage error: --n must be in 4..32, got {n}")
+        usage_error(f"--n must be in 4..32, got {n}")
     k = getattr(args, "k", None)
     if k is not None:
         if not 3 <= k <= n:
-            raise SystemExit(f"usage error: --k must be in 3..{n}, got {k}")
+            usage_error(f"--k must be in 3..{n}, got {k}")
     for name in ("rows", "max_cells", "characters"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             flag = "--" + name.replace("_", "-")
-            raise SystemExit(f"usage error: {flag} must be nonnegative, got {value}")
+            usage_error(f"{flag} must be nonnegative, got {value}")
+    rows = getattr(args, "rows", None)
+    if rows is not None and rows > MAX_ROWS:
+        usage_error(f"--rows must be at most {MAX_ROWS}, got {rows}")
     n_max = getattr(args, "n_max", None)
     if n_max is not None and not 4 <= n_max <= 32:
-        raise SystemExit(f"usage error: --n-max must be in 4..32, got {n_max}")
+        usage_error(f"--n-max must be in 4..32, got {n_max}")
     # face counts grow with n, so the largest n of a command decides
     largest = n if n is not None else n_max
     if largest is not None:
         try:
             check_face_budget(largest)
         except ValueError as exc:
-            raise SystemExit(f"usage error: {exc}") from None
+            usage_error(str(exc))
     # the flag or $HALFCUBE_CACHE_DIR: made or checked before any complex is built
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir:
@@ -587,9 +600,7 @@ def validate_args(args) -> None:
         except OSError as exc:
             reason = exc.strerror
         if reason:
-            raise SystemExit(
-                f"usage error: --cache-dir {cache_dir!r} is not a usable directory: {reason}"
-            )
+            usage_error(f"--cache-dir {cache_dir!r} is not a usable directory: {reason}")
 
 
 def main(argv=None) -> int:

@@ -4,13 +4,13 @@ One sparse elimination routine, ``_unit_phase``, serves every rank and
 Smith form.  It takes the sparsest live column that holds a unit, pivots
 on that unit in the shortest row and clears the column.  Over the
 integers (modulus 0) a unit is +-1: each pivot splits off an invariant
-factor 1, and the dense smallest-magnitude reduction
-``smith_with_transforms``, the one that also gives the homology bases
-their transforms, finishes the Smith normal form on what is left; its
-rank is the rank over Q, which has no other entry point.  Over F_p
-every nonzero residue is a unit and entries are reduced mod p, so the
-pivot count is the rank over F_p.  Entries are Python integers
-throughout, so no answer depends on a machine word size.
+factor 1, and the sparse smallest-magnitude reduction
+``_smallest_magnitude``, the one that also gives the homology bases
+their transforms (``smith_with_transforms``), finishes the Smith normal
+form on what is left; its rank is the rank over Q, which has no other
+entry point.  Over F_p every nonzero residue is a unit and entries are
+reduced mod p, so the pivot count is the rank over F_p.  Entries are
+Python integers throughout, so no answer depends on a machine word size.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ def _unit_phase(rows, cols, p) -> int:
 
     With p = 0 a unit is +-1, each pivot is an invariant factor 1, and what
     is left in rows/cols is the residual that ``smith_normal_form`` hands
-    to the dense reduction (the boundary matrices of every cut complex
-    with n <= 8 leave none).  With p
-    prime every nonzero residue is a unit and entries stay reduced mod p,
-    so nothing is left and the count is the rank over F_p.
+    to the smallest-magnitude reduction (the boundary matrices of every
+    cut complex with n <= 8 leave none).  With p prime every nonzero
+    residue is a unit and entries stay reduced mod p, so nothing is left
+    and the count is the rank over F_p.
     """
     counts = {c: len(s) for c, s in cols.items()}
     heap = [(cnt, c) for c, cnt in counts.items() if cnt]
@@ -163,16 +163,16 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
     """Diagonalize by unimodular row/column operations; sparse, exact.
 
     The unit phase splits off every +-1 pivot it finds as a factor 1.  The
-    live rows and columns it leaves are densified and reduced by
-    ``smith_with_transforms``, the smallest-magnitude routine that also
-    serves the homology bases; its factors follow the 1s.
+    rows and columns it leaves live go, in index order, to
+    ``_smallest_magnitude``, the reduction that also gives the homology
+    bases their transforms; its factors follow the 1s.
     """
     rows, cols = _sparse(nrows, ncols, triplets, 0)
     factors = [1] * _unit_phase(rows, cols, 0)
-    live = sorted(c for c, col in cols.items() if col)
-    residual = [[row.get(c, 0) for c in live] for _, row in sorted(rows.items()) if row]
-    if residual:
-        factors += smith_with_transforms(residual).factors
+    live_rows = sorted(r for r, row in rows.items() if row)
+    if live_rows:
+        live_cols = sorted(c for c, col in cols.items() if col)
+        factors += _smallest_magnitude(rows, live_rows, live_cols)[0]
     return SmithForm(tuple(factors), len(factors))
 
 
@@ -194,101 +194,179 @@ class SmithTransforms:
 
 
 def smith_with_transforms(dense) -> SmithTransforms:
-    """Smith normal form of a small dense matrix, with all four transforms."""
+    """Smith normal form of a dense matrix, with all four transforms.
+
+    The reduction itself is sparse (``_smallest_magnitude``); only the
+    transforms are returned dense.
+    """
     m = len(dense)
     n = len(dense[0]) if m else 0
-    D = [list(row) for row in dense]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(dense)}
+    factors, row_at, col_at, U, Uinv, V, Vinv = _smallest_magnitude(rows, range(m), range(n))
+    return SmithTransforms(
+        factors,
+        len(factors),
+        _dense_rows(U, row_at, m),
+        _dense_columns(Uinv, row_at, m),
+        _dense_columns(V, col_at, n),
+        _dense_rows(Vinv, col_at, n),
+    )
+
+
+def _dense_rows(vectors, order, size):
+    out = [[0] * size for _ in order]
+    for row, label in zip(out, order):
+        for j, x in vectors[label].items():
+            row[j] = x
+    return out
+
+
+def _dense_columns(vectors, order, size):
+    out = [[0] * len(order) for _ in range(size)]
+    for j, label in enumerate(order):
+        for i, x in vectors[label].items():
+            out[i][j] = x
+    return out
+
+
+def _add_multiple(dst, src, mult):
+    """dst += mult * src for sparse vectors {index: value}, mult nonzero."""
+    for k, x in src.items():
+        cur = dst.get(k, 0) + mult * x
+        if cur:
+            dst[k] = cur
+        else:
+            del dst[k]
+
+
+def _smallest_magnitude(rows, row_order, col_order):
+    """Smallest-magnitude Smith reduction of sparse rows {r: {c: v}}, in place.
+
+    Rows and columns are known by labels, the keys of ``rows`` and of its
+    rows; ``row_order`` and ``col_order`` list every label in its starting
+    position, and every row label has a (possibly empty) row.
+
+    Step t pivots on the live entry of smallest (|value|, row position,
+    column position), swaps it to (t, t) and clears its column, then its
+    row, by floor-quotient operations, swapping a nonzero remainder into
+    the pivot and starting over; when the pivot (not +-1) fails to divide
+    some live entry, the first such row is added to the pivot row and the
+    clearing starts over.  A negative pivot has its row negated.  A swap
+    only exchanges two labels in the position arrays.
+
+    Returns (factors, row_at, col_at, U, Uinv, V, Vinv): the labels in their
+    final positions, and the transforms with U M V = D, all keyed by label:
+    the rows of U and columns of Uinv by row label, the columns of V and
+    rows of Vinv by column label, each a sparse vector {label: value} over
+    the starting labels.
+    """
+    row_at = list(row_order)
+    col_at = list(col_order)
+    rpos = {r: i for i, r in enumerate(row_at)}
+    cpos = {c: j for j, c in enumerate(col_at)}
+    cols = {c: set() for c in col_at}
+    for r in row_at:
+        for c in rows[r]:
+            cols[c].add(r)
+    U = {r: {r: 1} for r in row_at}
+    Uinv = {r: {r: 1} for r in row_at}
+    V = {c: {c: 1} for c in col_at}
+    Vinv = {c: {c: 1} for c in col_at}
 
     def row_op(dst, src, mult):
-        # D_dst += mult * D_src, tracked in U (and inverse op in Uinv)
-        D[dst] = [a + mult * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + mult * b for a, b in zip(U[dst], U[src])]
-        for row in Uinv:
-            row[src] -= mult * row[dst]
+        # D_dst += mult * D_src, tracked in U (and the inverse op in Uinv)
+        drow = rows[dst]
+        for c, x in rows[src].items():
+            cur = drow.get(c, 0) + mult * x
+            if cur:
+                drow[c] = cur
+                cols[c].add(dst)
+            else:
+                del drow[c]
+                cols[c].discard(dst)
+        _add_multiple(U[dst], U[src], mult)
+        _add_multiple(Uinv[src], Uinv[dst], -mult)
 
     def col_op(dst, src, mult):
-        for row in D:
-            row[dst] += mult * row[src]
-        for row in V:
-            row[dst] += mult * row[src]
-        Vinv[src] = [a - mult * b for a, b in zip(Vinv[src], Vinv[dst])]
+        # D^dst += mult * D^src, tracked in V (and the inverse op in Vinv)
+        dcol = cols[dst]
+        for r in cols[src]:
+            row = rows[r]
+            cur = row.get(dst, 0) + mult * row[src]
+            if cur:
+                row[dst] = cur
+                dcol.add(r)
+            else:
+                del row[dst]
+                dcol.discard(r)
+        _add_multiple(V[dst], V[src], mult)
+        _add_multiple(Vinv[src], Vinv[dst], -mult)
 
     def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
+        a, b = row_at[i], row_at[j]
+        row_at[i], row_at[j] = b, a
+        rpos[a], rpos[b] = j, i
 
     def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        a, b = col_at[i], col_at[j]
+        col_at[i], col_at[j] = b, a
+        cpos[a], cpos[b] = j, i
 
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
-
+    # labels of the rows at positions >= t that hold entries: every entry of
+    # the live block lies in one, as a row or column before t keeps only its
+    # diagonal entry
+    live = set(row_at)
     factors = []
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j]:
-                    score = (abs(D[i][j]), i, j)
-                    if pivot is None or score < pivot[0]:
-                        pivot = (score, i, j)
-        if pivot is None:
+    for t in range(min(len(row_at), len(col_at))):
+        live = {r for r in live if rows[r]}  # a row once empty stays empty
+        if not live:
             break
-        _, pi, pj = pivot
+        low, pi, r = min((min(map(abs, rows[r].values())), rpos[r], r) for r in live)
+        pj = min(cpos[c] for c, v in rows[r].items() if abs(v) == low)
         row_swap(t, pi)
         col_swap(t, pj)
         while True:
             restart = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, -q)
-                    if D[i][t]:
-                        row_swap(t, i)
-                        restart = True
+            pc = col_at[t]
+            for i in sorted(rpos[r] for r in cols[pc] if rpos[r] > t):
+                r, pr = row_at[i], row_at[t]
+                q = rows[r][pc] // rows[pr][pc]
+                if q:
+                    row_op(r, pr, -q)
+                if pc in rows[r]:
+                    row_swap(t, i)
+                    restart = True
             if restart:
                 continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, -q)
-                    if D[t][j]:
-                        col_swap(t, j)
-                        restart = True
+            pr = row_at[t]
+            prow = rows[pr]
+            for j in sorted(cpos[c] for c in prow if cpos[c] > t):
+                c, pc = col_at[j], col_at[t]
+                q = prow[c] // prow[pc]
+                if q:
+                    col_op(c, pc, -q)
+                if c in prow:
+                    col_swap(t, j)
+                    restart = True
             if restart:
                 continue
-            v = D[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % v:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            v = prow[col_at[t]]
+            if v in (1, -1):  # a unit divides every entry
+                break
+            offender = min(
+                (rpos[r] for r in live if r != pr and any(x % v for x in rows[r].values())),
+                default=None,
+            )
             if offender is None:
                 break
-            row_op(t, offender, 1)
-        if D[t][t] < 0:
-            row_negate(t)
-        factors.append(D[t][t])
-        t += 1
-    return SmithTransforms(factors, len(factors), U, Uinv, V, Vinv)
+            row_op(pr, row_at[offender], 1)
+        if v < 0:
+            for vec in (prow, U[pr], Uinv[pr]):
+                for k in vec:
+                    vec[k] = -vec[k]
+        factors.append(abs(v))
+        live.discard(pr)
+    return factors, row_at, col_at, U, Uinv, V, Vinv
 
 
 # ---------------------------------------------------------------------------

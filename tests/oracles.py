@@ -189,3 +189,109 @@ def reference_orbits(n, extended=False):
             dim_orbits.append((min(orbit), len(orbit), kind))
         out.append(sorted(dim_orbits))
     return out
+
+
+def dense_smith_with_transforms(dense):
+    """Smith normal form of a small dense matrix with U M V = D, by dense row and column operations.
+
+    The pivot is the entry of smallest (|value|, row, column) in the live
+    block; its column and row are cleared by floor-quotient operations,
+    swapping in any remainder, and a row with an entry the pivot does not
+    divide is added to the pivot row.  Returns (factors, U, Uinv, V, Vinv):
+    halfcube.linalg.smith_with_transforms must return the same, entry for
+    entry, since the homology bases are read off these transforms.
+    """
+    m = len(dense)
+    n = len(dense[0]) if m else 0
+    D = [list(row) for row in dense]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(dst, src, mult):
+        # D_dst += mult * D_src, tracked in U (and inverse op in Uinv)
+        D[dst] = [a + mult * b for a, b in zip(D[dst], D[src])]
+        U[dst] = [a + mult * b for a, b in zip(U[dst], U[src])]
+        for row in Uinv:
+            row[src] -= mult * row[dst]
+
+    def col_op(dst, src, mult):
+        for row in D:
+            row[dst] += mult * row[src]
+        for row in V:
+            row[dst] += mult * row[src]
+        Vinv[src] = [a - mult * b for a, b in zip(Vinv[src], Vinv[dst])]
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
+
+    def col_swap(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_negate(i):
+        D[i] = [-a for a in D[i]]
+        U[i] = [-a for a in U[i]]
+        for row in Uinv:
+            row[i] = -row[i]
+
+    factors = []
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j]:
+                    score = (abs(D[i][j]), i, j)
+                    if pivot is None or score < pivot[0]:
+                        pivot = (score, i, j)
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        row_swap(t, pi)
+        col_swap(t, pj)
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    q = D[i][t] // D[t][t]
+                    row_op(i, t, -q)
+                    if D[i][t]:
+                        row_swap(t, i)
+                        restart = True
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    q = D[t][j] // D[t][t]
+                    col_op(j, t, -q)
+                    if D[t][j]:
+                        col_swap(t, j)
+                        restart = True
+            if restart:
+                continue
+            v = D[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if D[i][j] % v:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, 1)
+        if D[t][t] < 0:
+            row_negate(t)
+        factors.append(D[t][t])
+        t += 1
+    return factors, U, Uinv, V, Vinv

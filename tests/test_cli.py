@@ -14,6 +14,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def usage_error(capsys, *argv):
+    """The stderr of an invocation refused as a usage error, which exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    return err
+
+
 def test_faces_table_n4(capsys):
     code, out = run_cli(capsys, "faces", "--n", "4")
     assert code == 0
@@ -41,9 +51,7 @@ def test_json_output_is_deterministic(capsys):
 
 
 def test_faces_usage_error_below_range(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["faces", "--n", "3"])
-    assert exc.value.code != 0
+    assert "--n must be in 4..32, got 3" in usage_error(capsys, "faces", "--n", "3")
 
 
 def test_betti_command(capsys):
@@ -126,9 +134,18 @@ def test_verify_budget_skips_whole_jobs(capsys, monkeypatch):
         ("triangle", "--rows", "-1"),
     ],
 )
-def test_negative_counts_are_usage_errors(argv):
-    with pytest.raises(SystemExit, match="must be nonnegative"):
-        cli.main(list(argv))
+def test_negative_counts_are_usage_errors(argv, capsys):
+    assert "must be nonnegative" in usage_error(capsys, *argv)
+
+
+def test_triangle_rows_above_the_limit_is_a_usage_error(capsys, monkeypatch):
+    def refuse(rows_max):
+        raise AssertionError(f"ran {rows_max} triangle rows")
+
+    monkeypatch.setattr(cli, "run_triangle", refuse)
+    err = usage_error(capsys, "triangle", "--rows", str(cli.MAX_ROWS + 1))
+    assert f"--rows must be at most {cli.MAX_ROWS}" in err
+    cli.validate_args(cli.build_parser().parse_args(["triangle", "--rows", str(cli.MAX_ROWS)]))
 
 
 def test_betti_k_range_usage_error():
@@ -304,7 +321,7 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     assert os.path.exists(cli.cache_path(str(tmp_path), 4, 4))
 
 
-def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch):
+def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # checked before any complex is fetched, whether from the flag or the environment
     def refuse(n, k_cut, cache_dir):
         raise AssertionError(f"fetched the ({n}, {k_cut}) complex")
@@ -313,18 +330,18 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
     for bad in (str(blocker), str(blocker / "x"), os.devnull + "/x"):
-        with pytest.raises(SystemExit, match="usage error: --cache-dir"):
-            cli.main(["verify", "--n-max", "4", "--cache-dir", bad])
+        err = usage_error(capsys, "verify", "--n-max", "4", "--cache-dir", bad)
+        assert err.startswith("usage error: --cache-dir")
         monkeypatch.setenv(cli.ENV_CACHE_DIR, bad)
-        with pytest.raises(SystemExit, match="usage error: --cache-dir"):
-            cli.main(["betti", "--n", "4", "--k", "3"])
+        err = usage_error(capsys, "betti", "--n", "4", "--k", "3")
+        assert err.startswith("usage error: --cache-dir")
         monkeypatch.delenv(cli.ENV_CACHE_DIR)
     # a directory that exists but cannot be written (access is stubbed, since
     # a superuser may write anywhere)
     with monkeypatch.context() as m:
         m.setattr(os, "access", lambda path, mode: False)
-        with pytest.raises(SystemExit, match="usage error: --cache-dir .*not writable"):
-            cli.main(["verify", "--n-max", "4", "--cache-dir", str(tmp_path)])
+        err = usage_error(capsys, "verify", "--n-max", "4", "--cache-dir", str(tmp_path))
+        assert err.startswith("usage error: --cache-dir") and "not writable" in err
     # a missing directory is created before any work
     made = tmp_path / "new" / "cache"
     cli.validate_args(cli.build_parser().parse_args(["morse", "--n", "4", "--k", "3",
@@ -374,16 +391,15 @@ def test_failed_check_yields_nonzero_exit():
     assert cli.exit_code(report) == 0
 
 
-def test_oversized_lattice_fails_fast(monkeypatch):
+def test_oversized_lattice_fails_fast(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"built the n = {n} lattice")
 
     monkeypatch.setattr(cli, "build_face_lattice", refuse)
     for argv, n in ((["faces", "--n", "16"], 16), (["verify", "--n-max", "12"], 12)):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert f"the n = {n} half cube has" in str(exc.value)
-        assert f"above the limit of {faces.MAX_FACES}" in str(exc.value)
+        err = usage_error(capsys, *argv)
+        assert f"the n = {n} half cube has" in err
+        assert f"above the limit of {faces.MAX_FACES}" in err
         assert n not in faces._lattice_cache
     # n = 11 is within the limit
     cli.validate_args(cli.build_parser().parse_args(["orbits", "--n", "11"]))

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from halfcube import linalg
-from oracles import dense_det, dense_rank, dense_rank_mod, invariant_factors, triplets_to_dense
+from oracles import (
+    dense_det,
+    dense_rank,
+    dense_rank_mod,
+    dense_smith_with_transforms,
+    invariant_factors,
+    triplets_to_dense,
+)
 
 
 def random_triplets(rng, nr, nc, lo=-4, hi=4):
@@ -60,19 +67,28 @@ def test_smith_torsion_example():
     assert sf.factors == (1, 2)
 
 
-def certify_smith(dense, st):
+def certify_smith(dense, factors, U, Uinv, V, Vinv):
     """U M V = D = diag(d1 | d2 | ...), d_i > 0, and U, V unimodular (integer inverses)."""
     nr, nc = len(dense), len(dense[0])
-    assert all(a > 0 for a in st.factors)
-    assert all(b % a == 0 for a, b in zip(st.factors, st.factors[1:]))
-    d = linalg.mat_mul(linalg.mat_mul(st.U, dense), st.V)
+    assert all(a > 0 for a in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    d = linalg.mat_mul(linalg.mat_mul(U, dense), V)
     for i in range(nr):
         for j in range(nc):
-            assert d[i][j] == (st.factors[i] if i == j and i < len(st.factors) else 0)
-    eye_u = linalg.mat_mul(st.U, st.Uinv)
-    eye_v = linalg.mat_mul(st.V, st.Vinv)
+            assert d[i][j] == (factors[i] if i == j and i < len(factors) else 0)
+    eye_u = linalg.mat_mul(U, Uinv)
+    eye_v = linalg.mat_mul(V, Vinv)
     assert all(eye_u[i][j] == (i == j) for i in range(nr) for j in range(nr))
     assert all(eye_v[i][j] == (i == j) for i in range(nc) for j in range(nc))
+
+
+def transforms_matching_oracle(dense):
+    """smith_with_transforms(dense), after checking all five outputs against the dense oracle."""
+    st = linalg.smith_with_transforms(dense)
+    want = dense_smith_with_transforms(dense)
+    assert (st.factors, st.U, st.Uinv, st.V, st.Vinv) == want, dense
+    assert st.rank == len(want[0])
+    return st
 
 
 def test_smith_divisibility_chain_random():
@@ -90,7 +106,7 @@ def test_smith_divisibility_chain_random():
         rows, cols = linalg._sparse(nr, nc, trip, 0)
         linalg._unit_phase(rows, cols, 0)
         residuals += any(rows.values())
-    # most cases reach the dense reduction of what the unit phase leaves
+    # most cases reach the smallest-magnitude reduction of what the unit phase leaves
     assert residuals > 50
 
 
@@ -134,7 +150,8 @@ def test_smith_recovers_known_invariant_factors():
 
 def test_smith_matches_dense_route_on_boundary_matrices():
     # the unit phase alone diagonalizes every one of these matrices, so the
-    # sparse Smith form never reaches the dense routine it is checked against
+    # sparse Smith form never reaches the smallest-magnitude reduction;
+    # smith_with_transforms reduces them whole, as the dense oracle does
     from halfcube.complexes import build_complex
 
     for n in (4, 5):
@@ -145,15 +162,15 @@ def test_smith_matches_dense_route_on_boundary_matrices():
                 linalg._unit_phase(rows, cols, 0)
                 assert not any(rows.values()), (n, k, m.degree)
                 sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
-                st = linalg.smith_with_transforms(triplets_to_dense(m.nrows, m.ncols, trip))
+                st = transforms_matching_oracle(triplets_to_dense(m.nrows, m.ncols, trip))
                 assert list(sf.factors) == st.factors, (n, k, m.degree)
 
 
 def test_smith_near_unimodular_random():
     # mostly +-1 entries with a few larger ones: the unit pivots split off
-    # first and the dense reduction finishes the residual; too large for
-    # minors, so the reference is the dense reduction of the whole matrix,
-    # certified by its transforms
+    # first and the smallest-magnitude reduction finishes the residual; too
+    # large for minors, so the reference is the dense oracle's reduction of
+    # the whole matrix, certified by its transforms
     rng = random.Random(31)
     saw_torsion = False
     for _ in range(120):
@@ -169,9 +186,9 @@ def test_smith_near_unimodular_random():
                     trip.append((i, j, rng.choice((-3, -2, 2, 3))))
         dense = triplets_to_dense(nr, nc, trip)
         sf = linalg.smith_normal_form(nr, nc, trip)
-        st = linalg.smith_with_transforms(dense)
-        certify_smith(dense, st)
-        assert list(sf.factors) == st.factors, trip
+        want = dense_smith_with_transforms(dense)
+        certify_smith(dense, *want)
+        assert list(sf.factors) == want[0], trip
         assert sf.rank == dense_rank(dense)
         saw_torsion = saw_torsion or sf.factors[-1:] > (1,)
     assert saw_torsion
@@ -183,11 +200,48 @@ def test_smith_with_transforms_identities():
         nr = rng.randrange(1, 6)
         nc = rng.randrange(1, 6)
         dense = triplets_to_dense(nr, nc, random_triplets(rng, nr, nc, -6, 6))
-        st = linalg.smith_with_transforms(dense)
-        certify_smith(dense, st)
+        st = transforms_matching_oracle(dense)
+        certify_smith(dense, st.factors, st.U, st.Uinv, st.V, st.Vinv)
         assert st.factors == invariant_factors(dense)
         assert linalg.det_sign(st.U) in (1, -1)
         assert linalg.det_sign(st.V) in (1, -1)
+
+
+def test_smith_with_transforms_matches_dense_oracle_with_torsion():
+    # non-unit entries, so pivots above 1, remainders swapped into the pivot
+    # and rows added for entries the pivot does not divide
+    rng = random.Random(23)
+    torsion = 0
+    for _ in range(400):
+        nr = rng.randrange(1, 9)
+        nc = rng.randrange(1, 9)
+        dense = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(nc)]
+                 for _ in range(nr)]
+        st = transforms_matching_oracle(dense)
+        torsion += any(f > 1 for f in st.factors)
+    assert torsion > 100
+    for dense in ([[0, 0], [0, 0]], [[], []], [[0, 4, 6]], [[2], [3]]):
+        transforms_matching_oracle(dense)
+
+
+@pytest.mark.parametrize("n, k", [(5, 4), (6, 5)])
+def test_smith_with_transforms_matches_dense_oracle_on_homology_bases(n, k, monkeypatch):
+    # both matrices HomologyBasis reduces: a boundary matrix and the image
+    # block in kernel coordinates; the pinned homology actions depend on
+    # these exact transforms
+    from halfcube import symmetry
+
+    seen = []
+
+    def recording(dense):
+        seen.append(dense)
+        return linalg.smith_with_transforms(dense)
+
+    monkeypatch.setattr(symmetry, "smith_with_transforms", recording)
+    symmetry.HomologyBasis(n, k)
+    assert len(seen) == 2
+    for dense in seen:
+        transforms_matching_oracle(dense)
 
 
 def test_det_sign_matches_fraction_determinant():
