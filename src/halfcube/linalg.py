@@ -5,12 +5,13 @@ Smith form.  It takes the sparsest live column that holds a unit, pivots
 on that unit in the shortest row and clears the column.  Over the
 integers (modulus 0) a unit is +-1: each pivot splits off an invariant
 factor 1, and the sparse smallest-magnitude reduction
-``_smallest_magnitude``, the one that also gives the homology bases
-their transforms (``smith_with_transforms``), finishes the Smith normal
-form on what is left; its rank is the rank over Q, which has no other
-entry point.  Over F_p every nonzero residue is a unit and entries are
-reduced mod p, so the pivot count is the rank over F_p.  Entries are
-Python integers throughout, so no answer depends on a machine word size.
+``_smallest_magnitude`` finishes the Smith normal form on what is left;
+its rank is the rank over Q, which has no other entry point.  The same
+reduction, run on a whole matrix by ``smith_with_transforms``, gives the
+homology bases their transforms, returned as sparse vectors.  Over F_p
+every nonzero residue is a unit and entries are reduced mod p, so the
+pivot count is the rank over F_p.  Entries are Python integers
+throughout, so no answer depends on a machine word size.
 """
 
 from __future__ import annotations
@@ -178,11 +179,13 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
 
 @dataclass
 class SmithTransforms:
-    """Dense U M V = D bookkeeping for kernel/quotient bases.
+    """Sparse U M V = D bookkeeping for kernel/quotient bases.
 
-    factors lists the nonzero diagonal of D; V's columns beyond ``rank``
-    are a basis of the integer kernel lattice of M; Vinv and Uinv are the
-    exact unimodular inverses, maintained alongside the reduction.
+    factors lists the nonzero diagonal of D.  The transforms are lists of
+    sparse vectors {index: value}, one per position of D: the rows of U and
+    Vinv, the columns of Uinv and V.  V's columns beyond ``rank`` are a
+    basis of the integer kernel lattice of M; Vinv and Uinv are the exact
+    unimodular inverses, maintained alongside the reduction.
     """
 
     factors: list
@@ -193,40 +196,19 @@ class SmithTransforms:
     Vinv: list
 
 
-def smith_with_transforms(dense) -> SmithTransforms:
-    """Smith normal form of a dense matrix, with all four transforms.
-
-    The reduction itself is sparse (``_smallest_magnitude``); only the
-    transforms are returned dense.
-    """
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(dense)}
-    factors, row_at, col_at, U, Uinv, V, Vinv = _smallest_magnitude(rows, range(m), range(n))
+def smith_with_transforms(nrows: int, ncols: int, triplets) -> SmithTransforms:
+    """Smith normal form of a sparse integer matrix, with all four transforms."""
+    rows = {r: {} for r in range(nrows)}
+    rows.update(_sparse(nrows, ncols, triplets, 0)[0])
+    factors, row_at, col_at, U, Uinv, V, Vinv = _smallest_magnitude(rows, range(nrows), range(ncols))
     return SmithTransforms(
         factors,
         len(factors),
-        _dense_rows(U, row_at, m),
-        _dense_columns(Uinv, row_at, m),
-        _dense_columns(V, col_at, n),
-        _dense_rows(Vinv, col_at, n),
+        [U[r] for r in row_at],
+        [Uinv[r] for r in row_at],
+        [V[c] for c in col_at],
+        [Vinv[c] for c in col_at],
     )
-
-
-def _dense_rows(vectors, order, size):
-    out = [[0] * size for _ in order]
-    for row, label in zip(out, order):
-        for j, x in vectors[label].items():
-            row[j] = x
-    return out
-
-
-def _dense_columns(vectors, order, size):
-    out = [[0] * len(order) for _ in range(size)]
-    for j, label in enumerate(order):
-        for i, x in vectors[label].items():
-            out[i][j] = x
-    return out
 
 
 def _add_multiple(dst, src, mult):
@@ -370,7 +352,7 @@ def _smallest_magnitude(rows, row_order, col_order):
 
 
 # ---------------------------------------------------------------------------
-# Small exact dense helpers (orientation geometry, group actions)
+# Small exact dense helper (orientation geometry)
 
 
 def det_sign(mat) -> int:
@@ -397,13 +379,3 @@ def det_sign(mat) -> int:
     if last == 0:
         return 0
     return sign if last > 0 else -sign
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-

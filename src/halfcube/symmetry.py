@@ -39,7 +39,7 @@ from .faces import (
     top_face,
     vertex_face,
 )
-from .linalg import mat_mul, mat_vec, smith_with_transforms
+from .linalg import _add_multiple, smith_with_transforms
 from .triangle import predicted_betti
 
 
@@ -322,7 +322,10 @@ def expected_orbit_profile(n: int, extended: bool = False) -> list:
 
 
 class HomologyBasis:
-    """Kernel-modulo-image coordinates on the one nonzero homology group."""
+    """Kernel-modulo-image coordinates on the one nonzero homology group.
+
+    Chains are sparse {cell index: coefficient} over the (k-1)-cells.
+    """
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -331,72 +334,63 @@ class HomologyBasis:
         self.cx = cx
         d = k - 1
         mats = cx.matrices()
-        cells = cx.cells[d]
-        c = len(cells)
+        down = mats[d - 1]
 
-        dd = _dense(mats[d - 1])
-        st = smith_with_transforms(dd)
-        assert all(f == 1 for f in st.factors), "boundary factors above 1"
+        st = smith_with_transforms(down.nrows, down.ncols, down.entries)
+        if any(f != 1 for f in st.factors):
+            raise AssertionError("boundary factors above 1")
         r1 = st.rank
         self.r1 = r1
-        self.c = c
-        self.Vinv = st.Vinv
-        self.V = st.V
-        z = c - r1
+        # the columns of Vinv, so that Vinv x is a sum over the cells of x
+        self._vinv_cols = [{} for _ in range(down.ncols)]
+        for i, row in enumerate(st.Vinv):
+            for j, v in row.items():
+                self._vinv_cols[j][i] = v
+        z = down.ncols - r1
 
-        if d + 1 <= cx.top_dim:
-            up = mats[d].columns()
-            m = mats[d].ncols
-        else:
-            up = []
-            m = 0
-        X = [[0] * m for _ in range(z)]
-        for j in range(m):
-            col = [0] * c
-            for r, v in up[j]:
-                col[r] = v
-            w = mat_vec(self.Vinv, col)
-            if any(w[:r1]):
+        # the image of the boundary from degree d + 1, in the kernel basis V[r1:]
+        up = mats[d].columns() if d + 1 <= cx.top_dim else []
+        quotient = []
+        for j, col in enumerate(up):
+            w = self._kernel_coords(dict(col))
+            if w is None:
                 raise AssertionError("image column is not a kernel element")
-            for i in range(z):
-                X[i][j] = w[r1 + i]
-        st2 = smith_with_transforms(X)
+            quotient.extend((i, j, v) for i, v in w.items())
+        st2 = smith_with_transforms(z, len(up), quotient)
         if any(f != 1 for f in st2.factors):
             raise AssertionError("homology has torsion; basis extraction needs a free group")
         self.r2 = st2.rank
-        self.U2 = st2.U
-        self.U2inv = st2.Uinv
         # coordinates of a cycle x are rows r2.. of U2 . (Vinv x)[r1:]
-        self.P = mat_mul(self.U2[self.r2:], self.Vinv[r1:])
-        self._down_cols = mats[d - 1].columns()
+        self._coord_rows = st2.U[self.r2:]
         self.rank = z - self.r2
         if self.rank != predicted_betti(n, k):
             raise AssertionError("basis size disagrees with the predicted Betti number")
-        # basis cycles as coefficient vectors over the (k-1)-cells
+        # basis cycles: V[r1:] applied to the columns r2.. of U2inv
         self.cycles = []
-        for mcol in range(self.r2, z):
-            tail = [self.U2inv[i][mcol] for i in range(z)]
-            full = [0] * r1 + tail
-            self.cycles.append(mat_vec(self.V, full))
+        for tail in st2.Uinv[self.r2:]:
+            cycle = {}
+            for i, t in tail.items():
+                _add_multiple(cycle, st.V[r1 + i], t)
+            self.cycles.append(cycle)
 
-    def coords(self, cycle) -> list:
+    def _kernel_coords(self, chain):
+        """(Vinv x)[r1:] as {i: value} for a chain x, or None if x is not a cycle."""
         # U . boundary . V = D is zero outside its first r1 columns and U is
         # invertible, so (Vinv x)[:r1] = 0 exactly when boundary . x = 0
-        acc = {}
-        for j, coef in enumerate(cycle):
+        w = {}
+        for j, coef in chain.items():
             if coef:
-                for r, v in self._down_cols[j]:
-                    acc[r] = acc.get(r, 0) + coef * v
-        if any(acc.values()):
+                _add_multiple(w, self._vinv_cols[j], coef)
+        if any(i < self.r1 for i in w):
+            return None
+        return {i - self.r1: v for i, v in w.items()}
+
+    def coords(self, cycle) -> list:
+        """The homology class of a cycle {cell: coef} in the basis ``cycles``."""
+        w = self._kernel_coords(cycle)
+        if w is None:
             raise AssertionError("not a cycle")
-        return mat_vec(self.P, cycle)
-
-
-def _dense(bm):
-    out = [[0] * bm.ncols for _ in range(bm.nrows)]
-    for r, c, v in bm.entries:
-        out[r][c] += v
-    return out
+        return [sum(v * w.get(i, 0) for i, v in row.items()) for row in self._coord_rows]
 
 
 _basis_cache = {}
@@ -455,10 +449,9 @@ def homology_action(n: int, k: int, g: SignedPermutation):
     cmap = chain_map_on_cells(g, cx, k - 1)
     cols = []
     for cycle in basis.cycles:
-        image = [0] * basis.c
-        for i, coef in enumerate(cycle):
-            if coef:
-                j, s = cmap[i]
-                image[j] += s * coef
+        image = {}
+        for i, coef in cycle.items():
+            j, s = cmap[i]
+            image[j] = s * coef  # cmap is a signed permutation: no two cells meet
         cols.append(basis.coords(image))
     return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))] if cols else []

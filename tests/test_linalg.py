@@ -5,9 +5,11 @@ import pytest
 from halfcube import linalg
 from oracles import (
     dense_det,
+    dense_mat_mul,
     dense_rank,
     dense_rank_mod,
     dense_smith_with_transforms,
+    dense_transforms,
     invariant_factors,
     triplets_to_dense,
 )
@@ -18,6 +20,10 @@ def random_triplets(rng, nr, nc, lo=-4, hi=4):
     for _ in range(rng.randrange(0, nr * nc + 1)):
         trip.append((rng.randrange(nr), rng.randrange(nc), rng.randint(lo, hi)))
     return trip
+
+
+def dense_to_triplets(dense):
+    return [(i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
 
 
 def test_rank_kernels_against_dense_oracle():
@@ -72,23 +78,23 @@ def certify_smith(dense, factors, U, Uinv, V, Vinv):
     nr, nc = len(dense), len(dense[0])
     assert all(a > 0 for a in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
-    d = linalg.mat_mul(linalg.mat_mul(U, dense), V)
+    d = dense_mat_mul(dense_mat_mul(U, dense), V)
     for i in range(nr):
         for j in range(nc):
             assert d[i][j] == (factors[i] if i == j and i < len(factors) else 0)
-    eye_u = linalg.mat_mul(U, Uinv)
-    eye_v = linalg.mat_mul(V, Vinv)
+    eye_u = dense_mat_mul(U, Uinv)
+    eye_v = dense_mat_mul(V, Vinv)
     assert all(eye_u[i][j] == (i == j) for i in range(nr) for j in range(nr))
     assert all(eye_v[i][j] == (i == j) for i in range(nc) for j in range(nc))
 
 
-def transforms_matching_oracle(dense):
-    """smith_with_transforms(dense), after checking all five outputs against the dense oracle."""
-    st = linalg.smith_with_transforms(dense)
-    want = dense_smith_with_transforms(dense)
-    assert (st.factors, st.U, st.Uinv, st.V, st.Vinv) == want, dense
-    assert st.rank == len(want[0])
-    return st
+def transforms_matching_oracle(nr, nc, trip):
+    """smith_with_transforms(nr, nc, trip), densified, after checking all five outputs against the dense oracle."""
+    st = linalg.smith_with_transforms(nr, nc, trip)
+    got = dense_transforms(st, nr, nc)
+    assert got == dense_smith_with_transforms(triplets_to_dense(nr, nc, trip)), trip
+    assert st.rank == len(st.factors)
+    return got
 
 
 def test_smith_divisibility_chain_random():
@@ -162,8 +168,8 @@ def test_smith_matches_dense_route_on_boundary_matrices():
                 linalg._unit_phase(rows, cols, 0)
                 assert not any(rows.values()), (n, k, m.degree)
                 sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
-                st = transforms_matching_oracle(triplets_to_dense(m.nrows, m.ncols, trip))
-                assert list(sf.factors) == st.factors, (n, k, m.degree)
+                factors = transforms_matching_oracle(m.nrows, m.ncols, trip)[0]
+                assert list(sf.factors) == factors, (n, k, m.degree)
 
 
 def test_smith_near_unimodular_random():
@@ -199,12 +205,13 @@ def test_smith_with_transforms_identities():
     for _ in range(100):
         nr = rng.randrange(1, 6)
         nc = rng.randrange(1, 6)
-        dense = triplets_to_dense(nr, nc, random_triplets(rng, nr, nc, -6, 6))
-        st = transforms_matching_oracle(dense)
-        certify_smith(dense, st.factors, st.U, st.Uinv, st.V, st.Vinv)
-        assert st.factors == invariant_factors(dense)
-        assert linalg.det_sign(st.U) in (1, -1)
-        assert linalg.det_sign(st.V) in (1, -1)
+        trip = random_triplets(rng, nr, nc, -6, 6)
+        dense = triplets_to_dense(nr, nc, trip)
+        factors, U, Uinv, V, Vinv = transforms_matching_oracle(nr, nc, trip)
+        certify_smith(dense, factors, U, Uinv, V, Vinv)
+        assert factors == invariant_factors(dense)
+        assert linalg.det_sign(U) in (1, -1)
+        assert linalg.det_sign(V) in (1, -1)
 
 
 def test_smith_with_transforms_matches_dense_oracle_with_torsion():
@@ -217,11 +224,11 @@ def test_smith_with_transforms_matches_dense_oracle_with_torsion():
         nc = rng.randrange(1, 9)
         dense = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(nc)]
                  for _ in range(nr)]
-        st = transforms_matching_oracle(dense)
-        torsion += any(f > 1 for f in st.factors)
+        factors = transforms_matching_oracle(nr, nc, dense_to_triplets(dense))[0]
+        torsion += any(f > 1 for f in factors)
     assert torsion > 100
     for dense in ([[0, 0], [0, 0]], [[], []], [[0, 4, 6]], [[2], [3]]):
-        transforms_matching_oracle(dense)
+        transforms_matching_oracle(len(dense), len(dense[0]), dense_to_triplets(dense))
 
 
 @pytest.mark.parametrize("n, k", [(5, 4), (6, 5)])
@@ -233,15 +240,15 @@ def test_smith_with_transforms_matches_dense_oracle_on_homology_bases(n, k, monk
 
     seen = []
 
-    def recording(dense):
-        seen.append(dense)
-        return linalg.smith_with_transforms(dense)
+    def recording(nrows, ncols, triplets):
+        seen.append((nrows, ncols, list(triplets)))
+        return linalg.smith_with_transforms(nrows, ncols, triplets)
 
     monkeypatch.setattr(symmetry, "smith_with_transforms", recording)
     symmetry.HomologyBasis(n, k)
     assert len(seen) == 2
-    for dense in seen:
-        transforms_matching_oracle(dense)
+    for nrows, ncols, triplets in seen:
+        transforms_matching_oracle(nrows, ncols, triplets)
 
 
 def test_det_sign_matches_fraction_determinant():
@@ -312,6 +319,7 @@ def test_rank_functions_reject_triplets_outside_the_shape(trip):
     for rank in (
         lambda nr, nc, t: linalg.rank_mod_p(nr, nc, t, 3),
         linalg.smith_normal_form,
+        linalg.smith_with_transforms,
     ):
         with pytest.raises(ValueError, match="triplet index outside the stated shape"):
             rank(2, 2, trip)

@@ -3,12 +3,13 @@ import json
 import random
 
 import pytest
-from oracles import reference_orbits
+from oracles import dense_mat_mul, reference_orbits
 
+from halfcube import linalg, symmetry
 from halfcube.complexes import build_complex, orientation_tuple
 from halfcube.core import Mask, Vertex, even_vertices, hamming_distance
 from halfcube.faces import build_face_lattice, halfcube_face, simplex_face
-from halfcube.linalg import det_sign, mat_mul
+from halfcube.linalg import det_sign
 from halfcube.symmetry import (
     SignedPermutation,
     SpecialReflection4,
@@ -183,7 +184,7 @@ def test_homology_action_identity_and_functoriality():
         assert eye == [[int(i == j) for j in range(basis.rank)] for i in range(basis.rank)]
         for _ in range(5):
             g, h = random_wdn(n, rng), random_wdn(n, rng)
-            assert homology_action(n, k, g * h) == mat_mul(
+            assert homology_action(n, k, g * h) == dense_mat_mul(
                 homology_action(n, k, g), homology_action(n, k, h)
             )
             assert det_sign(homology_action(n, k, g)) in (1, -1)
@@ -279,20 +280,56 @@ def test_chain_map_rejects_odd():
 
 
 def test_coords_of_basis_cycles_and_non_cycles():
+    # chains are sparse {cell: coef} over the 2-cells of C(4, 3)
     basis = homology_basis(4, 3)
+    down, up = (m.columns() for m in basis.cx.matrices()[1:3])
+
+    def boundary(chain):
+        out = {}
+        for j, coef in chain.items():
+            for r, v in down[j]:
+                out[r] = out.get(r, 0) + coef * v
+        return {r: v for r, v in out.items() if v}
+
     for i, cycle in enumerate(basis.cycles):
+        assert cycle and all(coef for coef in cycle.values())
+        assert boundary(cycle) == {}
         assert basis.coords(cycle) == [int(i == j) for j in range(basis.rank)]
-    single = [0] * basis.c
-    single[0] = 1
+    # coordinates are linear, a boundary has none, and zero coefficients are ignored
+    combo = {}
+    for a, cycle in zip((2, -3), basis.cycles):
+        for j, coef in cycle.items():
+            combo[j] = combo.get(j, 0) + a * coef
+    for r, v in up[0]:
+        combo[r] = combo.get(r, 0) + v
+    combo[next(j for j in range(len(down)) if j not in combo)] = 0
+    assert basis.coords(combo) == [2, -3] + [0] * (basis.rank - 2)
+    assert basis.coords(dict(up[5])) == [0] * basis.rank
+    assert boundary({0: 1})
     with pytest.raises(AssertionError, match="not a cycle"):
-        basis.coords(single)
+        basis.coords({0: 1})
+
+
+def test_boundary_factor_above_one_is_refused(monkeypatch):
+    # an explicit raise, so the check survives python -O
+    def doubled(nrows, ncols, triplets):
+        st = linalg.smith_with_transforms(nrows, ncols, triplets)
+        st.factors[-1] = 2
+        return st
+
+    monkeypatch.setattr(symmetry, "smith_with_transforms", doubled)
+    with pytest.raises(AssertionError, match="boundary factors above 1"):
+        symmetry.HomologyBasis(4, 3)
 
 
 # SHA-256 of json.dumps of the 8 action matrices below, recorded before the
-# chain map and coordinates moved to vertex tables and a projection matrix
+# chain map and coordinates moved to vertex tables and a projection matrix;
+# (6, 3) was recorded with dense transform products, before the basis
+# applied the sparse transforms directly
 ACTION_PINS = {
     (5, 4): "7438496827b9775b14142701e23d40285eba7b53a17e26d5231ca5142268213b",
     (6, 5): "d8c80c90a6b3f1cd75c093957a33b7258a541e8dc9a59f618ad1a974e747d17d",
+    (6, 3): "25852618e1a4f7bb3e54a4b48315426d3df5487f1d8ba3ecd06f7ff82172ace6",
 }
 
 
