@@ -317,18 +317,20 @@ def cmd_betti(args) -> int:
     cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
     result, checks = run_betti(args.n, args.k, args.cert, cx, args.characters)
     params = {"n": args.n, "k": args.k, "cert": args.cert, "characters": args.characters}
-    rows = [
-        (
-            result["n"],
-            result["k"],
-            result["predicted"],
-            result["betti"][args.k - 1] if result["betti"] else None,
-            result["certificate"],
-            result["status"],
-        )
+    row = [
+        result["n"],
+        result["k"],
+        result["predicted"],
+        result["betti"][args.k - 1] if result["betti"] else None,
+        result["certificate"],
+        result["status"],
     ]
-    return emit(args, params, result, checks, rows,
-                ["n", "k", "predicted", "computed", "certificate", "status"])
+    header = ["n", "k", "predicted", "computed", "certificate", "status"]
+    if args.characters:
+        samples = result.get("character_samples")  # none for a skipped job
+        row.append(" ".join(str(c["trace"]) for c in samples) if samples else None)
+        header.append("traces")
+    return emit(args, params, result, checks, [row], header)
 
 
 def run_morse(n, k, cx):

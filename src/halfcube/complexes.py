@@ -7,14 +7,27 @@ lexicographically by canonical vertex key inside each dimension.
 
 Incidence signs are geometric.  Every cell carries an orientation: the
 lexicographically smallest affinely independent subsequence of its
-(canonically ordered) vertices.  The sign of facet t in cell s compares
-the basis (outward vector from s's barycenter to t's, then t's basis)
-against s's basis; the boundary-squared assertion certifies the
-convention.  The outward vector needs no projection off t's hull, since
-adding multiples of t's basis to it leaves the determinant unchanged.  A
-simplex is oriented by its whole sorted key, so a simplex cell's sign for
-facet t is (-1)^i, with i the position in s's key of the vertex t drops;
-half-cube and top cells, and every reoriented cell, take the determinant.
+(canonically ordered) vertices, which for a cell with dim + 1 vertices is
+its whole key.  The sign of facet t in cell s compares the basis (outward
+vector from s's barycenter to t's, then t's basis) against s's basis: the
+sign of the determinant of their Gram matrix.  The outward vector needs no
+projection off t's hull, since adding multiples of t's basis to it leaves
+the determinant unchanged.  Each boundary column is built once per parent:
+
+* A simplex is oriented by its whole sorted key, so the sign of the facet
+  dropping the i-th vertex of the key is (-1)^i, read off a precomputed
+  alternating tuple in ``FaceLattice.facets`` order.
+* A half cube L(v, S), or the top cell (S = all coordinates), spans exactly
+  the coordinate face {x_i = v_i, i not in S}.  Its basis P and the frame
+  Q = [outward vector; facet basis] vanish off S, so the Gram determinant
+  factors as det(P|_S) det(Q|_S).  The parent's barycenter is the centre
+  of that face, 0 on S, so on S the outward vector is the facet's
+  coordinate sum.  Per parent, S and sign det(P|_S) are computed once; per
+  facet, ``incidence_sign`` takes one |S| x |S| determinant sign of Q|_S.
+
+Reoriented cells (``boundary_matrices(cx, flips)``) take the full Gram
+determinant, an independent route the tests check the rules above against;
+the boundary-squared assertion certifies every assembled complex.
 """
 
 from __future__ import annotations
@@ -137,6 +150,9 @@ class _IntEchelon:
 
 def orientation_tuple(lattice: FaceLattice, face) -> tuple:
     """Lexicographically smallest affinely independent vertex subsequence."""
+    if len(face.key) == face.dim + 1:
+        # dim + 1 vertices spanning a dim-face are affinely independent
+        return face.key
     memo = lattice._orient_memo
     got = memo.get(face.key)
     if got is not None:
@@ -188,23 +204,55 @@ def _coord_sums(n: int, face) -> list:
     return [m - 2 * sum(b >> i & 1 for b in key) for i in range(n)]
 
 
+def _half_basis(tup, cols) -> list:
+    """Half the edge vectors of an orientation tuple, restricted to the coordinates ``cols``."""
+    base = tup[0]
+    return [[(base >> i & 1) - (b >> i & 1) for i in cols] for b in tup[1:]]
+
+
+def _parent_frame(lattice, parent) -> tuple:
+    """(S as a coordinate list, sign det(P|_S)) of a half-cube or top cell."""
+    got = lattice._frame_memo.get(parent.key)
+    if got is None:
+        cols = [i for i in range(lattice.n) if parent.mask.bits >> i & 1]
+        eps = det_sign(_half_basis(orientation_tuple(lattice, parent), cols))
+        if eps == 0:
+            raise AssertionError(f"face {parent!r} does not span its coordinate face")
+        got = (cols, eps)
+        lattice._frame_memo[parent.key] = got
+    return got
+
+
 def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) -> int:
     """Sign of the facet ``child`` in ``parent`` under the chosen orientations."""
-    if not flip_parent and not flip_child:
-        if parent.kind == KIND_SIMPLEX:
-            # the orientation tuple of a simplex is its whole sorted key, so
-            # the outward-first convention gives (-1)^i, where i is the position
-            # of the dropped vertex in parent.key: the first place the keys differ
-            pkey = parent.key
-            i = 0
-            for b in child.key:
-                if pkey[i] != b:
-                    break
-                i += 1
-            return -1 if i & 1 else 1
-        got = lattice._sign_memo.get((parent.key, child.key))
-        if got is not None:
-            return got
+    if flip_parent or flip_child:
+        return _gram_sign(lattice, parent, child, flip_parent, flip_child)
+    if parent.kind == KIND_SIMPLEX:
+        # the orientation tuple of a simplex is its whole sorted key, so
+        # the outward-first convention gives (-1)^i, where i is the position
+        # of the dropped vertex in parent.key: the first place the keys differ
+        pkey = parent.key
+        i = 0
+        for b in child.key:
+            if pkey[i] != b:
+                break
+            i += 1
+        return -1 if i & 1 else 1
+    # the Gram determinant factors over the parent's coordinate set S.  Every
+    # coordinate in S is set in half the parent's vertices, so its barycenter
+    # is 0 on S and the outward vector on S is the child's coordinate sum
+    cols, eps = _parent_frame(lattice, parent)
+    ckey = child.key
+    m_c = len(ckey)
+    w = [m_c - 2 * sum(b >> i & 1 for b in ckey) for i in cols]
+    s = det_sign([w] + _half_basis(orientation_tuple(lattice, child), cols))
+    if s == 0:
+        raise AssertionError("degenerate orientation comparison")
+    return eps * s
+
+
+def _gram_sign(lattice, parent, child, flip_parent, flip_child) -> int:
+    """The incidence sign from the Gram determinant of the full n-length bases."""
     n = lattice.n
     ptup = orientation_tuple(lattice, parent)
     ctup = orientation_tuple(lattice, child)
@@ -225,11 +273,23 @@ def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) 
     w = [m_p * a - m_c * b for a, b in zip(sum_c, sum_p)]
     if not any(w):
         raise AssertionError("degenerate outward direction")
+    return orientation_sign(pb, [w] + cb)
 
-    s = orientation_sign(pb, [w] + cb)
-    if not flip_parent and not flip_child:
-        lattice._sign_memo[(parent.key, child.key)] = s
-    return s
+
+# facet signs of a simplex column in FaceLattice.facets order, per dimension:
+# the facet dropping the i-th vertex of the key has sign (-1)^i
+_ALTERNATING = tuple(tuple(-1 if i & 1 else 1 for i in range(d + 1)) for d in range(MAX_DIM + 1))
+
+
+def column_signs(lattice, cell) -> tuple:
+    """The signs of ``cell``'s facets in ``lattice.facets(cell)`` order, memoized per cell."""
+    if cell.kind == KIND_SIMPLEX:
+        return _ALTERNATING[cell.dim]
+    got = lattice._sign_memo.get(cell.key)
+    if got is None:
+        got = tuple(incidence_sign(lattice, cell, g) for g in lattice.facets(cell))
+        lattice._sign_memo[cell.key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +358,18 @@ def boundary_matrices(cx: CellComplex, flips=frozenset()) -> list:
     lat = cx.lattice
     flips = frozenset(flips)
     mats = []
-    for d, pairs in enumerate(incidences(cx), start=1):
-        rows, cols = cx.cells[d - 1], cx.cells[d]
-        signs = [
-            incidence_sign(lat, cols[c], rows[r], cols[c].key in flips, rows[r].key in flips)
-            for r, c in pairs
-        ]
-        mats.append(signed_matrix(cx, d, pairs, signs))
+    for d in range(1, cx.top_dim + 1):
+        row_of = cx.index[d - 1]
+        entries = []
+        for j, cell in enumerate(cx.cells[d]):
+            facets = lat.facets(cell)
+            if flips:
+                flipped = cell.key in flips
+                signs = [incidence_sign(lat, cell, g, flipped, g.key in flips) for g in facets]
+            else:
+                signs = column_signs(lat, cell)
+            entries.extend(sorted([(row_of[g.key], j, s) for g, s in zip(facets, signs)]))
+        mats.append(BoundaryMatrix(d, len(cx.cells[d - 1]), len(cx.cells[d]), tuple(entries)))
     assert_boundary_squared_zero(mats)
     return mats
 

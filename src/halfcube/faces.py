@@ -18,18 +18,9 @@ plus the single n-face.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .core import (
-    MAX_DIM,
-    CliqueSet,
-    Mask,
-    Vertex,
-    classify_clique,
-    disagreement_mask,
-    even_vertices,
-)
+from .core import MAX_DIM, Mask, Vertex, even_vertices
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not
 MAX_FACES = 4_000_000
@@ -139,40 +130,6 @@ def top_face(n: int) -> FaceDescriptor:
     return FaceDescriptor(KIND_TOP, n, base, Mask.full(n), n, key)
 
 
-def face_from_vertices(verts) -> FaceDescriptor:
-    """Rebuild the descriptor of a face from its vertex set.
-
-    Simplex faces are cliques; half-cube faces above the tetrahedron are
-    recognized by their 2^(|S|-1) size and reproduced for verification.
-    """
-    verts = sorted(verts, key=lambda v: v.bits)
-    n = verts[0].n
-    m = len(verts)
-    key = tuple(v.bits for v in verts)
-    if m == 1:
-        return vertex_face(verts[0])
-    if m == (1 << (n - 1)):
-        f = top_face(n)
-        if f.key == key:
-            return f
-        raise ValueError("vertex set is not a face")
-    c = CliqueSet.of(verts, require_clique=False)
-    d = disagreement_mask(c)
-    if 3 <= d.size < n and m == 1 << (d.size - 1):
-        f = halfcube_face(verts[0], d)
-        if f.key == key:
-            return f
-    if m == 2:
-        if d.size != 2:
-            raise ValueError("vertex set is not a face")
-        return simplex_face(verts[0].flip(d.coords()[0]), d)
-    if m == d.size:
-        cls = classify_clique(c)
-        if cls.kind == "K":
-            return simplex_face(cls.point, cls.mask)
-    raise ValueError("vertex set is not a face")
-
-
 def face_count(n: int, k: int) -> int:
     """Closed-form number of k-faces."""
     if k == 0:
@@ -222,8 +179,11 @@ class FaceLattice:
         self.faces = faces_by_dim
         self.index = {f.key: f for dim_faces in faces_by_dim for f in dim_faces}
         self._facet_memo = {}
-        self._sign_memo = {}
         self._orient_memo = {}
+        # per half-cube or top parent: its facet signs (complexes.column_signs)
+        # and its frame on the coordinate face (complexes._parent_frame)
+        self._sign_memo = {}
+        self._frame_memo = {}
 
     def face(self, key) -> FaceDescriptor:
         return self.index[tuple(key)]
@@ -343,31 +303,3 @@ def build_face_lattice(n: int) -> FaceLattice:
         raise AssertionError(f"face census mismatch at n={n}: {counts} != {expected}")
     _lattice_cache[n] = lattice
     return lattice
-
-
-def simplex_contains_point(f: FaceDescriptor, point) -> bool:
-    """Exact membership of a rational point in the hull of a simplex face.
-
-    The hull of K(v', S) is cut out by three conditions on x:
-      (a) x_i = v'_i off the mask,
-      (b) sgn(v'_i) (x_i - v'_i) <= 0 everywhere,
-      (c) sum over S of sgn(v'_i) (x_i - v'_i) = -2.
-    """
-    if f.kind != KIND_SIMPLEX:
-        raise ValueError("membership test applies to simplex faces")
-    x = [Fraction(t) for t in point]
-    if len(x) != f.n:
-        raise ValueError("point dimension mismatch")
-    v = f.point.signs()
-    total = Fraction(0)
-    for i in range(1, f.n + 1):
-        vi = v[i - 1]
-        d = vi * (x[i - 1] - vi)
-        if i not in f.mask:
-            if x[i - 1] != vi:
-                return False
-        if d > 0:
-            return False
-        if i in f.mask:
-            total += d
-    return total == -2

@@ -3,7 +3,8 @@
 Everything here works from first principles on explicit vertex sets; none
 of it reuses the descriptor arithmetic under test, except reference_orbits,
 which moves faces by their descriptors (act_on_face) to check the
-vertex-table orbits of halfcube.symmetry.
+vertex-table orbits of halfcube.symmetry, and face_from_vertices, which
+rebuilds a descriptor through the clique classification of halfcube.core.
 """
 
 from fractions import Fraction
@@ -317,3 +318,93 @@ def dense_smith_with_transforms(dense):
         factors.append(D[t][t])
         t += 1
     return factors, U, Uinv, V, Vinv
+
+
+def face_from_vertices(verts):
+    """Rebuild the descriptor of a face from its vertex set.
+
+    Simplex faces are cliques; half-cube faces above the tetrahedron are
+    recognized by their 2^(|S|-1) size and reproduced for verification.
+    """
+    from halfcube.core import CliqueSet, classify_clique, disagreement_mask
+    from halfcube.faces import halfcube_face, simplex_face, top_face, vertex_face
+
+    verts = sorted(verts, key=lambda v: v.bits)
+    n = verts[0].n
+    m = len(verts)
+    key = tuple(v.bits for v in verts)
+    if m == 1:
+        return vertex_face(verts[0])
+    if m == (1 << (n - 1)):
+        f = top_face(n)
+        if f.key == key:
+            return f
+        raise ValueError("vertex set is not a face")
+    c = CliqueSet.of(verts, require_clique=False)
+    d = disagreement_mask(c)
+    if 3 <= d.size < n and m == 1 << (d.size - 1):
+        f = halfcube_face(verts[0], d)
+        if f.key == key:
+            return f
+    if m == 2:
+        if d.size != 2:
+            raise ValueError("vertex set is not a face")
+        return simplex_face(verts[0].flip(d.coords()[0]), d)
+    if m == d.size:
+        cls = classify_clique(c)
+        if cls.kind == "K":
+            return simplex_face(cls.point, cls.mask)
+    raise ValueError("vertex set is not a face")
+
+
+def simplex_contains_point(f, point) -> bool:
+    """Exact membership of a rational point in the hull of a simplex face.
+
+    The hull of K(v', S) is cut out by three conditions on x:
+      (a) x_i = v'_i off the mask,
+      (b) sgn(v'_i) (x_i - v'_i) <= 0 everywhere,
+      (c) sum over S of sgn(v'_i) (x_i - v'_i) = -2.
+    """
+    from halfcube.faces import KIND_SIMPLEX
+
+    if f.kind != KIND_SIMPLEX:
+        raise ValueError("membership test applies to simplex faces")
+    x = [Fraction(t) for t in point]
+    if len(x) != f.n:
+        raise ValueError("point dimension mismatch")
+    v = f.point.signs()
+    total = Fraction(0)
+    for i in range(1, f.n + 1):
+        vi = v[i - 1]
+        d = vi * (x[i - 1] - vi)
+        if i not in f.mask:
+            if x[i - 1] != vi:
+                return False
+        if d > 0:
+            return False
+        if i in f.mask:
+            total += d
+    return total == -2
+
+
+def echelon_orientation_tuple(n, key, dim):
+    """The lexicographically smallest affinely independent subsequence of ``key``.
+
+    The greedy search of halfcube.complexes.orientation_tuple, with the
+    independence test done by dense_rank on the +-1 edge vectors.
+    """
+
+    def coords(b):
+        return [1 - 2 * (b >> i & 1) for i in range(n)]
+
+    base = coords(key[0])
+    chosen = [key[0]]
+    edges = []
+    for b in key[1:]:
+        if len(chosen) == dim + 1:
+            break
+        vec = [x - y for x, y in zip(coords(b), base)]
+        if dense_rank(edges + [vec]) > len(edges):
+            edges.append(vec)
+            chosen.append(b)
+    return tuple(chosen)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -82,6 +84,25 @@ def test_betti_character_samples(capsys):
         capsys, "betti", "--n", "4", "--k", "3", "--characters", "3", "--format", "json"
     )
     assert out == out2
+
+
+def test_betti_traces_in_table_and_csv(capsys):
+    _, out = run_cli(
+        capsys, "betti", "--n", "4", "--k", "3", "--characters", "3", "--format", "json"
+    )
+    traces = " ".join(str(s["trace"]) for s in json.loads(out)["results"]["character_samples"])
+    code, out = run_cli(capsys, "betti", "--n", "4", "--k", "3", "--characters", "3", "--format", "csv")
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert header[-1] == "traces" and row[-1] == traces
+    code, out = run_cli(capsys, "betti", "--n", "4", "--k", "3", "--characters", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split()[-1] == "traces" and lines[1].endswith(traces)
+    # without --characters the table and csv carry no traces column
+    for fmt in ("table", "csv"):
+        _, out = run_cli(capsys, "betti", "--n", "4", "--k", "3", "--format", fmt)
+        assert "traces" not in out
 
 
 def test_betti_budget_skip(capsys):

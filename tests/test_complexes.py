@@ -9,6 +9,7 @@ from halfcube.complexes import (
     assert_boundary_squared_zero,
     boundary_matrices,
     build_complex,
+    column_signs,
     euler_characteristic,
     incidence_sign,
     orientation_tuple,
@@ -16,6 +17,7 @@ from halfcube.complexes import (
 )
 from halfcube.faces import KIND_SIMPLEX, build_face_lattice
 from halfcube.linalg import smith_normal_form
+from oracles import echelon_orientation_tuple
 
 
 def test_clique_complex_census_n4():
@@ -116,6 +118,17 @@ def test_orientation_tuple_is_lex_smallest_prefix():
         assert orientation_tuple(lat, f) == f.key
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_orientation_tuple_matches_echelon_search(n):
+    # a face with dim + 1 vertices (a simplex, or a tetrahedron L(v, S) with
+    # |S| = 3) returns its key without the search; every face must agree
+    # with the search itself
+    lat = build_face_lattice(n)
+    for dim_faces in lat.faces:
+        for f in dim_faces:
+            assert orientation_tuple(lat, f) == echelon_orientation_tuple(n, f.key, f.dim), f
+
+
 def test_flipped_orientations_still_give_chain_complex():
     cx = build_complex(4, 4)
     rng = random.Random(5)
@@ -186,6 +199,39 @@ def test_simplex_closed_form_matches_determinant(n):
                 assert incidence_sign(lat, p, c) == want, (p, c)
                 seen += 1
     assert seen == SIMPLEX_INCIDENCES[n]
+
+
+# half-cube- and top-parent incidences of the full complex: L(v, S) with
+# |S| = d has 2d half-cube (or, for d = 3, triangle) facets and 2^(d-1)
+# simplex facets
+HALFCUBE_INCIDENCES = {5: 346, 6: 1956, 7: 9598}
+
+
+@pytest.mark.parametrize("n", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_factored_halfcube_sign_matches_determinant(n):
+    # the determinant over the parent's coordinate face against the full
+    # Gram determinant, forced by reorienting the parent (which negates it)
+    lat = build_face_lattice(n)
+    seen = 0
+    for dim_faces in lat.faces[3:]:
+        for p in dim_faces:
+            if p.kind == KIND_SIMPLEX:
+                continue
+            for c in lat.facets(p):
+                want = -incidence_sign(lat, p, c, flip_parent=True)
+                assert incidence_sign(lat, p, c) == want, (p, c)
+                seen += 1
+    assert seen == HALFCUBE_INCIDENCES[n]
+
+
+def test_columns_follow_facet_order():
+    # every column, simplex ones included, against the Gram determinant in
+    # lattice.facets order
+    lat = build_face_lattice(5)
+    for dim_faces in lat.faces[1:]:
+        for p in dim_faces:
+            want = tuple(-incidence_sign(lat, p, c, flip_parent=True) for c in lat.facets(p))
+            assert column_signs(lat, p) == want, p
 
 
 # SHA-256 of the boundary triplets ("degree nrows ncols" header, then

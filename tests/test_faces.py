@@ -10,13 +10,12 @@ from halfcube.faces import (
     build_face_lattice,
     face_count,
     face_counts,
-    face_from_vertices,
     halfcube_face,
     simplex_face,
-    simplex_contains_point,
     top_face,
     vertex_face,
 )
+from oracles import face_from_vertices, simplex_contains_point
 
 
 def test_counts_closed_forms_small():
