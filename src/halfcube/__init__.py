@@ -1,6 +1,6 @@
 """Exact combinatorics, chain complexes and integer homology of the half cube."""
 
-from .core import CliqueSet, Mask, Vertex, clique_K, clique_L, hamming_distance
+from .core import Mask, Vertex, hamming_distance
 from .complexes import BoundaryMatrix, CellComplex, build_complex, euler_characteristic
 from .faces import FaceDescriptor, FaceLattice, build_face_lattice
 from .homology import HomologyProfile, betti_numbers, homology_of, smith_normal_form
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryMatrix",
     "CellComplex",
-    "CliqueSet",
     "FaceDescriptor",
     "FaceLattice",
     "HomologyProfile",
@@ -27,8 +26,6 @@ __all__ = [
     "build_face_lattice",
     "build_matching",
     "check_acyclic",
-    "clique_K",
-    "clique_L",
     "euler_characteristic",
     "hamming_distance",
     "homology_action",

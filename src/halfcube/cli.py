@@ -30,7 +30,13 @@ from .complexes import (
     incidences,
     signed_matrix,
 )
-from .faces import build_face_lattice, check_face_budget, face_count, face_counts_by_type
+from .faces import (
+    build_face_lattice,
+    check_face_budget,
+    face_count,
+    face_counts_by_type,
+    kind_split,
+)
 from .homology import CERT_RANK_AGREE, CERT_SNF
 
 SCHEMA_VERSION = 1
@@ -228,8 +234,7 @@ def run_faces(n: int):
         expected = face_count(n, dim)
         check(checks, f"faces.n={n}.dim={dim}", expected, got)
         simp, hc = by_type[dim]
-        built_simp = sum(1 for f in lattice.faces[dim] if f.kind in ("vertex", "simplex"))
-        built_hc = len(lattice.faces[dim]) - built_simp
+        built_simp, built_hc = kind_split(dim, lattice.keys[dim])
         check(checks, f"faces.n={n}.dim={dim}.split", (simp, hc), (built_simp, built_hc))
         results.append({"dim": dim, "simplex": built_simp, "halfcube": built_hc, "total": got})
     return results, checks

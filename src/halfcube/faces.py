@@ -1,12 +1,21 @@
 """The face lattice of the n-dimensional half cube.
 
-Faces are stored by descriptor and identified by their canonical key, the
-sorted tuple of vertex bit patterns.  Four kinds:
+Faces are identified by their canonical key, the sorted tuple of vertex bit
+patterns.  Four kinds:
 
   vertex    -- a single even vertex, dimension 0
   simplex   -- K(v', S) with odd opposite point v' and |S| >= 2; dim |S|-1
   halfcube  -- L(v, S) with even base point and 3 <= |S| < n; dim |S|
   top       -- the polytope itself, dimension n
+
+The lattice is built keys first.  A face's key follows from its (v, S) by
+bit arithmetic: with h the bits of v outside S, the key is a sorted list of
+subsets of S (one per vertex) shifted by h, so a whole family of keys shares
+one sorted base and needs no per-face sort.  The kind of a face can be read
+off its key, too: a simplex's |S| vertices disagree on exactly S, while a
+half cube's 2^(|S|-1) > |S| vertices do so on its S.  Descriptors
+(kind, point, mask) are built from the keys only on demand, with one shared
+Vertex per bit pattern and one Mask per coordinate set.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -18,11 +27,15 @@ plus the single n-face.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import combinations
 from math import comb
 
-from .core import MAX_DIM, Mask, Vertex, even_vertices
+from .core import MAX_DIM, Mask, Vertex
 
-# the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not
+# the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
+# `faces --n 11`, which builds the keys alone, takes 3.9 s at 235 MB peak RSS (one
+# run, shared 2-vCPU x86-64 host, Python 3.11).
 MAX_FACES = 4_000_000
 
 KIND_VERTEX = "vertex"
@@ -171,19 +184,99 @@ def face_counts_by_type(n: int) -> list:
     return out
 
 
-class FaceLattice:
-    """All faces of the half cube, indexed by canonical vertex key."""
+def _classify(n: int, key: tuple) -> tuple:
+    """The kind of the face with this key, and the mask bits of the coordinates it spans."""
+    first = key[0]
+    span = 0
+    for b in key:
+        span |= first ^ b
+    size = span.bit_count()
+    if len(key) == 1:
+        return KIND_VERTEX, span
+    if len(key) == size:
+        return KIND_SIMPLEX, span
+    return (KIND_TOP if size == n else KIND_HALFCUBE), span
 
-    def __init__(self, n: int, faces_by_dim: list):
+
+def key_kind(n: int, key: tuple) -> str:
+    """The kind of the face with this key, read off the key alone."""
+    return _classify(n, key)[0]
+
+
+def kind_split(dim: int, keys: list) -> tuple:
+    """(vertex or simplex, half cube or top) counts among the keys of one dimension.
+
+    A simplex has dim + 1 vertices and a half cube 2^(dim-1), which differ
+    except at dim 3, where the tetrahedra K(v', S), |S| = 4, and L(v, S),
+    |S| = 3, are told apart by the number of coordinates they span.
+    """
+    if dim == 3:
+        simp = sum(1 for a, b, c, d in keys if ((a ^ b) | (a ^ c) | (a ^ d)).bit_count() == 4)
+    else:
+        simp = list(map(len, keys)).count(dim + 1)
+    return simp, len(keys) - simp
+
+
+class FaceLattice:
+    """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
+
+    ``faces`` (the descriptors per dimension, in key order) and ``index``
+    (key -> descriptor) are built from the keys on first access.
+    """
+
+    def __init__(self, n: int, keys_by_dim: list):
         self.n = n
-        self.faces = faces_by_dim
-        self.index = {f.key: f for dim_faces in faces_by_dim for f in dim_faces}
+        self.keys = keys_by_dim
         self._facet_memo = {}
         self._orient_memo = {}
         # per half-cube or top parent: its facet signs (complexes.column_signs)
         # and its frame on the coordinate face (complexes._parent_frame)
         self._sign_memo = {}
         self._frame_memo = {}
+
+    @cached_property
+    def faces(self) -> list:
+        return [[self.describe(key) for key in keys] for keys in self.keys]
+
+    @cached_property
+    def index(self) -> dict:
+        return {f.key: f for dim_faces in self.faces for f in dim_faces}
+
+    # one Vertex per bit pattern and one Mask per coordinate set, shared by the descriptors
+    @cached_property
+    def _vertices(self) -> list:
+        return [Vertex(self.n, b) for b in range(1 << self.n)]
+
+    @cached_property
+    def _masks(self) -> list:
+        return [Mask(self.n, b) for b in range(1 << self.n)]
+
+    def describe(self, key: tuple) -> FaceDescriptor:
+        """The descriptor of the face with this key, built from the key alone.
+
+        A simplex K(v', S) with |S| >= 3 has v'_i set exactly where at least
+        two of its vertices have bit i set (each vertex flips one coordinate
+        of v'); an edge is named by the smaller of its two opposite points.
+        A half cube or the top cell is based at its smallest vertex.
+        """
+        kind, span = _classify(self.n, key)
+        point = key[0]
+        if kind == KIND_VERTEX:
+            return FaceDescriptor(kind, self.n, self._vertices[point], None, 0, key)
+        if kind != KIND_SIMPLEX:
+            dim = span.bit_count()
+        elif len(key) == 2:
+            dim = 1
+            low = span & -span
+            point = min(point ^ low, point ^ span ^ low)
+        else:
+            dim = len(key) - 1
+            once = twice = 0
+            for b in key:
+                twice |= once & b
+                once |= b
+            point = twice
+        return FaceDescriptor(kind, self.n, self._vertices[point], self._masks[span], dim, key)
 
     def face(self, key) -> FaceDescriptor:
         return self.index[tuple(key)]
@@ -233,14 +326,37 @@ class FaceLattice:
         return got
 
     def counts(self) -> list:
-        return [len(fs) for fs in self.faces]
+        return [len(keys) for keys in self.keys]
 
 
 _lattice_cache = {}
 
 
+def _ascending_subsets(bits: int) -> list:
+    """Every subset of the mask ``bits``, in increasing order."""
+    out = [0]
+    sub = -bits & bits
+    while sub:
+        out.append(sub)
+        sub = (sub - bits) & bits
+    return out
+
+
+def _shifted(bucket: list, base: list, shifts: list, ints: list) -> None:
+    """Append the key h + base for every h in ``shifts``, made of the shared ``ints``.
+
+    No h shares a bit with the base, so adding h keeps the base's order.
+    """
+    # one Python-level list per key or per vertex position, whichever is fewer
+    if len(shifts) < len(base):
+        for h in shifts:
+            bucket.append(tuple([ints[h + q] for q in base]))
+    else:
+        bucket.extend(zip(*[[ints[h + q] for h in shifts] for q in base]))
+
+
 def build_face_lattice(n: int) -> FaceLattice:
-    """Enumerate every face of the half cube; cached per dimension n."""
+    """Enumerate the key of every face of the half cube; cached per dimension n."""
     if not 4 <= n <= MAX_DIM:
         raise ValueError(f"need 4 <= n <= {MAX_DIM}")
     got = _lattice_cache.get(n)
@@ -248,55 +364,42 @@ def build_face_lattice(n: int) -> FaceLattice:
         return got
     check_face_budget(n)
 
-    import itertools
-
-    faces = [[] for _ in range(n + 1)]
-    faces[0] = [vertex_face(v) for v in even_vertices(n)]
-
-    odd_bits = [b for b in range(1 << n) if b.bit_count() % 2 == 1]
+    ints = list(range(1 << n))  # one int object per vertex, shared by every key
+    full = (1 << n) - 1
+    keys = [[] for _ in range(n + 1)]
+    keys[0] = [(b,) for b in ints if not b.bit_count() & 1]
     for size in range(2, n + 1):
-        dim = size - 1
-        bucket = faces[dim]
-        for coords in itertools.combinations(range(n), size):
-            mask_bits = 0
-            for c in coords:
-                mask_bits |= 1 << c
-            mask = Mask(n, mask_bits)
-            for v in odd_bits:
-                if size == 2 and v > v ^ mask_bits:
-                    continue  # the partner opposite point names the same edge
-                bucket.append(
-                    FaceDescriptor(
-                        KIND_SIMPLEX, n, Vertex(n, v), mask, dim, _k_key(v, mask_bits)
-                    )
-                )
+        simplices = keys[size - 1]
+        halfcubes = keys[size] if 3 <= size < n else None
+        for coords in combinations(range(n), size):
+            bits = [1 << c for c in coords]
+            high_first = bits[::-1]
+            mask = sum(bits)
+            outside = _ascending_subsets(full ^ mask)
+            by_parity = (
+                [h for h in outside if not h.bit_count() & 1],
+                [h for h in outside if h.bit_count() & 1],
+            )
+            inside = _ascending_subsets(mask)
+            # K(v', S) with v' = h + p, p inside S and h outside: its vertices
+            # are h + (p ^ bit), bit in S, and v' is odd.  The base lists p - bit
+            # for the bits of p, high first, then p + bit for the others, which
+            # is increasing.  Of the two opposite points of an edge, p = 0 or
+            # the low bit is the smaller.
+            for p in inside if size > 2 else (0, bits[0]):
+                shifts = by_parity[1 - (p.bit_count() & 1)]
+                if shifts:
+                    base = [p - b for b in high_first if b & p] + [p + b for b in bits if not b & p]
+                    _shifted(simplices, base, shifts, ints)
+            if halfcubes is not None:
+                # L(v, S) with h the bits of v outside S: h plus the subsets of S of h's parity
+                _shifted(halfcubes, [s for s in inside if not s.bit_count() & 1], by_parity[0], ints)
+                _shifted(halfcubes, [s for s in inside if s.bit_count() & 1], by_parity[1], ints)
+    keys[n].append(tuple(b for b in ints if not b.bit_count() & 1))
+    for dim_keys in keys:
+        dim_keys.sort()
 
-    for size in range(3, n):
-        for coords in itertools.combinations(range(n), size):
-            mask_bits = 0
-            for c in coords:
-                mask_bits |= 1 << c
-            mask = Mask(n, mask_bits)
-            outside = [i for i in range(n) if not mask_bits >> i & 1]
-            low = mask_bits & -mask_bits
-            for pattern in range(1 << len(outside)):
-                bits = 0
-                for j, i in enumerate(outside):
-                    if pattern >> j & 1:
-                        bits |= 1 << i
-                # force an even base point with these outside values
-                if bits.bit_count() % 2 == 1:
-                    bits |= low
-                key = _l_key(bits, mask_bits)
-                faces[size].append(
-                    FaceDescriptor(KIND_HALFCUBE, n, Vertex(n, key[0]), mask, size, key)
-                )
-
-    faces[n].append(top_face(n))
-    for dim_faces in faces:
-        dim_faces.sort(key=lambda f: f.key)
-
-    lattice = FaceLattice(n, faces)
+    lattice = FaceLattice(n, keys)
     counts = lattice.counts()
     expected = face_counts(n)
     if counts != expected:

@@ -35,6 +35,7 @@ from .faces import (
     KIND_VERTEX,
     build_face_lattice,
     halfcube_face,
+    key_kind,
     simplex_face,
     top_face,
     vertex_face,
@@ -256,7 +257,9 @@ class OrbitReport:
 def orbits(n: int, extended: bool = False) -> OrbitReport:
     """Face orbits per dimension under the type-D generators.
 
-    extended adds the n = 4 special reflection and is rejected elsewhere.
+    The union-find runs over the lattice's keys and reads each kind off the
+    key; only the orbit representatives get descriptors.  extended adds the
+    n = 4 special reflection and is rejected elsewhere.
     """
     if extended and n != 4:
         raise ValueError("the special reflection exists only at n = 4")
@@ -267,8 +270,8 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
     tables = [vertex_table(g, n) for g in gens]
 
     report = []
-    for dim_faces in lattice.faces:
-        parent = list(range(len(dim_faces)))
+    for dim_keys in lattice.keys:
+        parent = list(range(len(dim_keys)))
 
         def find(i):
             while parent[i] != i:
@@ -276,11 +279,11 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
                 i = parent[i]
             return i
 
-        pos = {f.key: i for i, f in enumerate(dim_faces)}
+        pos = {key: i for i, key in enumerate(dim_keys)}
         for t in tables:
             image = t.__getitem__
-            for i, f in enumerate(dim_faces):
-                j = pos.get(tuple(sorted(map(image, f.key))))
+            for i, key in enumerate(dim_keys):
+                j = pos.get(tuple(sorted(map(image, key))))
                 if j is None:
                     raise ValueError("image vertex set is not a face")
                 ri, rj = find(i), find(j)
@@ -288,14 +291,14 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
                     parent[max(ri, rj)] = min(ri, rj)
 
         groups = {}
-        for i, f in enumerate(dim_faces):
-            groups.setdefault(find(i), []).append(f)
+        for i, key in enumerate(dim_keys):
+            groups.setdefault(find(i), []).append(key)
         dim_orbits = []
         for root in sorted(groups):
             members = groups[root]
-            kinds = {f.kind for f in members}
+            kinds = {key_kind(n, key) for key in members}
             kind = kinds.pop() if len(kinds) == 1 else "mixed"
-            dim_orbits.append(Orbit(members[0], len(members), kind))
+            dim_orbits.append(Orbit(lattice.describe(members[0]), len(members), kind))
         report.append(tuple(dim_orbits))
     return OrbitReport(n, extended, tuple(report))
 

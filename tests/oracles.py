@@ -3,13 +3,18 @@
 Everything here works from first principles on explicit vertex sets; none
 of it reuses the descriptor arithmetic under test, except reference_orbits,
 which moves faces by their descriptors (act_on_face) to check the
-vertex-table orbits of halfcube.symmetry, and face_from_vertices, which
-rebuilds a descriptor through the clique classification of halfcube.core.
+vertex-table orbits of halfcube.symmetry, face_from_vertices, which
+rebuilds a descriptor through the clique classification at the end of this
+module, and reference_lattice, which builds every descriptor one face at a
+time through the key routines of halfcube.faces.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from halfcube.core import Mask, Vertex, even_vertices, hamming_distance, odd_vertices
 
 
 def even_bits(n):
@@ -320,13 +325,77 @@ def dense_smith_with_transforms(dense):
     return factors, U, Uinv, V, Vinv
 
 
+def reference_lattice(n):
+    """Every face descriptor of the half cube, per dimension in key order.
+
+    One descriptor per face, enumerated from (v, S): each simplex K(v', S)
+    and each half cube L(v, S) gets its own Vertex and its key from the
+    sorting key routines of halfcube.faces.
+    """
+    from halfcube.faces import (
+        KIND_HALFCUBE,
+        KIND_SIMPLEX,
+        FaceDescriptor,
+        _k_key,
+        _l_key,
+        top_face,
+        vertex_face,
+    )
+
+    faces = [[] for _ in range(n + 1)]
+    faces[0] = [vertex_face(v) for v in even_vertices(n)]
+
+    odd_bits = [b for b in range(1 << n) if b.bit_count() % 2 == 1]
+    for size in range(2, n + 1):
+        dim = size - 1
+        bucket = faces[dim]
+        for coords in combinations(range(n), size):
+            mask_bits = 0
+            for c in coords:
+                mask_bits |= 1 << c
+            mask = Mask(n, mask_bits)
+            for v in odd_bits:
+                if size == 2 and v > v ^ mask_bits:
+                    continue  # the partner opposite point names the same edge
+                bucket.append(
+                    FaceDescriptor(
+                        KIND_SIMPLEX, n, Vertex(n, v), mask, dim, _k_key(v, mask_bits)
+                    )
+                )
+
+    for size in range(3, n):
+        for coords in combinations(range(n), size):
+            mask_bits = 0
+            for c in coords:
+                mask_bits |= 1 << c
+            mask = Mask(n, mask_bits)
+            outside = [i for i in range(n) if not mask_bits >> i & 1]
+            low = mask_bits & -mask_bits
+            for pattern in range(1 << len(outside)):
+                bits = 0
+                for j, i in enumerate(outside):
+                    if pattern >> j & 1:
+                        bits |= 1 << i
+                # force an even base point with these outside values
+                if bits.bit_count() % 2 == 1:
+                    bits |= low
+                key = _l_key(bits, mask_bits)
+                faces[size].append(
+                    FaceDescriptor(KIND_HALFCUBE, n, Vertex(n, key[0]), mask, size, key)
+                )
+
+    faces[n].append(top_face(n))
+    for dim_faces in faces:
+        dim_faces.sort(key=lambda f: f.key)
+    return faces
+
+
 def face_from_vertices(verts):
     """Rebuild the descriptor of a face from its vertex set.
 
     Simplex faces are cliques; half-cube faces above the tetrahedron are
     recognized by their 2^(|S|-1) size and reproduced for verification.
     """
-    from halfcube.core import CliqueSet, classify_clique, disagreement_mask
     from halfcube.faces import halfcube_face, simplex_face, top_face, vertex_face
 
     verts = sorted(verts, key=lambda v: v.bits)
@@ -408,3 +477,200 @@ def echelon_orientation_tuple(n, key, dim):
             edges.append(vec)
             chosen.append(b)
     return tuple(chosen)
+
+
+# ---------------------------------------------------------------------------
+# Cliques of the half cube graph, in two descriptor families:
+#
+#   K(v', S)  -- the |S| even vertices differing from the odd vertex v' in
+#                exactly one coordinate i in S,
+#   L(v, S)   -- the 2^(|S|-1) even vertices agreeing with the even vertex v
+#                outside S.
+
+
+@dataclass(frozen=True)
+class CliqueSet:
+    """A set of half cube vertices, kept as a sorted tuple.
+
+    Sets built by clique_K, and by clique_L with |S| <= 3, are cliques;
+    clique_L with a larger mask yields the vertex set of a half-cube face,
+    which is not a clique.  ensure_clique() checks the pairwise condition.
+    """
+
+    vertices: tuple = field()
+
+    @classmethod
+    def of(cls, vertices, require_clique: bool = True) -> "CliqueSet":
+        c = cls(tuple(sorted(set(vertices), key=lambda v: v.bits)))
+        if require_clique:
+            c.ensure_clique()
+        return c
+
+    def __post_init__(self):
+        vs = self.vertices
+        if not vs:
+            raise ValueError("empty clique")
+        n = vs[0].n
+        for v in vs:
+            if v.n != n:
+                raise ValueError("mixed dimensions in clique")
+            if not v.is_even:
+                raise ValueError(f"vertex {v.signs()} is not a half cube vertex")
+
+    def ensure_clique(self):
+        vs = self.vertices
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                if hamming_distance(vs[i], vs[j]) != 2:
+                    raise ValueError(
+                        f"not a clique: {vs[i].signs()} and {vs[j].signs()} "
+                        "are not at Hamming distance 2"
+                    )
+
+    @property
+    def n(self) -> int:
+        return self.vertices[0].n
+
+    @property
+    def key(self) -> tuple:
+        return tuple(v.bits for v in self.vertices)
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __contains__(self, v):
+        return v in self.vertices
+
+
+@dataclass(frozen=True)
+class CliqueClassification:
+    """Result of classify_clique: kind is 'K', 'L' or 'small'."""
+
+    kind: str
+    point: Vertex | None
+    mask: Mask | None
+    key: tuple
+
+
+def clique_K(v_opp: Vertex, mask: Mask) -> CliqueSet:
+    """The |S|-clique of even vertices differing from the odd vertex v' in one coordinate of S."""
+    if v_opp.n != mask.n:
+        raise ValueError("dimension mismatch between vertex and mask")
+    if v_opp.is_even:
+        raise ValueError("the opposite point must have odd parity")
+    if mask.size == 0:
+        raise ValueError("empty mask")
+    return CliqueSet.of(v_opp.flip(i) for i in mask)
+
+
+def clique_L(v_base: Vertex, mask: Mask) -> CliqueSet:
+    """The 2^(|S|-1) even vertices agreeing with the even vertex v outside S.
+
+    A clique exactly when |S| <= 3; for larger masks this is the vertex set
+    of a half-cube shaped face.
+    """
+    if v_base.n != mask.n:
+        raise ValueError("dimension mismatch between vertex and mask")
+    if not v_base.is_even:
+        raise ValueError("the base point must have even parity")
+    out = []
+    sub = mask.bits
+    while True:
+        if sub.bit_count() % 2 == 0:
+            out.append(Vertex(v_base.n, v_base.bits ^ sub))
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask.bits
+    return CliqueSet.of(out, require_clique=mask.size <= 3)
+
+
+def disagreement_mask(c: CliqueSet) -> Mask:
+    """Coordinates at which not all members of the clique agree."""
+    acc = 0
+    first = c.vertices[0].bits
+    for v in c.vertices[1:]:
+        acc |= first ^ v.bits
+    return Mask(c.n, acc)
+
+
+def recover_K_descriptor(c: CliqueSet) -> tuple:
+    """Recover the unique (v', S) with clique_K(v', S) == c, for |c| >= 3.
+
+    Majority vote per coordinate: all members but at most one share each
+    coordinate value, so the shared values assemble the opposite point.
+    """
+    m = len(c)
+    if m < 3:
+        raise ValueError("descriptor is not unique for cliques of size < 3")
+    n = c.n
+    bits = 0
+    for i in range(n):
+        ones = sum(1 for v in c.vertices if v.bits >> i & 1)
+        if 2 * ones > m:
+            bits |= 1 << i
+    v_opp = Vertex(n, bits)
+    mask_bits = 0
+    for v in c.vertices:
+        diff = v.bits ^ bits
+        if diff.bit_count() != 1:
+            raise ValueError("clique is not of K-form")
+        mask_bits |= diff
+    mask = Mask(n, mask_bits)
+    if v_opp.is_even or mask.size != m:
+        raise ValueError("clique is not of K-form")
+    return v_opp, mask
+
+
+def classify_clique(c: CliqueSet) -> CliqueClassification:
+    """Sort a clique into K-form, L-form, or the ambiguous small sizes.
+
+    Cliques of size >= 5 and all triangles are K-form; a 4-clique is K-form
+    when its members disagree in four coordinates and L-form when they
+    disagree in three.  Sizes <= 2 are identified by vertex set only.
+    """
+    c.ensure_clique()
+    m = len(c)
+    if m <= 2:
+        return CliqueClassification("small", None, None, c.key)
+    if m == 4:
+        d = disagreement_mask(c)
+        if d.size == 3:
+            base = c.vertices[0]
+            return CliqueClassification("L", base, d, c.key)
+        if d.size != 4:
+            raise ValueError("4-clique disagrees in neither 3 nor 4 coordinates")
+    v_opp, mask = recover_K_descriptor(c)
+    return CliqueClassification("K", v_opp, mask, c.key)
+
+
+def _masks_of_size(n: int, size: int):
+    for coords in combinations(range(1, n + 1), size):
+        yield Mask.of(n, *coords)
+
+
+def enumerate_cliques(n: int, size: int) -> list:
+    """All distinct cliques of the given size, generated from descriptors.
+
+    K-descriptors cover every size; L-descriptors contribute the second
+    family of 4-cliques.  Duplicates (sizes <= 2 have several descriptors)
+    are removed by vertex-set key and the result is key-sorted.
+    """
+    if n < 4:
+        raise ValueError("need n >= 4")
+    if size < 1:
+        raise ValueError("need size >= 1")
+    seen = {}
+    if size <= n:
+        for v_opp in odd_vertices(n):
+            for mask in _masks_of_size(n, size):
+                c = clique_K(v_opp, mask)
+                seen[c.key] = c
+    if size == 4:
+        for v in even_vertices(n):
+            for mask in _masks_of_size(n, 3):
+                c = clique_L(v, mask)
+                seen[c.key] = c
+    return [seen[k] for k in sorted(seen)]

@@ -10,7 +10,13 @@ import random
 
 import pytest
 
-from oracles import brute_force_cliques, dense_mat_mul, extends_to_larger_clique
+from oracles import (
+    brute_force_cliques,
+    classify_clique,
+    dense_mat_mul,
+    enumerate_cliques,
+    extends_to_larger_clique,
+)
 
 from halfcube.complexes import (
     assert_boundary_squared_zero,
@@ -19,7 +25,7 @@ from halfcube.complexes import (
     euler_characteristic,
     random_flip_set,
 )
-from halfcube.core import Mask, Vertex, classify_clique, enumerate_cliques
+from halfcube.core import Mask, Vertex
 from halfcube.faces import build_face_lattice, face_counts, halfcube_face, simplex_face
 from halfcube.homology import (
     CERT_RANK_AGREE,

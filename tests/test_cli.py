@@ -233,6 +233,16 @@ def test_orbits_command(capsys):
     assert dim3 == [("mixed", 16)]
 
 
+def test_faces_census_builds_no_descriptors(monkeypatch):
+    # the census and its kind split are read from the keys alone
+    monkeypatch.setattr(faces, "_lattice_cache", {})
+    results, checks = cli.run_faces(9)
+    assert all(c["status"] == "pass" for c in checks)
+    lat = faces._lattice_cache[9]
+    assert "faces" not in vars(lat) and "index" not in vars(lat)
+    assert [r["total"] for r in results] == faces.face_counts(9)
+
+
 def test_triangle_command_csv(capsys):
     code, out = run_cli(capsys, "triangle", "--rows", "6", "--format", "csv")
     assert code == 0

@@ -2,18 +2,14 @@ import random
 
 import pytest
 
-from halfcube.core import (
+from halfcube.core import Mask, Vertex, even_vertices, hamming_distance, odd_vertices
+from oracles import (
     CliqueSet,
-    Mask,
-    Vertex,
     classify_clique,
     clique_K,
     clique_L,
     disagreement_mask,
     enumerate_cliques,
-    even_vertices,
-    hamming_distance,
-    odd_vertices,
     recover_K_descriptor,
 )
 

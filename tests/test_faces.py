@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfcube import faces as faces_mod
 from halfcube.core import Mask, Vertex, odd_vertices
 from halfcube.faces import (
     KIND_HALFCUBE,
@@ -11,11 +12,22 @@ from halfcube.faces import (
     face_count,
     face_counts,
     halfcube_face,
+    key_kind,
+    kind_split,
     simplex_face,
     top_face,
     vertex_face,
 )
-from oracles import face_from_vertices, simplex_contains_point
+from oracles import (
+    brute_force_cliques,
+    face_from_vertices,
+    reference_lattice,
+    simplex_contains_point,
+)
+
+
+def fields(f):
+    return (f.kind, f.n, f.point.bits, None if f.mask is None else f.mask.bits, f.dim, f.key)
 
 
 def test_counts_closed_forms_small():
@@ -28,6 +40,55 @@ def test_built_census_matches_closed_forms():
     for n in (4, 5, 6):
         lat = build_face_lattice(n)
         assert lat.counts() == face_counts(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)])
+def test_lattice_matches_reference_enumerator(n, monkeypatch):
+    # a lattice of its own, dropped after the test
+    monkeypatch.setattr(faces_mod, "_lattice_cache", {})
+    lat = build_face_lattice(n)
+    want = reference_lattice(n)
+    assert lat.keys == [[f.key for f in fs] for fs in want]
+    assert [[fields(f) for f in fs] for fs in lat.faces] == [[fields(f) for f in fs] for fs in want]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_kinds_read_off_keys_match_descriptors(n):
+    lat = build_face_lattice(n)
+    want = reference_lattice(n)
+    for dim, dim_faces in enumerate(want):
+        simp = sum(1 for f in dim_faces if f.kind in (KIND_VERTEX, KIND_SIMPLEX))
+        assert kind_split(dim, lat.keys[dim]) == (simp, len(dim_faces) - simp), (n, dim)
+        assert [key_kind(n, f.key) for f in dim_faces] == [f.kind for f in dim_faces]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_face_from_vertices_returns_each_descriptor(n):
+    # n = 5 is test_face_from_vertices_round_trip_n5
+    for dim_faces in build_face_lattice(n).faces:
+        for f in dim_faces:
+            assert fields(face_from_vertices(f.vertices())) == fields(f)
+
+
+def test_descriptors_share_vertices_and_masks(monkeypatch):
+    monkeypatch.setattr(faces_mod, "_lattice_cache", {})
+    lat = build_face_lattice(6)
+    points, masks = {}, {}
+    for dim_faces in lat.faces:
+        for f in dim_faces:
+            assert points.setdefault(f.point.bits, f.point) is f.point
+            if f.mask is not None:
+                assert masks.setdefault(f.mask.bits, f.mask) is f.mask
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cliques_are_the_faces_with_dim_plus_one_vertices(n):
+    # the half cube graph's m-cliques are the simplices on m vertices and,
+    # for m = 4, the half-cube tetrahedra
+    lat = build_face_lattice(n)
+    for m in range(1, n + 1):
+        faces_on_m = {frozenset(key) for key in lat.keys[m - 1] if len(key) == m}
+        assert faces_on_m == brute_force_cliques(n, m), (n, m)
 
 
 def test_n4_facets_split_eight_eight():
@@ -210,8 +271,7 @@ def test_face_from_vertices_round_trip_n5():
     lat = build_face_lattice(5)
     for dim_faces in lat.faces:
         for f in dim_faces:
-            g = face_from_vertices(f.vertices())
-            assert g.key == f.key and g.kind == f.kind
+            assert fields(face_from_vertices(f.vertices())) == fields(f)
 
 
 def test_face_from_vertices_rejects_junk():

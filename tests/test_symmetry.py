@@ -242,6 +242,20 @@ def test_orbits_match_descriptor_closure(n, extended):
     assert got == reference_orbits(n, extended)
 
 
+def test_orbits_describe_only_representatives(monkeypatch):
+    from halfcube import faces
+
+    monkeypatch.setattr(faces, "_lattice_cache", {})
+    rep = orbits(6)
+    lat = faces._lattice_cache[6]
+    assert "faces" not in vars(lat) and "index" not in vars(lat)
+    for dim_orbits in rep.orbits:
+        for o in dim_orbits:
+            f, g = o.representative, lat.index[o.representative.key]
+            assert (f.kind, f.point, f.mask, f.dim) == (g.kind, g.point, g.mask, g.dim)
+            assert f.kind == o.kind
+
+
 def _determinant_chain_map(g, cx, dim):
     """(index, sign) per cell from descriptor transport and an orientation determinant."""
     n, lat = cx.n, cx.lattice
