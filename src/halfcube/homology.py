@@ -7,10 +7,23 @@ either by the full Smith normal form or, for the largest sweeps, by rank
 agreement over Q and F_p for p in {2, 3, 5} -- the latter rules out
 p-torsion at exactly those primes and is reported as such.
 
+The degrees are eliminated from the top down, and each elimination of
+the degree-d boundary first deletes the columns at the unit-pivot rows of
+the same modulus's elimination of the degree-(d+1) boundary ("clearing";
+``linalg.eliminate`` says why that keeps the rank and the Smith factors).
+The Smith form clears only with integer unit pivots, and each F_p rank
+only with the pivots of its own F_p elimination, so rank agreement stays
+three eliminations independent of the Smith form.  ``homology_from_matrices``
+takes its matrices from the caller, so it first checks that consecutive
+boundaries compose to zero, which clearing relies on.
+
 Boundary matrices of a cut complex agree with those of the full complex in
 all degrees below the cut, so results are cached by (n, degree, row-mode,
-column-mode) and shared across the (n, k) sweep: Smith forms in
-``_snf_cache``, ranks over F_p (keyed by p as well) in ``_rank_cache``.
+column-mode) and shared across the (n, k) sweep, each with the pivot rows
+of its elimination: Smith forms in ``_snf_cache``, ranks over F_p (keyed
+by p as well) in ``_rank_cache``.  The row mode of the degree-(d+1)
+boundary is the column mode of the degree-d one, so pivot rows read from
+the cache, whichever complex put them there, clear the degree below.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import BoundaryMatrix, CellComplex
+from .complexes import BoundaryMatrix, CellComplex, assert_boundary_squared_zero
 
 CERT_SNF = "snf"
 CERT_RANK_AGREE = "rank-agree(2,3,5)"
@@ -38,28 +51,33 @@ def _cache_key(cx: CellComplex, d: int, *extra):
     return (cx.n, d, _mode(cx, d - 1), _mode(cx, d), *extra)
 
 
-def rank_of_boundary(cx: CellComplex, d: int, p: int) -> int:
-    """Rank over F_p of the degree-d boundary matrix."""
-    if d < 1 or d > cx.top_dim:
-        return 0
+def rank_of_boundary(cx: CellComplex, d: int, p: int, cleared=None):
+    """(rank over F_p, pivot rows) of the degree-d boundary matrix.
+
+    ``cleared`` is the pivot rows of the F_p elimination of degree d + 1.
+    """
     key = _cache_key(cx, d, p)
     got = _rank_cache.get(key)
     if got is None:
-        m = cx.matrices()[d - 1]
-        got = linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), p)
-        _rank_cache[key] = got
+        got = _rank_cache[key] = _eliminate(cx.matrices()[d - 1], p, cleared)
     return got
 
 
-def smith_of_boundary(cx: CellComplex, d: int) -> linalg.SmithForm:
-    """Smith normal form of the degree-d boundary matrix; its rank is the rank over Q."""
+def smith_of_boundary(cx: CellComplex, d: int, cleared=None):
+    """(Smith normal form, pivot rows) of the degree-d boundary matrix.
+
+    The Smith form's rank is the rank over Q.  ``cleared`` is the pivot
+    rows of the integer elimination of degree d + 1.
+    """
     key = _cache_key(cx, d)
     got = _snf_cache.get(key)
     if got is None:
-        m = cx.matrices()[d - 1]
-        got = linalg.smith_normal_form(m.nrows, m.ncols, m.triplets())
-        _snf_cache[key] = got
+        got = _snf_cache[key] = _eliminate(cx.matrices()[d - 1], 0, cleared)
     return got
+
+
+def _eliminate(m: BoundaryMatrix, p: int, cleared):
+    return linalg.eliminate(m.nrows, m.ncols, m.entries, p, cleared)
 
 
 def smith_normal_form(matrix) -> linalg.SmithForm:
@@ -100,18 +118,30 @@ class HomologyProfile:
 
 
 def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_SNF):
-    """Homology of an explicit chain complex (no caching)."""
+    """Homology of an explicit chain complex (no caching).
+
+    Raises ValueError, naming the degree, when two consecutive boundaries
+    do not compose to zero: the matrices then form no chain complex.
+    """
     by_degree = {m.degree: m for m in mats}
-
-    def rank(d, p):
-        m = by_degree[d]
-        return linalg.rank_mod_p(m.nrows, m.ncols, m.triplets(), p)
-
-    def smith(d):
-        m = by_degree[d]
-        return linalg.smith_normal_form(m.nrows, m.ncols, m.triplets())
-
-    return _homology(cell_counts, by_degree, rank, smith, reduced, certification)
+    for d, m in by_degree.items():
+        above = by_degree.get(d + 1)
+        if above is None:
+            continue
+        if above.nrows != m.ncols:
+            raise ValueError(f"boundary shapes do not compose in degree {d + 1}")
+        try:
+            assert_boundary_squared_zero([m, above])
+        except AssertionError as exc:
+            raise ValueError(f"not a chain complex: {exc}") from None
+    return _homology(
+        cell_counts,
+        by_degree,
+        lambda d, p, cleared: _eliminate(by_degree[d], p, cleared),
+        lambda d, cleared: _eliminate(by_degree[d], 0, cleared),
+        reduced,
+        certification,
+    )
 
 
 def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> HomologyProfile:
@@ -119,28 +149,34 @@ def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> Homol
     return _homology(
         cx.cell_counts(),
         range(1, cx.top_dim + 1),
-        lambda d, p: rank_of_boundary(cx, d, p),
-        lambda d: smith_of_boundary(cx, d),
+        lambda d, p, cleared: rank_of_boundary(cx, d, p, cleared),
+        lambda d, cleared: smith_of_boundary(cx, d, cleared),
         reduced,
         certification,
     )
 
 
 def _homology(counts, degrees, rank, smith, reduced, certification) -> HomologyProfile:
-    # smith(d) gives the degree-d boundary's Smith form, whose rank is the
-    # rank over Q; rank(d, p) gives its rank over F_p, an elimination of its own
+    # smith(d, cleared) gives the degree-d boundary's Smith form, whose rank
+    # is the rank over Q, and rank(d, p, cleared) its rank over F_p, an
+    # elimination of its own; each also gives its pivot rows, which clear
+    # the same modulus's elimination one degree down
     if certification not in (CERT_SNF, CERT_RANK_AGREE):
         raise ValueError(f"unknown certification {certification!r}")
     ranks = [0] * (len(counts) + 1)
     torsion = [[] for _ in counts]
-    for d in degrees:
-        sf = smith(d)
+    above = {}  # modulus -> pivot rows of the degree above, if it is a degree here
+    for d in sorted(degrees, reverse=True):
+        if d + 1 not in degrees:
+            above = {}
+        sf, above[0] = smith(d, above.get(0))
         ranks[d] = sf.rank
         if certification == CERT_SNF:
             torsion[d - 1] = [f for f in sf.factors if f > 1]
         else:
             for p in _AGREE_PRIMES:
-                if rank(d, p) != sf.rank:
+                rank_p, above[p] = rank(d, p, above.get(p))
+                if rank_p != sf.rank:
                     raise ValueError(
                         f"rank over F_{p} differs from rank over Q in degree {d}: "
                         f"torsion at {p}"

@@ -12,6 +12,18 @@ homology bases their transforms, returned as sparse vectors.  Over F_p
 every nonzero residue is a unit and entries are reduced mod p, so the
 pivot count is the rank over F_p.  Entries are Python integers
 throughout, so no answer depends on a machine word size.
+
+``eliminate`` also reports the rows the unit phase pivoted on, and deletes
+the columns a caller flags before it starts ("clearing", the twist of
+Chen and Kerber).  If the flagged columns are the unit-pivot rows R of a
+matrix B with A B = 0, and C are B's pivot columns, then B[R, C] is
+invertible over the ring: its determinant is a product of units.  So each
+column of A in R is a combination, with coefficients in the ring, of A's
+other columns, and deleting it changes neither the rank nor the column
+lattice, hence neither the nonzero invariant factors.  Only unit pivots
+count: the pivots of the smallest-magnitude reduction carry no such
+inverse.  Over F_p the pivots must come from an elimination over the same
+F_p, so each prime's rank stays an elimination of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +38,10 @@ def kernel_name() -> str:
     return "pure-python"
 
 
+def _is_prime(p) -> bool:
+    return isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p.
 
@@ -33,21 +49,49 @@ def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     agrees with the rank over Q (the rank of ``smith_normal_form``) is
     evidence, not a restatement of the Smith form.
     """
-    if not (isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))):
+    if not _is_prime(p):
         raise ValueError(f"modulus must be a prime, got {p!r}")
-    rows, cols = _sparse(nrows, ncols, triplets, p)
-    return _unit_phase(rows, cols, p)
+    return eliminate(nrows, ncols, triplets, p)[0]
+
+
+def eliminate(nrows: int, ncols: int, triplets, p: int, cleared=None):
+    """Rank over F_p (p prime) or Smith normal form (p = 0), with the unit-pivot rows.
+
+    Returns (rank or SmithForm, pivot_rows), where pivot_rows is one byte
+    per row, 1 where the unit phase pivoted.  ``cleared``, when given, is
+    one byte per column; the columns flagged 1 are deleted first.  That is
+    exact when they are the pivot_rows that this modulus's elimination of
+    a matrix B with (this matrix) B = 0 returned; see the module docstring.
+    """
+    if p != 0 and not _is_prime(p):
+        raise ValueError(f"modulus must be 0 or a prime, got {p!r}")
+    if cleared is not None and len(cleared) != ncols:
+        raise ValueError("cleared must hold one flag per column")
+    rows, cols = _sparse(nrows, ncols, triplets, p, cleared)
+    pivots = _unit_phase(rows, cols, p)
+    pivot_rows = bytearray(nrows)
+    for r in pivots:
+        pivot_rows[r] = 1
+    if p:
+        return len(pivots), bytes(pivot_rows)
+    factors = [1] * len(pivots)
+    live_rows = sorted(r for r, row in rows.items() if row)
+    if live_rows:
+        live_cols = sorted(c for c, col in cols.items() if col)
+        factors += _smallest_magnitude(rows, live_rows, live_cols)[0]
+    return SmithForm(tuple(factors), len(factors)), bytes(pivot_rows)
 
 
 # ---------------------------------------------------------------------------
 # Sparse elimination
 
 
-def _sparse(nrows, ncols, triplets, p):
+def _sparse(nrows, ncols, triplets, p, cleared=None):
     """Rows {r: {c: v}} and columns {c: {r}} of the nonzero entries, mod p if p.
 
     Repeated (row, col) triplets add up; an index outside the shape raises
-    ValueError, whatever its value.
+    ValueError, whatever its value.  The entries of the columns flagged in
+    ``cleared`` (one byte per column) are dropped, which may leave empty rows.
     """
     rows = {}
     cols = {}
@@ -61,6 +105,8 @@ def _sparse(nrows, ncols, triplets, p):
         if col is None:
             if not 0 <= c < ncols:
                 raise ValueError("triplet index outside the stated shape")
+            if cleared is not None and cleared[c]:
+                continue
             col = cols[c] = set()
         cur = row.get(c, 0) + v
         if p:
@@ -74,8 +120,8 @@ def _sparse(nrows, ncols, triplets, p):
     return rows, cols
 
 
-def _unit_phase(rows, cols, p) -> int:
-    """Eliminate unit pivots in place; return how many there were.
+def _unit_phase(rows, cols, p) -> list:
+    """Eliminate unit pivots in place; return their rows, in pivot order.
 
     While some live column holds a unit, take the sparsest such column
     (heap of live column counts, ties by column index), pivot on its unit
@@ -89,12 +135,12 @@ def _unit_phase(rows, cols, p) -> int:
     to the smallest-magnitude reduction (the boundary matrices of every
     cut complex with n <= 8 leave none).  With p prime every nonzero
     residue is a unit and entries stay reduced mod p, so nothing is left
-    and the count is the rank over F_p.
+    and the number of pivots is the rank over F_p.
     """
     counts = {c: len(s) for c, s in cols.items()}
     heap = [(cnt, c) for c, cnt in counts.items() if cnt]
     heapq.heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         cnt, c = heapq.heappop(heap)
         if counts.get(c) != cnt:
@@ -139,7 +185,7 @@ def _unit_phase(rows, cols, p) -> int:
                 counts[cc] = len(col)
                 if col:
                     heapq.heappush(heap, (len(col), cc))
-        pivots += 1
+        pivots.append(pr)
     return pivots
 
 
@@ -168,13 +214,7 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
     ``_smallest_magnitude``, the reduction that also gives the homology
     bases their transforms; its factors follow the 1s.
     """
-    rows, cols = _sparse(nrows, ncols, triplets, 0)
-    factors = [1] * _unit_phase(rows, cols, 0)
-    live_rows = sorted(r for r, row in rows.items() if row)
-    if live_rows:
-        live_cols = sorted(c for c, col in cols.items() if col)
-        factors += _smallest_magnitude(rows, live_rows, live_cols)[0]
-    return SmithForm(tuple(factors), len(factors))
+    return eliminate(nrows, ncols, triplets, 0)[0]
 
 
 @dataclass

@@ -1,7 +1,15 @@
 import random
+from operator import itemgetter
+
+import pytest
 
 from halfcube import homology, linalg
-from halfcube.complexes import boundary_matrices, build_complex, random_flip_set
+from halfcube.complexes import (
+    BoundaryMatrix,
+    boundary_matrices,
+    build_complex,
+    random_flip_set,
+)
 from halfcube.homology import (
     CERT_RANK_AGREE,
     CERT_SNF,
@@ -103,8 +111,6 @@ def test_smith_wrapper_accepts_dense_and_boundary():
 
 def test_torsion_reported_from_factors():
     # fake complex: one 1-cell attached twice to a 0-cycle -> Z/2 in degree 0
-    from halfcube.complexes import BoundaryMatrix
-
     mats = [BoundaryMatrix(1, 1, 1, ((0, 0, 2),))]
     prof = homology_from_matrices([1, 1], mats, reduced=False)
     assert prof.betti == (0, 0)
@@ -123,3 +129,139 @@ def test_alternating_betti_sum_matches_closed_form_euler():
             alt = sum((-1) ** d * b for d, b in enumerate(prof.betti))
             assert alt == euler_characteristic(cx)
             assert alt == 1 + (-1) ** (k - 1) * predicted_betti(n, k)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_cleared_eliminations_match_whole_matrices(n):
+    # each complex top-down, each modulus clearing with the pivot rows of
+    # its own elimination one degree up; every distinct boundary matrix of
+    # the cut and full complexes against rank_mod_p and smith_normal_form
+    whole = {}
+    for k in list(range(3, n + 1)) + [n + 1]:
+        cx = build_complex(n, k)
+        above = {}
+        for d in range(cx.top_dim, 0, -1):
+            m = cx.matrices()[d - 1]
+            key = homology._cache_key(cx, d)
+            if key not in whole:
+                trip = m.triplets()
+                whole[key] = [linalg.smith_normal_form(m.nrows, m.ncols, trip)]
+                whole[key] += [linalg.rank_mod_p(m.nrows, m.ncols, trip, p) for p in (2, 3, 5)]
+            for p, want in zip((0, 2, 3, 5), whole[key]):
+                cleared = above.get(p)
+                got, above[p] = linalg.eliminate(m.nrows, m.ncols, m.entries, p, cleared)
+                assert got == want, (n, k, d, p)
+                if cleared is not None:
+                    # the degree above had no residual: it cleared a whole rank's worth
+                    assert sum(cleared) == whole[homology._cache_key(cx, d + 1)][0].rank
+
+
+def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
+    # C(6, 3) first: C(6, 4) then finds its degree-5 boundary in the cache
+    # but not its degree-4 one, which still gets cleared by the cached pivots
+    monkeypatch.setattr(homology, "_rank_cache", {})
+    monkeypatch.setattr(homology, "_snf_cache", {})
+    degree, calls = [], []
+    eliminate, unit_phase = homology._eliminate, linalg._unit_phase
+
+    def eliminating(m, p, cleared):
+        degree.append(m.degree)
+        return eliminate(m, p, cleared)
+
+    def recording(rows, cols, p):
+        live = {c for c, rs in cols.items() if rs}
+        pivots = unit_phase(rows, cols, p)
+        calls.append((degree[-1], p, live, set(pivots)))
+        return pivots
+
+    monkeypatch.setattr(homology, "_eliminate", eliminating)
+    monkeypatch.setattr(linalg, "_unit_phase", recording)
+    returned = {}  # (cache key, modulus) -> the pivot rows its elimination returned
+    for cx in (build_complex(6, 3), build_complex(6, 4)):
+        calls.clear()
+        homology_of(cx, certification=CERT_RANK_AGREE)
+        # top-down, the Smith form and then each prime in every degree computed
+        assert [p for _, p, _, _ in calls] == [0, 2, 3, 5] * (len(calls) // 4)
+        assert [d for d, _, _, _ in calls[::4]] == sorted({d for d, *_ in calls}, reverse=True)
+        for d, p, live, pivots in calls:
+            # every column of a boundary matrix holds entries
+            deleted = set(range(cx.cell_counts()[d])) - live
+            assert deleted == returned.get((homology._cache_key(cx, d + 1), p), set())
+            assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, p)
+            returned[(homology._cache_key(cx, d), p)] = pivots
+    # C(6, 4) eliminated degree 4 but took degree 5 from the cache
+    assert {d for d, *_ in calls} == {4, 3}
+
+
+def _rp2():
+    # the 6-vertex real projective plane: H_1 = Z/2, nothing else reduced
+    triangles = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+                 (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+    edges = sorted({e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))})
+    row = {e: i for i, e in enumerate(edges)}
+    d1 = [(v, j, s) for j, (a, b) in enumerate(edges) for v, s in ((a, -1), (b, 1))]
+    d2 = [
+        (row[e], j, s)
+        for j, (a, b, c) in enumerate(triangles)
+        for e, s in (((b, c), 1), ((a, c), -1), ((a, b), 1))
+    ]
+    by_column = itemgetter(1, 0)
+    mats = [
+        BoundaryMatrix(1, 6, len(edges), tuple(sorted(d1, key=by_column))),
+        BoundaryMatrix(2, len(edges), len(triangles), tuple(sorted(d2, key=by_column))),
+    ]
+    return [6, len(edges), len(triangles)], mats
+
+
+def test_torsion_survives_the_clearing_rp2(monkeypatch):
+    counts, mats = _rp2()
+    assert counts == [6, 15, 10]
+    d2 = mats[1]
+    # the unit phase leaves a +-2 residual: only its nine unit pivots clear,
+    # not the ten rows an elimination over F_3 pivots on
+    sf, pivot_rows = linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 0)
+    assert sf.factors == (1,) * 9 + (2,)
+    assert sum(pivot_rows) == 9
+    assert sum(linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 3)[1]) == 10
+    live = []
+    unit_phase = linalg._unit_phase
+
+    def recording(rows, cols, p):
+        live.append({c for c, rs in cols.items() if rs})
+        return unit_phase(rows, cols, p)
+
+    monkeypatch.setattr(linalg, "_unit_phase", recording)
+    prof = homology_from_matrices(counts, mats)
+    assert prof.betti == (1, 0, 0)
+    assert prof.torsion == ((), (2,), ())
+    assert set(range(15)) - live[1] == {r for r, f in enumerate(pivot_rows) if f}
+    with pytest.raises(ValueError, match="torsion at 2"):
+        homology_from_matrices(counts, mats, certification=CERT_RANK_AGREE)
+
+
+@pytest.mark.parametrize(
+    "upper, message",
+    [
+        (BoundaryMatrix(2, 1, 1, ((0, 0, 1),)), "not a chain complex: .* degree 2"),
+        (BoundaryMatrix(2, 2, 1, ((0, 0, 1), (1, 0, -1))), "do not compose in degree 2"),
+    ],
+)
+def test_homology_from_matrices_rejects_a_non_complex(upper, message):
+    # d1 d2 = [1, 1]^T != 0, or shapes that cannot be multiplied
+    lower = BoundaryMatrix(1, 2, 1, ((0, 0, 1), (1, 0, 1)))
+    with pytest.raises(ValueError, match=message):
+        homology_from_matrices([2, 1, 1], [lower, upper])
+
+
+@pytest.mark.slow
+def test_n8_cut_complexes_certified():
+    # every n = 8 cut complex: all invariant factors 1, and the ranks over
+    # F_2, F_3 and F_5 equal the Smith ranks (rank agreement raises otherwise)
+    for k in range(3, 9):
+        cx = build_complex(8, k)
+        agree = homology_of(cx, reduced=True, certification=CERT_RANK_AGREE)
+        for d in range(1, cx.top_dim + 1):
+            sf = homology.smith_of_boundary(cx, d)[0]
+            assert set(sf.factors) <= {1}, (k, d)
+        assert agree.is_concentrated(k - 1), k
+        assert agree.betti[k - 1] == predicted_betti(8, k)

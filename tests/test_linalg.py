@@ -297,7 +297,7 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column():
         dense = triplets_to_dense(nr, nc, trip)
         for p in (2, 3):
             rows, cols = linalg._sparse(nr, nc, trip, p)
-            rank = linalg._unit_phase(rows, Columns(cols), p)
+            rank = len(linalg._unit_phase(rows, Columns(cols), p))
             assert rank == dense_rank_mod(dense, p)
             assert not rows or not any(rows.values())
     assert len(picks) > 1000
@@ -320,6 +320,20 @@ def test_rank_functions_reject_triplets_outside_the_shape(trip):
         lambda nr, nc, t: linalg.rank_mod_p(nr, nc, t, 3),
         linalg.smith_normal_form,
         linalg.smith_with_transforms,
+        # clearing every column must not let an index outside the shape through
+        lambda nr, nc, t: linalg.eliminate(nr, nc, t, 0, bytes([1] * nc)),
     ):
         with pytest.raises(ValueError, match="triplet index outside the stated shape"):
             rank(2, 2, trip)
+
+
+def test_eliminate_rejects_a_bad_modulus_or_clearing_mask():
+    trip = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]
+    assert linalg.eliminate(2, 2, trip, 5) == (1, b"\1\0")
+    assert linalg.eliminate(2, 2, trip, 5, b"\0\1") == (1, b"\1\0")
+    for p in (1, 4, -2, None):
+        with pytest.raises(ValueError, match="modulus must be 0 or a prime"):
+            linalg.eliminate(2, 2, trip, p)
+    for cleared in (b"", b"\0", b"\0\0\0"):
+        with pytest.raises(ValueError, match="one flag per column"):
+            linalg.eliminate(2, 2, trip, 0, cleared)
