@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import tempfile
-from math import comb
 
 from . import homology, morse, symmetry, triangle
 from .complexes import (
@@ -249,13 +248,10 @@ def cmd_faces(args) -> int:
 
 def _peak_cells(n: int, k: int) -> int:
     """Size of the largest chain group of the (n, k) cut complex, from the census."""
-    peak = 0
-    for d in range(n + 1):
-        if d < k:
-            peak = max(peak, face_count(n, d))
-        elif d < n:
-            peak = max(peak, (1 << (n - 1)) * comb(n, d + 1))
-    return peak
+    # the cut keeps every simplex and the half cubes of dimension below k
+    return max(
+        simp + (half if d < k else 0) for d, (simp, half) in enumerate(face_counts_by_type(n))
+    )
 
 
 def budgeted_complex(n, k, cache_dir, max_cells) -> CellComplex | None:
@@ -585,6 +581,8 @@ def validate_args(args) -> None:
         if value is not None and value < 0:
             flag = "--" + name.replace("_", "-")
             usage_error(f"{flag} must be nonnegative, got {value}")
+    if getattr(args, "extended", False) and n != 4:
+        usage_error(f"--extended needs --n 4, the only n with the special reflection; got {n}")
     rows = getattr(args, "rows", None)
     if rows is not None and rows > MAX_ROWS:
         usage_error(f"--rows must be at most {MAX_ROWS}, got {rows}")

@@ -15,8 +15,9 @@ projection off t's hull, since adding multiples of t's basis to it leaves
 the determinant unchanged.  Each boundary column is built once per parent:
 
 * A simplex is oriented by its whole sorted key, so the sign of the facet
-  dropping the i-th vertex of the key is (-1)^i, read off a precomputed
-  alternating tuple in ``FaceLattice.facets`` order.
+  dropping the i-th vertex of the key is (-1)^i.  ``FaceLattice.facets``
+  drops the last vertex first, so position t of a d-simplex's column holds
+  (-1)^(d-t), read off a precomputed alternating tuple.
 * A half cube L(v, S), or the top cell (S = all coordinates), spans exactly
   the coordinate face {x_i = v_i, i not in S}.  Its basis P and the frame
   Q = [outward vector; facet basis] vanish off S, so the Gram determinant
@@ -25,14 +26,19 @@ the determinant unchanged.  Each boundary column is built once per parent:
   coordinate sum.  Per parent, S and sign det(P|_S) are computed once; per
   facet, ``incidence_sign`` takes one |S| x |S| determinant sign of Q|_S.
 
-Reoriented cells (``boundary_matrices(cx, flips)``) take the full Gram
-determinant, an independent route the tests check the rules above against;
-the boundary-squared assertion certifies every assembled complex.
+Every matrix is assembled one way: ``incidences`` lists each column's rows
+in ``FaceLattice.facets`` order, which is key order and so row order, and
+``signed_matrix`` pairs them with the column's signs.  Reoriented cells
+(``boundary_matrices(cx, flips)``) and simplex parents of ``incidence_sign``
+take the full Gram determinant, an independent route the tests check the
+rules above against; the boundary-squared assertion certifies every
+assembled complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .core import MAX_DIM
@@ -224,20 +230,12 @@ def _parent_frame(lattice, parent) -> tuple:
 
 
 def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) -> int:
-    """Sign of the facet ``child`` in ``parent`` under the chosen orientations."""
-    if flip_parent or flip_child:
+    """Sign of the facet ``child`` in ``parent`` under the chosen orientations.
+
+    Simplex columns read ``_ALTERNATING``; here a simplex parent takes the Gram route.
+    """
+    if flip_parent or flip_child or parent.kind == KIND_SIMPLEX:
         return _gram_sign(lattice, parent, child, flip_parent, flip_child)
-    if parent.kind == KIND_SIMPLEX:
-        # the orientation tuple of a simplex is its whole sorted key, so
-        # the outward-first convention gives (-1)^i, where i is the position
-        # of the dropped vertex in parent.key: the first place the keys differ
-        pkey = parent.key
-        i = 0
-        for b in child.key:
-            if pkey[i] != b:
-                break
-            i += 1
-        return -1 if i & 1 else 1
     # the Gram determinant factors over the parent's coordinate set S.  Every
     # coordinate in S is set in half the parent's vertices, so its barycenter
     # is 0 on S and the outward vector on S is the child's coordinate sum
@@ -276,9 +274,11 @@ def _gram_sign(lattice, parent, child, flip_parent, flip_child) -> int:
     return orientation_sign(pb, [w] + cb)
 
 
-# facet signs of a simplex column in FaceLattice.facets order, per dimension:
-# the facet dropping the i-th vertex of the key has sign (-1)^i
-_ALTERNATING = tuple(tuple(-1 if i & 1 else 1 for i in range(d + 1)) for d in range(MAX_DIM + 1))
+# facet signs of a d-simplex column in FaceLattice.facets order, per d: the
+# facet at position t drops vertex d - t of the key, so has sign (-1)^(d-t)
+_ALTERNATING = tuple(
+    tuple(-1 if (d - t) & 1 else 1 for t in range(d + 1)) for d in range(MAX_DIM + 1)
+)
 
 
 def column_signs(lattice, cell) -> tuple:
@@ -336,11 +336,8 @@ def incidences(cx: CellComplex):
     lat = cx.lattice
     for d in range(1, cx.top_dim + 1):
         row_of = cx.index[d - 1]
-        yield [
-            (r, j)
-            for j, cell in enumerate(cx.cells[d])
-            for r in sorted(row_of[g.key] for g in lat.facets(cell))
-        ]
+        # facets come in key order, which is row order
+        yield [(row_of[g.key], j) for j, cell in enumerate(cx.cells[d]) for g in lat.facets(cell)]
 
 
 def signed_matrix(cx: CellComplex, d: int, pairs: list, signs) -> BoundaryMatrix:
@@ -358,18 +355,17 @@ def boundary_matrices(cx: CellComplex, flips=frozenset()) -> list:
     lat = cx.lattice
     flips = frozenset(flips)
     mats = []
-    for d in range(1, cx.top_dim + 1):
-        row_of = cx.index[d - 1]
-        entries = []
-        for j, cell in enumerate(cx.cells[d]):
-            facets = lat.facets(cell)
-            if flips:
-                flipped = cell.key in flips
-                signs = [incidence_sign(lat, cell, g, flipped, g.key in flips) for g in facets]
-            else:
-                signs = column_signs(lat, cell)
-            entries.extend(sorted([(row_of[g.key], j, s) for g, s in zip(facets, signs)]))
-        mats.append(BoundaryMatrix(d, len(cx.cells[d - 1]), len(cx.cells[d]), tuple(entries)))
+    for d, pairs in enumerate(incidences(cx), start=1):
+        cells = cx.cells[d]
+        if flips:
+            signs = [
+                incidence_sign(lat, c, g, c.key in flips, g.key in flips)
+                for c in cells
+                for g in lat.facets(c)
+            ]
+        else:
+            signs = chain.from_iterable(column_signs(lat, c) for c in cells)
+        mats.append(signed_matrix(cx, d, pairs, signs))
     assert_boundary_squared_zero(mats)
     return mats
 

@@ -282,14 +282,15 @@ class FaceLattice:
         return self.index[tuple(key)]
 
     def facets(self, f: FaceDescriptor) -> list:
-        """The codimension-1 faces of f, from its vertex key alone.
+        """The codimension-1 faces of f, from its vertex key alone, in key order.
 
         A face with dim + 1 vertices (a simplex, or the half-cube
-        tetrahedron) loses one vertex at a time.  A larger half cube or the
-        top cell, varying on the coordinate set S, has for each i in S the
-        two halves of its key with bit i clear and set, and for each odd
-        vertex u of its subcube the simplex of the neighbours u ^ (1 << i),
-        i in S.
+        tetrahedron) loses one vertex at a time, the last one first: that is
+        key order.  A larger half cube or the top cell, varying on the
+        coordinate set S, has for each i in S the two halves of its key with
+        bit i clear and set, and for each odd vertex u of its subcube the
+        simplex of the neighbours u ^ (1 << i), i in S; these keys are
+        sorted once.  Key order is row order in a boundary column.
         """
         got = self._facet_memo.get(f.key)
         if got is not None:
@@ -298,7 +299,7 @@ class FaceLattice:
             raise ValueError("vertices have no facets")
         key = f.key
         if len(key) == f.dim + 1:
-            keys = [key[:i] + key[i + 1 :] for i in range(len(key))]
+            keys = [key[:i] + key[i + 1 :] for i in reversed(range(len(key)))]
         else:
             bits = [1 << i for i in range(self.n) if f.mask.bits >> i & 1]
             keys = []
@@ -308,6 +309,7 @@ class FaceLattice:
             # b ^ bits[0] runs over the odd vertices of the subcube
             for u in (b ^ bits[0] for b in key):
                 keys.append(tuple(sorted(u ^ bit for bit in bits)))
+            keys.sort()
         got = [self.index[k] for k in keys]
         self._facet_memo[f.key] = got
         return got

@@ -18,12 +18,12 @@ takes its matrices from the caller, so it first checks that consecutive
 boundaries compose to zero, which clearing relies on.
 
 Boundary matrices of a cut complex agree with those of the full complex in
-all degrees below the cut, so results are cached by (n, degree, row-mode,
-column-mode) and shared across the (n, k) sweep, each with the pivot rows
-of its elimination: Smith forms in ``_snf_cache``, ranks over F_p (keyed
-by p as well) in ``_rank_cache``.  The row mode of the degree-(d+1)
-boundary is the column mode of the degree-d one, so pivot rows read from
-the cache, whichever complex put them there, clear the degree below.
+all degrees below the cut, so eliminations are cached in one dict,
+``_eliminations``, keyed by (n, degree, row-mode, column-mode, p) with
+p = 0 for the Smith form, and shared across the (n, k) sweep, each with the
+pivot rows it returned.  The row mode of the degree-(d+1) boundary is the
+column mode of the degree-d one, so pivot rows read from the cache,
+whichever complex put them there, clear the degree below.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ CERT_RANK_AGREE = "rank-agree(2,3,5)"
 
 _AGREE_PRIMES = (2, 3, 5)
 
-_rank_cache = {}
-_snf_cache = {}
+_eliminations = {}
 
 
 def _mode(cx: CellComplex, dim: int) -> str:
@@ -51,28 +50,17 @@ def _cache_key(cx: CellComplex, d: int, *extra):
     return (cx.n, d, _mode(cx, d - 1), _mode(cx, d), *extra)
 
 
-def rank_of_boundary(cx: CellComplex, d: int, p: int, cleared=None):
-    """(rank over F_p, pivot rows) of the degree-d boundary matrix.
-
-    ``cleared`` is the pivot rows of the F_p elimination of degree d + 1.
-    """
-    key = _cache_key(cx, d, p)
-    got = _rank_cache.get(key)
-    if got is None:
-        got = _rank_cache[key] = _eliminate(cx.matrices()[d - 1], p, cleared)
-    return got
-
-
-def smith_of_boundary(cx: CellComplex, d: int, cleared=None):
-    """(Smith normal form, pivot rows) of the degree-d boundary matrix.
+def boundary_elimination(cx: CellComplex, d: int, p: int, cleared=None):
+    """(Smith normal form, pivot rows) of the degree-d boundary matrix for
+    p = 0, or (rank over F_p, pivot rows) for a prime p; cached.
 
     The Smith form's rank is the rank over Q.  ``cleared`` is the pivot
-    rows of the integer elimination of degree d + 1.
+    rows of the same modulus's elimination of degree d + 1.
     """
-    key = _cache_key(cx, d)
-    got = _snf_cache.get(key)
+    key = _cache_key(cx, d, p)
+    got = _eliminations.get(key)
     if got is None:
-        got = _snf_cache[key] = _eliminate(cx.matrices()[d - 1], 0, cleared)
+        got = _eliminations[key] = _eliminate(cx.matrices()[d - 1], p, cleared)
     return got
 
 
@@ -120,11 +108,22 @@ class HomologyProfile:
 def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_SNF):
     """Homology of an explicit chain complex (no caching).
 
-    Raises ValueError, naming the degree, when two consecutive boundaries
-    do not compose to zero: the matrices then form no chain complex.
+    Raises ValueError when two matrices share a degree, or, naming the
+    degree, when a matrix's degree or shape does not fit ``cell_counts`` or
+    two consecutive boundaries do not compose to zero: the matrices then
+    form no chain complex.
     """
     by_degree = {m.degree: m for m in mats}
+    if len(by_degree) != len(mats):
+        raise ValueError("two matrices of the same degree")
     for d, m in by_degree.items():
+        if not 1 <= d < len(cell_counts):
+            raise ValueError(f"degree {d} is outside 1..{len(cell_counts) - 1}")
+        if (m.nrows, m.ncols) != (cell_counts[d - 1], cell_counts[d]):
+            raise ValueError(
+                f"degree {d} boundary is {m.nrows} x {m.ncols}, "
+                f"the cell counts need {cell_counts[d - 1]} x {cell_counts[d]}"
+            )
         above = by_degree.get(d + 1)
         if above is None:
             continue
@@ -138,7 +137,6 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
         cell_counts,
         by_degree,
         lambda d, p, cleared: _eliminate(by_degree[d], p, cleared),
-        lambda d, cleared: _eliminate(by_degree[d], 0, cleared),
         reduced,
         certification,
     )
@@ -149,17 +147,16 @@ def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> Homol
     return _homology(
         cx.cell_counts(),
         range(1, cx.top_dim + 1),
-        lambda d, p, cleared: rank_of_boundary(cx, d, p, cleared),
-        lambda d, cleared: smith_of_boundary(cx, d, cleared),
+        lambda d, p, cleared: boundary_elimination(cx, d, p, cleared),
         reduced,
         certification,
     )
 
 
-def _homology(counts, degrees, rank, smith, reduced, certification) -> HomologyProfile:
-    # smith(d, cleared) gives the degree-d boundary's Smith form, whose rank
-    # is the rank over Q, and rank(d, p, cleared) its rank over F_p, an
-    # elimination of its own; each also gives its pivot rows, which clear
+def _homology(counts, degrees, eliminate, reduced, certification) -> HomologyProfile:
+    # eliminate(d, 0, cleared) gives the degree-d boundary's Smith form, whose
+    # rank is the rank over Q, and eliminate(d, p, cleared) its rank over F_p,
+    # an elimination of its own; each also gives its pivot rows, which clear
     # the same modulus's elimination one degree down
     if certification not in (CERT_SNF, CERT_RANK_AGREE):
         raise ValueError(f"unknown certification {certification!r}")
@@ -169,13 +166,13 @@ def _homology(counts, degrees, rank, smith, reduced, certification) -> HomologyP
     for d in sorted(degrees, reverse=True):
         if d + 1 not in degrees:
             above = {}
-        sf, above[0] = smith(d, above.get(0))
+        sf, above[0] = eliminate(d, 0, above.get(0))
         ranks[d] = sf.rank
         if certification == CERT_SNF:
             torsion[d - 1] = [f for f in sf.factors if f > 1]
         else:
             for p in _AGREE_PRIMES:
-                rank_p, above[p] = rank(d, p, above.get(p))
+                rank_p, above[p] = eliminate(d, p, above.get(p))
                 if rank_p != sf.rank:
                     raise ValueError(
                         f"rank over F_{p} differs from rank over Q in degree {d}: "

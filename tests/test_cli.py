@@ -208,6 +208,21 @@ def test_flags_a_command_does_not_use_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_extended_orbits_need_n4(capsys):
+    # a usage error (exit 2), not a traceback with the exit code of a failed check
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["orbits", "--n", "5", "--extended"])
+    assert exc.value.code == 2
+    assert "--extended" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_peak_cells_matches_built_complexes(n):
+    # the census bound the cell budget is checked against, k = n+1 included
+    for k in range(3, n + 2):
+        assert cli._peak_cells(n, k) == max(build_complex(n, k).cell_counts()), k
+
+
 def test_morse_command(capsys):
     code, out = run_cli(capsys, "morse", "--n", "5", "--k", "3", "--format", "json")
     assert code == 0

@@ -186,17 +186,16 @@ SIMPLEX_INCIDENCES = {5: 1040, 6: 5472, 7: 26880}
 
 @pytest.mark.parametrize("n", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_simplex_closed_form_matches_determinant(n):
-    # the closed form (-1)^i against the determinant route: reorienting the
-    # parent forces the determinant, and negates the sign
+    # the alternating column that assembly reads against the determinant
+    # route: reorienting the parent negates the sign
     lat = build_face_lattice(n)
     seen = 0
     for dim_faces in lat.faces[1:]:
         for p in dim_faces:
             if p.kind != KIND_SIMPLEX:
                 continue
-            for c in lat.facets(p):
-                want = -incidence_sign(lat, p, c, flip_parent=True)
-                assert incidence_sign(lat, p, c) == want, (p, c)
+            for c, got in zip(lat.facets(p), column_signs(lat, p), strict=True):
+                assert got == -incidence_sign(lat, p, c, flip_parent=True), (p, c)
                 seen += 1
     assert seen == SIMPLEX_INCIDENCES[n]
 

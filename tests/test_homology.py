@@ -59,8 +59,7 @@ def test_both_certificates_share_one_integer_elimination(monkeypatch):
     # the rank over Q comes only from the cached Smith form: rank agreement
     # followed by snf eliminates each degree over the integers once, and
     # over F_p once per prime
-    monkeypatch.setattr(homology, "_rank_cache", {})
-    monkeypatch.setattr(homology, "_snf_cache", {})
+    monkeypatch.setattr(homology, "_eliminations", {})
     moduli = []
     unit_phase = linalg._unit_phase
 
@@ -159,8 +158,7 @@ def test_cleared_eliminations_match_whole_matrices(n):
 def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
     # C(6, 3) first: C(6, 4) then finds its degree-5 boundary in the cache
     # but not its degree-4 one, which still gets cleared by the cached pivots
-    monkeypatch.setattr(homology, "_rank_cache", {})
-    monkeypatch.setattr(homology, "_snf_cache", {})
+    monkeypatch.setattr(homology, "_eliminations", {})
     degree, calls = [], []
     eliminate, unit_phase = homology._eliminate, linalg._unit_phase
 
@@ -244,10 +242,14 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
     [
         (BoundaryMatrix(2, 1, 1, ((0, 0, 1),)), "not a chain complex: .* degree 2"),
         (BoundaryMatrix(2, 2, 1, ((0, 0, 1), (1, 0, -1))), "do not compose in degree 2"),
+        (BoundaryMatrix(2, 1, 2, ()), "degree 2 boundary is 1 x 2"),
+        (BoundaryMatrix(3, 1, 1, ()), "degree 3 is outside 1..2"),
+        (BoundaryMatrix(1, 2, 1, ()), "two matrices of the same degree"),
     ],
 )
 def test_homology_from_matrices_rejects_a_non_complex(upper, message):
-    # d1 d2 = [1, 1]^T != 0, or shapes that cannot be multiplied
+    # d1 d2 = [1, 1]^T != 0, shapes that cannot be multiplied, a matrix
+    # that does not fit the cell counts, or two for one degree
     lower = BoundaryMatrix(1, 2, 1, ((0, 0, 1), (1, 0, 1)))
     with pytest.raises(ValueError, match=message):
         homology_from_matrices([2, 1, 1], [lower, upper])
@@ -261,7 +263,7 @@ def test_n8_cut_complexes_certified():
         cx = build_complex(8, k)
         agree = homology_of(cx, reduced=True, certification=CERT_RANK_AGREE)
         for d in range(1, cx.top_dim + 1):
-            sf = homology.smith_of_boundary(cx, d)[0]
+            sf = homology.boundary_elimination(cx, d, 0)[0]
             assert set(sf.factors) <= {1}, (k, d)
         assert agree.is_concentrated(k - 1), k
         assert agree.betti[k - 1] == predicted_betti(8, k)
