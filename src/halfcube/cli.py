@@ -6,8 +6,8 @@ JSON output is schema-stable: {schema_version, command, params, results,
 checks}.  Built complexes are cached on disk, one file per (n, k_cut),
 as the signs of their incidences alone: the cells and the incidences
 follow from (n, k_cut), so a load rebuilds them and reads the signs.  A
-file with another format or orientation convention, or one that fails its
-checks on load, is a miss, and the complex is rebuilt and rewritten.
+file of another format or orientation, failing a check on load or at odds
+with a held matrix, is a miss, and the complex is rebuilt and rewritten.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ import sys
 import tempfile
 
 from . import homology, morse, symmetry, triangle
-from .complexes import (
-    CellComplex,
-    assert_boundary_squared_zero,
-    build_complex,
-    euler_characteristic,
-    incidences,
-    signed_matrix,
-)
+from .complexes import CellComplex, boundary_matrices, build_complex, euler_characteristic
 from .faces import (
     build_face_lattice,
     check_face_budget,
@@ -102,7 +95,8 @@ def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
     The cells and incidences are rebuilt from (n, k_cut); the file supplies
     only their signs.  It must carry this format, orientation, n and k_cut,
     one string of '+' and '-' per degree, each as long as that degree's
-    incidence list, and the signed matrices must square to zero.
+    incidence list; its matrices must square to zero and equal any held
+    under the same ``boundary_key``.
     """
     path = cache_path(cache_dir, n, k_cut)
     try:
@@ -118,20 +112,17 @@ def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
         or payload.get("k_cut") != k_cut
     ):
         return None
-    cx = build_complex(n, k_cut)
     signs = payload.get("signs")
-    if not isinstance(signs, list) or len(signs) != cx.top_dim:
+    if not isinstance(signs, list) or any(
+        not isinstance(s, str) or set(s) - {"+", "-"} for s in signs
+    ):
         return None
-    mats = []
-    for d, (pairs, s) in enumerate(zip(incidences(cx), signs), start=1):
-        if not isinstance(s, str) or len(s) != len(pairs) or not set(s) <= {"+", "-"}:
-            return None
-        mats.append(signed_matrix(cx, d, pairs, [1 if c == "+" else -1 for c in s]))
+    signs = [[1 if c == "+" else -1 for c in s] for s in signs]
+    cx = build_complex(n, k_cut)
     try:
-        assert_boundary_squared_zero(mats)
-    except AssertionError:
+        cx._matrices = boundary_matrices(cx, signs=signs)
+    except (ValueError, AssertionError):
         return None
-    cx._matrices = mats
     return cx
 
 

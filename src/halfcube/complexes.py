@@ -26,13 +26,13 @@ the determinant unchanged.  Each boundary column is built once per parent:
   coordinate sum.  Per parent, S and sign det(P|_S) are computed once; per
   facet, ``incidence_sign`` takes one |S| x |S| determinant sign of Q|_S.
 
-Every matrix is assembled one way: ``incidences`` lists each column's rows
-in ``FaceLattice.facets`` order, which is key order and so row order, and
-``signed_matrix`` pairs them with the column's signs.  Reoriented cells
-(``boundary_matrices(cx, flips)``) and simplex parents of ``incidence_sign``
-take the full Gram determinant, an independent route the tests check the
-rules above against; the boundary-squared assertion certifies every
-assembled complex.
+Every matrix is assembled by ``boundary_matrices``: each column's rows in
+``FaceLattice.facets`` order (key order, so row order) paired with its
+signs, computed or read from a cache file; the last complex's matrices are
+held by ``boundary_key`` and reused.  Reoriented cells (``flips``) and
+simplex parents of ``incidence_sign`` take the full Gram determinant, an
+independent route the tests check the rules above against; the
+boundary-squared assertion certifies every new matrix.
 """
 
 from __future__ import annotations
@@ -312,14 +312,18 @@ class BoundaryMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BoundaryMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        degree, nrows, ncols = map(int, lines[0].split())
-        entries = []
-        for ln in lines[1:]:
+        """Parses ``to_text`` output; raises ValueError on any other text."""
+        header, *body = [ln for ln in text.splitlines() if ln.strip()] or [""]
+        degree, nrows, ncols = map(int, header.split())
+        if min(degree, nrows, ncols) < 0:
+            raise ValueError(f"negative header field in {header!r}")
+        entries = {}  # (col, row) -> value
+        for ln in body:
             r, c, v = map(int, ln.split())
-            entries.append((r, c, v))
-        entries.sort(key=lambda t: (t[1], t[0]))
-        return cls(degree, nrows, ncols, tuple(entries))
+            if not (0 <= r < nrows and 0 <= c < ncols and v in (1, -1)) or (c, r) in entries:
+                raise ValueError(f"entry {ln!r} is outside {nrows} x {ncols}, not +-1 or repeated")
+            entries[c, r] = v
+        return cls(degree, nrows, ncols, tuple((r, c, v) for (c, r), v in sorted(entries.items())))
 
     def triplets(self):
         return list(self.entries)
@@ -331,42 +335,58 @@ class BoundaryMatrix:
         return cols
 
 
-def incidences(cx: CellComplex):
-    """Yields, per degree 1..top, the (row, col) of each facet incidence in (col, row) order."""
-    lat = cx.lattice
-    for d in range(1, cx.top_dim + 1):
-        row_of = cx.index[d - 1]
-        # facets come in key order, which is row order
-        yield [(row_of[g.key], j) for j, cell in enumerate(cx.cells[d]) for g in lat.facets(cell)]
+def boundary_key(cx: CellComplex, d: int) -> tuple:
+    """(n, d, row mode, column mode); complexes with equal keys have equal degree-d matrices."""
+    # below the cut every face is present; at or above it only simplex cells
+    return (cx.n, d, *("full" if dim < cx.k_cut else "simplex" for dim in (d - 1, d)))
 
 
-def signed_matrix(cx: CellComplex, d: int, pairs: list, signs) -> BoundaryMatrix:
-    """The degree-d matrix of cx with the incidences ``pairs`` and their +-1 ``signs``."""
-    entries = tuple((r, c, s) for (r, c), s in zip(pairs, signs, strict=True))
-    return BoundaryMatrix(d, len(cx.cells[d - 1]), len(cx.cells[d]), entries)
+# the matrices of the last complex assembled without flips, by boundary_key
+_held = {}
 
 
-def boundary_matrices(cx: CellComplex, flips=frozenset()) -> list:
+def boundary_matrices(cx: CellComplex, flips=frozenset(), signs=None) -> list:
     """One signed matrix per degree 1..top; asserts boundary-of-boundary = 0.
 
     ``flips`` is a set of cell keys whose orientation is reversed before
-    the signs are recomputed; homology must not notice.
+    the signs are recomputed; homology must not notice.  ``signs`` (one +-1
+    list per degree, in (col, row) order) replaces computing them, and
+    raises ValueError where it does not fit.  An unflipped call reuses the
+    last one's matrices of equal boundary_key, then holds its own instead.
     """
     lat = cx.lattice
     flips = frozenset(flips)
-    mats = []
-    for d, pairs in enumerate(incidences(cx), start=1):
-        cells = cx.cells[d]
-        if flips:
-            signs = [
-                incidence_sign(lat, c, g, c.key in flips, g.key in flips)
-                for c in cells
-                for g in lat.facets(c)
-            ]
-        else:
-            signs = chain.from_iterable(column_signs(lat, c) for c in cells)
-        mats.append(signed_matrix(cx, d, pairs, signs))
-    assert_boundary_squared_zero(mats)
+    held = {} if flips else _held  # a flipped call neither reads nor replaces _held
+    keys = [boundary_key(cx, d) for d in range(1, cx.top_dim + 1)]
+    given = [None] * len(keys) if signs is None else signs
+    mats, new = [], []
+    for d, (key, signs_d) in enumerate(zip(keys, given, strict=True), start=1):
+        m = held.get(key)
+        if m is None:
+            new.append(d)
+            cells = cx.cells[d]
+            if signs_d is None and flips:
+                signs_d = [
+                    incidence_sign(lat, c, g, c.key in flips, g.key in flips)
+                    for c in cells
+                    for g in lat.facets(c)
+                ]
+            elif signs_d is None:
+                signs_d = chain.from_iterable(column_signs(lat, c) for c in cells)
+            row_of = cx.index[d - 1]
+            # facets come in key order, which is row order
+            pairs = ((row_of[g.key], j) for j, c in enumerate(cells) for g in lat.facets(c))
+            entries = tuple((r, j, s) for (r, j), s in zip(pairs, signs_d, strict=True))
+            m = BoundaryMatrix(d, len(cx.cells[d - 1]), len(cells), entries)
+        elif signs_d is not None and [v for _, _, v in m.entries] != list(signs_d):
+            raise ValueError(f"degree {d} signs differ from the held matrix")
+        mats.append(m)
+    # the new degrees and their neighbours; a pair of reused matrices was
+    # consecutive, and so checked, in the complex that assembled them
+    if new:
+        assert_boundary_squared_zero(mats[max(new[0] - 2, 0) : new[-1] + 1])
+    held.clear()
+    held.update(zip(keys, mats))
     return mats
 
 

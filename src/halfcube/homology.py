@@ -17,12 +17,10 @@ three eliminations independent of the Smith form.  ``homology_from_matrices``
 takes its matrices from the caller, so it first checks that consecutive
 boundaries compose to zero, which clearing relies on.
 
-Boundary matrices of a cut complex agree with those of the full complex in
-all degrees below the cut, so eliminations are cached in one dict,
-``_eliminations``, keyed by (n, degree, row-mode, column-mode, p) with
-p = 0 for the Smith form, and shared across the (n, k) sweep, each with the
-pivot rows it returned.  The row mode of the degree-(d+1) boundary is the
-column mode of the degree-d one, so pivot rows read from the cache,
+Eliminations are cached in ``_eliminations`` by ``complexes.boundary_key``
+plus p (0 for the Smith form), shared across the (n, k) sweep, each with
+the pivot rows it returned.  The row mode of the degree-(d+1) boundary is
+the column mode of the degree-d one, so pivot rows read from the cache,
 whichever complex put them there, clear the degree below.
 """
 
@@ -31,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import BoundaryMatrix, CellComplex, assert_boundary_squared_zero
+from .complexes import BoundaryMatrix, CellComplex, assert_boundary_squared_zero, boundary_key
 
 CERT_SNF = "snf"
 CERT_RANK_AGREE = "rank-agree(2,3,5)"
@@ -41,15 +39,6 @@ _AGREE_PRIMES = (2, 3, 5)
 _eliminations = {}
 
 
-def _mode(cx: CellComplex, dim: int) -> str:
-    # below the cut every face is present; at or above it only simplex cells
-    return "full" if dim < cx.k_cut else "simplex"
-
-
-def _cache_key(cx: CellComplex, d: int, *extra):
-    return (cx.n, d, _mode(cx, d - 1), _mode(cx, d), *extra)
-
-
 def boundary_elimination(cx: CellComplex, d: int, p: int, cleared=None):
     """(Smith normal form, pivot rows) of the degree-d boundary matrix for
     p = 0, or (rank over F_p, pivot rows) for a prime p; cached.
@@ -57,7 +46,7 @@ def boundary_elimination(cx: CellComplex, d: int, p: int, cleared=None):
     The Smith form's rank is the rank over Q.  ``cleared`` is the pivot
     rows of the same modulus's elimination of degree d + 1.
     """
-    key = _cache_key(cx, d, p)
+    key = (*boundary_key(cx, d), p)
     got = _eliminations.get(key)
     if got is None:
         got = _eliminations[key] = _eliminate(cx.matrices()[d - 1], p, cleared)

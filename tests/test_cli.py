@@ -512,3 +512,54 @@ def test_edited_cache_is_rebuilt(tmp_path, capsys, edit):
     fresh = build_complex(4, 3)
     fresh.matrices()
     assert cli.complexes_equal(fresh, cli.load_complex(cache, 4, 3))
+
+
+def test_cache_file_at_odds_with_a_held_matrix_is_a_miss(tmp_path):
+    # negating a top-degree column reorients one cell: the boundary still
+    # squares to zero, so only the held degree-5 matrix of C(6, 3) can tell
+    cache = str(tmp_path)
+    cx = build_complex(6, 4)
+    fresh = [m.entries for m in cx.matrices()]
+    path = cli.save_complex(cx, cache)
+    with open(path) as fh:
+        payload = json.load(fh)
+    top = payload["signs"][4]
+    first_column = sum(1 for _, c, _ in cx.matrices()[4].entries if c == 0)
+    payload["signs"][4] = top[:first_column].translate(str.maketrans("+-", "-+")) + top[first_column:]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    cli.get_complex(6, 3, None)
+    assert cli.load_complex(cache, 6, 4) is None
+    cx = cli.get_complex(6, 4, cache)  # the miss rebuilds and rewrites the file
+    assert [m.entries for m in cx.matrices()] == fresh
+    assert cli.complexes_equal(cx, cli.load_complex(cache, 6, 4))
+
+
+def test_verify_checks_each_boundary_pair_once(capsys, monkeypatch):
+    # every consecutive pair of every complex is checked, by the complex that
+    # assembled it, so a pair that later complexes reuse is not checked again
+    monkeypatch.setattr(complexes, "_held", {})
+    check = complexes.assert_boundary_squared_zero
+    checked = []
+
+    def recording(mats):
+        checked.extend(zip(mats, mats[1:]))
+        check(mats)
+
+    monkeypatch.setattr(complexes, "assert_boundary_squared_zero", recording)
+    got = []
+    get_complex = cli.get_complex
+
+    def keeping(n, k_cut, cache_dir):
+        got.append(get_complex(n, k_cut, cache_dir))
+        return got[-1]
+
+    monkeypatch.setattr(cli, "get_complex", keeping)
+    code, _ = run_cli(capsys, "verify", "--n-max", "6", "--format", "json")
+    assert code == 0 and len(got) == 2 + 3 + 4
+    seen = {(id(a), id(b)) for a, b in checked}
+    for cx in got:
+        mats = cx.matrices()
+        assert all((id(a), id(b)) in seen for a, b in zip(mats, mats[1:])), (cx.n, cx.k_cut)
+    # one check per pair, fewer than one per pair of every complex
+    assert len(checked) == len(seen) < sum(cx.top_dim - 1 for cx in got)

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
+from halfcube import complexes
 from halfcube.complexes import (
     BoundaryMatrix,
     assert_boundary_squared_zero,
+    boundary_key,
     boundary_matrices,
     build_complex,
     column_signs,
@@ -159,6 +161,58 @@ def test_triplet_text_round_trip():
         assert back == m
         header = text.splitlines()[0].split()
         assert [int(x) for x in header] == [m.degree, m.nrows, m.ncols]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1 2\n",
+        "1 2 2 2\n",
+        "1 two 2\n",
+        "-1 2 2\n",
+        "1 2 -2\n",
+        "1 2 2\n5 0 7\n5 0 7\n",  # outside the shape, not +-1, repeated
+        "1 2 2\n2 0 1\n",
+        "1 2 2\n0 2 1\n",
+        "1 2 2\n-1 0 1\n",
+        "1 2 2\n0 0 2\n",
+        "1 2 2\n0 0 0\n",
+        "1 2 2\n0 0 1\n0 0 -1\n",
+        "1 2 2\n0 0\n",
+    ],
+)
+def test_triplet_text_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        BoundaryMatrix.from_text(text)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_next_cut_assembles_only_the_degrees_at_the_cut(monkeypatch, n):
+    # C(n, k) and C(n, k + 1) share every boundary but those of degrees k and k + 1
+    monkeypatch.setattr(complexes, "_held", {})
+    build_complex(n, 3).matrices()
+    for k in range(3, n + 1):
+        held = dict(complexes._held)
+        cx = build_complex(n, k + 1)
+        for d, m in enumerate(cx.matrices(), start=1):
+            key = boundary_key(cx, d)
+            if d in (k, k + 1):
+                assert key not in held, (n, k, d)
+            else:
+                assert m is held[key], (n, k, d)
+
+
+def test_flipped_assembly_leaves_the_held_matrices_alone(monkeypatch):
+    monkeypatch.setattr(complexes, "_held", {})
+    cx = build_complex(5, 4)
+    mats = cx.matrices()
+    held = dict(complexes._held)
+    assert [held[boundary_key(cx, d)] for d in range(1, cx.top_dim + 1)] == mats
+    flipped = boundary_matrices(cx, random_flip_set(cx, random.Random(3)))
+    assert not any(m is h for m in flipped for h in held.values())
+    assert complexes._held.keys() == held.keys()
+    assert all(complexes._held[key] is m for key, m in held.items())
 
 
 def test_cell_order_is_key_order():

@@ -3,7 +3,7 @@ from operator import itemgetter
 
 import pytest
 
-from halfcube import homology, linalg
+from halfcube import complexes, homology, linalg
 from halfcube.complexes import (
     BoundaryMatrix,
     boundary_matrices,
@@ -141,7 +141,7 @@ def test_cleared_eliminations_match_whole_matrices(n):
         above = {}
         for d in range(cx.top_dim, 0, -1):
             m = cx.matrices()[d - 1]
-            key = homology._cache_key(cx, d)
+            key = complexes.boundary_key(cx, d)
             if key not in whole:
                 trip = m.triplets()
                 whole[key] = [linalg.smith_normal_form(m.nrows, m.ncols, trip)]
@@ -152,7 +152,7 @@ def test_cleared_eliminations_match_whole_matrices(n):
                 assert got == want, (n, k, d, p)
                 if cleared is not None:
                     # the degree above had no residual: it cleared a whole rank's worth
-                    assert sum(cleared) == whole[homology._cache_key(cx, d + 1)][0].rank
+                    assert sum(cleared) == whole[complexes.boundary_key(cx, d + 1)][0].rank
 
 
 def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
@@ -184,9 +184,9 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
         for d, p, live, pivots in calls:
             # every column of a boundary matrix holds entries
             deleted = set(range(cx.cell_counts()[d])) - live
-            assert deleted == returned.get((homology._cache_key(cx, d + 1), p), set())
+            assert deleted == returned.get((complexes.boundary_key(cx, d + 1), p), set())
             assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, p)
-            returned[(homology._cache_key(cx, d), p)] = pivots
+            returned[(complexes.boundary_key(cx, d), p)] = pivots
     # C(6, 4) eliminated degree 4 but took degree 5 from the cache
     assert {d for d, *_ in calls} == {4, 3}
 
