@@ -126,14 +126,6 @@ def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
     return cx
 
 
-def complexes_equal(a: CellComplex, b: CellComplex) -> bool:
-    if (a.n, a.k_cut) != (b.n, b.k_cut):
-        return False
-    if [[f.key for f in cs] for cs in a.cells] != [[f.key for f in cs] for cs in b.cells]:
-        return False
-    return [m.entries for m in a.matrices()] == [m.entries for m in b.matrices()]
-
-
 def get_complex(n: int, k_cut: int, cache_dir: str | None) -> CellComplex:
     if cache_dir:
         cx = load_complex(cache_dir, n, k_cut)

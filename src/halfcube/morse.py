@@ -5,17 +5,19 @@ j outside S against K(v', S + {j}), for a fixed distinguished coordinate j
 (by default the last).  Every cell of dimension >= k ends up paired, no
 half-cube cell is ever touched, and the reoriented Hasse digraph -- edges
 point up in dimension, matched edges reversed -- must be acyclic.
+
+A matching is a gradient field iff it has no closed V-path (Forman 1998),
+iff that digraph is acyclic (Chari 2000).  A matched lower cell is left
+only upward, so a directed cycle alternates up_1 -> lo_1 -> up_2 -> lo_2
+-> ... within two adjacent dimensions: the check sorts the pairs alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from .complexes import CellComplex
 from .faces import KIND_SIMPLEX, _k_key
-
-EMPTY_CELL = ()  # the (-1)-dimensional empty cell, always unpaired
 
 
 @dataclass(frozen=True)
@@ -92,54 +94,49 @@ class AcyclicityCertificate:
     cycle: tuple = field(default=())  # forward-directed cell keys, when cyclic
 
 
-def acyclicity_certificate(cells_by_dim, facets, pairs) -> AcyclicityCertificate:
-    """Topologically sort the reoriented Hasse digraph.
+def acyclicity_certificate(facets, pairs) -> AcyclicityCertificate:
+    """Search the matched pairs for a closed V-path.
 
-    cells_by_dim: {dim: [key, ...]}; facets: {key: [facet keys]} (facets of
-    dimension-0 cells are implied to be the empty cell); pairs: (lower key,
-    upper key) list.  Unmatched edges point from facet to cell; matched
-    ones are reversed.  Returns either acyclicity or an explicit cycle.
+    facets: {upper key: [facet keys]}; pairs: (lower key, upper key) list.
+    The digraph on pairs, with an edge P -> Q when lo(P) is a facet of up(Q)
+    and P != Q, is acyclic iff the reoriented Hasse digraph is.  Returns
+    either acyclicity or a cycle of cell keys [lo_a, up_b, lo_b, ..., up_a].
+    Raises ValueError, as the reduction needs, when a cell lies in two pairs
+    or a lower cell is not a facet of its upper one.
     """
-    matched = {(lo, up) for lo, up in pairs}
-    # integer node ids in (dimension, listed key order): deterministic ties
-    nodes = [EMPTY_CELL]
-    for dim in sorted(cells_by_dim):
-        nodes.extend(cells_by_dim[dim])
-    node_id = {key: i for i, key in enumerate(nodes)}
-    succ = [[] for _ in nodes]
-    indeg = [0] * len(nodes)
-    for dim in sorted(cells_by_dim):
-        for key in cells_by_dim[dim]:
-            i = node_id[key]
-            if dim <= 0:
-                succ[0].append(i)
-                indeg[i] += 1
-                continue
-            for fk in facets.get(key, ()):
-                j = node_id[fk]
-                if (fk, key) in matched:
-                    succ[i].append(j)
-                    indeg[j] += 1
-                else:
-                    succ[j].append(i)
-                    indeg[i] += 1
+    pair_of = {}  # lower key -> its pair's index; upper key -> None
+    for i, (lo, up) in enumerate(pairs):
+        for key, tag in ((lo, i), (up, None)):
+            if key in pair_of:
+                raise ValueError(f"cell {key!r} lies in two pairs")
+            pair_of[key] = tag
+    succ = [[] for _ in pairs]
+    indeg = [0] * len(pairs)
+    for q, (lo, up) in enumerate(pairs):
+        own = False
+        for fk in facets.get(up, ()):
+            p = pair_of.get(fk)
+            if p == q:
+                own = True
+            elif p is not None:
+                succ[p].append(q)
+                indeg[q] += 1
+        if not own:
+            raise ValueError(f"{lo!r} is not a facet of {up!r}")
 
-    ready = []
-    for i, d in enumerate(indeg):
-        if d == 0:
-            heappush(ready, i)
-    remaining = len(nodes)
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    remaining = len(pairs)
     while ready:
-        i = heappop(ready)
+        i = ready.pop()
         remaining -= 1
         for nxt in succ[i]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                heappush(ready, nxt)
+                ready.append(nxt)
     if remaining == 0:
         return AcyclicityCertificate(True)
 
-    # every leftover node keeps a leftover predecessor; walk back until a repeat
+    # every leftover pair keeps a leftover predecessor; walk back until a repeat
     leftover = {i for i, d in enumerate(indeg) if d > 0}
     pred = {i: [] for i in leftover}
     for i in leftover:
@@ -154,20 +151,17 @@ def acyclicity_certificate(cells_by_dim, facets, pairs) -> AcyclicityCertificate
         if prv in seen_at:
             cycle = trail[seen_at[prv]:]
             cycle.reverse()
-            return AcyclicityCertificate(False, tuple(nodes[i] for i in cycle))
+            steps = zip(cycle, cycle[1:] + cycle[:1])  # lo_a -> up_b, then up_b -> lo_b
+            keys = tuple(key for a, b in steps for key in (pairs[a][0], pairs[b][1]))
+            return AcyclicityCertificate(False, keys)
         seen_at[prv] = len(trail)
         trail.append(prv)
 
 
 def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
-    cx = m.complex
-    cells_by_dim = {d: [f.key for f in cs] for d, cs in enumerate(cx.cells)}
-    facets = {}
-    for d in range(1, cx.top_dim + 1):
-        for f in cx.cells[d]:
-            facets[f.key] = [g.key for g in cx.lattice.facets(f)]
-    pairs = [(lo.key, up.key) for lo, up in m.pairs]
-    return acyclicity_certificate(cells_by_dim, facets, pairs)
+    facets = m.complex.lattice.facets
+    uppers = {up.key: [g.key for g in facets(up)] for _, up in m.pairs}
+    return acyclicity_certificate(uppers, [(lo.key, up.key) for lo, up in m.pairs])
 
 
 def unpaired_census(m: MorseMatching) -> list:

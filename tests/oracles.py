@@ -6,15 +6,18 @@ which moves faces by their descriptors (act_on_face) to check the
 vertex-table orbits of halfcube.symmetry, face_from_vertices, which
 rebuilds a descriptor through the clique classification at the end of this
 module, and reference_lattice, which builds every descriptor one face at a
-time through the key routines of halfcube.faces.
+time through the key routines of halfcube.faces.  hasse_acyclicity sorts
+the whole reoriented Hasse digraph of a matching, every cell included.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from heapq import heappop, heappush
 from math import gcd
 
 from halfcube.core import Mask, Vertex, even_vertices, hamming_distance, odd_vertices
+from halfcube.morse import AcyclicityCertificate
 
 
 def even_bits(n):
@@ -674,3 +677,73 @@ def enumerate_cliques(n: int, size: int) -> list:
                 c = clique_L(v, mask)
                 seen[c.key] = c
     return [seen[k] for k in sorted(seen)]
+
+
+EMPTY_CELL = ()  # the (-1)-dimensional empty cell, always unpaired
+
+
+def hasse_acyclicity(cells_by_dim, facets, pairs) -> AcyclicityCertificate:
+    """Topologically sort the whole reoriented Hasse digraph.
+
+    cells_by_dim: {dim: [key, ...]}; facets: {key: [facet keys]} (facets of
+    dimension-0 cells are implied to be the empty cell); pairs: (lower key,
+    upper key) list.  Unmatched edges point from facet to cell; matched
+    ones are reversed.  Returns either acyclicity or an explicit cycle.
+    """
+    matched = {(lo, up) for lo, up in pairs}
+    # integer node ids in (dimension, listed key order): deterministic ties
+    nodes = [EMPTY_CELL]
+    for dim in sorted(cells_by_dim):
+        nodes.extend(cells_by_dim[dim])
+    node_id = {key: i for i, key in enumerate(nodes)}
+    succ = [[] for _ in nodes]
+    indeg = [0] * len(nodes)
+    for dim in sorted(cells_by_dim):
+        for key in cells_by_dim[dim]:
+            i = node_id[key]
+            if dim <= 0:
+                succ[0].append(i)
+                indeg[i] += 1
+                continue
+            for fk in facets.get(key, ()):
+                j = node_id[fk]
+                if (fk, key) in matched:
+                    succ[i].append(j)
+                    indeg[j] += 1
+                else:
+                    succ[j].append(i)
+                    indeg[i] += 1
+
+    ready = []
+    for i, d in enumerate(indeg):
+        if d == 0:
+            heappush(ready, i)
+    remaining = len(nodes)
+    while ready:
+        i = heappop(ready)
+        remaining -= 1
+        for nxt in succ[i]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heappush(ready, nxt)
+    if remaining == 0:
+        return AcyclicityCertificate(True)
+
+    # every leftover node keeps a leftover predecessor; walk back until a repeat
+    leftover = {i for i, d in enumerate(indeg) if d > 0}
+    pred = {i: [] for i in leftover}
+    for i in leftover:
+        for nxt in succ[i]:
+            if nxt in leftover:
+                pred[nxt].append(i)
+    start = min(leftover)
+    trail = [start]
+    seen_at = {start: 0}
+    while True:
+        prv = min(pred[trail[-1]])
+        if prv in seen_at:
+            cycle = trail[seen_at[prv]:]
+            cycle.reverse()
+            return AcyclicityCertificate(False, tuple(nodes[i] for i in cycle))
+        seen_at[prv] = len(trail)
+        trail.append(prv)

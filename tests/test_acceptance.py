@@ -135,7 +135,7 @@ def test_criterion_03_snf_certificate_n7():
 
 
 def test_criterion_04_morse_certification():
-    for n in range(4, 8):
+    for n in range(4, 9):
         for k in range(3, n + 1):
             cx = build_complex(n, k)
             matching = build_matching(cx)
@@ -146,7 +146,7 @@ def test_criterion_04_morse_certification():
             alt = sum((-1) ** p * u for p, u in enumerate(census))
             chi = euler_characteristic(cx)
             assert alt == chi == 1 + (-1) ** (k - 1) * predicted_betti(n, k), (n, k)
-    done("4 Morse certification 4<=n<=7")
+    done("4 Morse certification 4<=n<=8")
 
 
 def test_criterion_05_chain_soundness_and_reorientation():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from halfcube.complexes import build_complex, euler_characteristic
@@ -10,6 +12,7 @@ from halfcube.morse import (
     unpaired_census,
 )
 from halfcube.triangle import predicted_betti
+from oracles import hasse_acyclicity
 
 
 def test_pair_count_n5_k3():
@@ -114,16 +117,14 @@ def test_other_distinguished_coordinate():
 
 
 def test_empty_matching_is_acyclic():
-    cells = {0: ["a", "b"], 1: ["e"]}
     facets = {"e": ["a", "b"]}
-    assert acyclicity_certificate(cells, facets, []).acyclic
+    assert acyclicity_certificate(facets, []).acyclic
 
 
 def test_adversarial_cycle_witness():
     # two 2-cells glued along the same two edges, matched into a loop
-    cells = {1: ["e", "f"], 2: ["F", "G"]}
     facets = {"F": ["e", "f"], "G": ["e", "f"]}
-    cert = acyclicity_certificate(cells, facets, [("e", "F"), ("f", "G")])
+    cert = acyclicity_certificate(facets, [("e", "F"), ("f", "G")])
     assert not cert.acyclic
     assert len(cert.cycle) == 4
     assert set(cert.cycle) == {"e", "f", "F", "G"}
@@ -135,6 +136,74 @@ def test_adversarial_cycle_witness():
         assert (a, b) not in matched and (
             a in facets.get(b, ()) or b in facets.get(a, ())
         )
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("e", "F"), ("e", "G")],  # e lies in two pairs
+        [("e", "F"), ("f", "F")],  # so does F
+        [("a", "F")],  # a is not a facet of F
+        [("e", "H")],  # H has no facets at all
+    ],
+)
+def test_invalid_matching_is_rejected(pairs):
+    facets = {"F": ["e", "f"], "G": ["e", "f"]}
+    with pytest.raises(ValueError):
+        acyclicity_certificate(facets, pairs)
+
+
+def _hasse(cx):
+    """Every cell by dimension and the facets of every cell above dimension 0, by key."""
+    cells = {d: [f.key for f in cs] for d, cs in enumerate(cx.cells)}
+    facets = {f.key: [g.key for g in cx.lattice.facets(f)] for cs in cx.cells[1:] for f in cs}
+    return cells, facets
+
+
+def _assert_directed_cycle(cycle, facets, pairs):
+    """Each step of the cycle is an edge of the reoriented Hasse digraph."""
+    matched = set(pairs)
+    assert cycle and len(set(cycle)) == len(cycle)
+    assert cycle[0] in {lo for lo, _ in pairs}  # [lo_a, up_b, lo_b, ..., up_a]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        if (b, a) in matched:
+            continue  # matched edge, reversed: a -> its facet b
+        assert (a, b) not in matched and a in facets.get(b, ()), (a, b)
+
+
+def test_canonical_matchings_agree_with_the_whole_digraph():
+    for n in (4, 5, 6):
+        for k in range(3, n + 1):
+            cx = build_complex(n, k)
+            cells, facets = _hasse(cx)
+            for j in range(1, n + 1):
+                m = build_matching(cx, coordinate=j)
+                pairs = [(lo.key, up.key) for lo, up in m.pairs]
+                expect = hasse_acyclicity(cells, facets, pairs)
+                assert check_acyclic(m) == expect
+                assert expect.acyclic, (n, k, j)
+
+
+def test_random_matchings_agree_with_the_whole_digraph():
+    # greedy matchings on a random share of the shuffled Hasse edges: the
+    # short draws are mostly acyclic and the long ones mostly cyclic
+    verdicts = set()
+    for n, k in ((4, 3), (4, 4), (5, 3)):
+        cells, facets = _hasse(build_complex(n, k))
+        edges = sorted((fk, key) for key, fks in facets.items() for fk in fks)
+        for seed in range(100):
+            rng = random.Random(seed)
+            used, pairs = set(), []
+            for lo, up in rng.sample(edges, rng.randrange(len(edges) // 4)):
+                if lo not in used and up not in used:
+                    used |= {lo, up}
+                    pairs.append((lo, up))
+            cert = acyclicity_certificate(facets, pairs)
+            assert cert.acyclic == hasse_acyclicity(cells, facets, pairs).acyclic, (n, k, seed)
+            if not cert.acyclic:
+                _assert_directed_cycle(list(cert.cycle), facets, pairs)
+            verdicts.add(cert.acyclic)
+    assert verdicts == {True, False}
 
 
 def test_matching_text_export():
