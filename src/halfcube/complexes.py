@@ -29,10 +29,9 @@ the determinant unchanged.  Each boundary column is built once per parent:
 Every matrix is assembled by ``boundary_matrices``: each column's rows in
 ``FaceLattice.facets`` order (key order, so row order) paired with its
 signs, computed or read from a cache file; the last complex's matrices are
-held by ``boundary_key`` and reused.  Reoriented cells (``flips``) and
-simplex parents of ``incidence_sign`` take the full Gram determinant, an
-independent route the tests check the rules above against; the
-boundary-squared assertion certifies every new matrix.
+held by ``boundary_key`` and reused.  The boundary-squared assertion
+certifies every new matrix, and the tests check both rules above against
+the full Gram determinant of reoriented cells (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -199,17 +198,6 @@ def orientation_sign(basis, frame) -> int:
     return s
 
 
-def _flip(tup):
-    return tup[:-2] + (tup[-1], tup[-2])
-
-
-def _coord_sums(n: int, face) -> list:
-    """Sum of the +-1 vertex coordinates of ``face``, from per-bit counts."""
-    key = face.key
-    m = len(key)
-    return [m - 2 * sum(b >> i & 1 for b in key) for i in range(n)]
-
-
 def _half_basis(tup, cols) -> list:
     """Half the edge vectors of an orientation tuple, restricted to the coordinates ``cols``."""
     base = tup[0]
@@ -229,13 +217,14 @@ def _parent_frame(lattice, parent) -> tuple:
     return got
 
 
-def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) -> int:
-    """Sign of the facet ``child`` in ``parent`` under the chosen orientations.
+def incidence_sign(lattice, parent, child) -> int:
+    """Sign of the facet ``child`` in the half-cube or top cell ``parent``.
 
-    Simplex columns read ``_ALTERNATING``; here a simplex parent takes the Gram route.
+    Simplex columns are alternating tuples (``_ALTERNATING``); a simplex
+    parent raises ValueError.
     """
-    if flip_parent or flip_child or parent.kind == KIND_SIMPLEX:
-        return _gram_sign(lattice, parent, child, flip_parent, flip_child)
+    if parent.kind not in (KIND_HALFCUBE, KIND_TOP):
+        raise ValueError(f"{parent!r} is not a half-cube or top cell")
     # the Gram determinant factors over the parent's coordinate set S.  Every
     # coordinate in S is set in half the parent's vertices, so its barycenter
     # is 0 on S and the outward vector on S is the child's coordinate sum
@@ -249,31 +238,6 @@ def incidence_sign(lattice, parent, child, flip_parent=False, flip_child=False) 
     return eps * s
 
 
-def _gram_sign(lattice, parent, child, flip_parent, flip_child) -> int:
-    """The incidence sign from the Gram determinant of the full n-length bases."""
-    n = lattice.n
-    ptup = orientation_tuple(lattice, parent)
-    ctup = orientation_tuple(lattice, child)
-    if flip_parent:
-        ptup = _flip(ptup)
-    if flip_child and len(ctup) >= 2:
-        ctup = _flip(ctup)
-    pb = orientation_basis(n, ptup)  # d vectors
-    cb = orientation_basis(n, ctup)  # d-1 vectors
-
-    # outward direction: from the parent barycenter toward the child's,
-    # scaled to stay integral; its component along the cb columns does not
-    # change the determinant, so it is used as is
-    sum_p = _coord_sums(n, parent)
-    sum_c = _coord_sums(n, child)
-    m_p = len(parent.key)
-    m_c = len(child.key)
-    w = [m_p * a - m_c * b for a, b in zip(sum_c, sum_p)]
-    if not any(w):
-        raise AssertionError("degenerate outward direction")
-    return orientation_sign(pb, [w] + cb)
-
-
 # facet signs of a d-simplex column in FaceLattice.facets order, per d: the
 # facet at position t drops vertex d - t of the key, so has sign (-1)^(d-t)
 _ALTERNATING = tuple(
@@ -282,14 +246,10 @@ _ALTERNATING = tuple(
 
 
 def column_signs(lattice, cell) -> tuple:
-    """The signs of ``cell``'s facets in ``lattice.facets(cell)`` order, memoized per cell."""
+    """The signs of ``cell``'s facets in ``lattice.facets(cell)`` order."""
     if cell.kind == KIND_SIMPLEX:
         return _ALTERNATING[cell.dim]
-    got = lattice._sign_memo.get(cell.key)
-    if got is None:
-        got = tuple(incidence_sign(lattice, cell, g) for g in lattice.facets(cell))
-        lattice._sign_memo[cell.key] = got
-    return got
+    return tuple(incidence_sign(lattice, cell, g) for g in lattice.facets(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -341,37 +301,28 @@ def boundary_key(cx: CellComplex, d: int) -> tuple:
     return (cx.n, d, *("full" if dim < cx.k_cut else "simplex" for dim in (d - 1, d)))
 
 
-# the matrices of the last complex assembled without flips, by boundary_key
+# the matrices of the last complex assembled, by boundary_key
 _held = {}
 
 
-def boundary_matrices(cx: CellComplex, flips=frozenset(), signs=None) -> list:
+def boundary_matrices(cx: CellComplex, signs=None) -> list:
     """One signed matrix per degree 1..top; asserts boundary-of-boundary = 0.
 
-    ``flips`` is a set of cell keys whose orientation is reversed before
-    the signs are recomputed; homology must not notice.  ``signs`` (one +-1
-    list per degree, in (col, row) order) replaces computing them, and
-    raises ValueError where it does not fit.  An unflipped call reuses the
-    last one's matrices of equal boundary_key, then holds its own instead.
+    ``signs`` (one +-1 list per degree, in (col, row) order) replaces
+    computing them, and raises ValueError where it does not fit.  A call
+    reuses the last one's matrices of equal boundary_key, then holds its
+    own instead.
     """
     lat = cx.lattice
-    flips = frozenset(flips)
-    held = {} if flips else _held  # a flipped call neither reads nor replaces _held
     keys = [boundary_key(cx, d) for d in range(1, cx.top_dim + 1)]
     given = [None] * len(keys) if signs is None else signs
     mats, new = [], []
     for d, (key, signs_d) in enumerate(zip(keys, given, strict=True), start=1):
-        m = held.get(key)
+        m = _held.get(key)
         if m is None:
             new.append(d)
             cells = cx.cells[d]
-            if signs_d is None and flips:
-                signs_d = [
-                    incidence_sign(lat, c, g, c.key in flips, g.key in flips)
-                    for c in cells
-                    for g in lat.facets(c)
-                ]
-            elif signs_d is None:
+            if signs_d is None:
                 signs_d = chain.from_iterable(column_signs(lat, c) for c in cells)
             row_of = cx.index[d - 1]
             # facets come in key order, which is row order
@@ -385,8 +336,8 @@ def boundary_matrices(cx: CellComplex, flips=frozenset(), signs=None) -> list:
     # consecutive, and so checked, in the complex that assembled them
     if new:
         assert_boundary_squared_zero(mats[max(new[0] - 2, 0) : new[-1] + 1])
-    held.clear()
-    held.update(zip(keys, mats))
+    _held.clear()
+    _held.update(zip(keys, mats))
     return mats
 
 
@@ -405,13 +356,3 @@ def assert_boundary_squared_zero(mats) -> None:
                     f"boundary squared nonzero in degree {upper.degree} column {j}"
                 )
         lower_cols = upper_cols
-
-
-def random_flip_set(cx: CellComplex, rng) -> frozenset:
-    """A random selection of positive-dimensional cells to reorient."""
-    picked = []
-    for d in range(1, cx.top_dim + 1):
-        for cell in cx.cells[d]:
-            if rng.random() < 0.5:
-                picked.append(cell.key)
-    return frozenset(picked)

@@ -114,12 +114,3 @@ def hamming_distance(x: Vertex, y: Vertex) -> int:
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} != {y.n}")
     return (x.bits ^ y.bits).bit_count()
-
-
-def even_vertices(n: int):
-    """All half cube vertices of dimension n, in increasing bit order."""
-    return [Vertex(n, b) for b in range(1 << n) if b.bit_count() % 2 == 0]
-
-
-def odd_vertices(n: int):
-    return [Vertex(n, b) for b in range(1 << n) if b.bit_count() % 2 == 1]

@@ -86,63 +86,6 @@ def _k_key(v_bits: int, mask_bits: int) -> tuple:
     return tuple(out)
 
 
-def _l_key(base_bits: int, mask_bits: int) -> tuple:
-    out = []
-    sub = mask_bits
-    while True:
-        if sub.bit_count() % 2 == 0:
-            out.append(base_bits ^ sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask_bits
-    out.sort()
-    return tuple(out)
-
-
-def vertex_face(v: Vertex) -> FaceDescriptor:
-    if not v.is_even:
-        raise ValueError("face vertices have even parity")
-    return FaceDescriptor(KIND_VERTEX, v.n, v, None, 0, (v.bits,))
-
-
-def simplex_face(v_opp: Vertex, mask: Mask) -> FaceDescriptor:
-    """K(v', S) as a face; |S| >= 2.  Edges get the smaller opposite point."""
-    if v_opp.n != mask.n:
-        raise ValueError("dimension mismatch between vertex and mask")
-    if v_opp.is_even:
-        raise ValueError("the opposite point must have odd parity")
-    if mask.size < 2:
-        raise ValueError("simplex faces need |S| >= 2")
-    bits = v_opp.bits
-    if mask.size == 2:
-        # both opposite points describe the same edge; keep the smaller
-        bits = min(bits, bits ^ mask.bits)
-    return FaceDescriptor(
-        KIND_SIMPLEX, v_opp.n, Vertex(v_opp.n, bits), mask, mask.size - 1, _k_key(bits, mask.bits)
-    )
-
-
-def halfcube_face(v_base: Vertex, mask: Mask) -> FaceDescriptor:
-    """L(v, S) as a face; 3 <= |S| <= n, where |S| = n is the top cell."""
-    if v_base.n != mask.n:
-        raise ValueError("dimension mismatch between vertex and mask")
-    if not v_base.is_even:
-        raise ValueError("the base point must have even parity")
-    if mask.size < 3:
-        raise ValueError("half-cube faces need |S| >= 3")
-    if mask.size == v_base.n:
-        return top_face(v_base.n)
-    key = _l_key(v_base.bits, mask.bits)
-    base = Vertex(v_base.n, key[0])
-    return FaceDescriptor(KIND_HALFCUBE, v_base.n, base, mask, mask.size, key)
-
-
-def top_face(n: int) -> FaceDescriptor:
-    key = tuple(b for b in range(1 << n) if b.bit_count() % 2 == 0)
-    base = Vertex(n, 0)
-    return FaceDescriptor(KIND_TOP, n, base, Mask.full(n), n, key)
-
-
 def face_count(n: int, k: int) -> int:
     """Closed-form number of k-faces."""
     if k == 0:
@@ -229,9 +172,8 @@ class FaceLattice:
         self.keys = keys_by_dim
         self._facet_memo = {}
         self._orient_memo = {}
-        # per half-cube or top parent: its facet signs (complexes.column_signs)
-        # and its frame on the coordinate face (complexes._parent_frame)
-        self._sign_memo = {}
+        # per half-cube or top parent: its frame on the coordinate face
+        # (complexes._parent_frame)
         self._frame_memo = {}
 
     @cached_property

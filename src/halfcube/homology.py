@@ -66,7 +66,12 @@ def smith_normal_form(matrix) -> linalg.SmithForm:
 def _as_triplets(matrix):
     if isinstance(matrix, BoundaryMatrix):
         return matrix.nrows, matrix.ncols, matrix.triplets()
-    if isinstance(matrix, tuple) and len(matrix) == 3:
+    # an (nrows, ncols, triplets) triple; a dense 3-row tuple has rows first
+    if (
+        isinstance(matrix, tuple)
+        and len(matrix) == 3
+        and all(isinstance(x, int) for x in matrix[:2])
+    ):
         return matrix
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0

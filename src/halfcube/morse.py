@@ -10,11 +10,15 @@ A matching is a gradient field iff it has no closed V-path (Forman 1998),
 iff that digraph is acyclic (Chari 2000).  A matched lower cell is left
 only upward, so a directed cycle alternates up_1 -> lo_1 -> up_2 -> lo_2
 -> ... within two adjacent dimensions: the check sorts the pairs alone.
+``check_acyclic`` is also the only validity check of a matching: every
+paired cell must be a cell of the complex and lie in one pair only, and
+each lower cell must be a facet of its upper one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .complexes import CellComplex
 from .faces import KIND_SIMPLEX, _k_key
@@ -43,22 +47,6 @@ class MorseMatching:
         for lo, up in self.pairs:
             lines.append(" ".join(map(str, lo.key)) + " | " + " ".join(map(str, up.key)))
         return "\n".join(lines) + "\n"
-
-    def validate(self) -> None:
-        """Both discrete-vector-field conditions, checked directly."""
-        seen = {}
-        lat = self.complex.lattice
-        for lo, up in self.pairs:
-            if lo.dim != up.dim - 1:
-                raise ValueError(f"pair {lo!r} < {up!r} is not codimension 1")
-            if lo.key not in {f.key for f in lat.facets(up)}:
-                raise ValueError(f"{lo!r} is not a facet of {up!r}")
-            for f in (lo, up):
-                if not self.complex.has_cell(f):
-                    raise ValueError(f"{f!r} is not a cell of the complex")
-                if f.key in seen:
-                    raise ValueError(f"cell {f!r} lies in two pairs")
-                seen[f.key] = True
 
 
 def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatching:
@@ -159,7 +147,17 @@ def acyclicity_certificate(facets, pairs) -> AcyclicityCertificate:
 
 
 def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
-    facets = m.complex.lattice.facets
+    """The acyclicity certificate of a matching, which must be a discrete vector field.
+
+    Raises ValueError when a paired cell is not a cell of the complex, or
+    on the conditions of ``acyclicity_certificate`` (a facet is always
+    codimension 1).
+    """
+    cx = m.complex
+    for f in chain.from_iterable(m.pairs):
+        if not cx.has_cell(f):
+            raise ValueError(f"{f!r} is not a cell of the complex")
+    facets = cx.lattice.facets
     uppers = {up.key: [g.key for g in facets(up)] for _, up in m.pairs}
     return acyclicity_certificate(uppers, [(lo.key, up.key) for lo, up in m.pairs])
 

@@ -10,8 +10,8 @@ orbits.
 Every such map is linear, so it permutes the even vertices, and the image
 of a face is the face on the image vertex set.  Orbits and chain maps move
 faces through a vertex permutation table (``vertex_table``) instead of
-rebuilding descriptors; ``act_on_face`` and ``face_image_by_vertices`` are
-the descriptor-level routes the tables are tested against.  A simplex is
+rebuilding descriptors; the tests check the tables against moving the
+descriptors themselves (``tests/oracles.py``).  A simplex is
 oriented by its whole sorted key, so its chain-map sign is the parity of
 the permutation that sorts its image vertices; half-cube and top cells
 compare orientation bases by ``complexes.orientation_sign``, the rule
@@ -27,19 +27,8 @@ import random
 from dataclasses import dataclass
 
 from .complexes import build_complex, orientation_basis, orientation_sign, orientation_tuple
-from .core import Mask, Vertex
-from .faces import (
-    KIND_HALFCUBE,
-    KIND_SIMPLEX,
-    KIND_TOP,
-    KIND_VERTEX,
-    build_face_lattice,
-    halfcube_face,
-    key_kind,
-    simplex_face,
-    top_face,
-    vertex_face,
-)
+from .core import Vertex
+from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, KIND_VERTEX, build_face_lattice, key_kind
 from .linalg import _add_multiple, smith_with_transforms
 from .triangle import predicted_betti
 
@@ -122,32 +111,6 @@ class SignedPermutation:
             raise ValueError("dimension mismatch")
         return Vertex.from_signs(self.vector_image(v.signs()))
 
-    def mask_image(self, mask: Mask) -> Mask:
-        bits = 0
-        for i in range(self.n):
-            if mask.bits >> i & 1:
-                bits |= 1 << self.perm[i]
-        return Mask(self.n, bits)
-
-
-def act_on_vertex(g: SignedPermutation, v: Vertex) -> Vertex:
-    return g.vertex_image(v)
-
-
-def act_on_face(g: SignedPermutation, f):
-    """Transport a face descriptor: K goes to K, L to L, kinds preserved."""
-    if not g.is_even_signed:
-        raise ValueError("only even-signed permutations act on the half cube")
-    if g.n != f.n:
-        raise ValueError("dimension mismatch")
-    if f.kind == KIND_VERTEX:
-        return vertex_face(g.vertex_image(f.point))
-    if f.kind == KIND_SIMPLEX:
-        return simplex_face(g.vertex_image(f.point), g.mask_image(f.mask))
-    if f.kind == KIND_HALFCUBE:
-        return halfcube_face(g.vertex_image(f.point), g.mask_image(f.mask))
-    return top_face(f.n)
-
 
 class SpecialReflection4:
     """The n = 4 reflection perpendicular to (1,1,1,1); not a signed permutation."""
@@ -165,15 +128,6 @@ class SpecialReflection4:
 
     def vertex_image(self, v: Vertex) -> Vertex:
         return Vertex.from_signs(self.vector_image(v.signs()))
-
-
-def face_image_by_vertices(g, f, lattice):
-    """Image of a face under any vertex map that stabilizes the polytope."""
-    key = tuple(sorted(g.vertex_image(Vertex(lattice.n, b)).bits for b in f.key))
-    got = lattice.index.get(key)
-    if got is None:
-        raise ValueError("image vertex set is not a face")
-    return got
 
 
 def vertex_table(g, n: int) -> list:

@@ -1,13 +1,22 @@
 """Independent brute-force references the tests check the library against.
 
 Everything here works from first principles on explicit vertex sets; none
-of it reuses the descriptor arithmetic under test, except reference_orbits,
-which moves faces by their descriptors (act_on_face) to check the
-vertex-table orbits of halfcube.symmetry, face_from_vertices, which
-rebuilds a descriptor through the clique classification at the end of this
-module, and reference_lattice, which builds every descriptor one face at a
-time through the key routines of halfcube.faces.  hasse_acyclicity sorts
-the whole reoriented Hasse digraph of a matching, every cell included.
+of it reuses the descriptor arithmetic under test, except these routes:
+
+* reference_lattice builds every descriptor one face at a time from (v, S),
+  through the key routines _k_key of halfcube.faces and _l_key here, as do
+  the (v, S) constructors vertex_face, simplex_face, halfcube_face and
+  top_face;
+* reference_orbits moves faces by their descriptors (act_on_face) to check
+  the vertex-table orbits of halfcube.symmetry;
+* face_from_vertices rebuilds a descriptor through the clique
+  classification at the end of this module;
+* gram_sign takes an incidence sign from the Gram determinant of the full
+  n-length orientation bases (halfcube.complexes), with either cell
+  reoriented, against the closed forms the library assembles with;
+  reoriented_matrices assembles a whole complex that way;
+* hasse_acyclicity sorts the whole reoriented Hasse digraph of a matching,
+  every cell included.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +25,32 @@ from itertools import combinations
 from heapq import heappop, heappush
 from math import gcd
 
-from halfcube.core import Mask, Vertex, even_vertices, hamming_distance, odd_vertices
+from halfcube.complexes import (
+    BoundaryMatrix,
+    assert_boundary_squared_zero,
+    orientation_basis,
+    orientation_sign,
+    orientation_tuple,
+)
+from halfcube.core import Mask, Vertex, hamming_distance
+from halfcube.faces import (
+    KIND_HALFCUBE,
+    KIND_SIMPLEX,
+    KIND_TOP,
+    KIND_VERTEX,
+    FaceDescriptor,
+    _k_key,
+)
 from halfcube.morse import AcyclicityCertificate
+
+
+def even_vertices(n: int):
+    """All half cube vertices of dimension n, in increasing bit order."""
+    return [Vertex(n, b) for b in range(1 << n) if b.bit_count() % 2 == 0]
+
+
+def odd_vertices(n: int):
+    return [Vertex(n, b) for b in range(1 << n) if b.bit_count() % 2 == 1]
 
 
 def even_bits(n):
@@ -183,12 +216,7 @@ def reference_orbits(n, extended=False):
     of several kinds; orbits are listed in the order of their smallest key.
     """
     from halfcube.faces import build_face_lattice
-    from halfcube.symmetry import (
-        SpecialReflection4,
-        act_on_face,
-        coxeter_generators,
-        face_image_by_vertices,
-    )
+    from halfcube.symmetry import SpecialReflection4, coxeter_generators
 
     lattice = build_face_lattice(n)
     moves = [lambda f, g=g: act_on_face(g, f) for g in coxeter_generators(n)]
@@ -328,23 +356,190 @@ def dense_smith_with_transforms(dense):
     return factors, U, Uinv, V, Vinv
 
 
+# ---------------------------------------------------------------------------
+# Faces from (v, S), one descriptor at a time
+
+
+def _l_key(base_bits: int, mask_bits: int) -> tuple:
+    out = []
+    sub = mask_bits
+    while True:
+        if sub.bit_count() % 2 == 0:
+            out.append(base_bits ^ sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask_bits
+    out.sort()
+    return tuple(out)
+
+
+def vertex_face(v: Vertex) -> FaceDescriptor:
+    if not v.is_even:
+        raise ValueError("face vertices have even parity")
+    return FaceDescriptor(KIND_VERTEX, v.n, v, None, 0, (v.bits,))
+
+
+def simplex_face(v_opp: Vertex, mask: Mask) -> FaceDescriptor:
+    """K(v', S) as a face; |S| >= 2.  Edges get the smaller opposite point."""
+    if v_opp.n != mask.n:
+        raise ValueError("dimension mismatch between vertex and mask")
+    if v_opp.is_even:
+        raise ValueError("the opposite point must have odd parity")
+    if mask.size < 2:
+        raise ValueError("simplex faces need |S| >= 2")
+    bits = v_opp.bits
+    if mask.size == 2:
+        # both opposite points describe the same edge; keep the smaller
+        bits = min(bits, bits ^ mask.bits)
+    return FaceDescriptor(
+        KIND_SIMPLEX, v_opp.n, Vertex(v_opp.n, bits), mask, mask.size - 1, _k_key(bits, mask.bits)
+    )
+
+
+def halfcube_face(v_base: Vertex, mask: Mask) -> FaceDescriptor:
+    """L(v, S) as a face; 3 <= |S| <= n, where |S| = n is the top cell."""
+    if v_base.n != mask.n:
+        raise ValueError("dimension mismatch between vertex and mask")
+    if not v_base.is_even:
+        raise ValueError("the base point must have even parity")
+    if mask.size < 3:
+        raise ValueError("half-cube faces need |S| >= 3")
+    if mask.size == v_base.n:
+        return top_face(v_base.n)
+    key = _l_key(v_base.bits, mask.bits)
+    base = Vertex(v_base.n, key[0])
+    return FaceDescriptor(KIND_HALFCUBE, v_base.n, base, mask, mask.size, key)
+
+
+def top_face(n: int) -> FaceDescriptor:
+    key = tuple(b for b in range(1 << n) if b.bit_count() % 2 == 0)
+    base = Vertex(n, 0)
+    return FaceDescriptor(KIND_TOP, n, base, Mask.full(n), n, key)
+
+
+# ---------------------------------------------------------------------------
+# The type-D action on descriptors
+
+
+def mask_image(g, mask: Mask) -> Mask:
+    """The coordinate set g's permutation moves ``mask`` to."""
+    bits = 0
+    for i in range(g.n):
+        if mask.bits >> i & 1:
+            bits |= 1 << g.perm[i]
+    return Mask(g.n, bits)
+
+
+def act_on_vertex(g, v: Vertex) -> Vertex:
+    return g.vertex_image(v)
+
+
+def act_on_face(g, f):
+    """Transport a face descriptor: K goes to K, L to L, kinds preserved."""
+    if not g.is_even_signed:
+        raise ValueError("only even-signed permutations act on the half cube")
+    if g.n != f.n:
+        raise ValueError("dimension mismatch")
+    if f.kind == KIND_VERTEX:
+        return vertex_face(g.vertex_image(f.point))
+    if f.kind == KIND_SIMPLEX:
+        return simplex_face(g.vertex_image(f.point), mask_image(g, f.mask))
+    if f.kind == KIND_HALFCUBE:
+        return halfcube_face(g.vertex_image(f.point), mask_image(g, f.mask))
+    return top_face(f.n)
+
+
+def face_image_by_vertices(g, f, lattice):
+    """Image of a face under any vertex map that stabilizes the polytope."""
+    key = tuple(sorted(g.vertex_image(Vertex(lattice.n, b)).bits for b in f.key))
+    got = lattice.index.get(key)
+    if got is None:
+        raise ValueError("image vertex set is not a face")
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Incidence signs by the full Gram determinant, under any reorientation
+
+
+def _flip(tup):
+    return tup[:-2] + (tup[-1], tup[-2])
+
+
+def _coord_sums(n: int, face) -> list:
+    """Sum of the +-1 vertex coordinates of ``face``, from per-bit counts."""
+    key = face.key
+    m = len(key)
+    return [m - 2 * sum(b >> i & 1 for b in key) for i in range(n)]
+
+
+def gram_sign(lattice, parent, child, flip_parent=False, flip_child=False) -> int:
+    """The incidence sign from the Gram determinant of the full n-length bases.
+
+    A flipped cell swaps the last two vertices of its orientation tuple,
+    which reverses its orientation.
+    """
+    n = lattice.n
+    ptup = orientation_tuple(lattice, parent)
+    ctup = orientation_tuple(lattice, child)
+    if flip_parent:
+        ptup = _flip(ptup)
+    if flip_child and len(ctup) >= 2:
+        ctup = _flip(ctup)
+    pb = orientation_basis(n, ptup)  # d vectors
+    cb = orientation_basis(n, ctup)  # d-1 vectors
+
+    # outward direction: from the parent barycenter toward the child's,
+    # scaled to stay integral; its component along the cb columns does not
+    # change the determinant, so it is used as is
+    sum_p = _coord_sums(n, parent)
+    sum_c = _coord_sums(n, child)
+    m_p = len(parent.key)
+    m_c = len(child.key)
+    w = [m_p * a - m_c * b for a, b in zip(sum_c, sum_p)]
+    if not any(w):
+        raise AssertionError("degenerate outward direction")
+    return orientation_sign(pb, [w] + cb)
+
+
+def random_flip_set(cx, rng) -> frozenset:
+    """A random selection of positive-dimensional cells to reorient."""
+    picked = []
+    for d in range(1, cx.top_dim + 1):
+        for cell in cx.cells[d]:
+            if rng.random() < 0.5:
+                picked.append(cell.key)
+    return frozenset(picked)
+
+
+def reoriented_matrices(cx, flips) -> list:
+    """The boundary matrices of ``cx`` with the cells keyed in ``flips`` reoriented.
+
+    Every sign is a gram_sign; asserts boundary-of-boundary = 0.  Nothing
+    the library holds or caches is read or replaced.
+    """
+    lat = cx.lattice
+    mats = []
+    for d in range(1, cx.top_dim + 1):
+        row_of = cx.index[d - 1]
+        # facets come in key order, which is row order
+        entries = tuple(
+            (row_of[g.key], j, gram_sign(lat, c, g, c.key in flips, g.key in flips))
+            for j, c in enumerate(cx.cells[d])
+            for g in lat.facets(c)
+        )
+        mats.append(BoundaryMatrix(d, len(cx.cells[d - 1]), len(cx.cells[d]), entries))
+    assert_boundary_squared_zero(mats)
+    return mats
+
+
 def reference_lattice(n):
     """Every face descriptor of the half cube, per dimension in key order.
 
     One descriptor per face, enumerated from (v, S): each simplex K(v', S)
     and each half cube L(v, S) gets its own Vertex and its key from the
-    sorting key routines of halfcube.faces.
+    sorting key routines _k_key and _l_key.
     """
-    from halfcube.faces import (
-        KIND_HALFCUBE,
-        KIND_SIMPLEX,
-        FaceDescriptor,
-        _k_key,
-        _l_key,
-        top_face,
-        vertex_face,
-    )
-
     faces = [[] for _ in range(n + 1)]
     faces[0] = [vertex_face(v) for v in even_vertices(n)]
 
@@ -399,8 +594,6 @@ def face_from_vertices(verts):
     Simplex faces are cliques; half-cube faces above the tetrahedron are
     recognized by their 2^(|S|-1) size and reproduced for verification.
     """
-    from halfcube.faces import halfcube_face, simplex_face, top_face, vertex_face
-
     verts = sorted(verts, key=lambda v: v.bits)
     n = verts[0].n
     m = len(verts)
@@ -437,8 +630,6 @@ def simplex_contains_point(f, point) -> bool:
       (b) sgn(v'_i) (x_i - v'_i) <= 0 everywhere,
       (c) sum over S of sgn(v'_i) (x_i - v'_i) = -2.
     """
-    from halfcube.faces import KIND_SIMPLEX
-
     if f.kind != KIND_SIMPLEX:
         raise ValueError("membership test applies to simplex faces")
     x = [Fraction(t) for t in point]

@@ -16,17 +16,20 @@ from oracles import (
     dense_mat_mul,
     enumerate_cliques,
     extends_to_larger_clique,
+    face_image_by_vertices,
+    halfcube_face,
+    random_flip_set,
+    reoriented_matrices,
+    simplex_face,
 )
 
 from halfcube.complexes import (
     assert_boundary_squared_zero,
-    boundary_matrices,
     build_complex,
     euler_characteristic,
-    random_flip_set,
 )
 from halfcube.core import Mask, Vertex
-from halfcube.faces import build_face_lattice, face_counts, halfcube_face, simplex_face
+from halfcube.faces import build_face_lattice, face_counts
 from halfcube.homology import (
     CERT_RANK_AGREE,
     CERT_SNF,
@@ -39,7 +42,6 @@ from halfcube.symmetry import (
     SignedPermutation,
     SpecialReflection4,
     expected_orbit_profile,
-    face_image_by_vertices,
     homology_action,
     orbits,
     random_wdn,
@@ -139,7 +141,6 @@ def test_criterion_04_morse_certification():
         for k in range(3, n + 1):
             cx = build_complex(n, k)
             matching = build_matching(cx)
-            matching.validate()
             assert check_acyclic(matching).acyclic, (n, k)
             census = unpaired_census(matching)
             assert all(census[p] == 0 for p in range(k, len(census))), (n, k)
@@ -153,16 +154,16 @@ def test_criterion_05_chain_soundness_and_reorientation():
     for n in (4, 5, 6):
         for k in list(range(3, n + 1)) + [n + 1]:
             assert_boundary_squared_zero(build_complex(n, k).matrices())
-    cx = build_complex(5, 3)
-    base = homology_of(cx, reduced=True)
-    for seed in range(5):
-        rng = random.Random(seed)
-        flips = random_flip_set(cx, rng)
-        mats = boundary_matrices(cx, flips)  # asserts boundary-squared zero
+    # five seeds on C(5, 3), one on each C(6, k)
+    for n, k, seed in [(5, 3, seed) for seed in range(5)] + [(6, k, k) for k in range(3, 7)]:
+        cx = build_complex(n, k)
+        base = homology_of(cx, reduced=True)
+        flips = random_flip_set(cx, random.Random(seed))
+        mats = reoriented_matrices(cx, flips)  # asserts boundary-squared zero
         prof = homology_from_matrices(cx.cell_counts(), mats, reduced=True)
-        assert prof.betti == base.betti, seed
-        assert prof.torsion == base.torsion, seed
-    done("5 chain soundness + reorientation invariance (5 seeds, n=5)")
+        assert prof.betti == base.betti, (n, k, seed)
+        assert prof.torsion == base.torsion, (n, k, seed)
+    done("5 chain soundness + reorientation invariance (5 seeds at n=5, n=6 k=3..6)")
 
 
 def test_criterion_06_intersection_property():

@@ -15,11 +15,16 @@ from halfcube.complexes import (
     euler_characteristic,
     incidence_sign,
     orientation_tuple,
-    random_flip_set,
 )
 from halfcube.faces import KIND_SIMPLEX, build_face_lattice
 from halfcube.linalg import smith_normal_form
-from oracles import echelon_orientation_tuple
+from oracles import (
+    echelon_orientation_tuple,
+    gram_sign,
+    random_flip_set,
+    reoriented_matrices,
+    top_face,
+)
 
 
 def test_clique_complex_census_n4():
@@ -136,7 +141,7 @@ def test_flipped_orientations_still_give_chain_complex():
     rng = random.Random(5)
     flips = random_flip_set(cx, rng)
     assert flips
-    mats = boundary_matrices(cx, flips)
+    mats = reoriented_matrices(cx, flips)
     assert_boundary_squared_zero(mats)
     base = cx.matrices()
     changed = any(a.entries != b.entries for a, b in zip(mats, base))
@@ -209,7 +214,7 @@ def test_flipped_assembly_leaves_the_held_matrices_alone(monkeypatch):
     mats = cx.matrices()
     held = dict(complexes._held)
     assert [held[boundary_key(cx, d)] for d in range(1, cx.top_dim + 1)] == mats
-    flipped = boundary_matrices(cx, random_flip_set(cx, random.Random(3)))
+    flipped = reoriented_matrices(cx, random_flip_set(cx, random.Random(3)))
     assert not any(m is h for m in flipped for h in held.values())
     assert complexes._held.keys() == held.keys()
     assert all(complexes._held[key] is m for key, m in held.items())
@@ -227,8 +232,6 @@ def test_orientation_accessor():
     f = cx.cells[3][0]
     tup = cx.orientation_of(f)
     assert len(tup) == 4 and set(tup) <= set(f.key)
-    from halfcube.faces import top_face
-
     with pytest.raises(ValueError):
         cx.orientation_of(top_face(5))
 
@@ -241,7 +244,8 @@ SIMPLEX_INCIDENCES = {5: 1040, 6: 5472, 7: 26880}
 @pytest.mark.parametrize("n", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_simplex_closed_form_matches_determinant(n):
     # the alternating column that assembly reads against the determinant
-    # route: reorienting the parent negates the sign
+    # route: reorienting the parent negates the sign.  incidence_sign
+    # refuses a simplex parent
     lat = build_face_lattice(n)
     seen = 0
     for dim_faces in lat.faces[1:]:
@@ -249,9 +253,12 @@ def test_simplex_closed_form_matches_determinant(n):
             if p.kind != KIND_SIMPLEX:
                 continue
             for c, got in zip(lat.facets(p), column_signs(lat, p), strict=True):
-                assert got == -incidence_sign(lat, p, c, flip_parent=True), (p, c)
+                assert got == -gram_sign(lat, p, c, flip_parent=True), (p, c)
                 seen += 1
     assert seen == SIMPLEX_INCIDENCES[n]
+    triangle = lat.faces[2][0]
+    with pytest.raises(ValueError, match="not a half-cube or top cell"):
+        incidence_sign(lat, triangle, lat.facets(triangle)[0])
 
 
 # half-cube- and top-parent incidences of the full complex: L(v, S) with
@@ -263,7 +270,7 @@ HALFCUBE_INCIDENCES = {5: 346, 6: 1956, 7: 9598}
 @pytest.mark.parametrize("n", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_factored_halfcube_sign_matches_determinant(n):
     # the determinant over the parent's coordinate face against the full
-    # Gram determinant, forced by reorienting the parent (which negates it)
+    # Gram determinant of the reoriented parent (which negates it)
     lat = build_face_lattice(n)
     seen = 0
     for dim_faces in lat.faces[3:]:
@@ -271,7 +278,7 @@ def test_factored_halfcube_sign_matches_determinant(n):
             if p.kind == KIND_SIMPLEX:
                 continue
             for c in lat.facets(p):
-                want = -incidence_sign(lat, p, c, flip_parent=True)
+                want = -gram_sign(lat, p, c, flip_parent=True)
                 assert incidence_sign(lat, p, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
@@ -283,7 +290,7 @@ def test_columns_follow_facet_order():
     lat = build_face_lattice(5)
     for dim_faces in lat.faces[1:]:
         for p in dim_faces:
-            want = tuple(-incidence_sign(lat, p, c, flip_parent=True) for c in lat.facets(p))
+            want = tuple(-gram_sign(lat, p, c, flip_parent=True) for c in lat.facets(p))
             assert column_signs(lat, p) == want, p
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from halfcube.core import Mask, Vertex, even_vertices, hamming_distance, odd_vertices
+from halfcube.core import Mask, Vertex, hamming_distance
 from oracles import (
     CliqueSet,
     classify_clique,
@@ -10,6 +10,8 @@ from oracles import (
     clique_L,
     disagreement_mask,
     enumerate_cliques,
+    even_vertices,
+    odd_vertices,
     recover_K_descriptor,
 )
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from halfcube import faces as faces_mod
-from halfcube.core import Mask, Vertex, odd_vertices
+from halfcube.core import Mask, Vertex
 from halfcube.faces import (
     KIND_HALFCUBE,
     KIND_SIMPLEX,
@@ -11,18 +11,19 @@ from halfcube.faces import (
     build_face_lattice,
     face_count,
     face_counts,
-    halfcube_face,
     key_kind,
     kind_split,
-    simplex_face,
-    top_face,
-    vertex_face,
 )
 from oracles import (
     brute_force_cliques,
     face_from_vertices,
+    halfcube_face,
+    odd_vertices,
     reference_lattice,
     simplex_contains_point,
+    simplex_face,
+    top_face,
+    vertex_face,
 )
 
 

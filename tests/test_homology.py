@@ -4,12 +4,7 @@ from operator import itemgetter
 import pytest
 
 from halfcube import complexes, homology, linalg
-from halfcube.complexes import (
-    BoundaryMatrix,
-    boundary_matrices,
-    build_complex,
-    random_flip_set,
-)
+from halfcube.complexes import BoundaryMatrix, build_complex
 from halfcube.homology import (
     CERT_RANK_AGREE,
     CERT_SNF,
@@ -19,6 +14,7 @@ from halfcube.homology import (
     smith_normal_form,
 )
 from halfcube.triangle import predicted_betti, triangle_alternating
+from oracles import random_flip_set, reoriented_matrices
 
 
 def test_cut3_n4_rank_seven():
@@ -93,7 +89,7 @@ def test_homology_from_matrices_with_flips():
     base = homology_of(cx, reduced=True)
     rng = random.Random(7)
     flips = random_flip_set(cx, rng)
-    mats = boundary_matrices(cx, flips)
+    mats = reoriented_matrices(cx, flips)
     prof = homology_from_matrices(cx.cell_counts(), mats, reduced=True)
     assert prof.betti == base.betti
     assert prof.torsion == base.torsion
@@ -102,6 +98,11 @@ def test_homology_from_matrices_with_flips():
 def test_smith_wrapper_accepts_dense_and_boundary():
     sf = smith_normal_form([[2, 0], [0, 0]])
     assert sf.factors == (2,) and sf.rank == 1
+    # three dense rows as a tuple are rows, not an (nrows, ncols, triplets) triple
+    for dense in ([[2, 0], [0, 3], [0, 0]], ((2, 0), (0, 3), (0, 0))):
+        sf = smith_normal_form(dense)
+        assert sf.factors == (1, 6) and sf.rank == 2
+    assert smith_normal_form((3, 2, [(0, 0, 2), (1, 1, 3)])).factors == (1, 6)
     cx = build_complex(4, 4)
     sf = smith_normal_form(cx.matrices()[0])
     assert sf.rank == 7

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from halfcube.complexes import build_complex, euler_characteristic
-from halfcube.faces import KIND_SIMPLEX
+from halfcube.faces import KIND_HALFCUBE, KIND_SIMPLEX
 from halfcube.homology import betti_numbers
 from halfcube.morse import (
+    MorseMatching,
     acyclicity_certificate,
     build_matching,
     check_acyclic,
@@ -18,7 +19,7 @@ from oracles import hasse_acyclicity
 def test_pair_count_n5_k3():
     m = build_matching(build_complex(5, 3))
     assert m.pair_count() == 80
-    m.validate()
+    assert check_acyclic(m).acyclic
 
 
 def test_pairs_follow_the_mask_rule():
@@ -107,7 +108,6 @@ def test_other_distinguished_coordinate():
     cx = build_complex(5, 3)
     for j in (1, 3):
         m = build_matching(cx, coordinate=j)
-        m.validate()
         assert m.pair_count() == 80
         assert check_acyclic(m).acyclic
         census = unpaired_census(m)
@@ -138,18 +138,47 @@ def test_adversarial_cycle_witness():
         )
 
 
+def _invalid_c53_matching(case):
+    """A matching on C(5, 3) of one or two pairs, invalid as ``case`` says."""
+    cx = build_complex(5, 3)
+    lat = cx.lattice
+    lo, up = build_matching(cx).pairs[0]
+    cut = next(f for f in lat.faces[3] if f.kind == KIND_HALFCUBE)
+    pairs = {
+        # a facet of the lower cell under the upper one: codimension 2
+        "codimension 2": [(lat.facets(lo)[0], up)],
+        # a dim-3 half cube, whose interior the cut removed, over one of its facets
+        "removed by the cut": [(lat.facets(cut)[0], cut)],
+        "lower cell in two pairs": [
+            (lo, up),
+            (lo, next(f for f in cx.cells[up.dim] if f != up and lo in lat.facets(f))),
+        ],
+        "not a facet": [(lo, next(f for f in cx.cells[up.dim] if lo not in lat.facets(f)))],
+    }[case]
+    return MorseMatching(cx, tuple(pairs), cx.n)
+
+
 @pytest.mark.parametrize(
-    "pairs",
+    "pairs, match",
     [
-        [("e", "F"), ("e", "G")],  # e lies in two pairs
-        [("e", "F"), ("f", "F")],  # so does F
-        [("a", "F")],  # a is not a facet of F
-        [("e", "H")],  # H has no facets at all
+        pytest.param([("e", "F"), ("e", "G")], "two pairs", id="pairs0"),  # e lies in two pairs
+        pytest.param([("e", "F"), ("f", "F")], "two pairs", id="pairs1"),  # so does F
+        pytest.param([("a", "F")], "not a facet", id="pairs2"),  # a is not a facet of F
+        pytest.param([("e", "H")], "not a facet", id="pairs3"),  # H has no facets at all
+        # matchings on a cut complex, through check_acyclic
+        pytest.param("codimension 2", "not a facet", id="codimension 2"),
+        pytest.param("removed by the cut", "not a cell of the complex", id="removed by the cut"),
+        pytest.param("lower cell in two pairs", "two pairs", id="lower cell in two pairs"),
+        pytest.param("not a facet", "not a facet", id="not a facet"),
     ],
 )
-def test_invalid_matching_is_rejected(pairs):
+def test_invalid_matching_is_rejected(pairs, match):
+    if isinstance(pairs, str):
+        with pytest.raises(ValueError, match=match):
+            check_acyclic(_invalid_c53_matching(pairs))
+        return
     facets = {"F": ["e", "f"], "G": ["e", "f"]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         acyclicity_certificate(facets, pairs)
 
 

@@ -3,22 +3,28 @@ import json
 import random
 
 import pytest
-from oracles import dense_mat_mul, reference_orbits
+from oracles import (
+    act_on_face,
+    act_on_vertex,
+    dense_mat_mul,
+    even_vertices,
+    face_image_by_vertices,
+    halfcube_face,
+    reference_orbits,
+    simplex_face,
+)
 
 from halfcube import linalg, symmetry
 from halfcube.complexes import build_complex, orientation_tuple
-from halfcube.core import Mask, Vertex, even_vertices, hamming_distance
-from halfcube.faces import build_face_lattice, halfcube_face, simplex_face
+from halfcube.core import Mask, Vertex, hamming_distance
+from halfcube.faces import build_face_lattice
 from halfcube.linalg import det_sign
 from halfcube.symmetry import (
     SignedPermutation,
     SpecialReflection4,
-    act_on_face,
-    act_on_vertex,
     chain_map_on_cells,
     coxeter_generators,
     expected_orbit_profile,
-    face_image_by_vertices,
     group_order_by_closure,
     homology_action,
     homology_basis,
