@@ -5,44 +5,68 @@ interiors of all half-cube shaped cells (top cell included) of dimension
 at least k_cut, leaving the simplex cells untouched.  Cells are ordered
 lexicographically by canonical vertex key inside each dimension.
 
-Incidence signs are geometric.  Every cell carries an orientation: the
-lexicographically smallest affinely independent subsequence of its
-(canonically ordered) vertices, which for a cell with dim + 1 vertices is
-its whole key.  The sign of facet t in cell s compares the basis (outward
-vector from s's barycenter to t's, then t's basis) against s's basis: the
-sign of the determinant of their Gram matrix.  The outward vector needs no
-projection off t's hull, since adding multiples of t's basis to it leaves
-the determinant unchanged.  Each boundary column is built once per parent:
+Incidence signs are geometric, and their convention (the cache's
+``lexmin-outward-v1``) is unchanged; it is defined by the reference route
+in ``tests/oracles.py``.  Every cell is oriented by the lexicographically
+smallest affinely independent subsequence of its sorted vertex key (the
+whole key when the cell has dim + 1 vertices), and the sign of facet t in
+cell s compares (outward vector from s's barycenter to t's, then t's
+basis) against s's basis by the sign of their Gram determinant.  The
+library takes every sign from two bit rules instead, each column once per
+parent:
 
 * A simplex is oriented by its whole sorted key, so the sign of the facet
   dropping the i-th vertex of the key is (-1)^i.  ``FaceLattice.facets``
   drops the last vertex first, so position t of a d-simplex's column holds
   (-1)^(d-t), read off a precomputed alternating tuple.
-* A half cube L(v, S), or the top cell (S = all coordinates), spans exactly
-  the coordinate face {x_i = v_i, i not in S}.  Its basis P and the frame
-  Q = [outward vector; facet basis] vanish off S, so the Gram determinant
-  factors as det(P|_S) det(Q|_S).  The parent's barycenter is the centre
-  of that face, 0 on S, so on S the outward vector is the facet's
-  coordinate sum.  Per parent, S and sign det(P|_S) are computed once; per
-  facet, ``incidence_sign`` takes one |S| x |S| determinant sign of Q|_S.
+* A half cube L(v, S) with |S| = m, or the top cell (S = all coordinates),
+  spans the coordinate face {x_i = v_i, i not in S}.  Both bases vanish
+  off S, so the Gram determinant factors as eps_P det(Q|_S), in the frame
+  (e_i, i in S ascending), with Q = [outward vector; facet basis].  The
+  parent's barycenter is 0 on S, so on S the outward vector is the
+  facet's coordinate sum.
+
+  Frame-sign lemma: with h the bits of v outside S, eps_P = sign det(P|_S)
+  = (-1)^(m+1+|h|).  For S = {s_1 < ... < s_m} the orientation tuple is
+  h plus {}, {s_1,s_2}, {s_1,s_3}, {s_2,s_3}, {s_1,s_j} (j >= 4) when |h|
+  is even, and h plus {s_1}, {s_2}, {s_3}, {s_1,s_2,s_3}, {s_j} (j >= 4)
+  when it is odd.  Either way the basis is block triangular: the first
+  three edges give a 3 x 3 block of sign (-1)^|h|, and each later edge
+  one diagonal entry -2.
+
+  Half-cube facet C on S - {i}, with bit i fixed to c.  The outward
+  vector is a positive multiple of (-1)^c e_i, and C's basis vanishes at
+  i, so expanding det(Q|_S) along column i gives (-1)^c (-1)^p eps_C,
+  p = #{j in S : j < i}.  C's outside bits are h plus c at i, so the lemma
+  gives eps_P eps_C = (-1)^(1+c), and the sign is -(-1)^p.
+
+  Simplex facet K(u, S), u odd and equal to h off S.  Its key lists
+  u ^ e_tau_0, ..., u ^ e_tau_(m-1), and its outward vector is
+  (m-2) x_u on S.  In the frame (x_u,j e_j), columns in tau order, Q's rows
+  are (m-2)(1, ..., 1) and 2(f_tau_0 - f_tau_t), of sign (-1)^(m-1);
+  changing back to (e_i ascending) multiplies by sgn(tau) (-1)^|u & S|.
+  Since eps_P (-1)^(m-1) (-1)^|u & S| = (-1)^(|h| + |u & S|) = (-1)^|u|
+  = -1, the sign is -sgn(tau).
+
+  ``incidence_sign`` computes both with one parity helper, ``sort_sign``:
+  tau lists (b ^ u).bit_length() for the facet's vertices b in key order.
 
 Every matrix is assembled by ``boundary_matrices``: each column's rows in
 ``FaceLattice.facets`` order (key order, so row order) paired with its
 signs, computed or read from a cache file; the last complex's matrices are
 held by ``boundary_key`` and reused.  The boundary-squared assertion
-certifies every new matrix, and the tests check both rules above against
-the full Gram determinant of reoriented cells (``tests/oracles.py``).
+certifies every new matrix, and the tests check both rules and the lemma
+against the full Gram determinant of reoriented cells and the echelon
+orientation tuple (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
 
 from .core import MAX_DIM
 from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, FaceLattice, build_face_lattice
-from .linalg import det_sign
 
 
 class CellComplex:
@@ -77,12 +101,6 @@ class CellComplex:
             self._matrices = boundary_matrices(self)
         return self._matrices
 
-    def orientation_of(self, face) -> tuple:
-        """The ordered vertex tuple whose edge vectors orient the cell."""
-        if not self.has_cell(face):
-            raise ValueError(f"{face!r} is not a cell of this complex")
-        return orientation_tuple(self.lattice, face)
-
 
 def build_complex(n: int, k_cut=None) -> CellComplex:
     """The complex with half-cube cells of dimension >= k_cut removed.
@@ -116,126 +134,41 @@ def euler_characteristic(c: CellComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Orientation geometry
+# Orientation signs
 
 
-def _coords(n: int, bits: int) -> tuple:
-    return tuple(1 - 2 * (bits >> i & 1) for i in range(n))
-
-
-def _reduce_gcd(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g > 1:
-        return [x // g for x in vec]
-    return list(vec)
-
-
-class _IntEchelon:
-    """Incremental affine-independence test over the integers."""
-
-    def __init__(self):
-        self.rows = []  # (pivot index, reduced integer row), pivot ascending
-
-    def try_add(self, vec) -> bool:
-        vec = list(vec)
-        for piv, row in self.rows:
-            if vec[piv]:
-                a, b = row[piv], vec[piv]
-                vec = [x * a - y * b for x, y in zip(vec, row)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        vec = _reduce_gcd(vec)
-        self.rows.append((piv, vec))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-
-def orientation_tuple(lattice: FaceLattice, face) -> tuple:
-    """Lexicographically smallest affinely independent vertex subsequence."""
-    if len(face.key) == face.dim + 1:
-        # dim + 1 vertices spanning a dim-face are affinely independent
-        return face.key
-    memo = lattice._orient_memo
-    got = memo.get(face.key)
-    if got is not None:
-        return got
-    n = lattice.n
-    base = face.key[0]
-    base_coords = _coords(n, base)
-    chosen = [base]
-    ech = _IntEchelon()
-    for b in face.key[1:]:
-        if len(chosen) == face.dim + 1:
-            break
-        vec = [x - y for x, y in zip(_coords(n, b), base_coords)]
-        if ech.try_add(vec):
-            chosen.append(b)
-    if len(chosen) != face.dim + 1:
-        raise AssertionError(f"face {face!r} did not span its dimension")
-    got = tuple(chosen)
-    memo[face.key] = got
-    return got
-
-
-def orientation_basis(n, tup):
-    """The edge vectors from the first vertex of an orientation tuple to the others."""
-    base = _coords(n, tup[0])
-    return [[x - y for x, y in zip(_coords(n, b), base)] for b in tup[1:]]
-
-
-def orientation_sign(basis, frame) -> int:
-    """+1 when ``frame`` is oriented like ``basis``, -1 when opposite.
-
-    Both are lists of vectors spanning the same space: the sign of the
-    determinant of their Gram matrix <basis_i, frame_j> compares them.
-    """
-    s = det_sign([[sum(a * b for a, b in zip(row, col)) for col in frame] for row in basis])
-    if s == 0:
-        raise AssertionError("degenerate orientation comparison")
-    return s
-
-
-def _half_basis(tup, cols) -> list:
-    """Half the edge vectors of an orientation tuple, restricted to the coordinates ``cols``."""
-    base = tup[0]
-    return [[(base >> i & 1) - (b >> i & 1) for i in cols] for b in tup[1:]]
-
-
-def _parent_frame(lattice, parent) -> tuple:
-    """(S as a coordinate list, sign det(P|_S)) of a half-cube or top cell."""
-    got = lattice._frame_memo.get(parent.key)
-    if got is None:
-        cols = [i for i in range(lattice.n) if parent.mask.bits >> i & 1]
-        eps = det_sign(_half_basis(orientation_tuple(lattice, parent), cols))
-        if eps == 0:
-            raise AssertionError(f"face {parent!r} does not span its coordinate face")
-        got = (cols, eps)
-        lattice._frame_memo[parent.key] = got
-    return got
+def sort_sign(seq) -> int:
+    """Sign of the permutation that sorts the distinct items of seq."""
+    inversions = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                inversions += 1
+    return -1 if inversions & 1 else 1
 
 
 def incidence_sign(lattice, parent, child) -> int:
     """Sign of the facet ``child`` in the half-cube or top cell ``parent``.
 
     Simplex columns are alternating tuples (``_ALTERNATING``); a simplex
-    parent raises ValueError.
+    parent, or a child that is not a facet of ``parent``, raises ValueError.
     """
     if parent.kind not in (KIND_HALFCUBE, KIND_TOP):
         raise ValueError(f"{parent!r} is not a half-cube or top cell")
-    # the Gram determinant factors over the parent's coordinate set S.  Every
-    # coordinate in S is set in half the parent's vertices, so its barycenter
-    # is 0 on S and the outward vector on S is the child's coordinate sum
-    cols, eps = _parent_frame(lattice, parent)
+    s = parent.mask.bits
     ckey = child.key
-    m_c = len(ckey)
-    w = [m_c - 2 * sum(b >> i & 1 for b in ckey) for i in cols]
-    s = det_sign([w] + _half_basis(orientation_tuple(lattice, child), cols))
-    if s == 0:
-        raise AssertionError("degenerate orientation comparison")
-    return eps * s
+    # every facet agrees with the parent off its coordinate set S
+    if not (ckey[0] ^ parent.key[0]) & ~s:
+        if child.kind == KIND_SIMPLEX and child.mask.bits == s:
+            # K(u, S): -sgn of the coordinates its vertices flip in u, in key order
+            u = child.point.bits
+            return -sort_sign([(b ^ u).bit_length() for b in ckey])
+        if child.kind == KIND_HALFCUBE and child.mask.bits | s == s:
+            i = s ^ child.mask.bits
+            if i.bit_count() == 1:
+                # the half on S - {i}: -(-1)^#{j in S : j < i}
+                return 1 if (s & (i - 1)).bit_count() & 1 else -1
+    raise ValueError(f"{child!r} is not a facet of {parent!r}")
 
 
 # facet signs of a d-simplex column in FaceLattice.facets order, per d: the

@@ -171,10 +171,6 @@ class FaceLattice:
         self.n = n
         self.keys = keys_by_dim
         self._facet_memo = {}
-        self._orient_memo = {}
-        # per half-cube or top parent: its frame on the coordinate face
-        # (complexes._parent_frame)
-        self._frame_memo = {}
 
     @cached_property
     def faces(self) -> list:

@@ -389,33 +389,3 @@ def _smallest_magnitude(rows, row_order, col_order):
         factors.append(abs(v))
         live.discard(pr)
     return factors, row_at, col_at, U, Uinv, V, Vinv
-
-
-# ---------------------------------------------------------------------------
-# Small exact dense helper (orientation geometry)
-
-
-def det_sign(mat) -> int:
-    """Sign of the determinant of a small square integer matrix (Bareiss)."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    last = a[n - 1][n - 1]
-    if last == 0:
-        return 0
-    return sign if last > 0 else -sign

@@ -11,14 +11,24 @@ Every such map is linear, so it permutes the even vertices, and the image
 of a face is the face on the image vertex set.  Orbits and chain maps move
 faces through a vertex permutation table (``vertex_table``) instead of
 rebuilding descriptors; the tests check the tables against moving the
-descriptors themselves (``tests/oracles.py``).  A simplex is
-oriented by its whole sorted key, so its chain-map sign is the parity of
-the permutation that sorts its image vertices; half-cube and top cells
-compare orientation bases by ``complexes.orientation_sign``, the rule
-the incidence signs use.  On the cut complexes the action is cellular
-and therefore acts on the one nonzero homology group;
-the matrices of that action are assembled from a kernel-modulo-image basis
-extracted from Smith transforms.
+descriptors themselves (``tests/oracles.py``).
+
+Chain-map signs are parities, taken by ``complexes.sort_sign``.  A simplex
+is oriented by its whole sorted key, so its sign is the parity of the
+permutation that sorts its image vertices.  A half cube or the top cell f
+on the coordinate set S goes to g f on pi(S), pi being g's permutation.
+In the frames (e_i, i in S ascending) and (e_j, j in pi(S) ascending) its
+sign is eps_f eps_gf det(g|_S), with eps the frame sign of the lemma in
+``halfcube.complexes``.  det(g|_S) is sgn(pi|_S) times (-1) per sign g
+flips inside pi(S), and eps_f eps_gf is (-1) per sign g flips outside
+pi(S), since those flips change the parity of the outside bits.  g flips
+an even number of signs, so the sign is sgn(pi|_S), the parity of
+(pi(i), i in S ascending).  The tests check both against the determinant
+of the orientation bases.
+
+On the cut complexes the action is cellular and therefore acts on the
+one nonzero homology group; the matrices of that action are assembled
+from a kernel-modulo-image basis extracted from Smith transforms.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import build_complex, orientation_basis, orientation_sign, orientation_tuple
+from .complexes import build_complex, sort_sign
 from .core import Vertex
 from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, KIND_VERTEX, build_face_lattice, key_kind
 from .linalg import _add_multiple, smith_with_transforms
@@ -98,19 +108,6 @@ class SignedPermutation:
             s[i] = self.signs[self.perm[i]]
         return SignedPermutation(tuple(p), tuple(s))
 
-    def vector_image(self, vec):
-        """The linear action on an n-vector."""
-        out = [0] * self.n
-        for i, x in enumerate(vec):
-            t = self.perm[i]
-            out[t] = self.signs[t] * x
-        return out
-
-    def vertex_image(self, v: Vertex) -> Vertex:
-        if v.n != self.n:
-            raise ValueError("dimension mismatch")
-        return Vertex.from_signs(self.vector_image(v.signs()))
-
 
 class SpecialReflection4:
     """The n = 4 reflection perpendicular to (1,1,1,1); not a signed permutation."""
@@ -171,23 +168,6 @@ def random_wdn(n: int, rng: random.Random) -> SignedPermutation:
     if sum(1 for x in s if x == -1) % 2:
         s[rng.randrange(n)] *= -1
     return SignedPermutation(tuple(p), tuple(s))
-
-
-def group_order_by_closure(n: int) -> int:
-    """|W(D_n)| by breadth-first closure over the generators."""
-    gens = coxeter_generators(n)
-    seen = {SignedPermutation.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = h * g
-                if gh not in seen:
-                    seen.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +340,15 @@ def homology_basis(n: int, k: int) -> HomologyBasis:
     return got
 
 
-def _sort_sign(seq) -> int:
-    """Sign of the permutation that sorts the distinct items of seq."""
-    inversions = 0
-    for i, x in enumerate(seq):
-        for y in seq[i + 1:]:
-            if x > y:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
 def chain_map_on_cells(g, cx, dim):
     """The signed permutation matrix of g on the dimension-dim chain group."""
     if not g.is_even_signed:
         raise ValueError("only even-signed permutations act on the half cube")
-    image = vertex_table(g, cx.n).__getitem__
-    lat = cx.lattice
-    cells = cx.cells[dim]
+    n = cx.n
+    image = vertex_table(g, n).__getitem__
     index = cx.index[dim]
     out = []  # (target index, sign) per source cell
-    for f in cells:
+    for f in cx.cells[dim]:
         moved = [image(b) for b in f.key]
         j = index.get(tuple(sorted(moved)))
         if j is None:
@@ -388,12 +357,12 @@ def chain_map_on_cells(g, cx, dim):
             # oriented by the whole sorted key, and g is linear: moving the
             # vertices in key order gives the image's orientation up to the
             # sorting permutation
-            out.append((j, _sort_sign(moved)))
-            continue
-        base_src = orientation_basis(cx.n, orientation_tuple(lat, f))
-        base_dst = orientation_basis(cx.n, orientation_tuple(lat, cells[j]))
-        mapped = [g.vector_image(vec) for vec in base_src]
-        out.append((j, orientation_sign(base_dst, mapped)))
+            out.append((j, sort_sign(moved)))
+        else:
+            # a half cube or the top cell on S: the parity of g's
+            # permutation restricted to S
+            s = f.mask.bits
+            out.append((j, sort_sign([g.perm[i] for i in range(n) if s >> i & 1])))
     return out
 
 

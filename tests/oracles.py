@@ -11,10 +11,15 @@ of it reuses the descriptor arithmetic under test, except these routes:
   the vertex-table orbits of halfcube.symmetry;
 * face_from_vertices rebuilds a descriptor through the clique
   classification at the end of this module;
-* gram_sign takes an incidence sign from the Gram determinant of the full
-  n-length orientation bases (halfcube.complexes), with either cell
-  reoriented, against the closed forms the library assembles with;
-  reoriented_matrices assembles a whole complex that way;
+* orientation_tuple defines the orientation convention (the cache's
+  lexmin-outward-v1): each cell is oriented by the lexicographically
+  smallest affinely independent subsequence of its key, found by an
+  integer echelon.  gram_sign takes an incidence sign from the Gram
+  determinant (det_sign) of the full n-length orientation bases, with
+  either cell reoriented, against the bit rules the library assembles
+  with; reoriented_matrices assembles a whole complex that way, and
+  frame_sign takes a half-cube cell's sign against its coordinate frame,
+  the lemma both bit rules rest on;
 * hasse_acyclicity sorts the whole reoriented Hasse digraph of a matching,
   every cell included.
 """
@@ -25,13 +30,7 @@ from itertools import combinations
 from heapq import heappop, heappush
 from math import gcd
 
-from halfcube.complexes import (
-    BoundaryMatrix,
-    assert_boundary_squared_zero,
-    orientation_basis,
-    orientation_sign,
-    orientation_tuple,
-)
+from halfcube.complexes import BoundaryMatrix, assert_boundary_squared_zero
 from halfcube.core import Mask, Vertex, hamming_distance
 from halfcube.faces import (
     KIND_HALFCUBE,
@@ -42,6 +41,7 @@ from halfcube.faces import (
     _k_key,
 )
 from halfcube.morse import AcyclicityCertificate
+from halfcube.symmetry import SignedPermutation, SpecialReflection4, coxeter_generators
 
 
 def even_vertices(n: int):
@@ -216,7 +216,6 @@ def reference_orbits(n, extended=False):
     of several kinds; orbits are listed in the order of their smallest key.
     """
     from halfcube.faces import build_face_lattice
-    from halfcube.symmetry import SpecialReflection4, coxeter_generators
 
     lattice = build_face_lattice(n)
     moves = [lambda f, g=g: act_on_face(g, f) for g in coxeter_generators(n)]
@@ -430,8 +429,39 @@ def mask_image(g, mask: Mask) -> Mask:
     return Mask(g.n, bits)
 
 
+def vector_image(g, vec):
+    """The linear action of the signed permutation g on an n-vector."""
+    out = [0] * g.n
+    for i, x in enumerate(vec):
+        t = g.perm[i]
+        out[t] = g.signs[t] * x
+    return out
+
+
 def act_on_vertex(g, v: Vertex) -> Vertex:
+    """The image of v under a signed permutation or another vertex map."""
+    if v.n != g.n:
+        raise ValueError("dimension mismatch")
+    if isinstance(g, SignedPermutation):
+        return Vertex.from_signs(vector_image(g, v.signs()))
     return g.vertex_image(v)
+
+
+def group_order_by_closure(n: int) -> int:
+    """|W(D_n)| by breadth-first closure over the generators."""
+    gens = coxeter_generators(n)
+    seen = {SignedPermutation.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = h * g
+                if gh not in seen:
+                    seen.add(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    return len(seen)
 
 
 def act_on_face(g, f):
@@ -441,17 +471,17 @@ def act_on_face(g, f):
     if g.n != f.n:
         raise ValueError("dimension mismatch")
     if f.kind == KIND_VERTEX:
-        return vertex_face(g.vertex_image(f.point))
+        return vertex_face(act_on_vertex(g, f.point))
     if f.kind == KIND_SIMPLEX:
-        return simplex_face(g.vertex_image(f.point), mask_image(g, f.mask))
+        return simplex_face(act_on_vertex(g, f.point), mask_image(g, f.mask))
     if f.kind == KIND_HALFCUBE:
-        return halfcube_face(g.vertex_image(f.point), mask_image(g, f.mask))
+        return halfcube_face(act_on_vertex(g, f.point), mask_image(g, f.mask))
     return top_face(f.n)
 
 
 def face_image_by_vertices(g, f, lattice):
     """Image of a face under any vertex map that stabilizes the polytope."""
-    key = tuple(sorted(g.vertex_image(Vertex(lattice.n, b)).bits for b in f.key))
+    key = tuple(sorted(act_on_vertex(g, Vertex(lattice.n, b)).bits for b in f.key))
     got = lattice.index.get(key)
     if got is None:
         raise ValueError("image vertex set is not a face")
@@ -459,7 +489,130 @@ def face_image_by_vertices(g, f, lattice):
 
 
 # ---------------------------------------------------------------------------
-# Incidence signs by the full Gram determinant, under any reorientation
+# The orientation convention, and incidence signs by the full Gram
+# determinant under any reorientation
+
+
+def det_sign(mat) -> int:
+    """Sign of the determinant of a small square integer matrix (Bareiss)."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    last = a[n - 1][n - 1]
+    if last == 0:
+        return 0
+    return sign if last > 0 else -sign
+
+
+def _coords(n: int, bits: int) -> tuple:
+    return tuple(1 - 2 * (bits >> i & 1) for i in range(n))
+
+
+def _reduce_gcd(vec):
+    g = 0
+    for x in vec:
+        g = gcd(g, x)
+    if g > 1:
+        return [x // g for x in vec]
+    return list(vec)
+
+
+class _IntEchelon:
+    """Incremental affine-independence test over the integers."""
+
+    def __init__(self):
+        self.rows = []  # (pivot index, reduced integer row), pivot ascending
+
+    def try_add(self, vec) -> bool:
+        vec = list(vec)
+        for piv, row in self.rows:
+            if vec[piv]:
+                a, b = row[piv], vec[piv]
+                vec = [x * a - y * b for x, y in zip(vec, row)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return False
+        vec = _reduce_gcd(vec)
+        self.rows.append((piv, vec))
+        self.rows.sort(key=lambda t: t[0])
+        return True
+
+
+_orient_memo = {}  # (n, key) -> orientation tuple
+
+
+def orientation_tuple(face) -> tuple:
+    """Lexicographically smallest affinely independent vertex subsequence."""
+    if len(face.key) == face.dim + 1:
+        # dim + 1 vertices spanning a dim-face are affinely independent
+        return face.key
+    n = face.n
+    got = _orient_memo.get((n, face.key))
+    if got is not None:
+        return got
+    base = face.key[0]
+    base_coords = _coords(n, base)
+    chosen = [base]
+    ech = _IntEchelon()
+    for b in face.key[1:]:
+        if len(chosen) == face.dim + 1:
+            break
+        vec = [x - y for x, y in zip(_coords(n, b), base_coords)]
+        if ech.try_add(vec):
+            chosen.append(b)
+    if len(chosen) != face.dim + 1:
+        raise AssertionError(f"face {face!r} did not span its dimension")
+    got = tuple(chosen)
+    _orient_memo[n, face.key] = got
+    return got
+
+
+def orientation_of(cx, face) -> tuple:
+    """The ordered vertex tuple whose edge vectors orient a cell of ``cx``."""
+    if not cx.has_cell(face):
+        raise ValueError(f"{face!r} is not a cell of this complex")
+    return orientation_tuple(face)
+
+
+def orientation_basis(n, tup):
+    """The edge vectors from the first vertex of an orientation tuple to the others."""
+    base = _coords(n, tup[0])
+    return [[x - y for x, y in zip(_coords(n, b), base)] for b in tup[1:]]
+
+
+def orientation_sign(basis, frame) -> int:
+    """+1 when ``frame`` is oriented like ``basis``, -1 when opposite.
+
+    Both are lists of vectors spanning the same space: the sign of the
+    determinant of their Gram matrix <basis_i, frame_j> compares them.
+    """
+    s = det_sign([[sum(a * b for a, b in zip(row, col)) for col in frame] for row in basis])
+    if s == 0:
+        raise AssertionError("degenerate orientation comparison")
+    return s
+
+
+def frame_sign(face) -> int:
+    """sign det(P|_S) of a half-cube or top cell on S: its orientation basis P
+    against the frame (e_i, i in S ascending)."""
+    cols = [i for i in range(face.n) if face.mask.bits >> i & 1]
+    basis = orientation_basis(face.n, orientation_tuple(face))
+    return det_sign([[vec[i] for i in cols] for vec in basis])
 
 
 def _flip(tup):
@@ -480,8 +633,8 @@ def gram_sign(lattice, parent, child, flip_parent=False, flip_child=False) -> in
     which reverses its orientation.
     """
     n = lattice.n
-    ptup = orientation_tuple(lattice, parent)
-    ctup = orientation_tuple(lattice, child)
+    ptup = orientation_tuple(parent)
+    ctup = orientation_tuple(child)
     if flip_parent:
         ptup = _flip(ptup)
     if flip_child and len(ctup) >= 2:
@@ -653,8 +806,8 @@ def simplex_contains_point(f, point) -> bool:
 def echelon_orientation_tuple(n, key, dim):
     """The lexicographically smallest affinely independent subsequence of ``key``.
 
-    The greedy search of halfcube.complexes.orientation_tuple, with the
-    independence test done by dense_rank on the +-1 edge vectors.
+    The greedy search of orientation_tuple above, with the independence
+    test done by dense_rank on the +-1 edge vectors.
     """
 
     def coords(b):

@@ -14,6 +14,7 @@ from oracles import (
     brute_force_cliques,
     classify_clique,
     dense_mat_mul,
+    det_sign,
     enumerate_cliques,
     extends_to_larger_clique,
     face_image_by_vertices,
@@ -36,7 +37,7 @@ from halfcube.homology import (
     homology_from_matrices,
     homology_of,
 )
-from halfcube.linalg import det_sign, rank_mod_p, smith_normal_form
+from halfcube.linalg import rank_mod_p, smith_normal_form
 from halfcube.morse import build_matching, check_acyclic, unpaired_census
 from halfcube.symmetry import (
     SignedPermutation,

@@ -14,13 +14,17 @@ from halfcube.complexes import (
     column_signs,
     euler_characteristic,
     incidence_sign,
-    orientation_tuple,
 )
+from halfcube.core import Mask, Vertex
 from halfcube.faces import KIND_SIMPLEX, build_face_lattice
 from halfcube.linalg import smith_normal_form
 from oracles import (
     echelon_orientation_tuple,
+    frame_sign,
     gram_sign,
+    halfcube_face,
+    orientation_of,
+    orientation_tuple,
     random_flip_set,
     reoriented_matrices,
     top_face,
@@ -114,7 +118,7 @@ def test_skeleton_agreement_below_cut():
 def test_orientation_tuple_is_lex_smallest_prefix():
     lat = build_face_lattice(5)
     for f in lat.faces[3][:40]:
-        tup = orientation_tuple(lat, f)
+        tup = orientation_tuple(f)
         assert len(tup) == f.dim + 1
         assert tup[0] == f.key[0]
         assert all(a in f.key for a in tup)
@@ -122,7 +126,7 @@ def test_orientation_tuple_is_lex_smallest_prefix():
         assert idx == sorted(idx)
     # simplices use every vertex in order
     for f in lat.faces[2][:20]:
-        assert orientation_tuple(lat, f) == f.key
+        assert orientation_tuple(f) == f.key
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -133,7 +137,7 @@ def test_orientation_tuple_matches_echelon_search(n):
     lat = build_face_lattice(n)
     for dim_faces in lat.faces:
         for f in dim_faces:
-            assert orientation_tuple(lat, f) == echelon_orientation_tuple(n, f.key, f.dim), f
+            assert orientation_tuple(f) == echelon_orientation_tuple(n, f.key, f.dim), f
 
 
 def test_flipped_orientations_still_give_chain_complex():
@@ -230,10 +234,10 @@ def test_cell_order_is_key_order():
 def test_orientation_accessor():
     cx = build_complex(5, 4)
     f = cx.cells[3][0]
-    tup = cx.orientation_of(f)
+    tup = orientation_of(cx, f)
     assert len(tup) == 4 and set(tup) <= set(f.key)
     with pytest.raises(ValueError):
-        cx.orientation_of(top_face(5))
+        orientation_of(cx, top_face(5))
 
 
 # simplex-parent incidences of the full complex: edges -> vertices plus
@@ -259,6 +263,16 @@ def test_simplex_closed_form_matches_determinant(n):
     triangle = lat.faces[2][0]
     with pytest.raises(ValueError, match="not a half-cube or top cell"):
         incidence_sign(lat, triangle, lat.facets(triangle)[0])
+    # a half-cube parent refuses every child that is not one of its facets:
+    # faces of its dimension - 1 off its coordinate set or outside it, and
+    # faces two dimensions down
+    parent = next(f for f in lat.faces[4] if f.kind != KIND_SIMPLEX)
+    facets = set(lat.facets(parent))
+    refused = [c for c in lat.faces[3] + lat.faces[2] if c not in facets]
+    assert len(refused) == len(lat.faces[3]) + len(lat.faces[2]) - len(facets)
+    for c in refused:
+        with pytest.raises(ValueError, match="is not a facet of"):
+            incidence_sign(lat, parent, c)
 
 
 # half-cube- and top-parent incidences of the full complex: L(v, S) with
@@ -282,6 +296,26 @@ def test_factored_halfcube_sign_matches_determinant(n):
                 assert incidence_sign(lat, p, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
+
+
+@pytest.mark.parametrize("m", range(3, 12))
+def test_frame_sign_lemma(m):
+    # L(v, S) with |S| = m, h being v's bits outside S, is oriented against
+    # (e_i, i in S ascending) with sign (-1)^(m+1+|h|); both bit rules of
+    # incidence_sign and the chain map rest on it.  In n = m + 2 coordinates,
+    # S sits at two placements, each with both parities of |h| twice; the
+    # top cell has S = all coordinates and h = 0.  m = 11 is the largest |S|
+    # the face budget lets a lattice reach
+    n = m + 2
+    for a, b in ((0, 1), (1, n - 1)):
+        mask_bits = ((1 << n) - 1) ^ (1 << a) ^ (1 << b)
+        low = mask_bits & -mask_bits
+        for h in (0, 1 << a, 1 << b, 1 << a | 1 << b):
+            v = Vertex(n, h | low if h.bit_count() & 1 else h)
+            f = halfcube_face(v, Mask(n, mask_bits))
+            assert frame_sign(f) == (-1) ** (m + 1 + h.bit_count()), (m, a, b, h)
+    if m >= 4:
+        assert frame_sign(top_face(m)) == (-1) ** (m + 1)
 
 
 def test_columns_follow_facet_order():

@@ -7,25 +7,27 @@ from oracles import (
     act_on_face,
     act_on_vertex,
     dense_mat_mul,
+    det_sign,
     even_vertices,
     face_image_by_vertices,
+    group_order_by_closure,
     halfcube_face,
+    orientation_tuple,
     reference_orbits,
     simplex_face,
+    vector_image,
 )
 
 from halfcube import linalg, symmetry
-from halfcube.complexes import build_complex, orientation_tuple
+from halfcube.complexes import build_complex
 from halfcube.core import Mask, Vertex, hamming_distance
 from halfcube.faces import build_face_lattice
-from halfcube.linalg import det_sign
 from halfcube.symmetry import (
     SignedPermutation,
     SpecialReflection4,
     chain_map_on_cells,
     coxeter_generators,
     expected_orbit_profile,
-    group_order_by_closure,
     homology_action,
     homology_basis,
     orbits,
@@ -264,7 +266,7 @@ def test_orbits_describe_only_representatives(monkeypatch):
 
 def _determinant_chain_map(g, cx, dim):
     """(index, sign) per cell from descriptor transport and an orientation determinant."""
-    n, lat = cx.n, cx.lattice
+    n = cx.n
     out = []
     for f in cx.cells[dim]:
         img = act_on_face(g, f)
@@ -274,10 +276,10 @@ def _determinant_chain_map(g, cx, dim):
             continue
         bases = []
         for face in (f, img):
-            tup = orientation_tuple(lat, face)
+            tup = orientation_tuple(face)
             o = Vertex(n, tup[0]).signs()
             bases.append([[x - y for x, y in zip(Vertex(n, b).signs(), o)] for b in tup[1:]])
-        mapped = [g.vector_image(vec) for vec in bases[0]]
+        mapped = [vector_image(g, vec) for vec in bases[0]]
         mat = [[sum(a * b for a, b in zip(row, col)) for col in mapped] for row in bases[1]]
         out.append((j, det_sign(mat)))
     return out
@@ -345,11 +347,15 @@ def test_boundary_factor_above_one_is_refused(monkeypatch):
 # SHA-256 of json.dumps of the 8 action matrices below, recorded before the
 # chain map and coordinates moved to vertex tables and a projection matrix;
 # (6, 3) was recorded with dense transform products, before the basis
-# applied the sparse transforms directly
+# applied the sparse transforms directly; (7, 6), whose 5-cells include
+# 5-dimensional half cubes, was recorded with the determinant chain map,
+# before half-cube cells took the parity of the permutation on their
+# coordinate set
 ACTION_PINS = {
     (5, 4): "7438496827b9775b14142701e23d40285eba7b53a17e26d5231ca5142268213b",
     (6, 5): "d8c80c90a6b3f1cd75c093957a33b7258a541e8dc9a59f618ad1a974e747d17d",
     (6, 3): "25852618e1a4f7bb3e54a4b48315426d3df5487f1d8ba3ecd06f7ff82172ace6",
+    (7, 6): "4084d24ad2b54677b8be1cdb1e802d5a62589a23581ac8d4083c8c3fc43d2106",
 }
 
 
