@@ -1,12 +1,16 @@
-"""Time the elimination routine per prime next to Smith normal form, whole and cleared.
+"""Time the elimination routine per prime and over Z/30 next to Smith normal form, whole and cleared.
 
 For the largest boundary matrix of each C(n, k), k = 3, 4, times the rank
-over F_2, F_3 and F_5 (each its own elimination over F_p) and the sparse
-Smith normal form, whose rank is the rank over Q, and checks that all four
-ranks agree.  The Smith form plus the three F_p ranks is what ``verify``'s
-rank-agreement certificate costs, against the Smith form alone for ``snf``.
+over F_2, F_3 and F_5 (each its own elimination over F_p), the joint
+elimination over Z/30 = F_2 x F_3 x F_5 that gives all three ranks from
+one pass, and the sparse Smith normal form, whose rank is the rank over
+Q.  It exits nonzero unless the three joint ranks equal the per-prime
+ranks and the Smith rank.  The Smith form plus the joint pass is what
+``verify``'s rank-agreement certificate costs, against the Smith form
+alone for ``snf``; the three per-prime passes are what it cost before
+the joint pass.
 
-Then it times the same four eliminations as ``verify`` runs them, cleared:
+Then it times the same eliminations as ``verify`` runs them, cleared:
 each first deletes the columns at the pivot rows that the same modulus's
 elimination of the boundary one degree up returned (nothing is deleted
 when the matrix is the top boundary).  It exits nonzero unless the cleared
@@ -22,7 +26,8 @@ from halfcube import linalg
 from halfcube.complexes import build_complex
 
 PRIMES = (2, 3, 5)
-MODULI = (0, *PRIMES)
+JOINT = 30  # 2 * 3 * 5
+MODULI = (0, *PRIMES, JOINT)
 
 
 def timed(fn, *args):
@@ -37,30 +42,39 @@ def bench_matrix(label, m, above):
         *(timed(linalg.rank_mod_p, m.nrows, m.ncols, trip, p) for p in PRIMES)
     )
     sf, t_snf = timed(linalg.smith_normal_form, m.nrows, m.ncols, trip)
-    if set(ranks_p) != {sf.rank}:
-        raise SystemExit(f"{label}: ranks disagree: F_p {ranks_p}, snf {sf.rank}")
+    (joint, _), t_joint = timed(linalg.eliminate, m.nrows, m.ncols, trip, JOINT)
+    if set(ranks_p) != {sf.rank} or joint != dict(zip(PRIMES, ranks_p)):
+        raise SystemExit(
+            f"{label}: ranks disagree: F_p {ranks_p}, Z/30 {joint}, snf {sf.rank}"
+        )
     # above: the boundary one degree up, or None for the top boundary
-    cleared = {p: None for p in MODULI}
+    cleared = {q: None for q in MODULI}
     if above is not None:
-        for p in MODULI:
-            cleared[p] = linalg.eliminate(above.nrows, above.ncols, above.entries, p)[1]
+        for q in MODULI:
+            cleared[q] = linalg.eliminate(above.nrows, above.ncols, above.entries, q)[1]
     got, times_c = zip(
-        *(timed(linalg.eliminate, m.nrows, m.ncols, trip, p, cleared[p]) for p in MODULI)
+        *(timed(linalg.eliminate, m.nrows, m.ncols, trip, q, cleared[q]) for q in MODULI)
     )
     got = [out[0] for out in got]
-    if got != [sf, *ranks_p]:
-        raise SystemExit(f"{label}: cleared eliminations {got} differ from whole {[sf, *ranks_p]}")
-    per_p = "  ".join(f"F_{p} {t*1000:8.1f}" for p, t in zip(PRIMES, times_p))
-    agree = t_snf + sum(times_p)
+    want = [sf, *({p: r} for p, r in zip(PRIMES, ranks_p)), joint]
+    if got != want:
+        raise SystemExit(f"{label}: cleared eliminations {got} differ from whole {want}")
     print(
         f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {sf.rank:5d}   "
-        f"{per_p}   snf {t_snf*1000:8.1f}   rank-agree {agree*1000:9.1f} ms"
+        + timing_columns(times_p, t_joint, t_snf)
     )
     dropped = sum(cleared[0]) if above is not None else 0
-    per_p = "  ".join(f"F_{p} {t*1000:8.1f}" for p, t in zip(PRIMES, times_c[1:]))
     print(
         f"{'  cleared':28s} {m.nrows:5d}x{m.ncols - dropped:<5d} {'':10s}   "
-        f"{per_p}   snf {times_c[0]*1000:8.1f}   rank-agree {sum(times_c)*1000:9.1f} ms"
+        + timing_columns(times_c[1:4], times_c[4], times_c[0])
+    )
+
+
+def timing_columns(times_p, t_joint, t_snf):
+    per_p = "  ".join(f"F_{p} {t*1000:8.1f}" for p, t in zip(PRIMES, times_p))
+    return (
+        f"{per_p}   Z/30 {t_joint*1000:8.1f}   snf {t_snf*1000:8.1f}   "
+        f"rank-agree {(t_snf + t_joint)*1000:9.1f} ms (per prime {(t_snf + sum(times_p))*1000:9.1f})"
     )
 
 

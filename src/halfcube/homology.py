@@ -1,32 +1,38 @@
 """Integer homology of the cut complexes, by exact rank and Smith normal form.
 
 All ranks come from the one sparse elimination routine of ``linalg``: the
-rank over Q is always the rank of the cached Smith normal form, and each
-rank over F_p is an elimination over F_p of its own.  Torsion is certified
-either by the full Smith normal form or, for the largest sweeps, by rank
-agreement over Q and F_p for p in {2, 3, 5} -- the latter rules out
-p-torsion at exactly those primes and is reported as such.
+rank over Q is always the rank of the cached Smith normal form, and the
+ranks over F_2, F_3 and F_5 come from one elimination of their own over
+Z/30.  Torsion is certified either by the full Smith normal form or, for
+the largest sweeps, by rank agreement over Q and F_p for p in {2, 3, 5}
+-- the latter rules out p-torsion at exactly those primes and is reported
+as such.  Z/30 is F_2 x F_3 x F_5 (the Chinese remainder theorem), so its
+unit pivots are pivots over all three fields at once, and each prime
+finishes only what that elimination leaves.
 
 The degrees are eliminated from the top down, and each elimination of
 the degree-d boundary first deletes the columns at the unit-pivot rows of
 the same modulus's elimination of the degree-(d+1) boundary ("clearing";
 ``linalg.eliminate`` says why that keeps the rank and the Smith factors).
-The Smith form clears only with integer unit pivots, and each F_p rank
-only with the pivots of its own F_p elimination, so rank agreement stays
-three eliminations independent of the Smith form.  ``homology_from_matrices``
-takes its matrices from the caller, so it first checks that consecutive
-boundaries compose to zero, which clearing relies on.
+The Smith form clears only with integer unit pivots, and the elimination
+over Z/30 only with its own unit pivots, which are invertible in each of
+the three fields, so rank agreement stays an elimination independent of
+the Smith form.  ``homology_from_matrices`` takes its matrices from the
+caller, so it first checks that consecutive boundaries compose to zero,
+which clearing relies on.
 
 Eliminations are cached in ``_eliminations`` by ``complexes.boundary_key``
-plus p (0 for the Smith form), shared across the (n, k) sweep, each with
-the pivot rows it returned.  The row mode of the degree-(d+1) boundary is
-the column mode of the degree-d one, so pivot rows read from the cache,
-whichever complex put them there, clear the degree below.
+plus the modulus (0 for the Smith form, 30 for the F_p ranks), shared
+across the (n, k) sweep, each with the pivot rows it returned.  The row
+mode of the degree-(d+1) boundary is the column mode of the degree-d one,
+so pivot rows read from the cache, whichever complex put them there,
+clear the degree below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import linalg
 from .complexes import BoundaryMatrix, CellComplex, assert_boundary_squared_zero, boundary_key
@@ -35,26 +41,28 @@ CERT_SNF = "snf"
 CERT_RANK_AGREE = "rank-agree(2,3,5)"
 
 _AGREE_PRIMES = (2, 3, 5)
+_AGREE_MODULUS = prod(_AGREE_PRIMES)
 
 _eliminations = {}
 
 
-def boundary_elimination(cx: CellComplex, d: int, p: int, cleared=None):
+def boundary_elimination(cx: CellComplex, d: int, m: int, cleared=None):
     """(Smith normal form, pivot rows) of the degree-d boundary matrix for
-    p = 0, or (rank over F_p, pivot rows) for a prime p; cached.
+    m = 0, or ({p: rank over F_p}, pivot rows) over the primes p dividing a
+    squarefree m; cached.
 
     The Smith form's rank is the rank over Q.  ``cleared`` is the pivot
     rows of the same modulus's elimination of degree d + 1.
     """
-    key = (*boundary_key(cx, d), p)
+    key = (*boundary_key(cx, d), m)
     got = _eliminations.get(key)
     if got is None:
-        got = _eliminations[key] = _eliminate(cx.matrices()[d - 1], p, cleared)
+        got = _eliminations[key] = _eliminate(cx.matrices()[d - 1], m, cleared)
     return got
 
 
-def _eliminate(m: BoundaryMatrix, p: int, cleared):
-    return linalg.eliminate(m.nrows, m.ncols, m.entries, p, cleared)
+def _eliminate(matrix: BoundaryMatrix, m: int, cleared):
+    return linalg.eliminate(matrix.nrows, matrix.ncols, matrix.entries, m, cleared)
 
 
 def smith_normal_form(matrix) -> linalg.SmithForm:
@@ -130,7 +138,7 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
     return _homology(
         cell_counts,
         by_degree,
-        lambda d, p, cleared: _eliminate(by_degree[d], p, cleared),
+        lambda d, m, cleared: _eliminate(by_degree[d], m, cleared),
         reduced,
         certification,
     )
@@ -141,7 +149,7 @@ def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> Homol
     return _homology(
         cx.cell_counts(),
         range(1, cx.top_dim + 1),
-        lambda d, p, cleared: boundary_elimination(cx, d, p, cleared),
+        lambda d, m, cleared: boundary_elimination(cx, d, m, cleared),
         reduced,
         certification,
     )
@@ -149,9 +157,9 @@ def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> Homol
 
 def _homology(counts, degrees, eliminate, reduced, certification) -> HomologyProfile:
     # eliminate(d, 0, cleared) gives the degree-d boundary's Smith form, whose
-    # rank is the rank over Q, and eliminate(d, p, cleared) its rank over F_p,
-    # an elimination of its own; each also gives its pivot rows, which clear
-    # the same modulus's elimination one degree down
+    # rank is the rank over Q, and eliminate(d, 30, cleared) its ranks over
+    # F_2, F_3 and F_5, one elimination of their own; each also gives its
+    # pivot rows, which clear the same modulus's elimination one degree down
     if certification not in (CERT_SNF, CERT_RANK_AGREE):
         raise ValueError(f"unknown certification {certification!r}")
     ranks = [0] * (len(counts) + 1)
@@ -164,14 +172,15 @@ def _homology(counts, degrees, eliminate, reduced, certification) -> HomologyPro
         ranks[d] = sf.rank
         if certification == CERT_SNF:
             torsion[d - 1] = [f for f in sf.factors if f > 1]
-        else:
-            for p in _AGREE_PRIMES:
-                rank_p, above[p] = eliminate(d, p, above.get(p))
-                if rank_p != sf.rank:
-                    raise ValueError(
-                        f"rank over F_{p} differs from rank over Q in degree {d}: "
-                        f"torsion at {p}"
-                    )
+            continue
+        m = _AGREE_MODULUS
+        ranks_p, above[m] = eliminate(d, m, above.get(m))
+        for p in _AGREE_PRIMES:
+            if ranks_p[p] != sf.rank:
+                raise ValueError(
+                    f"rank over F_{p} differs from rank over Q in degree {d}: "
+                    f"torsion at {p}"
+                )
     betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(len(counts))]
     if reduced:
         betti[0] -= 1

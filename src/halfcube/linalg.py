@@ -1,36 +1,52 @@
 """Exact integer linear algebra: sparse elimination, Smith normal form, small solvers.
 
 One sparse elimination routine, ``_unit_phase``, serves every rank and
-Smith form.  It takes the sparsest live column that holds a unit, pivots
-on that unit in the shortest row and clears the column.  Over the
-integers (modulus 0) a unit is +-1: each pivot splits off an invariant
-factor 1, and the sparse smallest-magnitude reduction
-``_smallest_magnitude`` finishes the Smith normal form on what is left;
-its rank is the rank over Q, which has no other entry point.  The same
-reduction, run on a whole matrix by ``smith_with_transforms``, gives the
-homology bases their transforms, returned as sparse vectors.  Over F_p
-every nonzero residue is a unit and entries are reduced mod p, so the
-pivot count is the rank over F_p.  Entries are Python integers
-throughout, so no answer depends on a machine word size.
+Smith form.  It works modulo m, where m is 0 (the integers) or a
+squarefree product of primes, and a unit is an entry v with gcd(v, m) = 1:
++-1 over the integers, a residue coprime to m otherwise, so every nonzero
+residue when m is prime.  It takes the sparsest live column that holds a
+unit, pivots on that unit in the shortest row and clears the column.
+Over the integers each pivot splits off an invariant factor 1, and the
+sparse smallest-magnitude reduction ``_smallest_magnitude`` finishes the
+Smith normal form on what is left; its rank is the rank over Q, which has
+no other entry point.  The same reduction, run on a whole matrix by
+``smith_with_transforms``, gives the homology bases their transforms,
+returned as sparse vectors.
+
+Modulo a squarefree m = p_1 ... p_s the Chinese remainder theorem makes
+Z/m the product of the fields F_{p_i}, and a unit of Z/m is a unit in
+each of them.  So one elimination mod m is an elimination over every
+F_{p_i} at once: each of its pivots counts once in every rank, and
+
+    rank over F_p = (unit pivots mod m) + (rank over F_p of the residual),
+
+the residual being what the unit phase leaves: the zero divisors mod m,
+and any entry that became a unit in a column the phase had passed over.
+Each prime finishes its own residual with the unit phase mod p; for m
+prime the residual is empty.  Entries are Python integers throughout, so no answer
+depends on a machine word size.
 
 ``eliminate`` also reports the rows the unit phase pivoted on, and deletes
 the columns a caller flags before it starts ("clearing", the twist of
 Chen and Kerber).  If the flagged columns are the unit-pivot rows R of a
 matrix B with A B = 0, and C are B's pivot columns, then B[R, C] is
-invertible over the ring: its determinant is a product of units.  So each
-column of A in R is a combination, with coefficients in the ring, of A's
-other columns, and deleting it changes neither the rank nor the column
-lattice, hence neither the nonzero invariant factors.  Only unit pivots
-count: the pivots of the smallest-magnitude reduction carry no such
-inverse.  Over F_p the pivots must come from an elimination over the same
-F_p, so each prime's rank stays an elimination of its own.
+invertible over the ring (Z, or Z/m): its determinant is a product of
+units.  So each column of A in R is a combination, with coefficients in
+the ring, of A's other columns, and deleting it changes neither the rank
+nor the column lattice, hence neither the nonzero invariant factors.
+Over Z/m that holds in every factor F_p, so the pivot rows of one
+elimination mod m clear the next one for every p dividing m.  Only unit
+pivots of the same ring count: the pivots of the smallest-magnitude
+reduction carry no inverse over Z, and those of a residual over F_p none
+over the other factors; integer pivot rows clear only a Smith form, and
+rows pivoted mod m only an elimination mod m.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd
 
 
 def kernel_name() -> str:
@@ -38,42 +54,67 @@ def kernel_name() -> str:
     return "pure-python"
 
 
-def _is_prime(p) -> bool:
-    return isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+def _prime_factors(m):
+    """The primes dividing m in increasing order, or None unless m is a squarefree int >= 2."""
+    if type(m) is not int or m < 2:
+        return None
+    primes = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return None
+            primes.append(q)
+        q += 1
+    if m > 1:
+        primes.append(m)
+    return primes
 
 
 def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p.
 
-    It is an elimination over F_p of its own, so a rank over F_p that
-    agrees with the rank over Q (the rank of ``smith_normal_form``) is
-    evidence, not a restatement of the Smith form.
+    It is an elimination over F_p of its own (the modulus p has one prime
+    factor), so a rank over F_p that agrees with the rank over Q (the rank
+    of ``smith_normal_form``) is evidence, not a restatement of the Smith
+    form.
     """
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"modulus must be a prime, got {p!r}")
-    return eliminate(nrows, ncols, triplets, p)[0]
+    return eliminate(nrows, ncols, triplets, p)[0][p]
 
 
-def eliminate(nrows: int, ncols: int, triplets, p: int, cleared=None):
-    """Rank over F_p (p prime) or Smith normal form (p = 0), with the unit-pivot rows.
+def eliminate(nrows: int, ncols: int, triplets, m: int, cleared=None):
+    """Smith normal form (m = 0) or the ranks over F_p for each prime p dividing m.
 
-    Returns (rank or SmithForm, pivot_rows), where pivot_rows is one byte
-    per row, 1 where the unit phase pivoted.  ``cleared``, when given, is
-    one byte per column; the columns flagged 1 are deleted first.  That is
-    exact when they are the pivot_rows that this modulus's elimination of
-    a matrix B with (this matrix) B = 0 returned; see the module docstring.
+    m is 0 or a squarefree product of primes.  Returns (result,
+    pivot_rows): the SmithForm for m = 0, else {p: rank over F_p} over the
+    primes p dividing m, in increasing order; pivot_rows is one byte per
+    row, 1 where the unit phase pivoted.  ``cleared``, when given, is one
+    byte per column; the columns flagged 1 are deleted first.  That is
+    exact when they are the pivot_rows that an elimination with the same
+    m of a matrix B with (this matrix) B = 0 returned; see the module
+    docstring.
     """
-    if p != 0 and not _is_prime(p):
-        raise ValueError(f"modulus must be 0 or a prime, got {p!r}")
+    primes = _prime_factors(m)
+    if type(m) is not int or (m != 0 and primes is None):
+        raise ValueError(f"modulus must be 0 or a squarefree product of primes, got {m!r}")
     if cleared is not None and len(cleared) != ncols:
         raise ValueError("cleared must hold one flag per column")
-    rows, cols = _sparse(nrows, ncols, triplets, p, cleared)
-    pivots = _unit_phase(rows, cols, p)
+    rows, cols = _sparse(nrows, ncols, triplets, m, cleared)
+    pivots = _unit_phase(rows, cols, m)
     pivot_rows = bytearray(nrows)
     for r in pivots:
         pivot_rows[r] = 1
-    if p:
-        return len(pivots), bytes(pivot_rows)
+    if m:
+        # each prime finishes over F_p what the unit phase mod m left
+        residual = [(r, c, v) for r, row in rows.items() for c, v in row.items()]
+        ranks = {}
+        for p in primes:
+            rows_p, cols_p = _sparse(nrows, ncols, residual, p)
+            ranks[p] = len(pivots) + len(_unit_phase(rows_p, cols_p, p))
+        return ranks, bytes(pivot_rows)
     factors = [1] * len(pivots)
     live_rows = sorted(r for r, row in rows.items() if row)
     if live_rows:
@@ -86,8 +127,8 @@ def eliminate(nrows: int, ncols: int, triplets, p: int, cleared=None):
 # Sparse elimination
 
 
-def _sparse(nrows, ncols, triplets, p, cleared=None):
-    """Rows {r: {c: v}} and columns {c: {r}} of the nonzero entries, mod p if p.
+def _sparse(nrows, ncols, triplets, m, cleared=None):
+    """Rows {r: {c: v}} and columns {c: {r}} of the nonzero entries, mod m if m.
 
     Repeated (row, col) triplets add up; an index outside the shape raises
     ValueError, whatever its value.  The entries of the columns flagged in
@@ -109,8 +150,8 @@ def _sparse(nrows, ncols, triplets, p, cleared=None):
                 continue
             col = cols[c] = set()
         cur = row.get(c, 0) + v
-        if p:
-            cur %= p
+        if m:
+            cur %= m
         if cur:
             row[c] = cur
             col.add(r)
@@ -120,22 +161,24 @@ def _sparse(nrows, ncols, triplets, p, cleared=None):
     return rows, cols
 
 
-def _unit_phase(rows, cols, p) -> list:
-    """Eliminate unit pivots in place; return their rows, in pivot order.
+def _unit_phase(rows, cols, m) -> list:
+    """Eliminate unit pivots modulo m in place; return their rows, in pivot order.
 
-    While some live column holds a unit, take the sparsest such column
-    (heap of live column counts, ties by column index), pivot on its unit
-    in the shortest row (ties by row index) and clear the column by the
-    row operations row += -w * pv^-1 * prow.  The column operations that
-    would clear the pivot row then touch no other row, so the pivot splits
-    off as a 1x1 block: its row and column are deleted.
+    A unit is an entry v with gcd(v, m) = 1; entries stay reduced mod m
+    when m > 0.  While some live column holds a unit, take the sparsest
+    such column (heap of live column counts, ties by column index), pivot
+    on its unit in the shortest row (ties by row index) and clear the
+    column by the row operations row += -w * pv^-1 * prow.  The column
+    operations that would clear the pivot row then touch no other row, so
+    the pivot splits off as a 1x1 block: its row and column are deleted.
 
-    With p = 0 a unit is +-1, each pivot is an invariant factor 1, and what
+    With m = 0 a unit is +-1, each pivot is an invariant factor 1, and what
     is left in rows/cols is the residual that ``smith_normal_form`` hands
     to the smallest-magnitude reduction (the boundary matrices of every
-    cut complex with n <= 8 leave none).  With p prime every nonzero
-    residue is a unit and entries stay reduced mod p, so nothing is left
-    and the number of pivots is the rank over F_p.
+    cut complex with n <= 8 leave none).  With m prime every nonzero
+    residue is a unit, so nothing is left and the number of pivots is the
+    rank over F_m.  With m composite what is left holds the zero divisors
+    mod m, and ``eliminate`` finishes it one prime factor at a time.
     """
     counts = {c: len(s) for c, s in cols.items()}
     heap = [(cnt, c) for c, cnt in counts.items() if cnt]
@@ -147,7 +190,7 @@ def _unit_phase(rows, cols, p) -> list:
             continue
         best = None
         for r in cols[c]:
-            if p or abs(rows[r][c]) == 1:
+            if gcd(rows[r][c], m) == 1:
                 score = (len(rows[r]), r)
                 if best is None or score < best:
                     best = score
@@ -157,22 +200,22 @@ def _unit_phase(rows, cols, p) -> list:
         pr = best[1]
         prow = rows.pop(pr)
         pv = prow.pop(c)
-        inv = pow(pv, -1, p) if p else pv
+        inv = pow(pv, -1, m) if m else pv
         for r in cols.pop(c):
             if r == pr:
                 continue
             row = rows[r]
-            m = -row.pop(c) * inv
-            if p:
-                m %= p
+            w = -row.pop(c) * inv
+            if m:
+                w %= m
             for cc, x in prow.items():
-                cur = row.get(cc, 0) + m * x
-                if p:
-                    cur %= p
+                cur = row.get(cc, 0) + w * x
+                if m:
+                    cur %= m
                 if cur:
                     row[cc] = cur
                     cols[cc].add(r)
-                else:
+                elif cc in row:  # mod a composite m, w * x itself may be 0
                     del row[cc]
                     cols[cc].discard(r)
             if not row:

@@ -54,14 +54,17 @@ def test_certifications_agree():
 def test_both_certificates_share_one_integer_elimination(monkeypatch):
     # the rank over Q comes only from the cached Smith form: rank agreement
     # followed by snf eliminates each degree over the integers once, and
-    # over F_p once per prime
+    # over Z/30 once, after which F_2, F_3 and F_5 each finish the residual
+    # of that one pass (empty for these matrices)
     monkeypatch.setattr(homology, "_eliminations", {})
-    moduli = []
+    moduli, residual_cells = [], []
     unit_phase = linalg._unit_phase
 
-    def counting(rows, cols, p):
-        moduli.append(p)
-        return unit_phase(rows, cols, p)
+    def counting(rows, cols, m):
+        moduli.append(m)
+        if m in (2, 3, 5):
+            residual_cells.append(sum(map(len, rows.values())))
+        return unit_phase(rows, cols, m)
 
     monkeypatch.setattr(linalg, "_unit_phase", counting)
     cx = build_complex(5, 4)
@@ -69,8 +72,10 @@ def test_both_certificates_share_one_integer_elimination(monkeypatch):
     snf = homology_of(cx, reduced=True, certification=CERT_SNF)
     assert agree.betti == snf.betti
     assert agree.torsion == snf.torsion
-    for p in (0, 2, 3, 5):
-        assert moduli.count(p) == cx.top_dim, p
+    for m in (0, 30, 2, 3, 5):
+        assert moduli.count(m) == cx.top_dim, m
+    assert moduli == [0, 30, 2, 3, 5] * cx.top_dim
+    assert residual_cells == [0] * (3 * cx.top_dim)
 
 
 def test_betti_numbers_fast_path():
@@ -135,7 +140,8 @@ def test_alternating_betti_sum_matches_closed_form_euler():
 def test_cleared_eliminations_match_whole_matrices(n):
     # each complex top-down, each modulus clearing with the pivot rows of
     # its own elimination one degree up; every distinct boundary matrix of
-    # the cut and full complexes against rank_mod_p and smith_normal_form
+    # the cut and full complexes against rank_mod_p and smith_normal_form,
+    # over each prime alone and over Z/30 = F_2 x F_3 x F_5 in one pass
     whole = {}
     for k in list(range(3, n + 1)) + [n + 1]:
         cx = build_complex(n, k)
@@ -145,9 +151,10 @@ def test_cleared_eliminations_match_whole_matrices(n):
             key = complexes.boundary_key(cx, d)
             if key not in whole:
                 trip = m.triplets()
+                ranks = {p: linalg.rank_mod_p(m.nrows, m.ncols, trip, p) for p in (2, 3, 5)}
                 whole[key] = [linalg.smith_normal_form(m.nrows, m.ncols, trip)]
-                whole[key] += [linalg.rank_mod_p(m.nrows, m.ncols, trip, p) for p in (2, 3, 5)]
-            for p, want in zip((0, 2, 3, 5), whole[key]):
+                whole[key] += [{p: r} for p, r in ranks.items()] + [ranks]
+            for p, want in zip((0, 2, 3, 5, 30), whole[key]):
                 cleared = above.get(p)
                 got, above[p] = linalg.eliminate(m.nrows, m.ncols, m.entries, p, cleared)
                 assert got == want, (n, k, d, p)
@@ -163,14 +170,14 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
     degree, calls = [], []
     eliminate, unit_phase = homology._eliminate, linalg._unit_phase
 
-    def eliminating(m, p, cleared):
-        degree.append(m.degree)
-        return eliminate(m, p, cleared)
+    def eliminating(matrix, m, cleared):
+        degree.append(matrix.degree)
+        return eliminate(matrix, m, cleared)
 
-    def recording(rows, cols, p):
+    def recording(rows, cols, m):
         live = {c for c, rs in cols.items() if rs}
-        pivots = unit_phase(rows, cols, p)
-        calls.append((degree[-1], p, live, set(pivots)))
+        pivots = unit_phase(rows, cols, m)
+        calls.append((degree[-1], m, live, set(pivots)))
         return pivots
 
     monkeypatch.setattr(homology, "_eliminate", eliminating)
@@ -179,15 +186,19 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
     for cx in (build_complex(6, 3), build_complex(6, 4)):
         calls.clear()
         homology_of(cx, certification=CERT_RANK_AGREE)
-        # top-down, the Smith form and then each prime in every degree computed
-        assert [p for _, p, _, _ in calls] == [0, 2, 3, 5] * (len(calls) // 4)
-        assert [d for d, _, _, _ in calls[::4]] == sorted({d for d, *_ in calls}, reverse=True)
-        for d, p, live, pivots in calls:
+        # top-down, the Smith form and then one pass over Z/30 in every degree
+        # computed, whose residual F_2, F_3 and F_5 each find empty
+        assert [m for _, m, _, _ in calls] == [0, 30, 2, 3, 5] * (len(calls) // 5)
+        assert [d for d, _, _, _ in calls[::5]] == sorted({d for d, *_ in calls}, reverse=True)
+        for d, m, live, pivots in calls:
+            if m in (2, 3, 5):
+                assert not live and not pivots, (cx.k_cut, d, m)
+                continue
             # every column of a boundary matrix holds entries
             deleted = set(range(cx.cell_counts()[d])) - live
-            assert deleted == returned.get((complexes.boundary_key(cx, d + 1), p), set())
-            assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, p)
-            returned[(complexes.boundary_key(cx, d), p)] = pivots
+            assert deleted == returned.get((complexes.boundary_key(cx, d + 1), m), set())
+            assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, m)
+            returned[(complexes.boundary_key(cx, d), m)] = pivots
     # C(6, 4) eliminated degree 4 but took degree 5 from the cache
     assert {d for d, *_ in calls} == {4, 3}
 
@@ -222,20 +233,32 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
     assert sf.factors == (1,) * 9 + (2,)
     assert sum(pivot_rows) == 9
     assert sum(linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 3)[1]) == 10
-    live = []
+    # mod 30 the +-2 is a zero divisor: F_3 and F_5 finish it as a pivot of
+    # their own, F_2 finds it zero, and only the nine joint unit pivots clear
+    ranks, joint_rows = linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 30)
+    assert ranks == {2: 9, 3: 10, 5: 10}
+    assert sum(joint_rows) == 9
+    d1 = mats[0]
+    assert linalg.eliminate(d1.nrows, d1.ncols, d1.entries, 30, joint_rows)[0] == {2: 5, 3: 5, 5: 5}
+    live, moduli = [], []
     unit_phase = linalg._unit_phase
 
-    def recording(rows, cols, p):
+    def recording(rows, cols, m):
         live.append({c for c, rs in cols.items() if rs})
-        return unit_phase(rows, cols, p)
+        moduli.append(m)
+        return unit_phase(rows, cols, m)
 
     monkeypatch.setattr(linalg, "_unit_phase", recording)
     prof = homology_from_matrices(counts, mats)
     assert prof.betti == (1, 0, 0)
     assert prof.torsion == ((), (2,), ())
     assert set(range(15)) - live[1] == {r for r, f in enumerate(pivot_rows) if f}
+    moduli.clear()
     with pytest.raises(ValueError, match="torsion at 2"):
         homology_from_matrices(counts, mats, certification=CERT_RANK_AGREE)
+    # the top degree's Smith form, then its one pass over Z/30, whose F_2
+    # rank already disagrees
+    assert moduli == [0, 30, 2, 3, 5]
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,57 @@ def test_rank_kernels_against_dense_oracle():
             assert linalg.rank_mod_p(nr, nc, trip, p) == dense_rank_mod(dense, p)
 
 
+def test_joint_ranks_mod_30_against_dense_oracle():
+    # entries in -15..15 include the zero divisors 2, 3, 5, 6, 10 and 15 mod
+    # 30, so most matrices leave the unit phase a residual that each prime
+    # finishes over its own F_p
+    rng = random.Random(30)
+    residuals = 0
+    for _ in range(300):
+        nr = rng.randrange(1, 9)
+        nc = rng.randrange(1, 9)
+        trip = random_triplets(rng, nr, nc, -15, 15)
+        dense = triplets_to_dense(nr, nc, trip)
+        ranks, pivot_rows = linalg.eliminate(nr, nc, trip, 30)
+        assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, trip
+        assert ranks == {p: linalg.rank_mod_p(nr, nc, trip, p) for p in (2, 3, 5)}, trip
+        assert sum(pivot_rows) <= min(ranks.values())
+        residuals += sum(pivot_rows) < max(ranks.values())
+    assert residuals > 100
+
+
+def test_joint_pivot_rows_clear_for_every_prime():
+    # A B = 0 with A's rows drawn from B's integer left kernel (the rows of
+    # U past the rank in U B V = D); the rows where the elimination of B
+    # mod 30 pivoted on a unit clear A for F_2, F_3 and F_5 at once
+    rng = random.Random(31)
+    cleared_some = 0
+    for _ in range(150):
+        nr = rng.randrange(2, 8)
+        nc = rng.randrange(1, 7)
+        b_trip = random_triplets(rng, nr, nc, -15, 15)
+        st = linalg.smith_with_transforms(nr, nc, b_trip)
+        kernel = st.U[st.rank:]
+        if not kernel:
+            continue
+        a_rows = rng.randrange(1, 6)
+        a = [[0] * nr for _ in range(a_rows)]
+        for row in a:
+            for vec in kernel:
+                coeff = rng.randint(-3, 3)
+                for j, x in vec.items():
+                    row[j] += coeff * x
+        b = triplets_to_dense(nr, nc, b_trip)
+        assert all(not any(r) for r in dense_mat_mul(a, b))
+        a_trip = dense_to_triplets(a)
+        pivot_rows = linalg.eliminate(nr, nc, b_trip, 30)[1]
+        whole = linalg.eliminate(a_rows, nr, a_trip, 30)[0]
+        assert whole == {p: dense_rank_mod(a, p) for p in (2, 3, 5)}
+        assert linalg.eliminate(a_rows, nr, a_trip, 30, pivot_rows)[0] == whole, (a, b)
+        cleared_some += any(pivot_rows)
+    assert cleared_some > 50
+
+
 def test_rank_empty_and_zero():
     assert linalg.smith_normal_form(0, 5, []).rank == 0
     assert linalg.smith_normal_form(5, 0, []).rank == 0
@@ -304,7 +355,7 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column():
     assert len(picks) > 1000
 
 
-@pytest.mark.parametrize("p", [4, 6, 1, 0, -3, 2.0, None])
+@pytest.mark.parametrize("p", [4, 6, 1, 0, -3, 2.0, None, 30, True])
 def test_rank_mod_p_rejects_a_modulus_that_is_not_prime(p):
     # [[2, 1], [1, 3]] has determinant 5: rank 2 over every F_p but F_5
     trip = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]
@@ -330,10 +381,14 @@ def test_rank_functions_reject_triplets_outside_the_shape(trip):
 
 def test_eliminate_rejects_a_bad_modulus_or_clearing_mask():
     trip = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]
-    assert linalg.eliminate(2, 2, trip, 5) == (1, b"\1\0")
-    assert linalg.eliminate(2, 2, trip, 5, b"\0\1") == (1, b"\1\0")
-    for p in (1, 4, -2, None):
-        with pytest.raises(ValueError, match="modulus must be 0 or a prime"):
+    assert linalg.eliminate(2, 2, trip, 5) == ({5: 1}, b"\1\0")
+    assert linalg.eliminate(2, 2, trip, 5, b"\0\1") == ({5: 1}, b"\1\0")
+    # mod 30 the unit 1 at (1, 0) is the one pivot; it leaves 1 - 2 * 3 = -5 at
+    # (0, 1), a zero divisor that only F_2 and F_3 count, while mod 6 it is a unit
+    assert linalg.eliminate(2, 2, trip, 30) == ({2: 2, 3: 2, 5: 1}, b"\0\1")
+    assert linalg.eliminate(2, 2, trip, 6) == ({2: 2, 3: 2}, b"\1\1")
+    for p in (1, 4, 12, -2, -30, 8, 18, True, False, 0.0, 30.0, None):
+        with pytest.raises(ValueError, match="modulus must be 0 or a squarefree product of primes"):
             linalg.eliminate(2, 2, trip, p)
     for cleared in (b"", b"\0", b"\0\0\0"):
         with pytest.raises(ValueError, match="one flag per column"):
