@@ -216,7 +216,7 @@ def run_faces(n: int):
         expected = face_count(n, dim)
         check(checks, f"faces.n={n}.dim={dim}", expected, got)
         simp, hc = by_type[dim]
-        built_simp, built_hc = kind_split(dim, lattice.keys[dim])
+        built_simp, built_hc = kind_split(dim, lattice.generated[dim])
         check(checks, f"faces.n={n}.dim={dim}.split", (simp, hc), (built_simp, built_hc))
         results.append({"dim": dim, "simplex": built_simp, "halfcube": built_hc, "total": got})
     return results, checks

@@ -17,6 +17,10 @@ half cube's 2^(|S|-1) > |S| vertices do so on its S.  Descriptors
 (kind, point, mask) are built from the keys only on demand, with one shared
 Vertex per bit pattern and one Mask per coordinate set.
 
+Each dimension's keys are kept in the order they were generated, and
+sorted in place the first time their order is read (``FaceLattice.keys``).
+The census and the kind split only count, so ``faces --n N`` never sorts.
+
 Per-dimension census (k-faces, 0 <= k < n):
 
   N_0 = 2^(n-1)                     N_1 = 2^(n-2) C(n,2)
@@ -34,8 +38,8 @@ from math import comb
 from .core import MAX_DIM, Mask, Vertex
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
-# `faces --n 11`, which builds the keys alone, takes 3.9 s at 235 MB peak RSS (one
-# run, shared 2-vCPU x86-64 host, Python 3.11).
+# `faces --n 11`, which builds and counts the keys without sorting them, takes 2.7 s
+# at 235 MB peak RSS (two runs, shared 2-vCPU x86-64 host, Python 3.11).
 MAX_FACES = 4_000_000
 
 KIND_VERTEX = "vertex"
@@ -163,14 +167,23 @@ def kind_split(dim: int, keys: list) -> tuple:
 class FaceLattice:
     """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
 
-    ``faces`` (the descriptors per dimension, in key order) and ``index``
-    (key -> descriptor) are built from the keys on first access.
+    ``generated[d]`` holds the same keys in the order they were generated;
+    the first read of ``keys`` sorts these lists in place and returns them,
+    so read ``generated`` only to count.  ``faces`` (the descriptors per
+    dimension, in key order) and ``index`` (key -> descriptor) are built
+    from ``keys`` on first access.
     """
 
-    def __init__(self, n: int, keys_by_dim: list):
+    def __init__(self, n: int, generated: list):
         self.n = n
-        self.keys = keys_by_dim
+        self.generated = generated
         self._facet_memo = {}
+
+    @cached_property
+    def keys(self) -> list:
+        for dim_keys in self.generated:
+            dim_keys.sort()
+        return self.generated
 
     @cached_property
     def faces(self) -> list:
@@ -266,7 +279,7 @@ class FaceLattice:
         return got
 
     def counts(self) -> list:
-        return [len(keys) for keys in self.keys]
+        return [len(keys) for keys in self.generated]
 
 
 _lattice_cache = {}
@@ -296,7 +309,7 @@ def _shifted(bucket: list, base: list, shifts: list, ints: list) -> None:
 
 
 def build_face_lattice(n: int) -> FaceLattice:
-    """Enumerate the key of every face of the half cube; cached per dimension n."""
+    """Enumerate the key of every face of the half cube, unsorted; cached per dimension n."""
     if not 4 <= n <= MAX_DIM:
         raise ValueError(f"need 4 <= n <= {MAX_DIM}")
     got = _lattice_cache.get(n)
@@ -336,8 +349,6 @@ def build_face_lattice(n: int) -> FaceLattice:
                 _shifted(halfcubes, [s for s in inside if not s.bit_count() & 1], by_parity[0], ints)
                 _shifted(halfcubes, [s for s in inside if s.bit_count() & 1], by_parity[1], ints)
     keys[n].append(tuple(b for b in ints if not b.bit_count() & 1))
-    for dim_keys in keys:
-        dim_keys.sort()
 
     lattice = FaceLattice(n, keys)
     counts = lattice.counts()

@@ -171,6 +171,9 @@ def _unit_phase(rows, cols, m) -> list:
     column by the row operations row += -w * pv^-1 * prow.  The column
     operations that would clear the pivot row then touch no other row, so
     the pivot splits off as a 1x1 block: its row and column are deleted.
+    A column goes back on the heap when its count changes, or, if it was
+    passed over for want of a unit, when a row operation writes into it,
+    since that may make a unit without changing the count.
 
     With m = 0 a unit is +-1, each pivot is an invariant factor 1, and what
     is left in rows/cols is the residual that ``smith_normal_form`` hands
@@ -184,6 +187,7 @@ def _unit_phase(rows, cols, m) -> list:
     heap = [(cnt, c) for c, cnt in counts.items() if cnt]
     heapq.heapify(heap)
     pivots = []
+    stalled = set()  # columns popped without a unit and not pushed since
     while heap:
         cnt, c = heapq.heappop(heap)
         if counts.get(c) != cnt:
@@ -195,7 +199,7 @@ def _unit_phase(rows, cols, m) -> list:
                 if best is None or score < best:
                     best = score
         if best is None:
-            # no unit entry; the column is pushed again when its count changes
+            stalled.add(c)
             continue
         pr = best[1]
         prow = rows.pop(pr)
@@ -224,7 +228,9 @@ def _unit_phase(rows, cols, m) -> list:
         for cc in prow:
             col = cols[cc]
             col.discard(pr)
-            if len(col) != counts[cc]:
+            # the row operations wrote into cc: a stalled cc may hold a unit now
+            if len(col) != counts[cc] or cc in stalled:
+                stalled.discard(cc)
                 counts[cc] = len(col)
                 if col:
                     heapq.heappush(heap, (len(col), cc))

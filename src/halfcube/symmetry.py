@@ -5,7 +5,12 @@ half cube by permuting coordinates and flipping an even number of signs.
 It maps each descriptor family to itself, so its face orbits follow the
 kind split; at n = 4 one extra orthogonal reflection (perpendicular to the
 all-ones vector) stabilizes the polytope and merges the two tetrahedron
-orbits.
+orbits.  The orbits are closed under three generators of the group
+(``orbit_generators``): the transposition of coordinates 1 and 2, the
+n-cycle i -> i+1 and the double flip at n-1, n.  The first two generate
+S_n; the S_n-conjugates of the double flip are all the double flips, which
+generate the even sign changes (Z/2)^(n-1), and D_n is their semidirect
+product (Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.10).
 
 Every such map is linear, so it permutes the even vertices, and the image
 of a face is the face on the image vertex set.  Orbits and chain maps move
@@ -153,11 +158,13 @@ def vertex_table(g, n: int) -> list:
     ]
 
 
-def coxeter_generators(n: int) -> list:
-    """Adjacent transpositions plus the double sign flip at the last two coordinates."""
-    gens = [SignedPermutation.transposition(n, i, i + 1) for i in range(1, n)]
-    gens.append(SignedPermutation.sign_flips(n, (n - 1, n)))
-    return gens
+def orbit_generators(n: int) -> list:
+    """(1 2), the n-cycle i -> i+1 and the double flip at n-1, n: three generators of W(D_n)."""
+    return [
+        SignedPermutation.transposition(n, 1, 2),
+        SignedPermutation(tuple((i + 1) % n for i in range(n)), (1,) * n),
+        SignedPermutation.sign_flips(n, (n - 1, n)),
+    ]
 
 
 def random_wdn(n: int, rng: random.Random) -> SignedPermutation:
@@ -189,16 +196,20 @@ class OrbitReport:
 
 
 def orbits(n: int, extended: bool = False) -> OrbitReport:
-    """Face orbits per dimension under the type-D generators.
+    """Face orbits per dimension under W(D_n).
 
-    The union-find runs over the lattice's keys and reads each kind off the
-    key; only the orbit representatives get descriptors.  extended adds the
-    n = 4 special reflection and is rejected elsewhere.
+    The union-find joins each face to its images under the three
+    generators of ``orbit_generators``: (1 2) and the n-cycle i -> i+1
+    generate S_n, and with the double flip at n-1, n, whose S_n-conjugates
+    are all the double flips, the even sign changes.  It runs over the
+    lattice's sorted keys, keeps the smallest index as each root, and reads
+    each kind off the key; only the orbit representatives get descriptors.
+    extended adds the n = 4 special reflection and is rejected elsewhere.
     """
     if extended and n != 4:
         raise ValueError("the special reflection exists only at n = 4")
     lattice = build_face_lattice(n)
-    gens = coxeter_generators(n)
+    gens = orbit_generators(n)
     if extended:
         gens.append(SpecialReflection4())
     tables = [vertex_table(g, n) for g in gens]

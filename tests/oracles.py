@@ -7,8 +7,9 @@ of it reuses the descriptor arithmetic under test, except these routes:
   through the key routines _k_key of halfcube.faces and _l_key here, as do
   the (v, S) constructors vertex_face, simplex_face, halfcube_face and
   top_face;
-* reference_orbits moves faces by their descriptors (act_on_face) to check
-  the vertex-table orbits of halfcube.symmetry;
+* reference_orbits moves faces by their descriptors (act_on_face) under
+  the n Coxeter generators (coxeter_generators) to check the vertex-table
+  orbits that halfcube.symmetry closes under three generators;
 * face_from_vertices rebuilds a descriptor through the clique
   classification at the end of this module;
 * orientation_tuple defines the orientation convention (the cache's
@@ -41,7 +42,7 @@ from halfcube.faces import (
     _k_key,
 )
 from halfcube.morse import AcyclicityCertificate
-from halfcube.symmetry import SignedPermutation, SpecialReflection4, coxeter_generators
+from halfcube.symmetry import SignedPermutation, SpecialReflection4
 
 
 def even_vertices(n: int):
@@ -447,10 +448,16 @@ def act_on_vertex(g, v: Vertex) -> Vertex:
     return g.vertex_image(v)
 
 
-def group_order_by_closure(n: int) -> int:
-    """|W(D_n)| by breadth-first closure over the generators."""
-    gens = coxeter_generators(n)
-    seen = {SignedPermutation.identity(n)}
+def coxeter_generators(n: int) -> list:
+    """Adjacent transpositions plus the double sign flip at the last two coordinates."""
+    gens = [SignedPermutation.transposition(n, i, i + 1) for i in range(1, n)]
+    gens.append(SignedPermutation.sign_flips(n, (n - 1, n)))
+    return gens
+
+
+def group_order_by_closure(gens: list) -> int:
+    """The order of the group the signed permutations gens generate, by breadth-first closure."""
+    seen = {SignedPermutation.identity(gens[0].n)}
     frontier = list(seen)
     while frontier:
         nxt = []

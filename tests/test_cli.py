@@ -258,13 +258,15 @@ def test_orbits_command(capsys):
 
 
 def test_faces_census_builds_no_descriptors(monkeypatch):
-    # the census and its kind split are read from the keys alone
+    # the census and its kind split are read from the keys alone, unsorted
     monkeypatch.setattr(faces, "_lattice_cache", {})
     results, checks = cli.run_faces(9)
     assert all(c["status"] == "pass" for c in checks)
     lat = faces._lattice_cache[9]
     assert "faces" not in vars(lat) and "index" not in vars(lat)
+    assert "keys" not in vars(lat)
     assert [r["total"] for r in results] == faces.face_counts(9)
+    assert [(r["simplex"], r["halfcube"]) for r in results] == faces.face_counts_by_type(9)
 
 
 def test_triangle_command_csv(capsys):

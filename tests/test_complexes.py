@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from halfcube import complexes
+from halfcube import complexes, faces
+from halfcube.cli import run_faces
 from halfcube.complexes import (
     BoundaryMatrix,
     assert_boundary_squared_zero,
@@ -346,10 +347,25 @@ TRIPLET_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n,k", sorted(TRIPLET_SHA256))
-def test_boundary_triplets_are_pinned(n, k):
+def triplet_sha256(cx):
     h = hashlib.sha256()
-    for m in build_complex(n, k).matrices():
+    for m in cx.matrices():
         h.update(f"{m.degree} {m.nrows} {m.ncols}\n".encode())
         h.update("".join(f"{r} {c} {v}\n" for r, c, v in m.entries).encode())
-    assert h.hexdigest() == TRIPLET_SHA256[(n, k)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,k", sorted(TRIPLET_SHA256))
+def test_boundary_triplets_are_pinned(n, k):
+    assert triplet_sha256(build_complex(n, k)) == TRIPLET_SHA256[(n, k)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_triplets_are_pinned_on_a_lattice_the_census_built(n, monkeypatch):
+    # the census counts the keys unsorted; the complex sorts them on first read
+    monkeypatch.setattr(faces, "_lattice_cache", {})
+    monkeypatch.setattr(complexes, "_held", {})
+    run_faces(n)
+    assert "keys" not in vars(faces._lattice_cache[n])
+    for k in range(3, n + 2):
+        assert triplet_sha256(build_complex(n, k)) == TRIPLET_SHA256[(n, k)], k

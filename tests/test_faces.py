@@ -54,6 +54,20 @@ def test_lattice_matches_reference_enumerator(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_keys_are_sorted_on_first_read(n, monkeypatch):
+    monkeypatch.setattr(faces_mod, "_lattice_cache", {})
+    lat = build_face_lattice(n)
+    assert "keys" not in vars(lat)
+    generated = [list(dim_keys) for dim_keys in lat.generated]
+    assert len(lat.keys) == n + 1
+    for dim, dim_keys in enumerate(lat.keys):
+        assert dim_keys == sorted(generated[dim]), (n, dim)
+        assert all(a < b for a, b in zip(dim_keys, dim_keys[1:])), (n, dim)
+    # sorted in place: counting after the first read sees the same lists
+    assert lat.generated is lat.keys
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_kinds_read_off_keys_match_descriptors(n):
     lat = build_face_lattice(n)
     want = reference_lattice(n)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -57,6 +58,26 @@ def test_joint_ranks_mod_30_against_dense_oracle():
         assert sum(pivot_rows) <= min(ranks.values())
         residuals += sum(pivot_rows) < max(ranks.values())
     assert residuals > 100
+
+
+def test_unit_phase_leaves_no_unit_in_the_residual():
+    # a row operation can make a unit in a column the phase passed over
+    # without changing that column's count; the column must be searched again
+    rng = random.Random(2000)
+    for _ in range(2000):
+        nr = rng.randint(1, 8)
+        nc = rng.randint(1, 8)
+        dense = [[rng.randint(-15, 15) for _ in range(nc)] for _ in range(nr)]
+        trip = dense_to_triplets(dense)
+        for m in (0, 2, 30):
+            rows, cols = linalg._sparse(nr, nc, trip, m)
+            pivots = linalg._unit_phase(rows, cols, m)
+            assert not any(gcd(v, m) == 1 for row in rows.values() for v in row.values()), (m, dense)
+            if m == 2:
+                assert len(pivots) == dense_rank_mod(dense, 2)
+        assert linalg.smith_normal_form(nr, nc, trip).rank == dense_rank(dense)
+        ranks, _ = linalg.eliminate(nr, nc, trip, 30)
+        assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, dense
 
 
 def test_joint_pivot_rows_clear_for_every_prime():

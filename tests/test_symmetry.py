@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
 from oracles import (
     act_on_face,
     act_on_vertex,
+    coxeter_generators,
     dense_mat_mul,
     det_sign,
     even_vertices,
@@ -26,10 +28,10 @@ from halfcube.symmetry import (
     SignedPermutation,
     SpecialReflection4,
     chain_map_on_cells,
-    coxeter_generators,
     expected_orbit_profile,
     homology_action,
     homology_basis,
+    orbit_generators,
     orbits,
     random_wdn,
     vertex_table,
@@ -49,8 +51,13 @@ def test_group_axioms_sampled():
 
 
 def test_group_order_by_closure():
-    assert group_order_by_closure(4) == 2**3 * 24
-    assert group_order_by_closure(5) == 2**4 * 120
+    # the n Coxeter generators and the three orbit generators both give all of W(D_n)
+    for n in (4, 5, 6):
+        order = 2 ** (n - 1) * math.factorial(n)
+        assert group_order_by_closure(coxeter_generators(n)) == order, n
+        gens = orbit_generators(n)
+        assert len(gens) == 3 and all(g.is_even_signed for g in gens)
+        assert group_order_by_closure(gens) == order, n
 
 
 def test_action_formula_and_parity():
@@ -243,7 +250,10 @@ def test_vertex_table_matches_vertex_images():
         vertex_table(SignedPermutation.identity(5), 4)
 
 
-@pytest.mark.parametrize("n, extended", [(4, False), (4, True), (5, False), (6, False)])
+@pytest.mark.parametrize(
+    "n, extended",
+    [(4, False), (4, True), (5, False), (6, False), pytest.param(7, False, marks=pytest.mark.slow)],
+)
 def test_orbits_match_descriptor_closure(n, extended):
     rep = orbits(n, extended=extended)
     got = [[(o.representative.key, o.size, o.kind) for o in dim] for dim in rep.orbits]
