@@ -17,9 +17,14 @@ half cube's 2^(|S|-1) > |S| vertices do so on its S.  Descriptors
 (kind, point, mask) are built from the keys only on demand, with one shared
 Vertex per bit pattern and one Mask per coordinate set.
 
-Each dimension's keys are kept in the order they were generated, and
-sorted in place the first time their order is read (``FaceLattice.keys``).
-The census and the kind split only count, so ``faces --n N`` never sorts.
+One enumeration, ``_generate``, yields the keys in batches, one per kind
+and coordinate set, and has two consumers.  ``build_face_lattice`` joins
+the batches per dimension, in the order they were generated, and caches
+the lattice; its keys are sorted in place the first time their order is
+read (``FaceLattice.keys``).  ``face_census`` counts each batch and its kind
+split and drops it, so ``faces --n N`` neither sorts nor keeps a lattice;
+``verify``, whose complexes and orbits read every lattice it counts, builds
+each one first and the census counts its keys as they stand.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -38,8 +43,10 @@ from math import comb
 from .core import MAX_DIM, Mask, Vertex
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
-# `faces --n 11`, which builds and counts the keys without sorting them, takes 2.7 s
-# at 235 MB peak RSS (two runs, shared 2-vCPU x86-64 host, Python 3.11).
+# It guards the lattices that orbits and the complexes keep: build_face_lattice(11)
+# takes 2.7 s at 229 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
+# 1.6-2.0 s at 18 MB), but validate_args applies the limit to every command, so
+# `faces --n 12` is still refused (shared 2-vCPU x86-64 host, Python 3.11).
 MAX_FACES = 4_000_000
 
 KIND_VERTEX = "vertex"
@@ -308,22 +315,26 @@ def _shifted(bucket: list, base: list, shifts: list, ints: list) -> None:
         bucket.extend(zip(*[[ints[h + q] for h in shifts] for q in base]))
 
 
-def build_face_lattice(n: int) -> FaceLattice:
-    """Enumerate the key of every face of the half cube, unsorted; cached per dimension n."""
+def _check_size(n: int) -> None:
+    """Refuse, before any enumeration, an n out of range or over the face budget."""
     if not 4 <= n <= MAX_DIM:
         raise ValueError(f"need 4 <= n <= {MAX_DIM}")
-    got = _lattice_cache.get(n)
-    if got is not None:
-        return got
     check_face_budget(n)
 
+
+def _generate(n: int):
+    """Yield the key of every face of the half cube in (dim, keys) batches, unsorted.
+
+    Vertices come first, then per coordinate set S in increasing size: the
+    simplices K(v', S) as one batch, and the half cubes L(v, S) as another
+    when 3 <= |S| < n; the top cell comes last.  Joined per dimension, the
+    batches are ``build_face_lattice(n).generated``.  Callers check n first
+    (``_check_size``).
+    """
     ints = list(range(1 << n))  # one int object per vertex, shared by every key
     full = (1 << n) - 1
-    keys = [[] for _ in range(n + 1)]
-    keys[0] = [(b,) for b in ints if not b.bit_count() & 1]
+    yield 0, [(b,) for b in ints if not b.bit_count() & 1]
     for size in range(2, n + 1):
-        simplices = keys[size - 1]
-        halfcubes = keys[size] if 3 <= size < n else None
         for coords in combinations(range(n), size):
             bits = [1 << c for c in coords]
             high_first = bits[::-1]
@@ -339,16 +350,31 @@ def build_face_lattice(n: int) -> FaceLattice:
             # for the bits of p, high first, then p + bit for the others, which
             # is increasing.  Of the two opposite points of an edge, p = 0 or
             # the low bit is the smaller.
+            simplices = []
             for p in inside if size > 2 else (0, bits[0]):
                 shifts = by_parity[1 - (p.bit_count() & 1)]
                 if shifts:
                     base = [p - b for b in high_first if b & p] + [p + b for b in bits if not b & p]
                     _shifted(simplices, base, shifts, ints)
-            if halfcubes is not None:
+            yield size - 1, simplices
+            if 3 <= size < n:
                 # L(v, S) with h the bits of v outside S: h plus the subsets of S of h's parity
+                halfcubes = []
                 _shifted(halfcubes, [s for s in inside if not s.bit_count() & 1], by_parity[0], ints)
                 _shifted(halfcubes, [s for s in inside if s.bit_count() & 1], by_parity[1], ints)
-    keys[n].append(tuple(b for b in ints if not b.bit_count() & 1))
+                yield size, halfcubes
+    yield n, [tuple(b for b in ints if not b.bit_count() & 1)]
+
+
+def build_face_lattice(n: int) -> FaceLattice:
+    """Every face's key, joined per dimension from ``_generate``; cached per dimension n."""
+    got = _lattice_cache.get(n)
+    if got is not None:
+        return got
+    _check_size(n)
+    keys = [[] for _ in range(n + 1)]
+    for dim, batch in _generate(n):
+        keys[dim].extend(batch)
 
     lattice = FaceLattice(n, keys)
     counts = lattice.counts()
@@ -357,3 +383,21 @@ def build_face_lattice(n: int) -> FaceLattice:
         raise AssertionError(f"face census mismatch at n={n}: {counts} != {expected}")
     _lattice_cache[n] = lattice
     return lattice
+
+
+def face_census(n: int) -> list:
+    """Per-dimension ``kind_split`` of the generated keys; their sum is the face count.
+
+    A lattice already built is counted as it stands.  Otherwise each batch
+    of ``_generate`` is counted and dropped, so the census keeps no lattice:
+    its memory is one batch, not the 2.2M keys of n = 11.
+    """
+    lattice = _lattice_cache.get(n)
+    if lattice is not None:
+        return [kind_split(dim, keys) for dim, keys in enumerate(lattice.generated)]
+    _check_size(n)
+    split = [(0, 0)] * (n + 1)
+    for dim, batch in _generate(n):
+        simp, hc = kind_split(dim, batch)
+        split[dim] = (split[dim][0] + simp, split[dim][1] + hc)
+    return split

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -258,15 +259,27 @@ def test_orbits_command(capsys):
 
 
 def test_faces_census_builds_no_descriptors(monkeypatch):
-    # the census and its kind split are read from the keys alone, unsorted
+    # the census and its kind split count each generated batch and keep no lattice
     monkeypatch.setattr(faces, "_lattice_cache", {})
     results, checks = cli.run_faces(9)
     assert all(c["status"] == "pass" for c in checks)
-    lat = faces._lattice_cache[9]
-    assert "faces" not in vars(lat) and "index" not in vars(lat)
-    assert "keys" not in vars(lat)
+    assert 9 not in faces._lattice_cache
     assert [r["total"] for r in results] == faces.face_counts(9)
     assert [(r["simplex"], r["halfcube"]) for r in results] == faces.face_counts_by_type(9)
+
+
+def test_faces_census_peak_memory_is_one_batch(monkeypatch):
+    # tracemalloc counts Python allocations alone, so the bound holds on any host;
+    # the whole n = 9 lattice takes 11.9 MB
+    monkeypatch.setattr(faces, "_lattice_cache", {})
+    tracemalloc.start()
+    try:
+        results, checks = cli.run_faces(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c["status"] == "pass" for c in checks)
+    assert peak < 1 << 20, peak
 
 
 def test_triangle_command_csv(capsys):
@@ -452,7 +465,8 @@ def test_oversized_lattice_fails_fast(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"built the n = {n} lattice")
 
-    monkeypatch.setattr(cli, "build_face_lattice", refuse)
+    # every enumeration, the census's and the lattice's, goes through _generate
+    monkeypatch.setattr(faces, "_generate", refuse)
     for argv, n in ((["faces", "--n", "16"], 16), (["verify", "--n-max", "12"], 12)):
         err = usage_error(capsys, *argv)
         assert f"the n = {n} half cube has" in err
@@ -462,6 +476,8 @@ def test_oversized_lattice_fails_fast(monkeypatch, capsys):
     cli.validate_args(cli.build_parser().parse_args(["orbits", "--n", "11"]))
     with pytest.raises(ValueError, match="above the limit"):
         faces.build_face_lattice(12)
+    with pytest.raises(ValueError, match="above the limit"):
+        faces.face_census(12)
 
 
 def _edit_flip_sign(payload):

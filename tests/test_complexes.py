@@ -362,10 +362,13 @@ def test_boundary_triplets_are_pinned(n, k):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_triplets_are_pinned_on_a_lattice_the_census_built(n, monkeypatch):
-    # the census counts the keys unsorted; the complex sorts them on first read
+    # the census counts the generated keys and keeps no lattice; the complex
+    # builds its own from the same enumeration and sorts it on first read
     monkeypatch.setattr(faces, "_lattice_cache", {})
     monkeypatch.setattr(complexes, "_held", {})
-    run_faces(n)
-    assert "keys" not in vars(faces._lattice_cache[n])
+    results, _ = run_faces(n)
+    assert n not in faces._lattice_cache
+    assert [r["total"] for r in results] == faces.face_counts(n)
+    assert [(r["simplex"], r["halfcube"]) for r in results] == faces.face_counts_by_type(n)
     for k in range(3, n + 2):
         assert triplet_sha256(build_complex(n, k)) == TRIPLET_SHA256[(n, k)], k

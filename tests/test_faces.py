@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,31 @@ def test_lattice_matches_reference_enumerator(n, monkeypatch):
     want = reference_lattice(n)
     assert lat.keys == [[f.key for f in fs] for fs in want]
     assert [[fields(f) for f in fs] for fs in lat.faces] == [[fields(f) for f in fs] for fs in want]
+
+
+# SHA-256 of repr(build_face_lattice(n).generated), read before any sort
+GENERATED_SHA256 = {
+    4: "6da0f693bbfc402ee1658331c7f480c1f27e3eeda17af3fa901c3391a8a9e3fd",
+    5: "a30c9836f3be5368f18c538c383f797403b8ab4e53bf3b966118a5c2a4e96aaf",
+    6: "439df60016a69417b74f0faef93b06022f211a805efa139249a5704f02f2317b",
+    7: "cabee7bcd7745c1cfb4a90f98306595ca4cb599e6af90dbca605d82758e835be",
+    8: "a308e35948ba7d52c86e5fa59b5f2be01db8df2f052d8b89db02cd89492aaa1d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GENERATED_SHA256))
+def test_lattice_joins_the_generated_batches(n, monkeypatch):
+    # one enumeration serves the census and the lattice, and its order is pinned
+    monkeypatch.setattr(faces_mod, "_lattice_cache", {})
+    joined = [[] for _ in range(n + 1)]
+    for dim, batch in faces_mod._generate(n):
+        joined[dim].extend(batch)
+    split = [kind_split(dim, keys) for dim, keys in enumerate(joined)]
+    assert faces_mod.face_census(n) == split  # streamed: no lattice yet
+    assert n not in faces_mod._lattice_cache
+    assert joined == build_face_lattice(n).generated
+    assert hashlib.sha256(repr(joined).encode()).hexdigest() == GENERATED_SHA256[n]
+    assert faces_mod.face_census(n) == split  # counted from the cached lattice
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
