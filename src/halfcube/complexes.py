@@ -147,7 +147,7 @@ def sort_sign(seq) -> int:
     return -1 if inversions & 1 else 1
 
 
-def incidence_sign(lattice, parent, child) -> int:
+def incidence_sign(parent, child) -> int:
     """Sign of the facet ``child`` in the half-cube or top cell ``parent``.
 
     Simplex columns are alternating tuples (``_ALTERNATING``); a simplex
@@ -182,7 +182,7 @@ def column_signs(lattice, cell) -> tuple:
     """The signs of ``cell``'s facets in ``lattice.facets(cell)`` order."""
     if cell.kind == KIND_SIMPLEX:
         return _ALTERNATING[cell.dim]
-    return tuple(incidence_sign(lattice, cell, g) for g in lattice.facets(cell))
+    return tuple(incidence_sign(cell, g) for g in lattice.facets(cell))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ Vertex per bit pattern and one Mask per coordinate set.
 
 One enumeration, ``_generate``, yields the keys in batches, one per kind
 and coordinate set, and has two consumers.  ``build_face_lattice`` joins
-the batches per dimension, in the order they were generated, and caches
-the lattice; its keys are sorted in place the first time their order is
-read (``FaceLattice.keys``).  ``face_census`` counts each batch and its kind
-split and drops it, so ``faces --n N`` neither sorts nor keeps a lattice;
-``verify``, whose complexes and orbits read every lattice it counts, builds
-each one first and the census counts its keys as they stand.
+the batches per dimension, sorts each dimension's keys once and caches the
+lattice.  ``face_census`` counts each batch and its kind split and drops
+it, so ``faces --n N`` neither sorts nor keeps a lattice; a lattice already
+built (``verify`` builds each one first, since its complexes and orbits
+read every lattice it counts) is counted from its keys instead.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -174,23 +173,14 @@ def kind_split(dim: int, keys: list) -> tuple:
 class FaceLattice:
     """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
 
-    ``generated[d]`` holds the same keys in the order they were generated;
-    the first read of ``keys`` sorts these lists in place and returns them,
-    so read ``generated`` only to count.  ``faces`` (the descriptors per
-    dimension, in key order) and ``index`` (key -> descriptor) are built
-    from ``keys`` on first access.
+    ``faces`` (the descriptors per dimension, in key order) and ``index``
+    (key -> descriptor) are built from ``keys`` on first access.
     """
 
-    def __init__(self, n: int, generated: list):
+    def __init__(self, n: int, keys: list):
         self.n = n
-        self.generated = generated
+        self.keys = keys
         self._facet_memo = {}
-
-    @cached_property
-    def keys(self) -> list:
-        for dim_keys in self.generated:
-            dim_keys.sort()
-        return self.generated
 
     @cached_property
     def faces(self) -> list:
@@ -286,7 +276,7 @@ class FaceLattice:
         return got
 
     def counts(self) -> list:
-        return [len(keys) for keys in self.generated]
+        return [len(keys) for keys in self.keys]
 
 
 _lattice_cache = {}
@@ -327,9 +317,9 @@ def _generate(n: int):
 
     Vertices come first, then per coordinate set S in increasing size: the
     simplices K(v', S) as one batch, and the half cubes L(v, S) as another
-    when 3 <= |S| < n; the top cell comes last.  Joined per dimension, the
-    batches are ``build_face_lattice(n).generated``.  Callers check n first
-    (``_check_size``).
+    when 3 <= |S| < n; the top cell comes last.  Joined per dimension and
+    sorted, the batches are ``build_face_lattice(n).keys``.  Callers check n
+    first (``_check_size``).
     """
     ints = list(range(1 << n))  # one int object per vertex, shared by every key
     full = (1 << n) - 1
@@ -367,7 +357,7 @@ def _generate(n: int):
 
 
 def build_face_lattice(n: int) -> FaceLattice:
-    """Every face's key, joined per dimension from ``_generate``; cached per dimension n."""
+    """Every face's key, joined per dimension from ``_generate`` and sorted; cached per n."""
     got = _lattice_cache.get(n)
     if got is not None:
         return got
@@ -375,6 +365,8 @@ def build_face_lattice(n: int) -> FaceLattice:
     keys = [[] for _ in range(n + 1)]
     for dim, batch in _generate(n):
         keys[dim].extend(batch)
+    for dim_keys in keys:
+        dim_keys.sort()
 
     lattice = FaceLattice(n, keys)
     counts = lattice.counts()
@@ -386,18 +378,20 @@ def build_face_lattice(n: int) -> FaceLattice:
 
 
 def face_census(n: int) -> list:
-    """Per-dimension ``kind_split`` of the generated keys; their sum is the face count.
+    """Per-dimension ``kind_split`` of the face keys; their sum is the face count.
 
-    A lattice already built is counted as it stands.  Otherwise each batch
+    A lattice already built is counted from its keys.  Otherwise each batch
     of ``_generate`` is counted and dropped, so the census keeps no lattice:
     its memory is one batch, not the 2.2M keys of n = 11.
     """
     lattice = _lattice_cache.get(n)
     if lattice is not None:
-        return [kind_split(dim, keys) for dim, keys in enumerate(lattice.generated)]
-    _check_size(n)
+        batches = enumerate(lattice.keys)
+    else:
+        _check_size(n)
+        batches = _generate(n)
     split = [(0, 0)] * (n + 1)
-    for dim, batch in _generate(n):
+    for dim, batch in batches:
         simp, hc = kind_split(dim, batch)
         split[dim] = (split[dim][0] + simp, split[dim][1] + hc)
     return split

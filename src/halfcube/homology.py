@@ -3,12 +3,12 @@
 All ranks come from the one sparse elimination routine of ``linalg``: the
 rank over Q is always the rank of the cached Smith normal form, and the
 ranks over F_2, F_3 and F_5 come from one elimination of their own over
-Z/30.  Torsion is certified either by the full Smith normal form or, for
-the largest sweeps, by rank agreement over Q and F_p for p in {2, 3, 5}
--- the latter rules out p-torsion at exactly those primes and is reported
-as such.  Z/30 is F_2 x F_3 x F_5 (the Chinese remainder theorem), so its
-unit pivots are pivots over all three fields at once, and each prime
-finishes only what that elimination leaves.
+Z/30.  Torsion is read off the Smith normal form under either
+certificate; for the largest sweeps, rank agreement over Q and F_p for p
+in {2, 3, 5} checks it independently -- it rules out p-torsion at exactly
+those primes and is reported as such.  Z/30 is F_2 x F_3 x F_5 (the
+Chinese remainder theorem), so its unit pivots are pivots over all three
+fields at once, and each prime finishes only what that elimination leaves.
 
 The degrees are eliminated from the top down, and each elimination of
 the degree-d boundary first deletes the columns at the unit-pivot rows of
@@ -170,8 +170,8 @@ def _homology(counts, degrees, eliminate, reduced, certification) -> HomologyPro
             above = {}
         sf, above[0] = eliminate(d, 0, above.get(0))
         ranks[d] = sf.rank
+        torsion[d - 1] = [f for f in sf.factors if f > 1]
         if certification == CERT_SNF:
-            torsion[d - 1] = [f for f in sf.factors if f > 1]
             continue
         m = _AGREE_MODULUS
         ranks_p, above[m] = eliminate(d, m, above.get(m))

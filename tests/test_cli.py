@@ -290,6 +290,10 @@ def test_triangle_command_csv(capsys):
     assert lines[-1].endswith('"1 11 49 111 129 63 1"') or "1 11 49 111 129 63 1" in lines[-1]
 
 
+# SHA-256 of `triangle --rows 40 --format json` stdout
+TRIANGLE_40_SHA256 = "2e9109c25bece2afc2357ef519a49457c7fa03cd0a27f70f31def78e373dd055"
+
+
 def test_triangle_rows_40_passes_every_check(capsys):
     # rows past 35 are where a float in the alternating sum would round
     code, out = run_cli(capsys, "triangle", "--rows", "40", "--format", "json")
@@ -297,6 +301,20 @@ def test_triangle_rows_40_passes_every_check(capsys):
     assert code == 0
     assert [c["name"] for c in doc["checks"] if c["status"] != "pass"] == []
     assert "triangle.routes_agree.n<=40" in {c["name"] for c in doc["checks"]}
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_40_SHA256
+
+
+def test_triangle_short_table_is_checked_on_six_rows(capsys):
+    # the routes are compared on rows 0..6 from one table; the report lists rows 0..3
+    code, out = run_cli(capsys, "triangle", "--rows", "3", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert [r["row"] for r in doc["results"]] == [[1], [1, 1], [1, 3, 1], [1, 5, 7, 1]]
+    names = [c["name"] for c in doc["checks"]]
+    assert "triangle.routes_agree.n<=6" in names and "triangle.strehl.n<=6" in names
+    assert [name for name in names if name.startswith("triangle.row.")] == [
+        f"triangle.row.{n}" for n in range(4)
+    ]
 
 
 def test_verify_small(capsys):
@@ -419,16 +437,28 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert made.is_dir()
 
 
-# SHA-256 of `verify --n-max 5 --format json` stdout, as pinned in perfbench/pins.json
-VERIFY_N5_SHA256 = "b4cdba20306d35d00acd230050806ce041fae945b99ea397858426f147523c7d"
+# SHA-256 of `verify --n-max N --format json` stdout, as pinned in perfbench/pins.json;
+# n = 7 is the first n_max whose jobs certify by rank agreement
+VERIFY_SHA256 = {
+    5: "b4cdba20306d35d00acd230050806ce041fae945b99ea397858426f147523c7d",
+    7: "4f45a60f6934227ce4f6e094c056ac879a96a7fcbb938881dabf82417a967515",
+}
 
 
 def test_verify_json_is_pinned(capsys):
     code, out = run_cli(capsys, "verify", "--n-max", "5", "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N5_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[5]
     # verify runs serially; params keeps "threads": 1 for schema stability
     assert json.loads(out)["params"] == {"n_max": 5, "threads": 1}
+
+
+def test_verify_n7_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "--n-max", "7", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[7]
+    betti = json.loads(out)["results"]["betti"]
+    assert {r["certificate"] for r in betti if r["n"] == 7} == {"rank-agree(2,3,5)"}
 
 
 def test_verify_loads_each_cached_complex_once(tmp_path, capsys, monkeypatch):

@@ -263,7 +263,7 @@ def test_simplex_closed_form_matches_determinant(n):
     assert seen == SIMPLEX_INCIDENCES[n]
     triangle = lat.faces[2][0]
     with pytest.raises(ValueError, match="not a half-cube or top cell"):
-        incidence_sign(lat, triangle, lat.facets(triangle)[0])
+        incidence_sign(triangle, lat.facets(triangle)[0])
     # a half-cube parent refuses every child that is not one of its facets:
     # faces of its dimension - 1 off its coordinate set or outside it, and
     # faces two dimensions down
@@ -273,7 +273,7 @@ def test_simplex_closed_form_matches_determinant(n):
     assert len(refused) == len(lat.faces[3]) + len(lat.faces[2]) - len(facets)
     for c in refused:
         with pytest.raises(ValueError, match="is not a facet of"):
-            incidence_sign(lat, parent, c)
+            incidence_sign(parent, c)
 
 
 # half-cube- and top-parent incidences of the full complex: L(v, S) with
@@ -294,7 +294,7 @@ def test_factored_halfcube_sign_matches_determinant(n):
                 continue
             for c in lat.facets(p):
                 want = -gram_sign(lat, p, c, flip_parent=True)
-                assert incidence_sign(lat, p, c) == want, (p, c)
+                assert incidence_sign(p, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
 
@@ -363,7 +363,7 @@ def test_boundary_triplets_are_pinned(n, k):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_triplets_are_pinned_on_a_lattice_the_census_built(n, monkeypatch):
     # the census counts the generated keys and keeps no lattice; the complex
-    # builds its own from the same enumeration and sorts it on first read
+    # builds its own from the same enumeration, sorted when it is built
     monkeypatch.setattr(faces, "_lattice_cache", {})
     monkeypatch.setattr(complexes, "_held", {})
     results, _ = run_faces(n)

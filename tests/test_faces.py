@@ -54,7 +54,7 @@ def test_lattice_matches_reference_enumerator(n, monkeypatch):
     assert [[fields(f) for f in fs] for fs in lat.faces] == [[fields(f) for f in fs] for fs in want]
 
 
-# SHA-256 of repr(build_face_lattice(n).generated), read before any sort
+# SHA-256 of repr() of the _generate batches joined per dimension, in generation order
 GENERATED_SHA256 = {
     4: "6da0f693bbfc402ee1658331c7f480c1f27e3eeda17af3fa901c3391a8a9e3fd",
     5: "a30c9836f3be5368f18c538c383f797403b8ab4e53bf3b966118a5c2a4e96aaf",
@@ -71,11 +71,11 @@ def test_lattice_joins_the_generated_batches(n, monkeypatch):
     joined = [[] for _ in range(n + 1)]
     for dim, batch in faces_mod._generate(n):
         joined[dim].extend(batch)
+    assert hashlib.sha256(repr(joined).encode()).hexdigest() == GENERATED_SHA256[n]
     split = [kind_split(dim, keys) for dim, keys in enumerate(joined)]
     assert faces_mod.face_census(n) == split  # streamed: no lattice yet
     assert n not in faces_mod._lattice_cache
-    assert joined == build_face_lattice(n).generated
-    assert hashlib.sha256(repr(joined).encode()).hexdigest() == GENERATED_SHA256[n]
+    assert [sorted(keys) for keys in joined] == build_face_lattice(n).keys
     assert faces_mod.face_census(n) == split  # counted from the cached lattice
 
 
@@ -83,14 +83,13 @@ def test_lattice_joins_the_generated_batches(n, monkeypatch):
 def test_keys_are_sorted_on_first_read(n, monkeypatch):
     monkeypatch.setattr(faces_mod, "_lattice_cache", {})
     lat = build_face_lattice(n)
-    assert "keys" not in vars(lat)
-    generated = [list(dim_keys) for dim_keys in lat.generated]
+    # a plain attribute, sorted before the lattice is returned: its first
+    # read, right after the build, sees increasing keys
+    assert "keys" in vars(lat)
     assert len(lat.keys) == n + 1
     for dim, dim_keys in enumerate(lat.keys):
-        assert dim_keys == sorted(generated[dim]), (n, dim)
         assert all(a < b for a, b in zip(dim_keys, dim_keys[1:])), (n, dim)
-    # sorted in place: counting after the first read sees the same lists
-    assert lat.generated is lat.keys
+    assert lat.counts() == face_counts(n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -203,6 +203,19 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
     assert {d for d, *_ in calls} == {4, 3}
 
 
+@pytest.mark.parametrize("certification", [CERT_SNF, CERT_RANK_AGREE])
+def test_torsion_outside_the_agreement_primes_is_reported(certification):
+    # one 1-cell glued to the one 0-cell, one 2-cell wrapped 7 times around it:
+    # H_1 = Z/7.  Rank agreement over F_2, F_3, F_5 cannot see 7-torsion, so
+    # both certificates read the torsion off the Smith form
+    mats = [BoundaryMatrix(1, 1, 1, ()), BoundaryMatrix(2, 1, 1, ((0, 0, 7),))]
+    prof = homology_from_matrices([1, 1, 1], mats, certification=certification)
+    assert prof.certificate == certification
+    assert prof.betti == (1, 0, 0)
+    assert prof.torsion == ((), (7,), ())
+    assert not prof.is_concentrated(0)
+
+
 def _rp2():
     # the 6-vertex real projective plane: H_1 = Z/2, nothing else reduced
     triangles = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
