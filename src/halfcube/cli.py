@@ -248,6 +248,7 @@ def run_betti(n, k, cert, cx, characters=0):
     predicted = triangle.predicted_betti(n, k)
     result = {"n": n, "k": k, "predicted": predicted, "certificate": None, "betti": None}
     if cx is None:
+        result["torsion"] = None
         result["status"] = "skipped"
         skip(checks, f"betti.n={n}.k={k}.rank", predicted, "cell budget exceeded")
         return result, checks

@@ -10,20 +10,24 @@ patterns.  Four kinds:
 
 The lattice is built keys first.  A face's key follows from its (v, S) by
 bit arithmetic: with h the bits of v outside S, the key is a sorted list of
-subsets of S (one per vertex) shifted by h, so a whole family of keys shares
-one sorted base and needs no per-face sort.  The kind of a face can be read
-off its key, too: a simplex's |S| vertices disagree on exactly S, while a
-half cube's 2^(|S|-1) > |S| vertices do so on its S.  Descriptors
-(kind, point, mask) are built from the keys only on demand, with one shared
-Vertex per bit pattern and one Mask per coordinate set.
+subsets q of S (one per vertex) shifted by h, so a whole family of keys
+shares one sorted base and needs no per-face sort.  Per coordinate set S, one
+column table holds, for every subset q of S, the vertices h + q over all h of
+q's parity; each family of keys is the zip of the columns of its base.  The
+kind of a face can be read off its key, too: a simplex's |S| vertices
+disagree on exactly S, while a half cube's 2^(|S|-1) > |S| vertices do so on
+its S.  Descriptors (kind, point, mask) are built from the keys only on
+demand, with one shared Vertex per bit pattern and one Mask per coordinate
+set.
 
 One enumeration, ``_generate``, yields the keys in batches, one per kind
 and coordinate set, and has two consumers.  ``build_face_lattice`` joins
 the batches per dimension, sorts each dimension's keys once and caches the
 lattice.  ``face_census`` counts each batch and its kind split and drops
-it, so ``faces --n N`` neither sorts nor keeps a lattice; a lattice already
-built (``verify`` builds each one first, since its complexes and orbits
-read every lattice it counts) is counted from its keys instead.
+it, so ``faces --n N`` neither sorts nor keeps a lattice, only one batch
+and one column table at a time; a lattice already built (``verify`` builds
+each one first, since its complexes and orbits read every lattice it
+counts) is counted from its keys instead.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -43,8 +47,8 @@ from .core import MAX_DIM, Mask, Vertex
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
 # It guards the lattices that orbits and the complexes keep: build_face_lattice(11)
-# takes 2.7 s at 229 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
-# 1.6-2.0 s at 18 MB), but validate_args applies the limit to every command, so
+# takes 2.2-2.4 s at 232 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
+# 0.9-1.0 s at 18 MB), but validate_args applies the limit to every command, so
 # `faces --n 12` is still refused (shared 2-vCPU x86-64 host, Python 3.11).
 MAX_FACES = 4_000_000
 
@@ -292,19 +296,6 @@ def _ascending_subsets(bits: int) -> list:
     return out
 
 
-def _shifted(bucket: list, base: list, shifts: list, ints: list) -> None:
-    """Append the key h + base for every h in ``shifts``, made of the shared ``ints``.
-
-    No h shares a bit with the base, so adding h keeps the base's order.
-    """
-    # one Python-level list per key or per vertex position, whichever is fewer
-    if len(shifts) < len(base):
-        for h in shifts:
-            bucket.append(tuple([ints[h + q] for q in base]))
-    else:
-        bucket.extend(zip(*[[ints[h + q] for h in shifts] for q in base]))
-
-
 def _check_size(n: int) -> None:
     """Refuse, before any enumeration, an n out of range or over the face budget."""
     if not 4 <= n <= MAX_DIM:
@@ -317,7 +308,9 @@ def _generate(n: int):
 
     Vertices come first, then per coordinate set S in increasing size: the
     simplices K(v', S) as one batch, and the half cubes L(v, S) as another
-    when 3 <= |S| < n; the top cell comes last.  Joined per dimension and
+    when 3 <= |S| < n; the top cell comes last.  Both batches of S are zips
+    of one column table of 2^(n-1) references to the shared vertex ints, so
+    every key holds one int object per vertex.  Joined per dimension and
     sorted, the batches are ``build_face_lattice(n).keys``.  Callers check n
     first (``_check_size``).
     """
@@ -335,6 +328,10 @@ def _generate(n: int):
                 [h for h in outside if h.bit_count() & 1],
             )
             inside = _ascending_subsets(mask)
+            # the column of q: the vertices h + q, h outside S of q's parity, in
+            # increasing h.  No h shares a bit with S, so the zip of the columns
+            # of an increasing base is a list of sorted keys
+            col = {q: [ints[h + q] for h in by_parity[q.bit_count() & 1]] for q in inside}
             # K(v', S) with v' = h + p, p inside S and h outside: its vertices
             # are h + (p ^ bit), bit in S, and v' is odd.  The base lists p - bit
             # for the bits of p, high first, then p + bit for the others, which
@@ -342,16 +339,13 @@ def _generate(n: int):
             # the low bit is the smaller.
             simplices = []
             for p in inside if size > 2 else (0, bits[0]):
-                shifts = by_parity[1 - (p.bit_count() & 1)]
-                if shifts:
-                    base = [p - b for b in high_first if b & p] + [p + b for b in bits if not b & p]
-                    _shifted(simplices, base, shifts, ints)
+                base = [p - b for b in high_first if b & p] + [p + b for b in bits if not b & p]
+                simplices.extend(zip(*[col[q] for q in base]))
             yield size - 1, simplices
             if 3 <= size < n:
                 # L(v, S) with h the bits of v outside S: h plus the subsets of S of h's parity
-                halfcubes = []
-                _shifted(halfcubes, [s for s in inside if not s.bit_count() & 1], by_parity[0], ints)
-                _shifted(halfcubes, [s for s in inside if s.bit_count() & 1], by_parity[1], ints)
+                halfcubes = list(zip(*[col[s] for s in inside if not s.bit_count() & 1]))
+                halfcubes.extend(zip(*[col[s] for s in inside if s.bit_count() & 1]))
                 yield size, halfcubes
     yield n, [tuple(b for b in ints if not b.bit_count() & 1)]
 
@@ -382,7 +376,7 @@ def face_census(n: int) -> list:
 
     A lattice already built is counted from its keys.  Otherwise each batch
     of ``_generate`` is counted and dropped, so the census keeps no lattice:
-    its memory is one batch, not the 2.2M keys of n = 11.
+    its memory is one batch plus one column table, not the 2.2M keys of n = 11.
     """
     lattice = _lattice_cache.get(n)
     if lattice is not None:

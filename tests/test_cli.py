@@ -3,7 +3,8 @@ import hashlib
 import io
 import json
 import os
-import tracemalloc
+import subprocess
+import sys
 
 import pytest
 
@@ -124,6 +125,19 @@ def test_betti_budget_skip(capsys):
     assert doc["results"]["status"] == "skipped"
     assert doc["results"]["predicted"] == 111
     assert all(c["status"] == "skipped" for c in doc["checks"])
+
+
+def test_skipped_betti_result_has_every_key(capsys):
+    # a skipped job reports the keys of a run one, unfilled ones as null,
+    # as a skipped morse job does
+    _, ran = run_cli(capsys, "betti", "--n", "5", "--k", "3", "--format", "json")
+    _, out = run_cli(
+        capsys, "betti", "--n", "5", "--k", "3", "--max-cells", "1", "--format", "json"
+    )
+    ran, skipped = json.loads(ran)["results"], json.loads(out)["results"]
+    assert ran["status"] == "ok" and skipped["status"] == "skipped"
+    assert sorted(skipped) == sorted(ran)
+    assert skipped["torsion"] is None and skipped["betti"] is None
 
 
 def test_verify_budget_skips_whole_jobs(capsys, monkeypatch):
@@ -268,17 +282,29 @@ def test_faces_census_builds_no_descriptors(monkeypatch):
     assert [(r["simplex"], r["halfcube"]) for r in results] == faces.face_counts_by_type(9)
 
 
-def test_faces_census_peak_memory_is_one_batch(monkeypatch):
+# run in a fresh interpreter, so that what earlier tests left allocated or
+# cached cannot move the peak
+CENSUS_PEAK = """
+import tracemalloc
+from halfcube import cli
+tracemalloc.start()
+results, checks = cli.run_faces(9)
+_, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+assert all(c["status"] == "pass" for c in checks), checks
+print(peak)
+"""
+
+
+def test_faces_census_peak_memory_is_one_batch():
     # tracemalloc counts Python allocations alone, so the bound holds on any host;
     # the whole n = 9 lattice takes 11.9 MB
-    monkeypatch.setattr(faces, "_lattice_cache", {})
-    tracemalloc.start()
-    try:
-        results, checks = cli.run_faces(9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(c["status"] == "pass" for c in checks)
+    path = [os.path.dirname(os.path.dirname(faces.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", CENSUS_PEAK], capture_output=True, text=True, env=env, check=True
+    )
+    peak = int(done.stdout)
     assert peak < 1 << 20, peak
 
 

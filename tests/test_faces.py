@@ -61,22 +61,47 @@ GENERATED_SHA256 = {
     6: "439df60016a69417b74f0faef93b06022f211a805efa139249a5704f02f2317b",
     7: "cabee7bcd7745c1cfb4a90f98306595ca4cb599e6af90dbca605d82758e835be",
     8: "a308e35948ba7d52c86e5fa59b5f2be01db8df2f052d8b89db02cd89492aaa1d",
+    9: "9f2bf4d47fa7b31aa29c32dc1d4fd010e2ba9240aa0c78ffa64d45cc17031a71",
 }
+GENERATED_10_SHA256 = "2e8209d5fd113bd41d333e350f2403877ac33caa8d5ca2110afe1b9b16fddcd5"
+
+
+def joined_batches(n):
+    joined = [[] for _ in range(n + 1)]
+    for dim, batch in faces_mod._generate(n):
+        joined[dim].extend(batch)
+    return joined
 
 
 @pytest.mark.parametrize("n", sorted(GENERATED_SHA256))
 def test_lattice_joins_the_generated_batches(n, monkeypatch):
     # one enumeration serves the census and the lattice, and its order is pinned
     monkeypatch.setattr(faces_mod, "_lattice_cache", {})
-    joined = [[] for _ in range(n + 1)]
-    for dim, batch in faces_mod._generate(n):
-        joined[dim].extend(batch)
+    joined = joined_batches(n)
     assert hashlib.sha256(repr(joined).encode()).hexdigest() == GENERATED_SHA256[n]
     split = [kind_split(dim, keys) for dim, keys in enumerate(joined)]
     assert faces_mod.face_census(n) == split  # streamed: no lattice yet
     assert n not in faces_mod._lattice_cache
     assert [sorted(keys) for keys in joined] == build_face_lattice(n).keys
     assert faces_mod.face_census(n) == split  # counted from the cached lattice
+
+
+@pytest.mark.slow
+def test_generated_order_at_the_benchmark_size(monkeypatch):
+    # `faces --n 10` counts these batches; hashed alone, with no lattice built
+    monkeypatch.setattr(faces_mod, "_lattice_cache", {})
+    digest = hashlib.sha256(repr(joined_batches(10)).encode()).hexdigest()
+    assert digest == GENERATED_10_SHA256
+    assert faces_mod._lattice_cache == {}
+
+
+def test_keys_share_one_int_per_vertex(monkeypatch):
+    # n = 9 is the first n whose vertex values pass CPython's small-int cache
+    # (-5..256): every key holds the same int object for a vertex, which keeps
+    # the n = 11 lattice near 230 MB
+    monkeypatch.setattr(faces_mod, "_lattice_cache", {})
+    lat = build_face_lattice(9)
+    assert len({id(b) for keys in lat.keys for key in keys for b in key}) == 1 << 8
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
