@@ -37,7 +37,7 @@ def timed(fn, *args):
 
 
 def bench_matrix(label, m, above):
-    trip = m.triplets()
+    trip = m.entries
     ranks_p, times_p = zip(
         *(timed(linalg.rank_mod_p, m.nrows, m.ncols, trip, p) for p in PRIMES)
     )

@@ -3,7 +3,8 @@
 from .core import Mask, Vertex, hamming_distance
 from .complexes import BoundaryMatrix, CellComplex, build_complex, euler_characteristic
 from .faces import FaceDescriptor, FaceLattice, build_face_lattice
-from .homology import HomologyProfile, betti_numbers, homology_of, smith_normal_form
+from .homology import HomologyProfile, homology_of
+from .linalg import smith_normal_form
 from .morse import MorseMatching, build_matching, check_acyclic, unpaired_census
 from .symmetry import SignedPermutation, homology_action, orbits
 from .triangle import TriangleTable, predicted_betti, triangle_recurrence
@@ -21,7 +22,6 @@ __all__ = [
     "SignedPermutation",
     "TriangleTable",
     "Vertex",
-    "betti_numbers",
     "build_complex",
     "build_face_lattice",
     "build_matching",

@@ -218,9 +218,6 @@ class BoundaryMatrix:
             entries[c, r] = v
         return cls(degree, nrows, ncols, tuple((r, c, v) for (c, r), v in sorted(entries.items())))
 
-    def triplets(self):
-        return list(self.entries)
-
     def columns(self) -> list:
         cols = [[] for _ in range(self.ncols)]
         for r, c, v in self.entries:

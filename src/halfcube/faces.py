@@ -101,17 +101,22 @@ def _k_key(v_bits: int, mask_bits: int) -> tuple:
 
 
 def face_count(n: int, k: int) -> int:
-    """Closed-form number of k-faces."""
+    """Closed-form number of k-faces: simplices plus half cubes."""
+    return sum(_face_split(n, k))
+
+
+def _face_split(n: int, k: int) -> tuple:
+    """(simplex-count, halfcube-count) of the k-faces; the top cell counts as half cube."""
     if k == 0:
-        return 1 << (n - 1)
+        return (1 << (n - 1), 0)
     if k == 1:
-        return (1 << (n - 2)) * comb(n, 2)
+        return ((1 << (n - 2)) * comb(n, 2), 0)
     if k == 2:
-        return (1 << (n - 1)) * comb(n, 3)
+        return ((1 << (n - 1)) * comb(n, 3), 0)
     if 3 <= k < n:
-        return (1 << (n - 1)) * comb(n, k + 1) + (1 << (n - k)) * comb(n, k)
+        return ((1 << (n - 1)) * comb(n, k + 1), (1 << (n - k)) * comb(n, k))
     if k == n:
-        return 1
+        return (0, 1)
     raise ValueError(f"dimension {k} outside 0..{n}")
 
 
@@ -130,15 +135,7 @@ def check_face_budget(n: int) -> None:
 
 def face_counts_by_type(n: int) -> list:
     """Per-dimension (simplex-count, halfcube-count); the top cell counts as half cube."""
-    out = []
-    for k in range(n + 1):
-        if k < 3:
-            out.append((face_count(n, k), 0))
-        elif k < n:
-            out.append(((1 << (n - 1)) * comb(n, k + 1), (1 << (n - k)) * comb(n, k)))
-        else:
-            out.append((0, 1))
-    return out
+    return [_face_split(n, k) for k in range(n + 1)]
 
 
 def _classify(n: int, key: tuple) -> tuple:

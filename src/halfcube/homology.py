@@ -65,30 +65,6 @@ def _eliminate(matrix: BoundaryMatrix, m: int, cleared):
     return linalg.eliminate(matrix.nrows, matrix.ncols, matrix.entries, m, cleared)
 
 
-def smith_normal_form(matrix) -> linalg.SmithForm:
-    """Smith normal form of a BoundaryMatrix, dense rows, or triplet triple."""
-    nrows, ncols, trip = _as_triplets(matrix)
-    return linalg.smith_normal_form(nrows, ncols, trip)
-
-
-def _as_triplets(matrix):
-    if isinstance(matrix, BoundaryMatrix):
-        return matrix.nrows, matrix.ncols, matrix.triplets()
-    # an (nrows, ncols, triplets) triple; a dense 3-row tuple has rows first
-    if (
-        isinstance(matrix, tuple)
-        and len(matrix) == 3
-        and all(isinstance(x, int) for x in matrix[:2])
-    ):
-        return matrix
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    trip = [
-        (i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row) if v
-    ]
-    return nrows, ncols, trip
-
-
 @dataclass(frozen=True)
 class HomologyProfile:
     """Per-degree Betti numbers and torsion lists of one complex."""
@@ -188,7 +164,3 @@ def _homology(counts, degrees, eliminate, reduced, certification) -> HomologyPro
         tuple(betti), tuple(tuple(t) for t in torsion), reduced, certification
     )
 
-
-def betti_numbers(cx: CellComplex, reduced=False) -> tuple:
-    """Betti numbers of a cut complex, from the Smith forms of its boundaries."""
-    return homology_of(cx, reduced=reduced).betti

@@ -120,7 +120,7 @@ def eliminate(nrows: int, ncols: int, triplets, m: int, cleared=None):
     if live_rows:
         live_cols = sorted(c for c, col in cols.items() if col)
         factors += _smallest_magnitude(rows, live_rows, live_cols)[0]
-    return SmithForm(tuple(factors), len(factors)), bytes(pivot_rows)
+    return SmithForm(tuple(factors)), bytes(pivot_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +247,15 @@ class SmithForm:
     """Nonzero invariant factors d1 | d2 | ... | dr of an integer matrix."""
 
     factors: tuple
-    rank: int
 
     def __post_init__(self):
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a:
                 raise ValueError("invariant factors violate the divisibility chain")
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
 
 
 def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
@@ -278,11 +281,14 @@ class SmithTransforms:
     """
 
     factors: list
-    rank: int
     U: list
     Uinv: list
     V: list
     Vinv: list
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
 
 
 def smith_with_transforms(nrows: int, ncols: int, triplets) -> SmithTransforms:
@@ -292,7 +298,6 @@ def smith_with_transforms(nrows: int, ncols: int, triplets) -> SmithTransforms:
     factors, row_at, col_at, U, Uinv, V, Vinv = _smallest_magnitude(rows, range(nrows), range(ncols))
     return SmithTransforms(
         factors,
-        len(factors),
         [U[r] for r in row_at],
         [Uinv[r] for r in row_at],
         [V[c] for c in col_at],

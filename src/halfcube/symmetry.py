@@ -43,7 +43,16 @@ from dataclasses import dataclass
 
 from .complexes import build_complex, sort_sign
 from .core import Vertex
-from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, KIND_VERTEX, build_face_lattice, key_kind
+from .faces import (
+    KIND_HALFCUBE,
+    KIND_SIMPLEX,
+    KIND_TOP,
+    KIND_VERTEX,
+    build_face_lattice,
+    face_count,
+    face_counts_by_type,
+    key_kind,
+)
 from .linalg import _add_multiple, smith_with_transforms
 from .triangle import predicted_betti
 
@@ -250,8 +259,6 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
 
 def expected_orbit_profile(n: int, extended: bool = False) -> list:
     """Orbit (kind, size) lists per dimension, from the census split."""
-    from .faces import face_count, face_counts_by_type
-
     out = []
     by_type = face_counts_by_type(n)
     for dim in range(n + 1):

@@ -129,7 +129,7 @@ def test_criterion_03_snf_certificate_n7():
     for k in range(3, 9):
         cx = build_complex(7, k)
         for m in cx.matrices():
-            trip = m.triplets()
+            trip = m.entries
             sf = smith_normal_form(m.nrows, m.ncols, trip)
             assert set(sf.factors) <= {1}, (k, m.degree, sf.factors)
             for p in (2, 3, 5):

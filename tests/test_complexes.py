@@ -96,7 +96,7 @@ def test_simplex_column_support_sizes():
 def test_rank_d1_connected_graph():
     cx = build_complex(4, 4)
     m = cx.matrices()[0]
-    assert smith_normal_form(m.nrows, m.ncols, m.triplets()).rank == 7
+    assert smith_normal_form(m.nrows, m.ncols, m.entries).rank == 7
 
 
 def test_boundary_squared_zero_sweep():

@@ -15,7 +15,7 @@ import pytest
 from oracles import triplets_to_dense, dense_rank
 
 from halfcube.complexes import build_complex
-from halfcube.homology import betti_numbers
+from halfcube.homology import homology_of
 from halfcube.linalg import smith_normal_form
 
 
@@ -67,13 +67,13 @@ def test_simplicial_route_matches_geometric_route(n, k):
     counts = cx.cell_counts()
     ranks = [0] * (len(counts) + 1)
     for d, (nr, nc, trip) in enumerate(mats, start=1):
-        # the dense oracle, not the SNF that betti_numbers reads
+        # the dense oracle, not the SNF that homology_of reads
         ranks[d] = dense_rank(triplets_to_dense(nr, nc, trip))
     betti = [
         counts[d] - ranks[d] - ranks[d + 1] for d in range(len(counts))
     ]
     betti[0] -= 1
-    assert tuple(betti) == betti_numbers(cx, reduced=True), (n, k)
+    assert tuple(betti) == homology_of(cx, reduced=True).betti, (n, k)
 
 
 def test_simplicial_route_small_rank_against_dense_oracle():

@@ -3,16 +3,10 @@ from operator import itemgetter
 
 import pytest
 
+import halfcube
 from halfcube import complexes, homology, linalg
 from halfcube.complexes import BoundaryMatrix, build_complex
-from halfcube.homology import (
-    CERT_RANK_AGREE,
-    CERT_SNF,
-    betti_numbers,
-    homology_from_matrices,
-    homology_of,
-    smith_normal_form,
-)
+from halfcube.homology import CERT_RANK_AGREE, CERT_SNF, homology_from_matrices, homology_of
 from halfcube.triangle import predicted_betti, triangle_alternating
 from oracles import random_flip_set, reoriented_matrices
 
@@ -79,8 +73,8 @@ def test_both_certificates_share_one_integer_elimination(monkeypatch):
 
 
 def test_betti_numbers_fast_path():
-    assert betti_numbers(build_complex(6, 3), reduced=True)[2] == 111
-    assert betti_numbers(build_complex(5, 3), reduced=True)[2] == 31
+    assert homology_of(build_complex(6, 3), reduced=True).betti[2] == 111
+    assert homology_of(build_complex(5, 3), reduced=True).betti[2] == 31
 
 
 def test_closed_form_matches_triangle_route():
@@ -100,18 +94,31 @@ def test_homology_from_matrices_with_flips():
     assert prof.torsion == base.torsion
 
 
-def test_smith_wrapper_accepts_dense_and_boundary():
-    sf = smith_normal_form([[2, 0], [0, 0]])
+def _smith_of_dense(rows):
+    trip = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    return linalg.smith_normal_form(len(rows), len(rows[0]), trip)
+
+
+def test_smith_normal_form_of_dense_and_boundary_matrices():
+    sf = _smith_of_dense([[2, 0], [0, 0]])
     assert sf.factors == (2,) and sf.rank == 1
-    # three dense rows as a tuple are rows, not an (nrows, ncols, triplets) triple
     for dense in ([[2, 0], [0, 3], [0, 0]], ((2, 0), (0, 3), (0, 0))):
-        sf = smith_normal_form(dense)
+        sf = _smith_of_dense(dense)
         assert sf.factors == (1, 6) and sf.rank == 2
-    assert smith_normal_form((3, 2, [(0, 0, 2), (1, 1, 3)])).factors == (1, 6)
-    cx = build_complex(4, 4)
-    sf = smith_normal_form(cx.matrices()[0])
+    assert linalg.smith_normal_form(3, 2, [(0, 0, 2), (1, 1, 3)]).factors == (1, 6)
+    m = build_complex(4, 4).matrices()[0]
+    sf = linalg.smith_normal_form(m.nrows, m.ncols, m.entries)
     assert sf.rank == 7
     assert all(f == 1 for f in sf.factors)
+
+
+def test_one_smith_normal_form_and_rank_read_off_factors():
+    assert halfcube.smith_normal_form is linalg.smith_normal_form
+    assert not hasattr(homology, "smith_normal_form")
+    for factors in ((), (1,), (1, 2, 6)):
+        assert linalg.SmithForm(factors).rank == len(factors)
+    with pytest.raises(ValueError, match="divisibility chain"):
+        linalg.SmithForm((2, 3))
 
 
 def test_torsion_reported_from_factors():
@@ -150,7 +157,7 @@ def test_cleared_eliminations_match_whole_matrices(n):
             m = cx.matrices()[d - 1]
             key = complexes.boundary_key(cx, d)
             if key not in whole:
-                trip = m.triplets()
+                trip = m.entries
                 ranks = {p: linalg.rank_mod_p(m.nrows, m.ncols, trip, p) for p in (2, 3, 5)}
                 whole[key] = [linalg.smith_normal_form(m.nrows, m.ncols, trip)]
                 whole[key] += [{p: r} for p, r in ranks.items()] + [ranks]

@@ -236,7 +236,7 @@ def test_smith_matches_dense_route_on_boundary_matrices():
     for n in (4, 5):
         for k in range(3, n + 2):
             for m in build_complex(n, k).matrices():
-                trip = m.triplets()
+                trip = m.entries
                 rows, cols = linalg._sparse(m.nrows, m.ncols, trip, 0)
                 linalg._unit_phase(rows, cols, 0)
                 assert not any(rows.values()), (n, k, m.degree)
@@ -340,7 +340,7 @@ def test_kernel_equivalence_on_boundary_matrices():
 
     for k in range(3, 7):
         for m in build_complex(5, k).matrices():
-            trip = m.triplets()
+            trip = m.entries
             dense = triplets_to_dense(m.nrows, m.ncols, trip)
             want = dense_rank(dense)
             assert linalg.smith_normal_form(m.nrows, m.ncols, trip).rank == want
@@ -364,7 +364,7 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column():
             return super().pop(c)
 
     rng = random.Random(43)
-    mats = [(m.nrows, m.ncols, m.triplets()) for m in build_complex(5, 4).matrices()]
+    mats = [(m.nrows, m.ncols, m.entries) for m in build_complex(5, 4).matrices()]
     mats += [(9, 9, random_triplets(rng, 9, 9, -2, 2)) for _ in range(60)]
     for nr, nc, trip in mats:
         dense = triplets_to_dense(nr, nc, trip)
