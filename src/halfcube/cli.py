@@ -40,6 +40,10 @@ CHARACTER_SEED = 0  # betti --characters samples the same group elements every r
 # on a 2-vCPU host with Python 3.11, 100 rows take about 0.3 s, 150 about
 # 1.3 s and 400 about 98 s
 MAX_ROWS = 100
+# betti --characters COUNT at (8, 4): 10 take 41-47 s at about 240 MB and 100
+# take 79-95 s, so each sample costs 0.4-0.5 s once the basis is built; at
+# (7, 6), 100 take 1.3-1.6 s (same host)
+MAX_CHARACTERS = 100
 
 ENV_CACHE_DIR = "HALFCUBE_CACHE_DIR"
 
@@ -567,6 +571,9 @@ def validate_args(args) -> None:
     rows = getattr(args, "rows", None)
     if rows is not None and rows > MAX_ROWS:
         usage_error(f"--rows must be at most {MAX_ROWS}, got {rows}")
+    characters = getattr(args, "characters", None)
+    if characters is not None and characters > MAX_CHARACTERS:
+        usage_error(f"--characters must be at most {MAX_CHARACTERS}, got {characters}")
     n_max = getattr(args, "n_max", None)
     if n_max is not None and not 4 <= n_max <= 32:
         usage_error(f"--n-max must be in 4..32, got {n_max}")

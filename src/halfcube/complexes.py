@@ -51,22 +51,22 @@ parent:
   ``incidence_sign`` computes both with one parity helper, ``sort_sign``:
   tau lists (b ^ u).bit_length() for the facet's vertices b in key order.
 
-Every matrix is assembled by ``boundary_matrices``: each column's rows in
-``FaceLattice.facets`` order (key order, so row order) paired with its
-signs, computed or read from a cache file; the last complex's matrices are
-held by ``boundary_key`` and reused.  The boundary-squared assertion
-certifies every new matrix, and the tests check both rules and the lemma
-against the full Gram determinant of reoriented cells and the echelon
-orientation tuple (``tests/oracles.py``).
+Every matrix is assembled by ``boundary_matrices`` column by column: one
+``FaceLattice.facets`` call (no memo) gives a column's facet keys in key
+order, which is row order, and its signs unless a cache file supplies them;
+the last complex's matrices are held by ``boundary_key`` and reused.  The
+boundary-squared assertion certifies every new matrix, and the tests check
+both rules and the lemma against the full Gram determinant of reoriented
+cells and the echelon orientation tuple (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import MAX_DIM
 from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, FaceLattice, build_face_lattice
+from .faces import _classify, _opposite_point
 
 
 class CellComplex:
@@ -147,28 +147,28 @@ def sort_sign(seq) -> int:
     return -1 if inversions & 1 else 1
 
 
-def incidence_sign(parent, child) -> int:
-    """Sign of the facet ``child`` in the half-cube or top cell ``parent``.
+def incidence_sign(parent, ckey: tuple) -> int:
+    """Sign of the facet with key ``ckey`` in the half-cube or top cell ``parent``.
 
     Simplex columns are alternating tuples (``_ALTERNATING``); a simplex
-    parent, or a child that is not a facet of ``parent``, raises ValueError.
+    parent, or a key that is not a facet of ``parent``, raises ValueError.
     """
     if parent.kind not in (KIND_HALFCUBE, KIND_TOP):
         raise ValueError(f"{parent!r} is not a half-cube or top cell")
     s = parent.mask.bits
-    ckey = child.key
     # every facet agrees with the parent off its coordinate set S
     if not (ckey[0] ^ parent.key[0]) & ~s:
-        if child.kind == KIND_SIMPLEX and child.mask.bits == s:
+        kind, span = _classify(parent.n, ckey)
+        if kind == KIND_SIMPLEX and span == s:
             # K(u, S): -sgn of the coordinates its vertices flip in u, in key order
-            u = child.point.bits
+            u = _opposite_point(ckey)
             return -sort_sign([(b ^ u).bit_length() for b in ckey])
-        if child.kind == KIND_HALFCUBE and child.mask.bits | s == s:
-            i = s ^ child.mask.bits
+        if kind == KIND_HALFCUBE and span | s == s:
+            i = s ^ span
             if i.bit_count() == 1:
                 # the half on S - {i}: -(-1)^#{j in S : j < i}
                 return 1 if (s & (i - 1)).bit_count() & 1 else -1
-    raise ValueError(f"{child!r} is not a facet of {parent!r}")
+    raise ValueError(f"{ckey!r} is not a facet of {parent!r}")
 
 
 # facet signs of a d-simplex column in FaceLattice.facets order, per d: the
@@ -178,11 +178,11 @@ _ALTERNATING = tuple(
 )
 
 
-def column_signs(lattice, cell) -> tuple:
-    """The signs of ``cell``'s facets in ``lattice.facets(cell)`` order."""
+def column_signs(cell, facet_keys) -> tuple:
+    """The signs of ``cell``'s facets, given their keys in ``FaceLattice.facets`` order."""
     if cell.kind == KIND_SIMPLEX:
         return _ALTERNATING[cell.dim]
-    return tuple(incidence_sign(cell, g) for g in lattice.facets(cell))
+    return tuple(incidence_sign(cell, g) for g in facet_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,15 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
         if m is None:
             new.append(d)
             cells = cx.cells[d]
-            if signs_d is None:
-                signs_d = chain.from_iterable(column_signs(lat, c) for c in cells)
             row_of = cx.index[d - 1]
-            # facets come in key order, which is row order
-            pairs = ((row_of[g.key], j) for j, c in enumerate(cells) for g in lat.facets(c))
-            entries = tuple((r, j, s) for (r, j), s in zip(pairs, signs_d, strict=True))
+            # one facets call per column; facets come in key order, which is row order
+            keys_of = (lat.facets(c) for c in cells)
+            if signs_d is None:
+                signed = (zip(fks, column_signs(c, fks)) for c, fks in zip(cells, keys_of))
+                entries = tuple((row_of[g], j, s) for j, col in enumerate(signed) for g, s in col)
+            else:
+                pairs = ((row_of[g], j) for j, fks in enumerate(keys_of) for g in fks)
+                entries = tuple((r, j, s) for (r, j), s in zip(pairs, signs_d, strict=True))
             m = BoundaryMatrix(d, len(cx.cells[d - 1]), len(cells), entries)
         elif signs_d is not None and [v for _, _, v in m.entries] != list(signs_d):
             raise ValueError(f"degree {d} signs differ from the held matrix")

@@ -152,6 +152,23 @@ def _classify(n: int, key: tuple) -> tuple:
     return (KIND_TOP if size == n else KIND_HALFCUBE), span
 
 
+def _opposite_point(key: tuple) -> int:
+    """The opposite point v' of the simplex K(v', S) with this key.
+
+    Each vertex flips one coordinate of v', so with |S| >= 3, v'_i is set
+    exactly where at least two vertices have bit i set.  An edge is named
+    by the smaller of its two opposite points.
+    """
+    if len(key) == 2:
+        span = key[0] ^ key[1]
+        return key[0] ^ (span & -span)  # the smaller flips the lower coordinate
+    once = twice = 0
+    for b in key:
+        twice |= once & b
+        once |= b
+    return twice
+
+
 def key_kind(n: int, key: tuple) -> str:
     """The kind of the face with this key, read off the key alone."""
     return _classify(n, key)[0]
@@ -174,14 +191,13 @@ def kind_split(dim: int, keys: list) -> tuple:
 class FaceLattice:
     """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
 
-    ``faces`` (the descriptors per dimension, in key order) and ``index``
-    (key -> descriptor) are built from ``keys`` on first access.
+    ``faces`` (descriptors per dimension, in key order) and ``index`` (key ->
+    descriptor, read by ``face`` and ``intersection`` only) are built on first access.
     """
 
     def __init__(self, n: int, keys: list):
         self.n = n
         self.keys = keys
-        self._facet_memo = {}
 
     @cached_property
     def faces(self) -> list:
@@ -203,35 +219,22 @@ class FaceLattice:
     def describe(self, key: tuple) -> FaceDescriptor:
         """The descriptor of the face with this key, built from the key alone.
 
-        A simplex K(v', S) with |S| >= 3 has v'_i set exactly where at least
-        two of its vertices have bit i set (each vertex flips one coordinate
-        of v'); an edge is named by the smaller of its two opposite points.
-        A half cube or the top cell is based at its smallest vertex.
+        A simplex is named by its opposite point (``_opposite_point``), a
+        half cube or the top cell by its smallest vertex.
         """
         kind, span = _classify(self.n, key)
-        point = key[0]
-        if kind == KIND_VERTEX:
-            return FaceDescriptor(kind, self.n, self._vertices[point], None, 0, key)
-        if kind != KIND_SIMPLEX:
-            dim = span.bit_count()
-        elif len(key) == 2:
-            dim = 1
-            low = span & -span
-            point = min(point ^ low, point ^ span ^ low)
+        mask = None if kind == KIND_VERTEX else self._masks[span]
+        if kind == KIND_SIMPLEX:
+            dim, point = len(key) - 1, _opposite_point(key)
         else:
-            dim = len(key) - 1
-            once = twice = 0
-            for b in key:
-                twice |= once & b
-                once |= b
-            point = twice
-        return FaceDescriptor(kind, self.n, self._vertices[point], self._masks[span], dim, key)
+            dim, point = span.bit_count(), key[0]
+        return FaceDescriptor(kind, self.n, self._vertices[point], mask, dim, key)
 
     def face(self, key) -> FaceDescriptor:
         return self.index[tuple(key)]
 
     def facets(self, f: FaceDescriptor) -> list:
-        """The codimension-1 faces of f, from its vertex key alone, in key order.
+        """The keys of f's codimension-1 faces, in key order, from f's key on every call.
 
         A face with dim + 1 vertices (a simplex, or the half-cube
         tetrahedron) loses one vertex at a time, the last one first: that is
@@ -241,9 +244,6 @@ class FaceLattice:
         simplex of the neighbours u ^ (1 << i), i in S; these keys are
         sorted once.  Key order is row order in a boundary column.
         """
-        got = self._facet_memo.get(f.key)
-        if got is not None:
-            return got
         if f.dim == 0:
             raise ValueError("vertices have no facets")
         key = f.key
@@ -259,9 +259,7 @@ class FaceLattice:
             for u in (b ^ bits[0] for b in key):
                 keys.append(tuple(sorted(u ^ bit for bit in bits)))
             keys.sort()
-        got = [self.index[k] for k in keys]
-        self._facet_memo[f.key] = got
-        return got
+        return keys
 
     def intersection(self, f: FaceDescriptor, g: FaceDescriptor):
         """The face on the common vertices, or None when disjoint."""

@@ -12,7 +12,7 @@ only upward, so a directed cycle alternates up_1 -> lo_1 -> up_2 -> lo_2
 -> ... within two adjacent dimensions: the check sorts the pairs alone.
 ``check_acyclic`` is also the only validity check of a matching: every
 paired cell must be a cell of the complex and lie in one pair only, and
-each lower cell must be a facet of its upper one.
+each lower cell's key must be a facet key of its upper one.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatch
     """The canonical matching on a cut complex.
 
     Requires an actual cut (k_cut <= n): on the full complex the top cell
-    has no simplex partner and the construction does not apply.
+    has no simplex partner and the construction does not apply.  Each upper
+    cell is looked up in the complex itself (``cx.index``, ``cx.cells``).
     """
     if cx.is_full:
         raise ValueError("matching is defined on the cut complexes only")
@@ -69,9 +70,8 @@ def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatch
                 continue
             if j in lower.mask:
                 continue
-            upper_mask = lower.mask.with_coord(j)
-            upper = cx.lattice.index[_k_key(lower.point.bits, upper_mask.bits)]
-            pairs.append((lower, upper))
+            key = _k_key(lower.point.bits, lower.mask.with_coord(j).bits)
+            pairs.append((lower, cx.cells[dim + 1][cx.index[dim + 1][key]]))
     pairs.sort(key=lambda p: (p[0].dim, p[0].key))
     return MorseMatching(cx, tuple(pairs), j)
 
@@ -150,15 +150,14 @@ def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
     """The acyclicity certificate of a matching, which must be a discrete vector field.
 
     Raises ValueError when a paired cell is not a cell of the complex, or
-    on the conditions of ``acyclicity_certificate`` (a facet is always
-    codimension 1).
+    on the conditions of ``acyclicity_certificate`` over the facet keys of
+    ``FaceLattice.facets`` (a facet is always codimension 1).
     """
     cx = m.complex
     for f in chain.from_iterable(m.pairs):
         if not cx.has_cell(f):
             raise ValueError(f"{f!r} is not a cell of the complex")
-    facets = cx.lattice.facets
-    uppers = {up.key: [g.key for g in facets(up)] for _, up in m.pairs}
+    uppers = {up.key: cx.lattice.facets(up) for _, up in m.pairs}
     return acyclicity_certificate(uppers, [(lo.key, up.key) for lo, up in m.pairs])
 
 

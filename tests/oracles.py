@@ -684,7 +684,7 @@ def reoriented_matrices(cx, flips) -> list:
         row_of = cx.index[d - 1]
         # facets come in key order, which is row order
         entries = tuple(
-            (row_of[g.key], j, gram_sign(lat, c, g, c.key in flips, g.key in flips))
+            (row_of[g], j, gram_sign(lat, c, lat.face(g), c.key in flips, g in flips))
             for j, c in enumerate(cx.cells[d])
             for g in lat.facets(c)
         )

@@ -193,6 +193,18 @@ def test_triangle_rows_above_the_limit_is_a_usage_error(capsys, monkeypatch):
     cli.validate_args(cli.build_parser().parse_args(["triangle", "--rows", str(cli.MAX_ROWS)]))
 
 
+def test_betti_characters_above_the_limit_is_a_usage_error(capsys, monkeypatch):
+    def refuse(n, k, count):
+        raise AssertionError(f"sampled {count} characters")
+
+    monkeypatch.setattr(cli, "character_samples", refuse)
+    monkeypatch.setattr(cli, "get_complex", refuse)
+    argv = ["betti", "--n", "5", "--k", "4", "--characters"]
+    err = usage_error(capsys, *argv, str(cli.MAX_CHARACTERS + 1))
+    assert f"--characters must be at most {cli.MAX_CHARACTERS}" in err
+    cli.validate_args(cli.build_parser().parse_args(argv + [str(cli.MAX_CHARACTERS)]))
+
+
 def test_betti_k_range_usage_error():
     with pytest.raises(SystemExit):
         cli.main(["betti", "--n", "5", "--k", "6"])
@@ -280,6 +292,18 @@ def test_faces_census_builds_no_descriptors(monkeypatch):
     assert 9 not in faces._lattice_cache
     assert [r["total"] for r in results] == faces.face_counts(9)
     assert [(r["simplex"], r["halfcube"]) for r in results] == faces.face_counts_by_type(9)
+
+
+def test_commands_build_no_face_index_or_facet_memo(capsys, monkeypatch):
+    # facets are keys: boundary columns, Morse checks and the homology action
+    # read no all-faces index (only face() and intersection() build one)
+    monkeypatch.setattr(faces, "_lattice_cache", {})
+    assert run_cli(capsys, "verify", "--n-max", "5")[0] == 0
+    assert run_cli(capsys, "betti", "--n", "5", "--k", "4", "--characters", "1")[0] == 0
+    assert sorted(faces._lattice_cache) == [4, 5]
+    for lat in faces._lattice_cache.values():
+        held = vars(lat)
+        assert "index" not in held and not any("memo" in name for name in held), sorted(held)
 
 
 # run in a fresh interpreter, so that what earlier tests left allocated or

@@ -213,6 +213,27 @@ def test_next_cut_assembles_only_the_degrees_at_the_cut(monkeypatch, n):
                 assert m is held[key], (n, k, d)
 
 
+def test_assembly_computes_each_columns_facets_once(monkeypatch):
+    # one FaceLattice.facets call per column, with the signs computed or given
+    monkeypatch.setattr(complexes, "_held", {})
+    cx = build_complex(5, 4)
+    calls = []
+    facets = faces.FaceLattice.facets
+
+    def recording(lat, f):
+        calls.append(f.key)
+        return facets(lat, f)
+
+    monkeypatch.setattr(faces.FaceLattice, "facets", recording)
+    mats = boundary_matrices(cx)
+    columns = sorted(f.key for cs in cx.cells[1:] for f in cs)
+    assert sorted(calls) == columns
+    calls.clear()
+    complexes._held.clear()
+    assert boundary_matrices(cx, [[v for _, _, v in m.entries] for m in mats]) == mats
+    assert sorted(calls) == columns
+
+
 def test_flipped_assembly_leaves_the_held_matrices_alone(monkeypatch):
     monkeypatch.setattr(complexes, "_held", {})
     cx = build_complex(5, 4)
@@ -257,8 +278,9 @@ def test_simplex_closed_form_matches_determinant(n):
         for p in dim_faces:
             if p.kind != KIND_SIMPLEX:
                 continue
-            for c, got in zip(lat.facets(p), column_signs(lat, p), strict=True):
-                assert got == -gram_sign(lat, p, c, flip_parent=True), (p, c)
+            fks = lat.facets(p)
+            for c, got in zip(fks, column_signs(p, fks), strict=True):
+                assert got == -gram_sign(lat, p, lat.face(c), flip_parent=True), (p, c)
                 seen += 1
     assert seen == SIMPLEX_INCIDENCES[n]
     triangle = lat.faces[2][0]
@@ -269,8 +291,8 @@ def test_simplex_closed_form_matches_determinant(n):
     # faces two dimensions down
     parent = next(f for f in lat.faces[4] if f.kind != KIND_SIMPLEX)
     facets = set(lat.facets(parent))
-    refused = [c for c in lat.faces[3] + lat.faces[2] if c not in facets]
-    assert len(refused) == len(lat.faces[3]) + len(lat.faces[2]) - len(facets)
+    refused = [c for c in lat.keys[3] + lat.keys[2] if c not in facets]
+    assert len(refused) == len(lat.keys[3]) + len(lat.keys[2]) - len(facets)
     for c in refused:
         with pytest.raises(ValueError, match="is not a facet of"):
             incidence_sign(parent, c)
@@ -293,7 +315,7 @@ def test_factored_halfcube_sign_matches_determinant(n):
             if p.kind == KIND_SIMPLEX:
                 continue
             for c in lat.facets(p):
-                want = -gram_sign(lat, p, c, flip_parent=True)
+                want = -gram_sign(lat, p, lat.face(c), flip_parent=True)
                 assert incidence_sign(p, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
@@ -325,8 +347,9 @@ def test_columns_follow_facet_order():
     lat = build_face_lattice(5)
     for dim_faces in lat.faces[1:]:
         for p in dim_faces:
-            want = tuple(-gram_sign(lat, p, c, flip_parent=True) for c in lat.facets(p))
-            assert column_signs(lat, p) == want, p
+            fks = lat.facets(p)
+            want = tuple(-gram_sign(lat, p, lat.face(c), flip_parent=True) for c in fks)
+            assert column_signs(p, fks) == want, p
 
 
 # SHA-256 of the boundary triplets ("degree nrows ncols" header, then

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,7 +166,7 @@ def test_n4_facets_split_eight_eight():
 
 def test_top_cell_facet_census():
     lat = build_face_lattice(5)
-    fs = lat.facets(lat.faces[5][0])
+    fs = [lat.face(k) for k in lat.facets(lat.faces[5][0])]
     assert len(fs) == 2**4 + 2 * 5
     assert sum(1 for f in fs if f.kind == KIND_SIMPLEX) == 16
     assert sum(1 for f in fs if f.kind == KIND_HALFCUBE) == 10
@@ -175,21 +176,24 @@ def test_top_cell_facet_census():
 
 def test_edge_facets_are_vertices():
     e = simplex_face(odd_vertices(5)[0], Mask.of(5, 1, 2))
-    fs = build_face_lattice(5).facets(e)
+    lat = build_face_lattice(5)
+    fs = [lat.face(k) for k in lat.facets(e)]
     assert [f.kind for f in fs] == [KIND_VERTEX, KIND_VERTEX]
     assert {f.key[0] for f in fs} == set(e.key)
 
 
 def test_halfcube_tetrahedron_facets_are_simplices():
     f = halfcube_face(Vertex.from_signs((1, -1, -1, 1, 1)), Mask.of(5, 1, 3, 4))
-    fs = build_face_lattice(5).facets(f)
+    lat = build_face_lattice(5)
+    fs = [lat.face(k) for k in lat.facets(f)]
     assert len(fs) == 4
     assert all(g.kind == KIND_SIMPLEX and g.dim == 2 for g in fs)
 
 
 def test_halfcube_facet_rule():
     f = halfcube_face(Vertex(6, 0), Mask.of(6, 1, 2, 3, 4))
-    fs = build_face_lattice(6).facets(f)
+    lat = build_face_lattice(6)
+    fs = [lat.face(k) for k in lat.facets(f)]
     simp = [g for g in fs if g.kind == KIND_SIMPLEX]
     hc = [g for g in fs if g.kind == KIND_HALFCUBE]
     assert len(simp) == 2**3 and len(hc) == 2 * 4
@@ -202,7 +206,8 @@ def test_facets_have_codimension_one_everywhere():
     lat = build_face_lattice(5)
     for dim in range(1, 6):
         for f in lat.faces[dim]:
-            for g in lat.facets(f):
+            for k in lat.facets(f):
+                g = lat.face(k)
                 assert g.dim == dim - 1
                 assert set(g.key) < set(f.key)
 
@@ -214,7 +219,7 @@ def test_facets_match_brute_force(n):
     lat = build_face_lattice(n)
     for dim in range(1, n + 1):
         for f in lat.faces[dim]:
-            got = [g.key for g in lat.facets(f)]
+            got = lat.facets(f)
             want = [g.key for g in lat.faces[dim - 1] if set(g.key) <= set(f.key)]
             assert got == want, f
 
@@ -234,10 +239,10 @@ def test_hasse_reaches_every_face():
         for f in frontier:
             if f.dim == 0:
                 continue
-            for g in lat.facets(f):
-                if g.key not in seen:
-                    seen.add(g.key)
-                    nxt.append(g)
+            for k in lat.facets(f):
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(lat.face(k))
         frontier = nxt
     assert len(seen) == sum(face_counts(5))
 
@@ -250,8 +255,8 @@ def test_diamond_property(n):
         for f in lat.faces[dim]:
             counts = {}
             for g in lat.facets(f):
-                for h in lat.facets(g):
-                    counts[h.key] = counts.get(h.key, 0) + 1
+                for h in lat.facets(lat.face(g)):
+                    counts[h] = counts.get(h, 0) + 1
             assert set(counts.values()) == {2}, (f, counts)
 
 
@@ -300,6 +305,28 @@ def test_intersection_exhaustive_n4():
                 assert got is None
             else:
                 assert set(got.key) == common
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_intersection_is_the_bitset_and(n):
+    # seeded random pairs, each face drawn from a uniformly drawn dimension:
+    # None when the AND of the two vertex bitsets is empty, else the face
+    # on exactly the vertices of the AND
+    lat = build_face_lattice(n)
+    keys_of_dim = [set(keys) for keys in lat.keys]
+    rng = random.Random(n)
+    met = 0
+    for _ in range(2000):
+        f, g = (rng.choice(lat.faces[rng.randrange(n + 1)]) for _ in range(2))
+        both = sum(1 << b for b in f.key) & sum(1 << b for b in g.key)
+        got = lat.intersection(f, g)
+        if not both:
+            assert got is None, (f, g)
+            continue
+        met += 1
+        common = tuple(b for b in range(1 << n) if both >> b & 1)
+        assert got.key == common and common in keys_of_dim[got.dim], (f, g, got)
+    assert met >= 500, met
 
 
 def test_intersection_rejects_foreign_faces():

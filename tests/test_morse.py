@@ -146,14 +146,14 @@ def _invalid_c53_matching(case):
     cut = next(f for f in lat.faces[3] if f.kind == KIND_HALFCUBE)
     pairs = {
         # a facet of the lower cell under the upper one: codimension 2
-        "codimension 2": [(lat.facets(lo)[0], up)],
+        "codimension 2": [(lat.face(lat.facets(lo)[0]), up)],
         # a dim-3 half cube, whose interior the cut removed, over one of its facets
-        "removed by the cut": [(lat.facets(cut)[0], cut)],
+        "removed by the cut": [(lat.face(lat.facets(cut)[0]), cut)],
         "lower cell in two pairs": [
             (lo, up),
-            (lo, next(f for f in cx.cells[up.dim] if f != up and lo in lat.facets(f))),
+            (lo, next(f for f in cx.cells[up.dim] if f != up and lo.key in lat.facets(f))),
         ],
-        "not a facet": [(lo, next(f for f in cx.cells[up.dim] if lo not in lat.facets(f)))],
+        "not a facet": [(lo, next(f for f in cx.cells[up.dim] if lo.key not in lat.facets(f)))],
     }[case]
     return MorseMatching(cx, tuple(pairs), cx.n)
 
@@ -185,7 +185,7 @@ def test_invalid_matching_is_rejected(pairs, match):
 def _hasse(cx):
     """Every cell by dimension and the facets of every cell above dimension 0, by key."""
     cells = {d: [f.key for f in cs] for d, cs in enumerate(cx.cells)}
-    facets = {f.key: [g.key for g in cx.lattice.facets(f)] for cs in cx.cells[1:] for f in cs}
+    facets = {f.key: cx.lattice.facets(f) for cs in cx.cells[1:] for f in cs}
     return cells, facets
 
 
