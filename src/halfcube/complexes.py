@@ -2,8 +2,8 @@
 
 The full complex consists of every face; the cut complexes delete the
 interiors of all half-cube shaped cells (top cell included) of dimension
-at least k_cut, leaving the simplex cells untouched.  Cells are ordered
-lexicographically by canonical vertex key inside each dimension.
+at least k_cut, leaving the simplex cells untouched.  A cell is its
+canonical vertex key, and each dimension lists its cells in key order.
 
 Incidence signs are geometric, and their convention (the cache's
 ``lexmin-outward-v1``) is unchanged; it is defined by the reference route
@@ -53,7 +53,8 @@ parent:
 
 Every matrix is assembled by ``boundary_matrices`` column by column: one
 ``FaceLattice.facets`` call (no memo) gives a column's facet keys in key
-order, which is row order, and its signs unless a cache file supplies them;
+order, which is row order, and ``column_signs``, which reads the column's
+kind and span off its key once, its signs unless a cache file supplies them;
 the last complex's matrices are held by ``boundary_key`` and reused.  The
 boundary-squared assertion certifies every new matrix, and the tests check
 both rules and the lemma against the full Gram determinant of reoriented
@@ -65,21 +66,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import MAX_DIM
-from .faces import KIND_HALFCUBE, KIND_SIMPLEX, KIND_TOP, FaceLattice, build_face_lattice
-from .faces import _classify, _opposite_point
+from .faces import FaceLattice, _opposite_point, _span, build_face_lattice, simplex_keys
 
 
 class CellComplex:
-    """Cells of the full or cut complex, per dimension, in key order."""
+    """Cell keys of the full or cut complex per dimension; ``index[d]`` maps them to positions."""
 
     def __init__(self, n: int, k_cut: int, lattice: FaceLattice, cells: list):
         self.n = n
         self.k_cut = k_cut
         self.lattice = lattice
         self.cells = cells
-        self.index = [
-            {f.key: i for i, f in enumerate(dim_cells)} for dim_cells in cells
-        ]
+        self.index = [{key: i for i, key in enumerate(keys)} for keys in cells]
         self._matrices = None
 
     @property
@@ -93,8 +91,8 @@ class CellComplex:
     def cell_counts(self) -> list:
         return [len(cs) for cs in self.cells]
 
-    def has_cell(self, face) -> bool:
-        return face.dim <= self.top_dim and face.key in self.index[face.dim]
+    def has_cell(self, key: tuple) -> bool:
+        return any(key in index for index in self.index)
 
     def matrices(self) -> list:
         if self._matrices is None:
@@ -114,19 +112,11 @@ def build_complex(n: int, k_cut=None) -> CellComplex:
         k_cut = n + 1
     if not 3 <= k_cut <= n + 1:
         raise ValueError("need 3 <= k_cut <= n+1")
-    lattice = build_face_lattice(n)
-    cells = []
-    for dim in range(n + 1):
-        keep = [
-            f
-            for f in lattice.faces[dim]
-            if dim < k_cut or f.kind not in (KIND_HALFCUBE, KIND_TOP)
-        ]
-        if keep:
-            cells.append(keep)
-        else:
-            break
-    return CellComplex(n, k_cut, lattice, cells)
+    lat = build_face_lattice(n)
+    # below the cut a dimension's cells are the lattice's key list itself; at
+    # and above it, short of dim n (the top cell alone), its simplex keys
+    cells = lat.keys[:k_cut] + [simplex_keys(d, lat.keys[d]) for d in range(k_cut, n)]
+    return CellComplex(n, k_cut, lat, cells)
 
 
 def euler_characteristic(c: CellComplex) -> int:
@@ -147,27 +137,28 @@ def sort_sign(seq) -> int:
     return -1 if inversions & 1 else 1
 
 
-def incidence_sign(parent, ckey: tuple) -> int:
-    """Sign of the facet with key ``ckey`` in the half-cube or top cell ``parent``.
+def incidence_sign(parent: tuple, s: int, ckey: tuple) -> int:
+    """Sign of the facet with key ``ckey`` in the half-cube or top cell with key ``parent``.
 
+    ``s`` holds the mask bits of the coordinate set S that ``parent`` spans.
     Simplex columns are alternating tuples (``_ALTERNATING``); a simplex
     parent, or a key that is not a facet of ``parent``, raises ValueError.
     """
-    if parent.kind not in (KIND_HALFCUBE, KIND_TOP):
+    # a half cube on m >= 3 coordinates has 2^(m-1) > m vertices, a simplex m
+    if not len(parent) > s.bit_count() >= 3:
         raise ValueError(f"{parent!r} is not a half-cube or top cell")
-    s = parent.mask.bits
     # every facet agrees with the parent off its coordinate set S
-    if not (ckey[0] ^ parent.key[0]) & ~s:
-        kind, span = _classify(parent.n, ckey)
-        if kind == KIND_SIMPLEX and span == s:
+    if not (ckey[0] ^ parent[0]) & ~s:
+        span = _span(ckey)
+        simplex = len(ckey) == span.bit_count()
+        if simplex and span == s:
             # K(u, S): -sgn of the coordinates its vertices flip in u, in key order
             u = _opposite_point(ckey)
             return -sort_sign([(b ^ u).bit_length() for b in ckey])
-        if kind == KIND_HALFCUBE and span | s == s:
-            i = s ^ span
-            if i.bit_count() == 1:
-                # the half on S - {i}: -(-1)^#{j in S : j < i}
-                return 1 if (s & (i - 1)).bit_count() & 1 else -1
+        i = s ^ span
+        if not simplex and span | s == s and i.bit_count() == 1:
+            # the half on S - {i}: -(-1)^#{j in S : j < i}
+            return 1 if (s & (i - 1)).bit_count() & 1 else -1
     raise ValueError(f"{ckey!r} is not a facet of {parent!r}")
 
 
@@ -178,11 +169,12 @@ _ALTERNATING = tuple(
 )
 
 
-def column_signs(cell, facet_keys) -> tuple:
-    """The signs of ``cell``'s facets, given their keys in ``FaceLattice.facets`` order."""
-    if cell.kind == KIND_SIMPLEX:
-        return _ALTERNATING[cell.dim]
-    return tuple(incidence_sign(cell, g) for g in facet_keys)
+def column_signs(cell: tuple, facet_keys) -> tuple:
+    """The signs of the facets of the cell with key ``cell``, in ``FaceLattice.facets`` order."""
+    s = _span(cell)
+    if len(cell) == s.bit_count():  # a simplex: dim + 1 vertices on dim + 1 coordinates
+        return _ALTERNATING[len(cell) - 1]
+    return tuple(incidence_sign(cell, s, g) for g in facet_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ column table holds, for every subset q of S, the vertices h + q over all h of
 q's parity; each family of keys is the zip of the columns of its base.  The
 kind of a face can be read off its key, too: a simplex's |S| vertices
 disagree on exactly S, while a half cube's 2^(|S|-1) > |S| vertices do so on
-its S.  Descriptors (kind, point, mask) are built from the keys only on
-demand, with one shared Vertex per bit pattern and one Mask per coordinate
-set.
+its S.  Past the lattice a cell is its key.  Descriptors (kind, point,
+mask) are built from the keys only for reports and tests, with one shared
+Vertex per bit pattern and one Mask per coordinate set.
 
 One enumeration, ``_generate``, yields the keys in batches, one per kind
 and coordinate set, and has two consumers.  ``build_face_lattice`` joins
@@ -138,12 +138,18 @@ def face_counts_by_type(n: int) -> list:
     return [_face_split(n, k) for k in range(n + 1)]
 
 
-def _classify(n: int, key: tuple) -> tuple:
-    """The kind of the face with this key, and the mask bits of the coordinates it spans."""
+def _span(key: tuple) -> int:
+    """The mask bits of the coordinates on which the vertices of this key disagree."""
     first = key[0]
     span = 0
     for b in key:
         span |= first ^ b
+    return span
+
+
+def _classify(n: int, key: tuple) -> tuple:
+    """The kind of the face with this key, and the mask bits of the coordinates it spans."""
+    span = _span(key)
     size = span.bit_count()
     if len(key) == 1:
         return KIND_VERTEX, span
@@ -174,25 +180,31 @@ def key_kind(n: int, key: tuple) -> str:
     return _classify(n, key)[0]
 
 
-def kind_split(dim: int, keys: list) -> tuple:
-    """(vertex or simplex, half cube or top) counts among the keys of one dimension.
+def simplex_keys(dim: int, keys: list) -> list:
+    """The keys of the vertices or simplices among the keys of one dimension, in their order.
 
     A simplex has dim + 1 vertices and a half cube 2^(dim-1), which differ
     except at dim 3, where the tetrahedra K(v', S), |S| = 4, and L(v, S),
     |S| = 3, are told apart by the number of coordinates they span.
     """
     if dim == 3:
-        simp = sum(1 for a, b, c, d in keys if ((a ^ b) | (a ^ c) | (a ^ d)).bit_count() == 4)
-    else:
-        simp = list(map(len, keys)).count(dim + 1)
+        return [k for k in keys if ((k[0] ^ k[1]) | (k[0] ^ k[2]) | (k[0] ^ k[3])).bit_count() == 4]
+    return [k for k in keys if len(k) == dim + 1]
+
+
+def kind_split(dim: int, keys: list) -> tuple:
+    """(vertex or simplex, half cube or top) counts among the keys of one dimension."""
+    # off dim 3 the lengths alone are counted, without a list of the keys
+    simp = len(simplex_keys(dim, keys)) if dim == 3 else list(map(len, keys)).count(dim + 1)
     return simp, len(keys) - simp
 
 
 class FaceLattice:
     """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
 
-    ``faces`` (descriptors per dimension, in key order) and ``index`` (key ->
-    descriptor, read by ``face`` and ``intersection`` only) are built on first access.
+    ``facets`` takes and returns keys.  ``faces`` (descriptors per dimension,
+    in key order) and ``index`` (key -> descriptor, read by ``face`` and
+    ``intersection``) serve reports and tests, built on first access.
     """
 
     def __init__(self, n: int, keys: list):
@@ -233,24 +245,25 @@ class FaceLattice:
     def face(self, key) -> FaceDescriptor:
         return self.index[tuple(key)]
 
-    def facets(self, f: FaceDescriptor) -> list:
-        """The keys of f's codimension-1 faces, in key order, from f's key on every call.
+    def facets(self, key: tuple) -> list:
+        """The keys of the codimension-1 faces of the face with this key, in key order.
 
-        A face with dim + 1 vertices (a simplex, or the half-cube
-        tetrahedron) loses one vertex at a time, the last one first: that is
-        key order.  A larger half cube or the top cell, varying on the
-        coordinate set S, has for each i in S the two halves of its key with
-        bit i clear and set, and for each odd vertex u of its subcube the
-        simplex of the neighbours u ^ (1 << i), i in S; these keys are
-        sorted once.  Key order is row order in a boundary column.
+        Computed on every call.  A face with dim + 1 vertices (a simplex, or
+        the half-cube tetrahedron, on three coordinates) loses one vertex at
+        a time, the last one first: that is key order.  A larger half cube
+        or the top cell, varying on the coordinate set S, has for each i in
+        S the two halves of its key with bit i clear and set, and for each
+        odd vertex u of its subcube the simplex of the neighbours
+        u ^ (1 << i), i in S; these keys are sorted once.  Key order is row
+        order in a boundary column.
         """
-        if f.dim == 0:
+        if len(key) == 1:
             raise ValueError("vertices have no facets")
-        key = f.key
-        if len(key) == f.dim + 1:
+        span = _span(key)
+        if len(key) <= span.bit_count() + 1:
             keys = [key[:i] + key[i + 1 :] for i in reversed(range(len(key)))]
         else:
-            bits = [1 << i for i in range(self.n) if f.mask.bits >> i & 1]
+            bits = [1 << i for i in range(self.n) if span >> i & 1]
             keys = []
             for bit in bits:
                 keys.append(tuple(b for b in key if not b & bit))

@@ -10,9 +10,10 @@ A matching is a gradient field iff it has no closed V-path (Forman 1998),
 iff that digraph is acyclic (Chari 2000).  A matched lower cell is left
 only upward, so a directed cycle alternates up_1 -> lo_1 -> up_2 -> lo_2
 -> ... within two adjacent dimensions: the check sorts the pairs alone.
-``check_acyclic`` is also the only validity check of a matching: every
-paired cell must be a cell of the complex and lie in one pair only, and
-each lower cell's key must be a facet key of its upper one.
+A pair holds the two cells' keys.  ``check_acyclic`` is also the only
+validity check of a matching: every paired key must be a cell of the
+complex and lie in one pair only, and each lower key must be a facet key
+of its upper one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .complexes import CellComplex
-from .faces import KIND_SIMPLEX, _k_key
+from .faces import KIND_SIMPLEX, _classify, _k_key, _opposite_point
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,17 @@ class MorseMatching:
     """Pairs (lower, upper) of a discrete vector field on a cut complex."""
 
     complex: CellComplex
-    pairs: tuple  # (lower FaceDescriptor, upper FaceDescriptor), key-sorted
+    pairs: tuple  # (lower key, upper key), in (dimension, lower key) order
     coordinate: int
 
     def pair_count(self) -> int:
         return len(self.pairs)
 
     def paired_keys(self) -> set:
-        out = set()
-        for lo, up in self.pairs:
-            out.add(lo.key)
-            out.add(up.key)
-        return out
+        return set(chain.from_iterable(self.pairs))
 
     def to_text(self) -> str:
-        lines = []
-        for lo, up in self.pairs:
-            lines.append(" ".join(map(str, lo.key)) + " | " + " ".join(map(str, up.key)))
+        lines = (" ".join(map(str, lo)) + " | " + " ".join(map(str, up)) for lo, up in self.pairs)
         return "\n".join(lines) + "\n"
 
 
@@ -53,8 +48,9 @@ def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatch
     """The canonical matching on a cut complex.
 
     Requires an actual cut (k_cut <= n): on the full complex the top cell
-    has no simplex partner and the construction does not apply.  Each upper
-    cell is looked up in the complex itself (``cx.index``, ``cx.cells``).
+    has no simplex partner and the construction does not apply.  A lower
+    simplex's span and opposite point, read off its key, give its partner's
+    key; the pairs follow the cells' (dimension, key) order.
     """
     if cx.is_full:
         raise ValueError("matching is defined on the cut complexes only")
@@ -62,17 +58,13 @@ def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatch
     j = n if coordinate is None else coordinate
     if not 1 <= j <= n:
         raise ValueError(f"coordinate {j} outside 1..{n}")
-    k = cx.k_cut
+    bit_j = 1 << (j - 1)
     pairs = []
-    for dim in range(k - 1, cx.top_dim):
-        for lower in cx.cells[dim]:
-            if lower.kind != KIND_SIMPLEX:
-                continue
-            if j in lower.mask:
-                continue
-            key = _k_key(lower.point.bits, lower.mask.with_coord(j).bits)
-            pairs.append((lower, cx.cells[dim + 1][cx.index[dim + 1][key]]))
-    pairs.sort(key=lambda p: (p[0].dim, p[0].key))
+    for dim in range(cx.k_cut - 1, cx.top_dim):
+        for key in cx.cells[dim]:
+            kind, span = _classify(n, key)
+            if kind == KIND_SIMPLEX and not span & bit_j:
+                pairs.append((key, _k_key(_opposite_point(key), span | bit_j)))
     return MorseMatching(cx, tuple(pairs), j)
 
 
@@ -154,16 +146,14 @@ def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
     ``FaceLattice.facets`` (a facet is always codimension 1).
     """
     cx = m.complex
-    for f in chain.from_iterable(m.pairs):
-        if not cx.has_cell(f):
-            raise ValueError(f"{f!r} is not a cell of the complex")
-    uppers = {up.key: cx.lattice.facets(up) for _, up in m.pairs}
-    return acyclicity_certificate(uppers, [(lo.key, up.key) for lo, up in m.pairs])
+    for key in chain.from_iterable(m.pairs):
+        if not cx.has_cell(key):
+            raise ValueError(f"{key!r} is not a cell of the complex")
+    uppers = {up: cx.lattice.facets(up) for _, up in m.pairs}
+    return acyclicity_certificate(uppers, m.pairs)
 
 
 def unpaired_census(m: MorseMatching) -> list:
     """Unpaired cells per dimension p >= 0 (the empty cell is not counted)."""
     paired = m.paired_keys()
-    return [
-        sum(1 for f in cs if f.key not in paired) for cs in m.complex.cells
-    ]
+    return [sum(1 for key in cs if key not in paired) for cs in m.complex.cells]

@@ -14,14 +14,16 @@ product (Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.10).
 
 Every such map is linear, so it permutes the even vertices, and the image
 of a face is the face on the image vertex set.  Orbits and chain maps move
-faces through a vertex permutation table (``vertex_table``) instead of
-rebuilding descriptors; the tests check the tables against moving the
+face keys through a vertex permutation table (``vertex_table``) instead of
+rebuilding descriptors, and chain maps read each cell's vertex count and
+span off its key; the tests check the tables against moving the
 descriptors themselves (``tests/oracles.py``).
 
-Chain-map signs are parities, taken by ``complexes.sort_sign``.  A simplex
-is oriented by its whole sorted key, so its sign is the parity of the
-permutation that sorts its image vertices.  A half cube or the top cell f
-on the coordinate set S goes to g f on pi(S), pi being g's permutation.
+Chain-map signs are parities, taken by ``complexes.sort_sign``.  A cell
+with dim + 1 vertices (a simplex, or a half-cube tetrahedron) is oriented
+by its whole sorted key, so its sign is the parity of the permutation that
+sorts its image vertices.  A half cube or the top cell f on the coordinate
+set S goes to g f on pi(S), pi being g's permutation.
 In the frames (e_i, i in S ascending) and (e_j, j in pi(S) ascending) its
 sign is eps_f eps_gf det(g|_S), with eps the frame sign of the lemma in
 ``halfcube.complexes``.  det(g|_S) is sgn(pi|_S) times (-1) per sign g
@@ -48,6 +50,7 @@ from .faces import (
     KIND_SIMPLEX,
     KIND_TOP,
     KIND_VERTEX,
+    _span,
     build_face_lattice,
     face_count,
     face_counts_by_type,
@@ -366,20 +369,20 @@ def chain_map_on_cells(g, cx, dim):
     image = vertex_table(g, n).__getitem__
     index = cx.index[dim]
     out = []  # (target index, sign) per source cell
-    for f in cx.cells[dim]:
-        moved = [image(b) for b in f.key]
+    for key in cx.cells[dim]:
+        moved = [image(b) for b in key]
         j = index.get(tuple(sorted(moved)))
         if j is None:
             raise ValueError("image cell left the complex")
-        if f.kind in (KIND_VERTEX, KIND_SIMPLEX):
-            # oriented by the whole sorted key, and g is linear: moving the
-            # vertices in key order gives the image's orientation up to the
-            # sorting permutation
+        if len(key) == dim + 1:
+            # a vertex, a simplex or a half-cube tetrahedron, oriented by its
+            # whole sorted key, and g is linear: moving the vertices in key
+            # order gives the image's orientation up to the sorting permutation
             out.append((j, sort_sign(moved)))
         else:
-            # a half cube or the top cell on S: the parity of g's
+            # a larger half cube or the top cell on S: the parity of g's
             # permutation restricted to S
-            s = f.mask.bits
+            s = _span(key)
             out.append((j, sort_sign([g.perm[i] for i in range(n) if s >> i & 1])))
     return out
 

@@ -591,7 +591,7 @@ def orientation_tuple(face) -> tuple:
 
 def orientation_of(cx, face) -> tuple:
     """The ordered vertex tuple whose edge vectors orient a cell of ``cx``."""
-    if not cx.has_cell(face):
+    if not cx.has_cell(face.key):
         raise ValueError(f"{face!r} is not a cell of this complex")
     return orientation_tuple(face)
 
@@ -668,7 +668,7 @@ def random_flip_set(cx, rng) -> frozenset:
     for d in range(1, cx.top_dim + 1):
         for cell in cx.cells[d]:
             if rng.random() < 0.5:
-                picked.append(cell.key)
+                picked.append(cell)
     return frozenset(picked)
 
 
@@ -684,7 +684,7 @@ def reoriented_matrices(cx, flips) -> list:
         row_of = cx.index[d - 1]
         # facets come in key order, which is row order
         entries = tuple(
-            (row_of[g], j, gram_sign(lat, c, lat.face(g), c.key in flips, g in flips))
+            (row_of[g], j, gram_sign(lat, lat.face(c), lat.face(g), c in flips, g in flips))
             for j, c in enumerate(cx.cells[d])
             for g in lat.facets(c)
         )

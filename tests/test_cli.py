@@ -22,7 +22,7 @@ def complexes_equal(a, b) -> bool:
     """Same (n, k), the same cells in the same order and the same matrix entries."""
     if (a.n, a.k_cut) != (b.n, b.k_cut):
         return False
-    if [[f.key for f in cs] for cs in a.cells] != [[f.key for f in cs] for cs in b.cells]:
+    if a.cells != b.cells:
         return False
     return [m.entries for m in a.matrices()] == [m.entries for m in b.matrices()]
 
@@ -295,15 +295,19 @@ def test_faces_census_builds_no_descriptors(monkeypatch):
 
 
 def test_commands_build_no_face_index_or_facet_memo(capsys, monkeypatch):
-    # facets are keys: boundary columns, Morse checks and the homology action
+    # cells and facets are keys: complexes, boundary columns, Morse pairs and
+    # checks, orbits and the homology action build no descriptor list and
     # read no all-faces index (only face() and intersection() build one)
     monkeypatch.setattr(faces, "_lattice_cache", {})
     assert run_cli(capsys, "verify", "--n-max", "5")[0] == 0
     assert run_cli(capsys, "betti", "--n", "5", "--k", "4", "--characters", "1")[0] == 0
+    assert run_cli(capsys, "morse", "--n", "5", "--k", "3")[0] == 0
+    assert run_cli(capsys, "orbits", "--n", "5")[0] == 0
     assert sorted(faces._lattice_cache) == [4, 5]
     for lat in faces._lattice_cache.values():
         held = vars(lat)
         assert "index" not in held and not any("memo" in name for name in held), sorted(held)
+        assert "faces" not in held, sorted(held)
 
 
 # run in a fresh interpreter, so that what earlier tests left allocated or

@@ -17,7 +17,7 @@ from halfcube.complexes import (
     incidence_sign,
 )
 from halfcube.core import Mask, Vertex
-from halfcube.faces import KIND_SIMPLEX, build_face_lattice
+from halfcube.faces import KIND_SIMPLEX, build_face_lattice, key_kind
 from halfcube.linalg import smith_normal_form
 from oracles import (
     echelon_orientation_tuple,
@@ -220,13 +220,13 @@ def test_assembly_computes_each_columns_facets_once(monkeypatch):
     calls = []
     facets = faces.FaceLattice.facets
 
-    def recording(lat, f):
-        calls.append(f.key)
-        return facets(lat, f)
+    def recording(lat, key):
+        calls.append(key)
+        return facets(lat, key)
 
     monkeypatch.setattr(faces.FaceLattice, "facets", recording)
     mats = boundary_matrices(cx)
-    columns = sorted(f.key for cs in cx.cells[1:] for f in cs)
+    columns = sorted(key for cs in cx.cells[1:] for key in cs)
     assert sorted(calls) == columns
     calls.clear()
     complexes._held.clear()
@@ -249,13 +249,27 @@ def test_flipped_assembly_leaves_the_held_matrices_alone(monkeypatch):
 def test_cell_order_is_key_order():
     cx = build_complex(5, 4)
     for cells in cx.cells:
-        keys = [f.key for f in cells]
-        assert keys == sorted(keys)
+        assert cells == sorted(cells)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_cells_are_the_lattice_keys(n):
+    # below the cut a complex holds the lattice's own key lists; at and above
+    # it, the simplex keys among them, in key order
+    lat = build_face_lattice(n)
+    for k in range(3, n + 2):
+        cx = build_complex(n, k)
+        assert cx.lattice is lat
+        for d in range(k):
+            assert cx.cells[d] is lat.keys[d], (k, d)
+        for d in range(k, n + 1):
+            want = [key for key in lat.keys[d] if key_kind(n, key) == KIND_SIMPLEX]
+            assert (cx.cells[d] if d < len(cx.cells) else []) == want, (k, d)
 
 
 def test_orientation_accessor():
     cx = build_complex(5, 4)
-    f = cx.cells[3][0]
+    f = cx.lattice.face(cx.cells[3][0])
     tup = orientation_of(cx, f)
     assert len(tup) == 4 and set(tup) <= set(f.key)
     with pytest.raises(ValueError):
@@ -278,24 +292,24 @@ def test_simplex_closed_form_matches_determinant(n):
         for p in dim_faces:
             if p.kind != KIND_SIMPLEX:
                 continue
-            fks = lat.facets(p)
-            for c, got in zip(fks, column_signs(p, fks), strict=True):
+            fks = lat.facets(p.key)
+            for c, got in zip(fks, column_signs(p.key, fks), strict=True):
                 assert got == -gram_sign(lat, p, lat.face(c), flip_parent=True), (p, c)
                 seen += 1
     assert seen == SIMPLEX_INCIDENCES[n]
     triangle = lat.faces[2][0]
     with pytest.raises(ValueError, match="not a half-cube or top cell"):
-        incidence_sign(triangle, lat.facets(triangle)[0])
+        incidence_sign(triangle.key, triangle.mask.bits, lat.facets(triangle.key)[0])
     # a half-cube parent refuses every child that is not one of its facets:
     # faces of its dimension - 1 off its coordinate set or outside it, and
     # faces two dimensions down
     parent = next(f for f in lat.faces[4] if f.kind != KIND_SIMPLEX)
-    facets = set(lat.facets(parent))
+    facets = set(lat.facets(parent.key))
     refused = [c for c in lat.keys[3] + lat.keys[2] if c not in facets]
     assert len(refused) == len(lat.keys[3]) + len(lat.keys[2]) - len(facets)
     for c in refused:
         with pytest.raises(ValueError, match="is not a facet of"):
-            incidence_sign(parent, c)
+            incidence_sign(parent.key, parent.mask.bits, c)
 
 
 # half-cube- and top-parent incidences of the full complex: L(v, S) with
@@ -314,9 +328,9 @@ def test_factored_halfcube_sign_matches_determinant(n):
         for p in dim_faces:
             if p.kind == KIND_SIMPLEX:
                 continue
-            for c in lat.facets(p):
+            for c in lat.facets(p.key):
                 want = -gram_sign(lat, p, lat.face(c), flip_parent=True)
-                assert incidence_sign(p, c) == want, (p, c)
+                assert incidence_sign(p.key, p.mask.bits, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
 
@@ -347,9 +361,9 @@ def test_columns_follow_facet_order():
     lat = build_face_lattice(5)
     for dim_faces in lat.faces[1:]:
         for p in dim_faces:
-            fks = lat.facets(p)
+            fks = lat.facets(p.key)
             want = tuple(-gram_sign(lat, p, lat.face(c), flip_parent=True) for c in fks)
-            assert column_signs(p, fks) == want, p
+            assert column_signs(p.key, fks) == want, p
 
 
 # SHA-256 of the boundary triplets ("degree nrows ncols" header, then

@@ -21,7 +21,7 @@ from halfcube.linalg import smith_normal_form
 
 def simplicial_boundaries(cx):
     """Alternating-sign boundary triplets from sorted vertex tuples alone."""
-    cells = [[f.key for f in dim_cells] for dim_cells in cx.cells]
+    cells = cx.cells
     index = [{key: i for i, key in enumerate(dim_cells)} for dim_cells in cells]
     mats = []
     for d in range(1, len(cells)):
@@ -56,9 +56,9 @@ def boundary_squared_is_zero(mats):
 def test_simplicial_route_matches_geometric_route(n, k):
     cx = build_complex(n, k)
     # each cell really is the simplex on its vertices in these cuts
-    for dim_cells in cx.cells:
-        for f in dim_cells:
-            assert len(f.key) == f.dim + 1
+    for dim, dim_cells in enumerate(cx.cells):
+        for key in dim_cells:
+            assert len(key) == dim + 1
     mats = simplicial_boundaries(cx)
     assert boundary_squared_is_zero(mats)
     for (nr, nc, trip), m in zip(mats, cx.matrices(), strict=True):

@@ -166,18 +166,18 @@ def test_n4_facets_split_eight_eight():
 
 def test_top_cell_facet_census():
     lat = build_face_lattice(5)
-    fs = [lat.face(k) for k in lat.facets(lat.faces[5][0])]
+    fs = [lat.face(k) for k in lat.facets(lat.keys[5][0])]
     assert len(fs) == 2**4 + 2 * 5
     assert sum(1 for f in fs if f.kind == KIND_SIMPLEX) == 16
     assert sum(1 for f in fs if f.kind == KIND_HALFCUBE) == 10
     lat4 = build_face_lattice(4)
-    assert len(lat4.facets(lat4.faces[4][0])) == 16
+    assert len(lat4.facets(lat4.keys[4][0])) == 16
 
 
 def test_edge_facets_are_vertices():
     e = simplex_face(odd_vertices(5)[0], Mask.of(5, 1, 2))
     lat = build_face_lattice(5)
-    fs = [lat.face(k) for k in lat.facets(e)]
+    fs = [lat.face(k) for k in lat.facets(e.key)]
     assert [f.kind for f in fs] == [KIND_VERTEX, KIND_VERTEX]
     assert {f.key[0] for f in fs} == set(e.key)
 
@@ -185,7 +185,7 @@ def test_edge_facets_are_vertices():
 def test_halfcube_tetrahedron_facets_are_simplices():
     f = halfcube_face(Vertex.from_signs((1, -1, -1, 1, 1)), Mask.of(5, 1, 3, 4))
     lat = build_face_lattice(5)
-    fs = [lat.face(k) for k in lat.facets(f)]
+    fs = [lat.face(k) for k in lat.facets(f.key)]
     assert len(fs) == 4
     assert all(g.kind == KIND_SIMPLEX and g.dim == 2 for g in fs)
 
@@ -193,7 +193,7 @@ def test_halfcube_tetrahedron_facets_are_simplices():
 def test_halfcube_facet_rule():
     f = halfcube_face(Vertex(6, 0), Mask.of(6, 1, 2, 3, 4))
     lat = build_face_lattice(6)
-    fs = [lat.face(k) for k in lat.facets(f)]
+    fs = [lat.face(k) for k in lat.facets(f.key)]
     simp = [g for g in fs if g.kind == KIND_SIMPLEX]
     hc = [g for g in fs if g.kind == KIND_HALFCUBE]
     assert len(simp) == 2**3 and len(hc) == 2 * 4
@@ -206,7 +206,7 @@ def test_facets_have_codimension_one_everywhere():
     lat = build_face_lattice(5)
     for dim in range(1, 6):
         for f in lat.faces[dim]:
-            for k in lat.facets(f):
+            for k in lat.facets(f.key):
                 g = lat.face(k)
                 assert g.dim == dim - 1
                 assert set(g.key) < set(f.key)
@@ -218,15 +218,15 @@ def test_facets_match_brute_force(n):
     # vertices, in key order (boundary assembly reads it as row order)
     lat = build_face_lattice(n)
     for dim in range(1, n + 1):
-        for f in lat.faces[dim]:
-            got = lat.facets(f)
-            want = [g.key for g in lat.faces[dim - 1] if set(g.key) <= set(f.key)]
-            assert got == want, f
+        for key in lat.keys[dim]:
+            got = lat.facets(key)
+            want = [g for g in lat.keys[dim - 1] if set(g) <= set(key)]
+            assert got == want, key
 
 
 def test_vertices_have_no_facets():
     with pytest.raises(ValueError):
-        build_face_lattice(5).facets(vertex_face(Vertex(5, 0)))
+        build_face_lattice(5).facets(vertex_face(Vertex(5, 0)).key)
 
 
 def test_hasse_reaches_every_face():
@@ -239,7 +239,7 @@ def test_hasse_reaches_every_face():
         for f in frontier:
             if f.dim == 0:
                 continue
-            for k in lat.facets(f):
+            for k in lat.facets(f.key):
                 if k not in seen:
                     seen.add(k)
                     nxt.append(lat.face(k))
@@ -252,10 +252,10 @@ def test_diamond_property(n):
     # every codimension-2 subface of a face lies in exactly two of its facets
     lat = build_face_lattice(n)
     for dim in range(2, n + 1):
-        for f in lat.faces[dim]:
+        for f in lat.keys[dim]:
             counts = {}
             for g in lat.facets(f):
-                for h in lat.facets(lat.face(g)):
+                for h in lat.facets(g):
                     counts[h] = counts.get(h, 0) + 1
             assert set(counts.values()) == {2}, (f, counts)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -25,7 +26,8 @@ def test_pair_count_n5_k3():
 def test_pairs_follow_the_mask_rule():
     m = build_matching(build_complex(5, 3))
     n = 5
-    for lo, up in m.pairs:
+    for pair in m.pairs:
+        lo, up = map(m.complex.lattice.face, pair)
         assert lo.kind == KIND_SIMPLEX and up.kind == KIND_SIMPLEX
         assert lo.point == up.point
         assert n not in lo.mask
@@ -48,7 +50,8 @@ def test_paired_iff_rules():
     m = build_matching(cx)
     paired = m.paired_keys()
     for dim, cells in enumerate(cx.cells):
-        for f in cells:
+        for key in cells:
+            f = cx.lattice.face(key)
             if f.kind != KIND_SIMPLEX or f.mask is None:
                 expect = False
             elif f.mask.size >= k + 1:
@@ -57,13 +60,14 @@ def test_paired_iff_rules():
                 expect = n not in f.mask
             else:
                 expect = False
-            assert (f.key in paired) == expect, f
+            assert (key in paired) == expect, f
 
 
 def test_no_halfcube_cell_is_paired():
     cx = build_complex(5, 4)
     m = build_matching(cx)
-    for lo, up in m.pairs:
+    for pair in m.pairs:
+        lo, up = map(cx.lattice.face, pair)
         assert lo.kind == KIND_SIMPLEX and up.kind == KIND_SIMPLEX
 
 
@@ -143,17 +147,18 @@ def _invalid_c53_matching(case):
     cx = build_complex(5, 3)
     lat = cx.lattice
     lo, up = build_matching(cx).pairs[0]
-    cut = next(f for f in lat.faces[3] if f.kind == KIND_HALFCUBE)
+    cut = next(f.key for f in lat.faces[3] if f.kind == KIND_HALFCUBE)
+    uppers = cx.cells[lat.face(up).dim]
     pairs = {
         # a facet of the lower cell under the upper one: codimension 2
-        "codimension 2": [(lat.face(lat.facets(lo)[0]), up)],
+        "codimension 2": [(lat.facets(lo)[0], up)],
         # a dim-3 half cube, whose interior the cut removed, over one of its facets
-        "removed by the cut": [(lat.face(lat.facets(cut)[0]), cut)],
+        "removed by the cut": [(lat.facets(cut)[0], cut)],
         "lower cell in two pairs": [
             (lo, up),
-            (lo, next(f for f in cx.cells[up.dim] if f != up and lo.key in lat.facets(f))),
+            (lo, next(f for f in uppers if f != up and lo in lat.facets(f))),
         ],
-        "not a facet": [(lo, next(f for f in cx.cells[up.dim] if lo.key not in lat.facets(f)))],
+        "not a facet": [(lo, next(f for f in uppers if lo not in lat.facets(f)))],
     }[case]
     return MorseMatching(cx, tuple(pairs), cx.n)
 
@@ -184,8 +189,8 @@ def test_invalid_matching_is_rejected(pairs, match):
 
 def _hasse(cx):
     """Every cell by dimension and the facets of every cell above dimension 0, by key."""
-    cells = {d: [f.key for f in cs] for d, cs in enumerate(cx.cells)}
-    facets = {f.key: cx.lattice.facets(f) for cs in cx.cells[1:] for f in cs}
+    cells = dict(enumerate(cx.cells))
+    facets = {key: cx.lattice.facets(key) for cs in cx.cells[1:] for key in cs}
     return cells, facets
 
 
@@ -207,8 +212,7 @@ def test_canonical_matchings_agree_with_the_whole_digraph():
             cells, facets = _hasse(cx)
             for j in range(1, n + 1):
                 m = build_matching(cx, coordinate=j)
-                pairs = [(lo.key, up.key) for lo, up in m.pairs]
-                expect = hasse_acyclicity(cells, facets, pairs)
+                expect = hasse_acyclicity(cells, facets, m.pairs)
                 assert check_acyclic(m) == expect
                 assert expect.acyclic, (n, k, j)
 
@@ -233,6 +237,21 @@ def test_random_matchings_agree_with_the_whole_digraph():
                 _assert_directed_cycle(list(cert.cycle), facets, pairs)
             verdicts.add(cert.acyclic)
     assert verdicts == {True, False}
+
+
+# SHA-256 of the to_text() of build_matching(build_complex(n, k), j), joined
+# over n = 4..7, k = 3..n and j in (None, 1), in that order
+MATCHING_TEXT_SHA256 = "9c54a94d62e7a510bda0076088c7db772660abc6e9d4f7a8daefa73578f79e4f"
+
+
+def test_matching_pairs_are_pinned():
+    h = hashlib.sha256()
+    for n in range(4, 8):
+        for k in range(3, n + 1):
+            cx = build_complex(n, k)
+            for j in (None, 1):
+                h.update(build_matching(cx, j).to_text().encode())
+    assert h.hexdigest() == MATCHING_TEXT_SHA256
 
 
 def test_matching_text_export():

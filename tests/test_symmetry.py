@@ -163,9 +163,9 @@ def test_skeleton_stability_on_cut_complex():
     for _ in range(5):
         g = random_wdn(5, rng)
         for dim, cells in enumerate(cx.cells):
-            for f in cells[::7]:
+            for f in map(cx.lattice.face, cells[::7]):
                 img = act_on_face(g, f)
-                assert cx.has_cell(img)
+                assert cx.has_cell(img.key)
                 assert img.dim == dim and img.kind == f.kind
 
 
@@ -278,7 +278,7 @@ def _determinant_chain_map(g, cx, dim):
     """(index, sign) per cell from descriptor transport and an orientation determinant."""
     n = cx.n
     out = []
-    for f in cx.cells[dim]:
+    for f in map(cx.lattice.face, cx.cells[dim]):
         img = act_on_face(g, f)
         j = cx.index[dim][img.key]
         if dim == 0:
