@@ -63,21 +63,26 @@ cells and the echelon orientation tuple (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import linalg
 from .core import MAX_DIM
 from .faces import FaceLattice, _opposite_point, _span, build_face_lattice, simplex_keys
 
 
 class CellComplex:
-    """Cell keys of the full or cut complex per dimension; ``index[d]`` maps them to positions."""
+    """Cell keys of the full or cut complex per dimension; ``index[d]`` maps them to positions.
+
+    Below the cut both are the lattice's own, ``keys[d]`` and ``positions(d)``.
+    """
 
     def __init__(self, n: int, k_cut: int, lattice: FaceLattice, cells: list):
         self.n = n
         self.k_cut = k_cut
         self.lattice = lattice
         self.cells = cells
-        self.index = [{key: i for i, key in enumerate(keys)} for keys in cells]
+        below = [lattice.positions(d) for d in range(k_cut)]
+        self.index = below + [{key: i for i, key in enumerate(keys)} for keys in cells[k_cut:]]
         self._matrices = None
 
     @property
@@ -183,12 +188,27 @@ def column_signs(cell: tuple, facet_keys) -> tuple:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Sparse signed incidence matrix of one degree; entries are +-1."""
+    """Sparse signed incidence matrix of one degree; entries are +-1.
+
+    It carries its eliminations, which construction, equality, hashing and
+    ``to_text`` ignore, to every complex that reuses it.
+    """
 
     degree: int
     nrows: int
     ncols: int
     entries: tuple  # (row, col, val), sorted by (col, row)
+    # modulus -> linalg.eliminate's (result, pivot rows)
+    _eliminations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def eliminate(self, m: int, cleared=None):
+        """``linalg.eliminate`` of this matrix modulo m, memoized by m; ``cleared``
+        shapes only the first call, and any call's pivot rows clear the degree below.
+        """
+        memo = self._eliminations
+        if m not in memo:
+            memo[m] = linalg.eliminate(self.nrows, self.ncols, self.entries, m, cleared)
+        return memo[m]
 
     def to_text(self) -> str:
         lines = [f"{self.degree} {self.nrows} {self.ncols}"]
@@ -223,7 +243,7 @@ def boundary_key(cx: CellComplex, d: int) -> tuple:
     return (cx.n, d, *("full" if dim < cx.k_cut else "simplex" for dim in (d - 1, d)))
 
 
-# the matrices of the last complex assembled, by boundary_key
+# the matrices of the last complex assembled, by boundary_key, with their eliminations
 _held = {}
 
 

@@ -202,14 +202,22 @@ def kind_split(dim: int, keys: list) -> tuple:
 class FaceLattice:
     """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
 
-    ``facets`` takes and returns keys.  ``faces`` (descriptors per dimension,
-    in key order) and ``index`` (key -> descriptor, read by ``face`` and
-    ``intersection``) serve reports and tests, built on first access.
+    ``facets`` takes and returns keys, and ``positions(d)`` (key -> place in
+    ``keys[d]``) serves every complex that keeps dimension d whole.  ``faces``
+    (descriptors per dimension, in key order) and ``index`` (key -> descriptor,
+    read by ``face`` and ``intersection``) serve reports and tests.  All
+    three are built on first use (per dimension for ``positions``) and kept.
     """
 
     def __init__(self, n: int, keys: list):
         self.n = n
         self.keys = keys
+        self._positions = [None] * len(keys)
+
+    def positions(self, d: int) -> dict:
+        if self._positions[d] is None:
+            self._positions[d] = {key: i for i, key in enumerate(self.keys[d])}
+        return self._positions[d]
 
     @cached_property
     def faces(self) -> list:

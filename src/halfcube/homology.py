@@ -1,7 +1,7 @@
 """Integer homology of the cut complexes, by exact rank and Smith normal form.
 
 All ranks come from the one sparse elimination routine of ``linalg``: the
-rank over Q is always the rank of the cached Smith normal form, and the
+rank over Q is always the rank of the memoized Smith normal form, and the
 ranks over F_2, F_3 and F_5 come from one elimination of their own over
 Z/30.  Torsion is read off the Smith normal form under either
 certificate; for the largest sweeps, rank agreement over Q and F_p for p
@@ -21,12 +21,11 @@ the Smith form.  ``homology_from_matrices`` takes its matrices from the
 caller, so it first checks that consecutive boundaries compose to zero,
 which clearing relies on.
 
-Eliminations are cached in ``_eliminations`` by ``complexes.boundary_key``
-plus the modulus (0 for the Smith form, 30 for the F_p ranks), shared
-across the (n, k) sweep, each with the pivot rows it returned.  The row
-mode of the degree-(d+1) boundary is the column mode of the degree-d one,
-so pivot rows read from the cache, whichever complex put them there,
-clear the degree below.
+Each elimination, with its pivot rows, is memoized on the ``BoundaryMatrix``
+it eliminates, by modulus (0 for the Smith form, 30 for the F_p ranks), and
+lives as long as the matrix: ``complexes`` hands the last complex's matrices
+on to the next one of the sweep that shares their degree, and the pivot rows
+they carry clear that complex's degree below.
 """
 
 from __future__ import annotations
@@ -34,35 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from . import linalg
-from .complexes import BoundaryMatrix, CellComplex, assert_boundary_squared_zero, boundary_key
+from .complexes import CellComplex, assert_boundary_squared_zero
 
 CERT_SNF = "snf"
 CERT_RANK_AGREE = "rank-agree(2,3,5)"
 
 _AGREE_PRIMES = (2, 3, 5)
 _AGREE_MODULUS = prod(_AGREE_PRIMES)
-
-_eliminations = {}
-
-
-def boundary_elimination(cx: CellComplex, d: int, m: int, cleared=None):
-    """(Smith normal form, pivot rows) of the degree-d boundary matrix for
-    m = 0, or ({p: rank over F_p}, pivot rows) over the primes p dividing a
-    squarefree m; cached.
-
-    The Smith form's rank is the rank over Q.  ``cleared`` is the pivot
-    rows of the same modulus's elimination of degree d + 1.
-    """
-    key = (*boundary_key(cx, d), m)
-    got = _eliminations.get(key)
-    if got is None:
-        got = _eliminations[key] = _eliminate(cx.matrices()[d - 1], m, cleared)
-    return got
-
-
-def _eliminate(matrix: BoundaryMatrix, m: int, cleared):
-    return linalg.eliminate(matrix.nrows, matrix.ncols, matrix.entries, m, cleared)
 
 
 @dataclass(frozen=True)
@@ -84,7 +61,7 @@ class HomologyProfile:
 
 
 def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_SNF):
-    """Homology of an explicit chain complex (no caching).
+    """Homology of an explicit chain complex.
 
     Raises ValueError when two matrices share a degree, or, naming the
     degree, when a matrix's degree or shape does not fit ``cell_counts`` or
@@ -111,46 +88,37 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
             assert_boundary_squared_zero([m, above])
         except AssertionError as exc:
             raise ValueError(f"not a chain complex: {exc}") from None
-    return _homology(
-        cell_counts,
-        by_degree,
-        lambda d, m, cleared: _eliminate(by_degree[d], m, cleared),
-        reduced,
-        certification,
-    )
+    return _homology(cell_counts, by_degree, reduced, certification)
 
 
 def homology_of(cx: CellComplex, reduced=False, certification=CERT_SNF) -> HomologyProfile:
-    """Homology of a cut complex, with cached ranks shared across the sweep."""
-    return _homology(
-        cx.cell_counts(),
-        range(1, cx.top_dim + 1),
-        lambda d, m, cleared: boundary_elimination(cx, d, m, cleared),
-        reduced,
-        certification,
-    )
+    """Homology of a cut complex; a boundary matrix that an earlier complex
+    shared brings its eliminations along and is not eliminated again.
+    """
+    return _homology(cx.cell_counts(), dict(enumerate(cx.matrices(), 1)), reduced, certification)
 
 
-def _homology(counts, degrees, eliminate, reduced, certification) -> HomologyProfile:
-    # eliminate(d, 0, cleared) gives the degree-d boundary's Smith form, whose
-    # rank is the rank over Q, and eliminate(d, 30, cleared) its ranks over
-    # F_2, F_3 and F_5, one elimination of their own; each also gives its
-    # pivot rows, which clear the same modulus's elimination one degree down
+def _homology(counts, by_degree, reduced, certification) -> HomologyProfile:
+    # a matrix's eliminate(0, cleared) gives its Smith form, whose rank is the
+    # rank over Q, and eliminate(30, cleared) its ranks over F_2, F_3 and F_5,
+    # one elimination of their own; each also gives its pivot rows, which
+    # clear the same modulus's elimination one degree down
     if certification not in (CERT_SNF, CERT_RANK_AGREE):
         raise ValueError(f"unknown certification {certification!r}")
     ranks = [0] * (len(counts) + 1)
     torsion = [[] for _ in counts]
     above = {}  # modulus -> pivot rows of the degree above, if it is a degree here
-    for d in sorted(degrees, reverse=True):
-        if d + 1 not in degrees:
+    for d in sorted(by_degree, reverse=True):
+        if d + 1 not in by_degree:
             above = {}
-        sf, above[0] = eliminate(d, 0, above.get(0))
+        matrix = by_degree[d]
+        sf, above[0] = matrix.eliminate(0, above.get(0))
         ranks[d] = sf.rank
         torsion[d - 1] = [f for f in sf.factors if f > 1]
         if certification == CERT_SNF:
             continue
         m = _AGREE_MODULUS
-        ranks_p, above[m] = eliminate(d, m, above.get(m))
+        ranks_p, above[m] = matrix.eliminate(m, above.get(m))
         for p in _AGREE_PRIMES:
             if ranks_p[p] != sf.rank:
                 raise ValueError(

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from halfcube import cli, complexes, faces
+from halfcube import cli, complexes, faces, linalg
 from halfcube.complexes import build_complex
 
 
@@ -505,6 +505,32 @@ def test_verify_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[5]
     # verify runs serially; params keeps "threads": 1 for schema stability
     assert json.loads(out)["params"] == {"n_max": 5, "threads": 1}
+
+
+def test_verify_twice_in_one_process_prints_the_same_report(capsys):
+    # the second run finds the first one's held matrices, with their eliminations
+    outs = [run_cli(capsys, "verify", "--n-max", "5", "--format", "json") for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert hashlib.sha256(outs[0][1].encode()).hexdigest() == VERIFY_SHA256[5]
+
+
+@pytest.mark.parametrize("n_max, eliminations", [(5, 11), (6, 21)])
+def test_verify_eliminates_each_distinct_matrix_once(capsys, monkeypatch, n_max, eliminations):
+    # a matrix handed on to the next complex brings its eliminations along,
+    # so only the new degrees of each complex are eliminated
+    monkeypatch.setattr(complexes, "_held", {})
+    calls = []
+    eliminate = linalg.eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    assert run_cli(capsys, "verify", "--n-max", str(n_max), "--format", "json")[0] == 0
+    # up to n = 6 every job certifies by its Smith form alone
+    assert calls == [0] * eliminations
 
 
 def test_verify_n7_json_is_pinned(capsys):

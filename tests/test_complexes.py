@@ -197,6 +197,23 @@ def test_triplet_text_rejects_malformed_input(text):
         BoundaryMatrix.from_text(text)
 
 
+def test_eliminations_are_no_part_of_a_matrix(monkeypatch):
+    # a matrix memoizes its eliminations, by modulus, but construction,
+    # equality, hashing, repr and the triplet text ignore them
+    monkeypatch.setattr(complexes, "_held", {})
+    for m in build_complex(4, 3).matrices():
+        bare = BoundaryMatrix(m.degree, m.nrows, m.ncols, m.entries)
+        assert bare._eliminations == {} and m._eliminations == {}
+        got = m.eliminate(0)
+        assert m.eliminate(0, bytes(m.ncols)) is got
+        m.eliminate(30)
+        assert set(m._eliminations) == {0, 30}
+        back = BoundaryMatrix.from_text(m.to_text())
+        assert back == m == bare and hash(back) == hash(m)
+        assert back._eliminations == {} and repr(back) == repr(m)
+        assert back.to_text() == m.to_text()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_next_cut_assembles_only_the_degrees_at_the_cut(monkeypatch, n):
     # C(n, k) and C(n, k + 1) share every boundary but those of degrees k and k + 1
@@ -254,17 +271,22 @@ def test_cell_order_is_key_order():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_cells_are_the_lattice_keys(n):
-    # below the cut a complex holds the lattice's own key lists; at and above
-    # it, the simplex keys among them, in key order
+    # below the cut a complex holds the lattice's own key lists and position
+    # dicts; at and above it, the simplex keys among them, in key order, and
+    # dicts of its own
     lat = build_face_lattice(n)
     for k in range(3, n + 2):
         cx = build_complex(n, k)
         assert cx.lattice is lat
         for d in range(k):
             assert cx.cells[d] is lat.keys[d], (k, d)
+            assert cx.index[d] is lat.positions(d), (k, d)
         for d in range(k, n + 1):
             want = [key for key in lat.keys[d] if key_kind(n, key) == KIND_SIMPLEX]
             assert (cx.cells[d] if d < len(cx.cells) else []) == want, (k, d)
+        assert len(cx.index) == len(cx.cells)
+        for d, cells in enumerate(cx.cells):
+            assert cx.index[d] == {key: i for i, key in enumerate(cells)}, (k, d)
 
 
 def test_orientation_accessor():

@@ -46,11 +46,12 @@ def test_certifications_agree():
 
 
 def test_both_certificates_share_one_integer_elimination(monkeypatch):
-    # the rank over Q comes only from the cached Smith form: rank agreement
+    # the rank over Q comes only from the memoized Smith form: rank agreement
     # followed by snf eliminates each degree over the integers once, and
     # over Z/30 once, after which F_2, F_3 and F_5 each finish the residual
-    # of that one pass (empty for these matrices)
-    monkeypatch.setattr(homology, "_eliminations", {})
+    # of that one pass (empty for these matrices); no held matrix, so every
+    # matrix is new and carries no elimination yet
+    monkeypatch.setattr(complexes, "_held", {})
     moduli, residual_cells = [], []
     unit_phase = linalg._unit_phase
 
@@ -70,6 +71,30 @@ def test_both_certificates_share_one_integer_elimination(monkeypatch):
         assert moduli.count(m) == cx.top_dim, m
     assert moduli == [0, 30, 2, 3, 5] * cx.top_dim
     assert residual_cells == [0] * (3 * cx.top_dim)
+
+
+def test_eliminations_live_on_their_matrix(monkeypatch):
+    # one path to linalg.eliminate for homology_of and homology_from_matrices:
+    # the matrix's own memo, no module-level table
+    for name in ("_eliminations", "boundary_elimination", "boundary_key"):
+        assert not hasattr(homology, name), name
+    monkeypatch.setattr(complexes, "_held", {})
+    calls = []
+    eliminate = linalg.eliminate
+
+    def counting(nrows, ncols, triplets, m, cleared=None):
+        calls.append(m)
+        return eliminate(nrows, ncols, triplets, m, cleared)
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    cx = build_complex(5, 4)
+    prof = homology_of(cx)
+    assert calls == [0] * cx.top_dim
+    mats = cx.matrices()
+    assert [set(m._eliminations) for m in mats] == [{0}] * cx.top_dim
+    # the same matrix objects: every Smith form is read off its matrix
+    assert homology_from_matrices(cx.cell_counts(), mats) == prof
+    assert len(calls) == cx.top_dim
 
 
 def test_betti_numbers_fast_path():
@@ -171,13 +196,14 @@ def test_cleared_eliminations_match_whole_matrices(n):
 
 
 def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
-    # C(6, 3) first: C(6, 4) then finds its degree-5 boundary in the cache
-    # but not its degree-4 one, which still gets cleared by the cached pivots
-    monkeypatch.setattr(homology, "_eliminations", {})
+    # C(6, 3) first: C(6, 4) then reuses its degree-5 boundary, which carries
+    # its eliminations, but not its degree-4 one, which still gets cleared
+    # by the pivot rows the reused matrix carries
+    monkeypatch.setattr(complexes, "_held", {})
     degree, calls = [], []
-    eliminate, unit_phase = homology._eliminate, linalg._unit_phase
+    eliminate, unit_phase = BoundaryMatrix.eliminate, linalg._unit_phase
 
-    def eliminating(matrix, m, cleared):
+    def eliminating(matrix, m, cleared=None):
         degree.append(matrix.degree)
         return eliminate(matrix, m, cleared)
 
@@ -187,9 +213,9 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
         calls.append((degree[-1], m, live, set(pivots)))
         return pivots
 
-    monkeypatch.setattr(homology, "_eliminate", eliminating)
+    monkeypatch.setattr(BoundaryMatrix, "eliminate", eliminating)
     monkeypatch.setattr(linalg, "_unit_phase", recording)
-    returned = {}  # (cache key, modulus) -> the pivot rows its elimination returned
+    returned = {}  # (boundary key, modulus) -> the pivot rows its elimination returned
     for cx in (build_complex(6, 3), build_complex(6, 4)):
         calls.clear()
         homology_of(cx, certification=CERT_RANK_AGREE)
@@ -206,7 +232,7 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
             assert deleted == returned.get((complexes.boundary_key(cx, d + 1), m), set())
             assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, m)
             returned[(complexes.boundary_key(cx, d), m)] = pivots
-    # C(6, 4) eliminated degree 4 but took degree 5 from the cache
+    # C(6, 4) eliminated degrees 4 and 3 but took degree 5's from its matrix
     assert {d for d, *_ in calls} == {4, 3}
 
 
@@ -273,12 +299,15 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
     assert prof.betti == (1, 0, 0)
     assert prof.torsion == ((), (2,), ())
     assert set(range(15)) - live[1] == {r for r, f in enumerate(pivot_rows) if f}
-    moduli.clear()
-    with pytest.raises(ValueError, match="torsion at 2"):
-        homology_from_matrices(counts, mats, certification=CERT_RANK_AGREE)
     # the top degree's Smith form, then its one pass over Z/30, whose F_2
-    # rank already disagrees
-    assert moduli == [0, 30, 2, 3, 5]
+    # rank already disagrees; the same matrices carry their Smith forms from
+    # the call above, so only the pass over Z/30 runs on them
+    for fresh, want in ((False, [30, 2, 3, 5]), (True, [0, 30, 2, 3, 5])):
+        moduli.clear()
+        given = _rp2()[1] if fresh else mats
+        with pytest.raises(ValueError, match="torsion at 2"):
+            homology_from_matrices(counts, given, certification=CERT_RANK_AGREE)
+        assert moduli == want, fresh
 
 
 @pytest.mark.parametrize(
@@ -300,14 +329,15 @@ def test_homology_from_matrices_rejects_a_non_complex(upper, message):
 
 
 @pytest.mark.slow
-def test_n8_cut_complexes_certified():
+def test_n8_cut_complexes_certified(monkeypatch):
     # every n = 8 cut complex: all invariant factors 1, and the ranks over
     # F_2, F_3 and F_5 equal the Smith ranks (rank agreement raises otherwise)
+    monkeypatch.setattr(complexes, "_held", {})
     for k in range(3, 9):
         cx = build_complex(8, k)
         agree = homology_of(cx, reduced=True, certification=CERT_RANK_AGREE)
-        for d in range(1, cx.top_dim + 1):
-            sf = homology.boundary_elimination(cx, d, 0)[0]
-            assert set(sf.factors) <= {1}, (k, d)
+        for m in cx.matrices():
+            sf = m.eliminate(0)[0]  # the Smith form homology_of memoized
+            assert set(sf.factors) <= {1}, (k, m.degree)
         assert agree.is_concentrated(k - 1), k
         assert agree.betti[k - 1] == predicted_betti(8, k)
