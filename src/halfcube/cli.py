@@ -3,11 +3,13 @@
 Every command emits a results payload plus a list of named checks
 (expected vs actual); the exit status is 0 exactly when no check failed.
 JSON output is schema-stable: {schema_version, command, params, results,
-checks}.  Built complexes are cached on disk, one file per (n, k_cut),
-as the signs of their incidences alone: the cells and the incidences
-follow from (n, k_cut), so a load rebuilds them and reads the signs.  A
-file of another format or orientation, failing a check on load or at odds
-with a held matrix, is a miss, and the complex is rebuilt and rewritten.
+checks}.  A command builds only what it reports: ``morse`` reads cells,
+facets and keys, and assembles no boundary matrix.  Only ``verify`` caches
+the complexes it builds on disk, one file per (n, k_cut), as the signs of
+their incidences alone: the cells and the incidences follow from (n, k_cut),
+so a load rebuilds them and reads the signs.  A file of another format or
+orientation, failing a check on load or at odds with a held matrix, is a
+miss, and the complex is rebuilt and rewritten.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ CHARACTER_SEED = 0  # betti --characters samples the same group elements every r
 # on a 2-vCPU host with Python 3.11, 100 rows take about 0.3 s, 150 about
 # 1.3 s and 400 about 98 s
 MAX_ROWS = 100
-# betti --characters COUNT at (8, 4): 10 take 41-47 s at about 240 MB and 100
-# take 79-95 s, so each sample costs 0.4-0.5 s once the basis is built; at
-# (7, 6), 100 take 1.3-1.6 s (same host)
+# betti --characters COUNT at (8, 4), single runs: 1 takes 7.2 s, 10 take
+# 11.0 s and 100 take 53.4 s, all at 235 MB, so each sample costs about
+# 0.47 s once the basis is built; at (7, 6), 100 take 0.75 s (same host)
 MAX_CHARACTERS = 100
 
 ENV_CACHE_DIR = "HALFCUBE_CACHE_DIR"
@@ -132,13 +134,13 @@ def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
 
 
 def get_complex(n: int, k_cut: int, cache_dir: str | None) -> CellComplex:
-    if cache_dir:
-        cx = load_complex(cache_dir, n, k_cut)
-        if cx is not None:
-            return cx
-    cx = build_complex(n, k_cut)
-    cx.matrices()
-    if cache_dir:
+    """The (n, k_cut) complex.  With a cache directory it comes assembled, loaded
+    or built and saved; without one its matrices are assembled on first use."""
+    if not cache_dir:
+        return build_complex(n, k_cut)
+    cx = load_complex(cache_dir, n, k_cut)
+    if cx is None:
+        cx = build_complex(n, k_cut)
         save_complex(cx, cache_dir)
     return cx
 
@@ -300,7 +302,7 @@ def character_samples(n, k, count):
 
 
 def cmd_betti(args) -> int:
-    cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
+    cx = budgeted_complex(args.n, args.k, None, args.max_cells)
     result, checks = run_betti(args.n, args.k, args.cert, cx, args.characters)
     params = {"n": args.n, "k": args.k, "cert": args.cert, "characters": args.characters}
     row = [
@@ -353,7 +355,7 @@ def run_morse(n, k, cx):
 
 
 def cmd_morse(args) -> int:
-    cx = budgeted_complex(args.n, args.k, args.cache_dir, args.max_cells)
+    cx = budgeted_complex(args.n, args.k, None, args.max_cells)
     result, checks = run_morse(args.n, args.k, cx)
     unpaired = result["unpaired"]
     rows = [
@@ -486,13 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
-    # betti, morse and verify build cut complexes: only they cache and budget them
+    # betti, morse and verify build cut complexes: only they budget them
     budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
-    budgeted.add_argument(
-        "--cache-dir",
-        default=os.environ.get(ENV_CACHE_DIR),
-        help=f"directory for cached complexes (default: ${ENV_CACHE_DIR})",
-    )
     budgeted.add_argument(
         "--max-cells",
         type=int,
@@ -542,6 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[budgeted],
                        help="full sweep; exit 0 only if everything matches")
     p.add_argument("--n-max", type=int, default=6)
+    # the disk cache serves verify alone; betti and morse always build, so no
+    # cache file reaches betti --characters
+    p.add_argument(
+        "--cache-dir",
+        default=os.environ.get(ENV_CACHE_DIR),
+        help=f"directory for cached complexes (default: ${ENV_CACHE_DIR})",
+    )
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -388,16 +388,24 @@ def _smallest_magnitude(rows, row_order, col_order):
         col_at[i], col_at[j] = b, a
         cpos[a], cpos[b] = j, i
 
-    # labels of the rows at positions >= t that hold entries: every entry of
-    # the live block lies in one, as a row or column before t keeps only its
-    # diagonal entry
-    live = set(row_at)
     factors = []
     for t in range(min(len(row_at), len(col_at))):
-        live = {r for r in live if rows[r]}  # a row once empty stays empty
-        if not live:
+        # every entry of the live block lies in a row at position >= t, as a
+        # row or column before t keeps only its diagonal entry; the walk goes
+        # in position order, so the first row holding +-1 ends it
+        best = None
+        for i in range(t, len(row_at)):
+            row = rows[row_at[i]]
+            if row:
+                low = min(map(abs, row.values()))
+                if best is None or low < best[0]:
+                    best = (low, i)
+                    if low == 1:
+                        break
+        if best is None:
             break
-        low, pi, r = min((min(map(abs, rows[r].values())), rpos[r], r) for r in live)
+        low, pi = best
+        r = row_at[pi]
         pj = min(cpos[c] for c, v in rows[r].items() if abs(v) == low)
         row_swap(t, pi)
         col_swap(t, pj)
@@ -429,9 +437,10 @@ def _smallest_magnitude(rows, row_order, col_order):
             v = prow[col_at[t]]
             if v in (1, -1):  # a unit divides every entry
                 break
-            offender = min(
-                (rpos[r] for r in live if r != pr and any(x % v for x in rows[r].values())),
-                default=None,
+            offender = next(
+                (i for i in range(t + 1, len(row_at))
+                 if any(x % v for x in rows[row_at[i]].values())),
+                None,
             )
             if offender is None:
                 break
@@ -441,5 +450,4 @@ def _smallest_magnitude(rows, row_order, col_order):
                 for k in vec:
                     vec[k] = -vec[k]
         factors.append(abs(v))
-        live.discard(pr)
     return factors, row_at, col_at, U, Uinv, V, Vinv

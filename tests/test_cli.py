@@ -235,6 +235,8 @@ def test_morse_budget_skip(capsys, monkeypatch):
         ("faces", "--n", "4", "--max-cells", "5"),
         ("orbits", "--n", "4", "--cache-dir", "unused"),
         ("triangle", "--rows", "3", "--max-cells", "5"),
+        ("betti", "--n", "5", "--k", "4", "--cache-dir", "unused"),
+        ("morse", "--n", "5", "--k", "3", "--cache-dir", "unused"),
     ],
 )
 def test_flags_a_command_does_not_use_are_usage_errors(argv, capsys):
@@ -270,6 +272,19 @@ def test_morse_command(capsys):
     doc = json.loads(out)
     assert doc["results"]["euler"] == 0
     assert sum((-1) ** p * u for p, u in enumerate(doc["results"]["unpaired"])) == 0
+
+
+def test_morse_assembles_no_boundary_matrix(capsys, monkeypatch):
+    # the matching reads cells, facets and keys alone
+    argv = ("morse", "--n", "5", "--k", "3", "--format", "json")
+    want = run_cli(capsys, *argv)
+
+    def refuse(cx, *args, **kwargs):
+        raise AssertionError(f"assembled the ({cx.n}, {cx.k_cut}) boundary matrices")
+
+    monkeypatch.setattr(complexes, "boundary_matrices", refuse)
+    assert run_cli(capsys, *argv) == want
+    assert want[0] == 0
 
 
 def test_orbits_command(capsys):
@@ -457,8 +472,14 @@ def test_cache_version_mismatch_ignored(tmp_path):
 
 
 def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
+    # only verify reads it; betti and morse print their no-cache report and write nothing
+    argvs = [("betti", "--n", "5", "--k", "4", "--format", "json"),
+             ("morse", "--n", "5", "--k", "3", "--format", "json")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
     monkeypatch.setenv(cli.ENV_CACHE_DIR, str(tmp_path))
-    code, _ = run_cli(capsys, "betti", "--n", "4", "--k", "4")
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+    assert os.listdir(tmp_path) == []
+    code, _ = run_cli(capsys, "verify", "--n-max", "4")
     assert code == 0
     assert os.path.exists(cli.cache_path(str(tmp_path), 4, 4))
 
@@ -475,7 +496,7 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
         err = usage_error(capsys, "verify", "--n-max", "4", "--cache-dir", bad)
         assert err.startswith("usage error: --cache-dir")
         monkeypatch.setenv(cli.ENV_CACHE_DIR, bad)
-        err = usage_error(capsys, "betti", "--n", "4", "--k", "3")
+        err = usage_error(capsys, "verify", "--n-max", "4")
         assert err.startswith("usage error: --cache-dir")
         monkeypatch.delenv(cli.ENV_CACHE_DIR)
     # a directory that exists but cannot be written (access is stubbed, since
@@ -486,7 +507,7 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
         assert err.startswith("usage error: --cache-dir") and "not writable" in err
     # a missing directory is created before any work
     made = tmp_path / "new" / "cache"
-    cli.validate_args(cli.build_parser().parse_args(["morse", "--n", "4", "--k", "3",
+    cli.validate_args(cli.build_parser().parse_args(["verify", "--n-max", "4",
                                                      "--cache-dir", str(made)]))
     assert made.is_dir()
 
@@ -632,7 +653,7 @@ def _edit_k_cut(payload):
     ],
 )
 def test_edited_cache_is_rebuilt(tmp_path, capsys, edit):
-    argv = ["betti", "--n", "4", "--k", "3", "--format", "json"]
+    argv = ["verify", "--n-max", "4", "--format", "json"]
     _, fresh_out = run_cli(capsys, *argv)
     cache = str(tmp_path)
     run_cli(capsys, *argv, "--cache-dir", cache)

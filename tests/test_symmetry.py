@@ -360,12 +360,14 @@ def test_boundary_factor_above_one_is_refused(monkeypatch):
 # applied the sparse transforms directly; (7, 6), whose 5-cells include
 # 5-dimensional half cubes, was recorded with the determinant chain map,
 # before half-cube cells took the parity of the permutation on their
-# coordinate set
+# coordinate set; (7, 4), whose basis costs the smallest-magnitude pivot
+# search most, before that search stopped at the first row holding +-1
 ACTION_PINS = {
     (5, 4): "7438496827b9775b14142701e23d40285eba7b53a17e26d5231ca5142268213b",
     (6, 5): "d8c80c90a6b3f1cd75c093957a33b7258a541e8dc9a59f618ad1a974e747d17d",
     (6, 3): "25852618e1a4f7bb3e54a4b48315426d3df5487f1d8ba3ecd06f7ff82172ace6",
     (7, 6): "4084d24ad2b54677b8be1cdb1e802d5a62589a23581ac8d4083c8c3fc43d2106",
+    (7, 4): "ac1ac501bcaeb35ad065bd7046ae70fe852757311d51b1d2f1ba2a52ede7cfad",
 }
 
 
