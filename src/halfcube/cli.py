@@ -47,8 +47,6 @@ MAX_ROWS = 100
 # 0.47 s once the basis is built; at (7, 6), 100 take 0.75 s (same host)
 MAX_CHARACTERS = 100
 
-ENV_CACHE_DIR = "HALFCUBE_CACHE_DIR"
-
 KNOWN_ROWS = {
     0: (1,),
     1: (1, 1),
@@ -541,11 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     # the disk cache serves verify alone; betti and morse always build, so no
     # cache file reaches betti --characters
-    p.add_argument(
-        "--cache-dir",
-        default=os.environ.get(ENV_CACHE_DIR),
-        help=f"directory for cached complexes (default: ${ENV_CACHE_DIR})",
-    )
+    p.add_argument("--cache-dir", help="directory for cached complexes")
     p.set_defaults(func=cmd_verify)
 
     return ap
@@ -588,7 +582,7 @@ def validate_args(args) -> None:
             check_face_budget(largest)
         except ValueError as exc:
             usage_error(str(exc))
-    # the flag or $HALFCUBE_CACHE_DIR: made or checked before any complex is built
+    # made or checked before any complex is built
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir:
         try:

@@ -198,6 +198,8 @@ class BoundaryMatrix:
     nrows: int
     ncols: int
     entries: tuple  # (row, col, val), sorted by (col, row)
+    # the signs were given (read from a cache file), not computed
+    given_signs: bool = field(default=False, compare=False)
     # modulus -> linalg.eliminate's (result, pivot rows)
     _eliminations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -253,7 +255,8 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
     ``signs`` (one +-1 list per degree, in (col, row) order) replaces
     computing them, and raises ValueError where it does not fit.  A call
     reuses the last one's matrices of equal boundary_key, then holds its
-    own instead.
+    own instead; a computed degree never reuses given signs, so a
+    consistently reoriented file cannot meet computed signs in one complex.
     """
     lat = cx.lattice
     keys = [boundary_key(cx, d) for d in range(1, cx.top_dim + 1)]
@@ -261,7 +264,7 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
     mats, new = [], []
     for d, (key, signs_d) in enumerate(zip(keys, given, strict=True), start=1):
         m = _held.get(key)
-        if m is None:
+        if m is None or (signs_d is None and m.given_signs):
             new.append(d)
             cells = cx.cells[d]
             row_of = cx.index[d - 1]
@@ -273,7 +276,9 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
             else:
                 pairs = ((row_of[g], j) for j, fks in enumerate(keys_of) for g in fks)
                 entries = tuple((r, j, s) for (r, j), s in zip(pairs, signs_d, strict=True))
-            m = BoundaryMatrix(d, len(cx.cells[d - 1]), len(cells), entries)
+            m = BoundaryMatrix(
+                d, len(cx.cells[d - 1]), len(cells), entries, given_signs=signs_d is not None
+            )
         elif signs_d is not None and [v for _, _, v in m.entries] != list(signs_d):
             raise ValueError(f"degree {d} signs differ from the held matrix")
         mats.append(m)

@@ -44,7 +44,6 @@ import random
 from dataclasses import dataclass
 
 from .complexes import build_complex, sort_sign
-from .core import Vertex
 from .faces import (
     KIND_HALFCUBE,
     KIND_SIMPLEX,
@@ -126,48 +125,27 @@ class SignedPermutation:
         return SignedPermutation(tuple(p), tuple(s))
 
 
-class SpecialReflection4:
-    """The n = 4 reflection perpendicular to (1,1,1,1); not a signed permutation."""
-
-    n = 4
-
-    def vector_image(self, vec):
-        if len(vec) != 4:
-            raise ValueError("dimension mismatch")
-        half = sum(vec)
-        if half % 2:
-            raise ValueError("image is not integral")
-        half //= 2
-        return [x - half for x in vec]
-
-    def vertex_image(self, v: Vertex) -> Vertex:
-        return Vertex.from_signs(self.vector_image(v.signs()))
+# The n = 4 reflection x -> x - (sum(x) / 2) (1,1,1,1), perpendicular to the
+# all-ones vector, as a vertex table (not a signed permutation): it swaps the
+# even vertices 0 (all +1) and 15 (all -1) and fixes the six with two -1
+# entries; it takes no odd vertex to a vertex, so odd entries are -1
+SPECIAL_REFLECTION_4 = (15, -1, -1, 3, -1, 5, 6, -1, -1, 9, 10, -1, 12, -1, -1, 0)
 
 
-def vertex_table(g, n: int) -> list:
-    """The list t with t[b] = bits of g's image of the vertex b, 0 <= b < 2^n.
-
-    g is a SignedPermutation, which moves odd vertices too, or another
-    vertex map with ``vertex_image``, such as SpecialReflection4, which is
-    tabulated on the even vertices only (odd entries are -1).
-    """
+def vertex_table(g: SignedPermutation, n: int) -> list:
+    """The list t with t[b] = bits of g's image of the vertex b, 0 <= b < 2^n."""
     if g.n != n:
         raise ValueError("dimension mismatch")
-    if isinstance(g, SignedPermutation):
-        # the image is linear over GF(2) in the bits, plus the flipped signs
-        flips = 0
-        for t, s in enumerate(g.signs):
-            if s == -1:
-                flips |= 1 << t
-        lin = [0] * (1 << n)
-        for b in range(1, 1 << n):
-            low = b & -b
-            lin[b] = lin[b ^ low] | 1 << g.perm[low.bit_length() - 1]
-        return [x ^ flips for x in lin]
-    return [
-        g.vertex_image(Vertex(n, b)).bits if b.bit_count() % 2 == 0 else -1
-        for b in range(1 << n)
-    ]
+    # the image is linear over GF(2) in the bits, plus the flipped signs
+    flips = 0
+    for t, s in enumerate(g.signs):
+        if s == -1:
+            flips |= 1 << t
+    lin = [0] * (1 << n)
+    for b in range(1, 1 << n):
+        low = b & -b
+        lin[b] = lin[b ^ low] | 1 << g.perm[low.bit_length() - 1]
+    return [x ^ flips for x in lin]
 
 
 def orbit_generators(n: int) -> list:
@@ -216,15 +194,15 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
     are all the double flips, the even sign changes.  It runs over the
     lattice's sorted keys, keeps the smallest index as each root, and reads
     each kind off the key; only the orbit representatives get descriptors.
-    extended adds the n = 4 special reflection and is rejected elsewhere.
+    extended adds the table of the n = 4 reflection (``SPECIAL_REFLECTION_4``)
+    and is rejected elsewhere.
     """
     if extended and n != 4:
         raise ValueError("the special reflection exists only at n = 4")
     lattice = build_face_lattice(n)
-    gens = orbit_generators(n)
+    tables = [vertex_table(g, n) for g in orbit_generators(n)]
     if extended:
-        gens.append(SpecialReflection4())
-    tables = [vertex_table(g, n) for g in gens]
+        tables.append(SPECIAL_REFLECTION_4)
 
     report = []
     for dim_keys in lattice.keys:

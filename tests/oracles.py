@@ -42,7 +42,7 @@ from halfcube.faces import (
     _k_key,
 )
 from halfcube.morse import AcyclicityCertificate
-from halfcube.symmetry import SignedPermutation, SpecialReflection4
+from halfcube.symmetry import SignedPermutation
 
 
 def even_vertices(n: int):
@@ -437,6 +437,28 @@ def vector_image(g, vec):
         t = g.perm[i]
         out[t] = g.signs[t] * x
     return out
+
+
+class SpecialReflection4:
+    """The n = 4 reflection perpendicular to (1,1,1,1), by its vector formula.
+
+    x -> x - (sum(x) / 2) (1,1,1,1); it is not a signed permutation, and
+    halfcube.symmetry tabulates it as SPECIAL_REFLECTION_4.
+    """
+
+    n = 4
+
+    def vector_image(self, vec):
+        if len(vec) != 4:
+            raise ValueError("dimension mismatch")
+        half = sum(vec)
+        if half % 2:
+            raise ValueError("image is not integral")
+        half //= 2
+        return [x - half for x in vec]
+
+    def vertex_image(self, v: Vertex) -> Vertex:
+        return Vertex.from_signs(self.vector_image(v.signs()))
 
 
 def act_on_vertex(g, v: Vertex) -> Vertex:

@@ -22,6 +22,7 @@ from oracles import (
     random_flip_set,
     reoriented_matrices,
     simplex_face,
+    SpecialReflection4,
 )
 
 from halfcube.complexes import (
@@ -41,7 +42,6 @@ from halfcube.linalg import rank_mod_p, smith_normal_form
 from halfcube.morse import build_matching, check_acyclic, unpaired_census
 from halfcube.symmetry import (
     SignedPermutation,
-    SpecialReflection4,
     expected_orbit_profile,
     homology_action,
     orbits,

@@ -294,9 +294,14 @@ def test_orbits_command(capsys):
     dim3 = sorted((r["kind"], r["size"]) for r in doc["results"] if r["dim"] == 3)
     assert dim3 == [("halfcube", 40), ("simplex", 80)]
     code, out = run_cli(capsys, "orbits", "--n", "4", "--extended", "--format", "json")
+    assert code == 0
     doc = json.loads(out)
     dim3 = [(r["kind"], r["size"]) for r in doc["results"] if r["dim"] == 3]
     assert dim3 == [("mixed", 16)]
+    # the whole report, with the n = 4 reflection's vertex table among the generators
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86675fb7ec73d601f0bb6589b3a43b87ebe9fd08e27859edae0739c0f9f82b9f"
+    )
 
 
 def test_faces_census_builds_no_descriptors(monkeypatch):
@@ -471,21 +476,20 @@ def test_cache_version_mismatch_ignored(tmp_path):
     assert cli.load_complex(cache, 4, 3) is None
 
 
-def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
-    # only verify reads it; betti and morse print their no-cache report and write nothing
+def test_no_environment_variable_sets_the_cache_dir(tmp_path, capsys, monkeypatch):
+    # only --cache-dir names a cache: with HALFCUBE_CACHE_DIR set, every
+    # command prints its no-cache report and writes nothing there
     argvs = [("betti", "--n", "5", "--k", "4", "--format", "json"),
-             ("morse", "--n", "5", "--k", "3", "--format", "json")]
+             ("morse", "--n", "5", "--k", "3", "--format", "json"),
+             ("verify", "--n-max", "4", "--format", "json")]
     want = [run_cli(capsys, *argv) for argv in argvs]
-    monkeypatch.setenv(cli.ENV_CACHE_DIR, str(tmp_path))
+    monkeypatch.setenv("HALFCUBE_CACHE_DIR", str(tmp_path))
     assert [run_cli(capsys, *argv) for argv in argvs] == want
     assert os.listdir(tmp_path) == []
-    code, _ = run_cli(capsys, "verify", "--n-max", "4")
-    assert code == 0
-    assert os.path.exists(cli.cache_path(str(tmp_path), 4, 4))
 
 
 def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    # checked before any complex is fetched, whether from the flag or the environment
+    # checked before any complex is fetched
     def refuse(n, k_cut, cache_dir):
         raise AssertionError(f"fetched the ({n}, {k_cut}) complex")
 
@@ -495,10 +499,6 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
     for bad in (str(blocker), str(blocker / "x"), os.devnull + "/x"):
         err = usage_error(capsys, "verify", "--n-max", "4", "--cache-dir", bad)
         assert err.startswith("usage error: --cache-dir")
-        monkeypatch.setenv(cli.ENV_CACHE_DIR, bad)
-        err = usage_error(capsys, "verify", "--n-max", "4")
-        assert err.startswith("usage error: --cache-dir")
-        monkeypatch.delenv(cli.ENV_CACHE_DIR)
     # a directory that exists but cannot be written (access is stubbed, since
     # a superuser may write anywhere)
     with monkeypatch.context() as m:
@@ -691,6 +691,42 @@ def test_cache_file_at_odds_with_a_held_matrix_is_a_miss(tmp_path):
     cx = cli.get_complex(6, 4, cache)  # the miss rebuilds and rewrites the file
     assert [m.entries for m in cx.matrices()] == fresh
     assert complexes_equal(cx, cli.load_complex(cache, 6, 4))
+
+
+def test_reoriented_cache_file_gives_the_no_cache_report(tmp_path, capsys, monkeypatch):
+    # reorienting the 3-cell at column 0 of C(5, 4) negates that column of
+    # the degree-3 signs and that row of the degree-4 ones: the boundary
+    # still squares to zero, so the file is a hit, and no complex that
+    # computes its signs may reuse the file's held matrices
+    monkeypatch.setattr(complexes, "_held", {})
+    cache = str(tmp_path)
+    argv = ("verify", "--n-max", "5", "--format", "json")
+    _, fresh_out = run_cli(capsys, *argv)
+    run_cli(capsys, *argv, "--cache-dir", cache)
+    path = cli.cache_path(cache, 5, 4)
+    with open(path) as fh:
+        payload = json.load(fh)
+    mats = build_complex(5, 4).matrices()
+    for d, at in ((3, lambda r, c: c == 0), (4, lambda r, c: r == 0)):
+        signs = list(payload["signs"][d - 1])
+        for i, (r, c, _) in enumerate(mats[d - 1].entries):
+            if at(r, c):
+                signs[i] = "+" if signs[i] == "-" else "-"
+        payload["signs"][d - 1] = "".join(signs)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    complexes._held.clear()  # mats, computed, would make the load a miss
+    assert cli.load_complex(cache, 5, 4) is not None
+    # C(5, 5) is then a miss against the held degree 3, and rebuilt; the
+    # second run finds no C(5, 5) file at all
+    for drop_k5 in (False, True):
+        if drop_k5:
+            os.remove(cli.cache_path(cache, 5, 5))
+        code, out = run_cli(capsys, *argv, "--cache-dir", cache)
+        assert code == 0 and out == fresh_out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[5]
+        with open(path) as fh:  # a hit, so not rewritten
+            assert json.load(fh) == payload
 
 
 def test_verify_checks_each_boundary_pair_once(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from oracles import (
     orientation_tuple,
     reference_orbits,
     simplex_face,
+    SpecialReflection4,
     vector_image,
 )
 
@@ -26,7 +27,7 @@ from halfcube.core import Mask, Vertex, hamming_distance
 from halfcube.faces import build_face_lattice
 from halfcube.symmetry import (
     SignedPermutation,
-    SpecialReflection4,
+    SPECIAL_REFLECTION_4,
     chain_map_on_cells,
     expected_orbit_profile,
     homology_action,
@@ -242,10 +243,17 @@ def test_vertex_table_matches_vertex_images():
             t = vertex_table(g, n)
             for v in even_vertices(n):
                 assert t[v.bits] == act_on_vertex(g, v).bits
+    # the reflection's table against its vector formula at every bit pattern:
+    # an even vertex goes to a vertex, an odd one to no vertex
     sp = SpecialReflection4()
-    t = vertex_table(sp, 4)
-    for v in even_vertices(4):
-        assert t[v.bits] == sp.vertex_image(v).bits
+    assert len(SPECIAL_REFLECTION_4) == 16
+    for b in range(16):
+        image = sp.vector_image(Vertex(4, b).signs())
+        if b.bit_count() % 2 == 0:
+            assert SPECIAL_REFLECTION_4[b] == Vertex.from_signs(image).bits
+        else:
+            assert SPECIAL_REFLECTION_4[b] == -1
+            assert any(x not in (1, -1) for x in image)
     with pytest.raises(ValueError):
         vertex_table(SignedPermutation.identity(5), 4)
 
