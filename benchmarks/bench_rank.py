@@ -38,11 +38,12 @@ def timed(fn, *args):
 
 def bench_matrix(label, m, above):
     trip = m.entries
+    columns = list(zip(m.rows, m.signs))  # eliminate takes a matrix as its columns
     ranks_p, times_p = zip(
         *(timed(linalg.rank_mod_p, m.nrows, m.ncols, trip, p) for p in PRIMES)
     )
     sf, t_snf = timed(linalg.smith_normal_form, m.nrows, m.ncols, trip)
-    (joint, _), t_joint = timed(linalg.eliminate, m.nrows, m.ncols, trip, JOINT)
+    (joint, _), t_joint = timed(linalg.eliminate, m.nrows, m.ncols, columns, JOINT)
     if set(ranks_p) != {sf.rank} or joint != dict(zip(PRIMES, ranks_p)):
         raise SystemExit(
             f"{label}: ranks disagree: F_p {ranks_p}, Z/30 {joint}, snf {sf.rank}"
@@ -51,9 +52,10 @@ def bench_matrix(label, m, above):
     cleared = {q: None for q in MODULI}
     if above is not None:
         for q in MODULI:
-            cleared[q] = linalg.eliminate(above.nrows, above.ncols, above.entries, q)[1]
+            above_columns = zip(above.rows, above.signs)
+            cleared[q] = linalg.eliminate(above.nrows, above.ncols, above_columns, q)[1]
     got, times_c = zip(
-        *(timed(linalg.eliminate, m.nrows, m.ncols, trip, q, cleared[q]) for q in MODULI)
+        *(timed(linalg.eliminate, m.nrows, m.ncols, columns, q, cleared[q]) for q in MODULI)
     )
     got = [out[0] for out in got]
     want = [sf, *({p: r} for p, r in zip(PRIMES, ranks_p)), joint]

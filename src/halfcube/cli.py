@@ -74,9 +74,7 @@ def save_complex(cx: CellComplex, cache_dir: str) -> str:
             "orientation": ORIENTATION_TAG,
             "n": cx.n,
             "k_cut": cx.k_cut,
-            "signs": [
-                "".join("+" if v > 0 else "-" for _, _, v in m.entries) for m in cx.matrices()
-            ],
+            "signs": [m.sign_text() for m in cx.matrices()],
         },
         sort_keys=True,
     )
@@ -122,7 +120,6 @@ def load_complex(cache_dir: str, n: int, k_cut: int) -> CellComplex | None:
         not isinstance(s, str) or set(s) - {"+", "-"} for s in signs
     ):
         return None
-    signs = [[1 if c == "+" else -1 for c in s] for s in signs]
     cx = build_complex(n, k_cut)
     try:
         cx._matrices = boundary_matrices(cx, signs=signs)

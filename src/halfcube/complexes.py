@@ -51,14 +51,19 @@ parent:
   ``incidence_sign`` computes both with one parity helper, ``sort_sign``:
   tau lists (b ^ u).bit_length() for the facet's vertices b in key order.
 
-Every matrix is assembled by ``boundary_matrices`` column by column: one
+Every matrix is assembled by ``boundary_matrices`` column by column and
+held as its columns, with no (row, col, sign) tuple per entry: one
 ``FaceLattice.facets`` call (no memo) gives a column's facet keys in key
-order, which is row order, and ``column_signs``, which reads the column's
-kind and span off its key once, its signs unless a cache file supplies them;
-the last complex's matrices are held by ``boundary_key`` and reused.  The
-boundary-squared assertion certifies every new matrix, and the tests check
-both rules and the lemma against the full Gram determinant of reoriented
-cells and the echelon orientation tuple (``tests/oracles.py``).
+order, which is row order, and their positions form the column's row
+tuple; ``column_signs``, which reads the column's kind and span off its key
+once, gives its sign tuple (a shared ``_ALTERNATING`` tuple for a simplex)
+unless a cache file's sign string, cut at the column lengths, supplies it.
+``BoundaryMatrix.entries`` rebuilds the triplets on demand.  The last
+complex's matrices are held by ``boundary_key`` and reused.  The
+boundary-squared assertion certifies every column of every new matrix on
+the stored columns, and the tests check both rules and the lemma against
+the full Gram determinant of reoriented cells and the echelon orientation
+tuple (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -186,22 +191,57 @@ def column_signs(cell: tuple, facet_keys) -> tuple:
 # Boundary matrices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundaryMatrix:
-    """Sparse signed incidence matrix of one degree; entries are +-1.
+    """Sparse signed incidence matrix of one degree, held as its columns.
 
-    It carries its eliminations, which construction, equality, hashing and
-    ``to_text`` ignore, to every complex that reuses it.
+    Column j is ``rows[j]``, its row positions, and ``signs[j]``, their
+    entries (+-1 in a boundary matrix), in one order; an assembled column
+    lists its rows ascending, and simplex columns share ``_ALTERNATING``.
+    ``BoundaryMatrix(degree, nrows, ncols, entries)`` groups (row, col,
+    value) triplets into columns, keeping their order within a column;
+    ``from_columns`` takes the columns themselves.  Equality, hashing,
+    ``repr`` and ``to_text`` read the shape and the columns alone, so both
+    constructions agree.  It carries its eliminations, which they ignore
+    too, to every complex that reuses it.
     """
 
     degree: int
     nrows: int
     ncols: int
-    entries: tuple  # (row, col, val), sorted by (col, row)
+    rows: tuple  # per column, its row positions
+    signs: tuple  # per column, the entries at those rows
     # the signs were given (read from a cache file), not computed
     given_signs: bool = field(default=False, compare=False)
     # modulus -> linalg.eliminate's (result, pivot rows)
-    _eliminations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _eliminations: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __init__(self, degree: int, nrows: int, ncols: int, entries=(), given_signs=False):
+        columns = linalg.triplet_columns(ncols, entries)
+        rows = tuple(col_rows for col_rows, _ in columns)
+        signs = tuple(col_signs for _, col_signs in columns)
+        self._set(degree, nrows, ncols, rows, signs, given_signs)
+
+    @classmethod
+    def from_columns(cls, degree, nrows, ncols, rows, signs, given_signs=False) -> "BoundaryMatrix":
+        """The matrix whose column j has ``signs[j]`` at the rows ``rows[j]``; both are tuples."""
+        m = cls.__new__(cls)
+        m._set(degree, nrows, ncols, rows, signs, given_signs)
+        return m
+
+    def _set(self, *values):
+        # the one place the frozen fields are written
+        names = ("degree", "nrows", "ncols", "rows", "signs", "given_signs")
+        for name, value in zip(names, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_eliminations", {})
+
+    @property
+    def entries(self) -> tuple:
+        """The (row, col, value) triplets, column by column; rebuilt on every read."""
+        return tuple(
+            (r, j, v) for j, (rs, vs) in enumerate(zip(self.rows, self.signs)) for r, v in zip(rs, vs)
+        )
 
     def eliminate(self, m: int, cleared=None):
         """``linalg.eliminate`` of this matrix modulo m, memoized by m; ``cleared``
@@ -209,12 +249,21 @@ class BoundaryMatrix:
         """
         memo = self._eliminations
         if m not in memo:
-            memo[m] = linalg.eliminate(self.nrows, self.ncols, self.entries, m, cleared)
+            memo[m] = linalg.eliminate(self.nrows, self.ncols, zip(self.rows, self.signs), m, cleared)
         return memo[m]
+
+    def sign_text(self) -> str:
+        """The signs in (col, row) order, '+' for a positive entry, else '-': a cache file's form."""
+        text = {}  # sign tuple -> its text, so each distinct column is converted once
+        return "".join([
+            text.get(s) or text.setdefault(s, "".join(["+" if v > 0 else "-" for v in s]))
+            for s in self.signs
+        ])
 
     def to_text(self) -> str:
         lines = [f"{self.degree} {self.nrows} {self.ncols}"]
-        lines.extend(f"{r} {c} {v}" for r, c, v in self.entries)
+        for j, (rs, vs) in enumerate(zip(self.rows, self.signs)):
+            lines.extend(f"{r} {j} {v}" for r, v in zip(rs, vs))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -232,12 +281,6 @@ class BoundaryMatrix:
             entries[c, r] = v
         return cls(degree, nrows, ncols, tuple((r, c, v) for (c, r), v in sorted(entries.items())))
 
-    def columns(self) -> list:
-        cols = [[] for _ in range(self.ncols)]
-        for r, c, v in self.entries:
-            cols[c].append((r, v))
-        return cols
-
 
 def boundary_key(cx: CellComplex, d: int) -> tuple:
     """(n, d, row mode, column mode); complexes with equal keys have equal degree-d matrices."""
@@ -252,34 +295,37 @@ _held = {}
 def boundary_matrices(cx: CellComplex, signs=None) -> list:
     """One signed matrix per degree 1..top; asserts boundary-of-boundary = 0.
 
-    ``signs`` (one +-1 list per degree, in (col, row) order) replaces
-    computing them, and raises ValueError where it does not fit.  A call
-    reuses the last one's matrices of equal boundary_key, then holds its
-    own instead; a computed degree never reuses given signs, so a
-    consistently reoriented file cannot meet computed signs in one complex.
+    ``signs`` (one string of '+' and '-' per degree, in (col, row) order,
+    as ``sign_text`` gives and a cache file holds) replaces computing them,
+    and raises ValueError where it does not fit.  A call reuses the last
+    one's matrices of equal boundary_key, then holds its own instead; a
+    computed degree never reuses given signs, so a consistently reoriented
+    file cannot meet computed signs in one complex.
     """
     lat = cx.lattice
     keys = [boundary_key(cx, d) for d in range(1, cx.top_dim + 1)]
     given = [None] * len(keys) if signs is None else signs
     mats, new = [], []
-    for d, (key, signs_d) in enumerate(zip(keys, given, strict=True), start=1):
+    for d, (key, text) in enumerate(zip(keys, given, strict=True), start=1):
         m = _held.get(key)
-        if m is None or (signs_d is None and m.given_signs):
+        if m is None or (text is None and m.given_signs):
             new.append(d)
             cells = cx.cells[d]
-            row_of = cx.index[d - 1]
+            row_of = cx.index[d - 1].__getitem__
             # one facets call per column; facets come in key order, which is row order
-            keys_of = (lat.facets(c) for c in cells)
-            if signs_d is None:
-                signed = (zip(fks, column_signs(c, fks)) for c, fks in zip(cells, keys_of))
-                entries = tuple((row_of[g], j, s) for j, col in enumerate(signed) for g, s in col)
+            keys_of = map(lat.facets, cells)
+            if text is None:
+                rows, col_signs = [], []
+                for c, fks in zip(cells, keys_of):
+                    rows.append(tuple(map(row_of, fks)))
+                    col_signs.append(column_signs(c, fks))
             else:
-                pairs = ((row_of[g], j) for j, fks in enumerate(keys_of) for g in fks)
-                entries = tuple((r, j, s) for (r, j), s in zip(pairs, signs_d, strict=True))
-            m = BoundaryMatrix(
-                d, len(cx.cells[d - 1]), len(cells), entries, given_signs=signs_d is not None
+                rows = [tuple(map(row_of, fks)) for fks in keys_of]
+                col_signs = _parse_signs(d, text, rows)
+            m = BoundaryMatrix.from_columns(
+                d, len(cx.cells[d - 1]), len(cells), tuple(rows), tuple(col_signs), text is not None
             )
-        elif signs_d is not None and [v for _, _, v in m.entries] != list(signs_d):
+        elif text is not None and m.sign_text() != text:
             raise ValueError(f"degree {d} signs differ from the held matrix")
         mats.append(m)
     # the new degrees and their neighbours; a pair of reused matrices was
@@ -291,18 +337,37 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
     return mats
 
 
+# the text of each alternating sign tuple, so that given simplex columns share them too
+_ALTERNATING_TEXT = {"".join("+" if v > 0 else "-" for v in a): a for a in _ALTERNATING}
+
+
+def _parse_signs(d: int, text: str, rows: list) -> list:
+    """The sign tuples of ``text`` cut to the columns' lengths; equal columns share one tuple."""
+    parsed = dict(_ALTERNATING_TEXT)
+    out = []
+    at = 0
+    for col in rows:
+        part = text[at : at + len(col)]
+        at += len(col)
+        signs = parsed.get(part)
+        if signs is None:
+            signs = parsed[part] = tuple(1 if ch == "+" else -1 for ch in part)
+        out.append(signs)
+    if at != len(text):
+        raise ValueError(f"degree {d} has {at} incidences but {len(text)} signs")
+    return out
+
+
 def assert_boundary_squared_zero(mats) -> None:
-    # each matrix's columns are built once and serve as upper, then lower
-    columns = (m.columns() for m in mats)
-    lower_cols = next(columns, None)
-    for upper, upper_cols in zip(mats[1:], columns):
-        for j, col in enumerate(upper_cols):
+    """Every column of each matrix after the first, times the matrix before it, is zero."""
+    for lower, upper in zip(mats, mats[1:]):
+        lower_rows, lower_signs = lower.rows, lower.signs
+        for j, (mids, vs) in enumerate(zip(upper.rows, upper.signs)):
             acc = {}
-            for mid, v in col:
-                for r, w in lower_cols[mid]:
+            for mid, v in zip(mids, vs):
+                for r, w in zip(lower_rows[mid], lower_signs[mid]):
                     acc[r] = acc.get(r, 0) + v * w
             if any(acc.values()):
                 raise AssertionError(
                     f"boundary squared nonzero in degree {upper.degree} column {j}"
                 )
-        lower_cols = upper_cols

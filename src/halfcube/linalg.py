@@ -11,7 +11,11 @@ sparse smallest-magnitude reduction ``_smallest_magnitude`` finishes the
 Smith normal form on what is left; its rank is the rank over Q, which has
 no other entry point.  The same reduction, run on a whole matrix by
 ``smith_with_transforms``, gives the homology bases their transforms,
-returned as sparse vectors.
+returned as sparse vectors.  ``eliminate`` and ``smith_with_transforms``
+take a matrix as its columns, (rows, values) each, which is how a
+``BoundaryMatrix`` holds it; ``smith_normal_form`` and ``rank_mod_p`` take
+(row, col, value) triplets and group them with ``triplet_columns``.  One
+loader, ``_sparse``, reads the columns for all of them.
 
 Modulo a squarefree m = p_1 ... p_s the Chinese remainder theorem makes
 Z/m the product of the fields F_{p_i}, and a unit of Z/m is a unit in
@@ -82,12 +86,30 @@ def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     """
     if _prime_factors(p) != [p]:
         raise ValueError(f"modulus must be a prime, got {p!r}")
-    return eliminate(nrows, ncols, triplets, p)[0][p]
+    return eliminate(nrows, ncols, triplet_columns(ncols, triplets), p)[0][p]
 
 
-def eliminate(nrows: int, ncols: int, triplets, m: int, cleared=None):
+def triplet_columns(ncols: int, triplets) -> list:
+    """(row, col, value) triplets as ncols columns, tuples (rows, values), in their order.
+
+    A column index outside the shape raises ValueError; ``_sparse`` checks
+    the rows.
+    """
+    rows = [[] for _ in range(ncols)]
+    values = [[] for _ in range(ncols)]
+    for r, c, v in triplets:
+        if not 0 <= c < ncols:
+            raise ValueError("triplet index outside the stated shape")
+        rows[c].append(r)
+        values[c].append(v)
+    return list(zip(map(tuple, rows), map(tuple, values)))
+
+
+def eliminate(nrows: int, ncols: int, columns, m: int, cleared=None):
     """Smith normal form (m = 0) or the ranks over F_p for each prime p dividing m.
 
+    ``columns`` gives each of the ncols columns as (rows, values), as a
+    ``BoundaryMatrix`` holds them or ``triplet_columns`` groups triplets.
     m is 0 or a squarefree product of primes.  Returns (result,
     pivot_rows): the SmithForm for m = 0, else {p: rank over F_p} over the
     primes p dividing m, in increasing order; pivot_rows is one byte per
@@ -102,17 +124,23 @@ def eliminate(nrows: int, ncols: int, triplets, m: int, cleared=None):
         raise ValueError(f"modulus must be 0 or a squarefree product of primes, got {m!r}")
     if cleared is not None and len(cleared) != ncols:
         raise ValueError("cleared must hold one flag per column")
-    rows, cols = _sparse(nrows, ncols, triplets, m, cleared)
+    rows, cols = _sparse(nrows, ncols, columns, m, cleared)
     pivots = _unit_phase(rows, cols, m)
     pivot_rows = bytearray(nrows)
     for r in pivots:
         pivot_rows[r] = 1
     if m:
-        # each prime finishes over F_p what the unit phase mod m left
-        residual = [(r, c, v) for r, row in rows.items() for c, v in row.items()]
+        # each prime finishes over F_p what the unit phase mod m left; a rank
+        # needs no labels, so the residual's live rows are numbered afresh
+        live = {r: i for i, r in enumerate(r for r, row in rows.items() if row)}
+        residual = [
+            (tuple(map(live.__getitem__, rs)), tuple(rows[r][c] for r in rs))
+            for c, rs in cols.items()
+            if rs
+        ]
         ranks = {}
         for p in primes:
-            rows_p, cols_p = _sparse(nrows, ncols, residual, p)
+            rows_p, cols_p = _sparse(len(live), len(residual), residual, p)
             ranks[p] = len(pivots) + len(_unit_phase(rows_p, cols_p, p))
         return ranks, bytes(pivot_rows)
     factors = [1] * len(pivots)
@@ -127,37 +155,54 @@ def eliminate(nrows: int, ncols: int, triplets, m: int, cleared=None):
 # Sparse elimination
 
 
-def _sparse(nrows, ncols, triplets, m, cleared=None):
+def _sparse(nrows, ncols, columns, m, cleared=None):
     """Rows {r: {c: v}} and columns {c: {r}} of the nonzero entries, mod m if m.
 
-    Repeated (row, col) triplets add up; an index outside the shape raises
-    ValueError, whatever its value.  The entries of the columns flagged in
-    ``cleared`` (one byte per column) are dropped, which may leave empty rows.
+    ``columns`` holds ncols columns, each a pair of tuples (rows, values).
+    Repeated rows in a column add up; a row outside the shape, or a column
+    count other than ncols, raises ValueError, whatever the values.  Every
+    row gets a (possibly empty) dict.  The entries of the columns flagged
+    in ``cleared`` (one byte per column) are dropped.
     """
-    rows = {}
+    rows = {r: {} for r in range(nrows)}
     cols = {}
-    for r, c, v in triplets:
-        row = rows.get(r)
-        if row is None:
-            if not 0 <= r < nrows:
-                raise ValueError("triplet index outside the stated shape")
-            row = rows[r] = {}
-        col = cols.get(c)
-        if col is None:
-            if not 0 <= c < ncols:
-                raise ValueError("triplet index outside the stated shape")
+    reduced = {}  # values -> values mod m, converted once per distinct column
+    c = -1
+    try:
+        for c, (col_rows, values) in enumerate(columns):
+            if c >= ncols:
+                break
             if cleared is not None and cleared[c]:
+                for r in col_rows:  # a deleted column's rows are checked all the same
+                    rows[r]
                 continue
-            col = cols[c] = set()
-        cur = row.get(c, 0) + v
-        if m:
-            cur %= m
-        if cur:
-            row[c] = cur
-            col.add(r)
-        elif c in row:
-            del row[c]
-            col.discard(r)
+            if m:
+                got = reduced.get(values)
+                if got is None:
+                    got = reduced[values] = tuple(v % m for v in values)
+                values = got
+            col = set(col_rows)
+            if len(col) == len(col_rows) and 0 not in values:
+                # no repeated row and no zero: each entry is stored as it is
+                for r, v in zip(col_rows, values, strict=True):
+                    rows[r][c] = v
+            else:
+                for r, v in zip(col_rows, values, strict=True):
+                    row = rows[r]
+                    cur = row.get(c, 0) + v
+                    if m:
+                        cur %= m
+                    if cur:
+                        row[c] = cur
+                    else:
+                        row.pop(c, None)
+                col = {r for r in col if c in rows[r]}
+            if col:
+                cols[c] = col
+    except KeyError:  # only rows[r] raises it: the lookup is the row range check
+        raise ValueError("triplet index outside the stated shape") from None
+    if c + 1 != ncols:
+        raise ValueError("triplet index outside the stated shape")
     return rows, cols
 
 
@@ -266,7 +311,7 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
     ``_smallest_magnitude``, the reduction that also gives the homology
     bases their transforms; its factors follow the 1s.
     """
-    return eliminate(nrows, ncols, triplets, 0)[0]
+    return eliminate(nrows, ncols, triplet_columns(ncols, triplets), 0)[0]
 
 
 @dataclass
@@ -291,10 +336,12 @@ class SmithTransforms:
         return len(self.factors)
 
 
-def smith_with_transforms(nrows: int, ncols: int, triplets) -> SmithTransforms:
-    """Smith normal form of a sparse integer matrix, with all four transforms."""
-    rows = {r: {} for r in range(nrows)}
-    rows.update(_sparse(nrows, ncols, triplets, 0)[0])
+def smith_with_transforms(nrows: int, ncols: int, columns) -> SmithTransforms:
+    """Smith normal form of a sparse integer matrix, with all four transforms.
+
+    ``columns`` gives the ncols columns as (rows, values), as for ``eliminate``.
+    """
+    rows = _sparse(nrows, ncols, columns, 0)[0]
     factors, row_at, col_at, U, Uinv, V, Vinv = _smallest_magnitude(rows, range(nrows), range(ncols))
     return SmithTransforms(
         factors,

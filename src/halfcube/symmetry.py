@@ -53,7 +53,7 @@ from .faces import (
     build_face_lattice,
     face_count,
     face_counts_by_type,
-    key_kind,
+    kind_split,
 )
 from .linalg import _add_multiple, smith_with_transforms
 from .triangle import predicted_betti
@@ -192,8 +192,9 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
     generators of ``orbit_generators``: (1 2) and the n-cycle i -> i+1
     generate S_n, and with the double flip at n-1, n, whose S_n-conjugates
     are all the double flips, the even sign changes.  It runs over the
-    lattice's sorted keys, keeps the smallest index as each root, and reads
-    each kind off the key; only the orbit representatives get descriptors.
+    lattice's sorted keys and keeps the smallest index as each root.  An
+    orbit's kind comes from its ``kind_split`` counts ("mixed" when both
+    are nonzero), and only the orbit representatives get descriptors.
     extended adds the table of the n = 4 reflection (``SPECIAL_REFLECTION_4``)
     and is rejected elsewhere.
     """
@@ -205,7 +206,7 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
         tables.append(SPECIAL_REFLECTION_4)
 
     report = []
-    for dim_keys in lattice.keys:
+    for dim, dim_keys in enumerate(lattice.keys):
         parent = list(range(len(dim_keys)))
 
         def find(i):
@@ -231,8 +232,13 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
         dim_orbits = []
         for root in sorted(groups):
             members = groups[root]
-            kinds = {key_kind(n, key) for key in members}
-            kind = kinds.pop() if len(kinds) == 1 else "mixed"
+            simp, hc = kind_split(dim, members)
+            if simp and hc:
+                kind = "mixed"
+            elif dim in (0, n):
+                kind = KIND_VERTEX if dim == 0 else KIND_TOP
+            else:
+                kind = KIND_SIMPLEX if simp else KIND_HALFCUBE
             dim_orbits.append(Orbit(lattice.describe(members[0]), len(members), kind))
         report.append(tuple(dim_orbits))
     return OrbitReport(n, extended, tuple(report))
@@ -272,7 +278,7 @@ class HomologyBasis:
         mats = cx.matrices()
         down = mats[d - 1]
 
-        st = smith_with_transforms(down.nrows, down.ncols, down.entries)
+        st = smith_with_transforms(down.nrows, down.ncols, zip(down.rows, down.signs))
         if any(f != 1 for f in st.factors):
             raise AssertionError("boundary factors above 1")
         r1 = st.rank
@@ -285,14 +291,14 @@ class HomologyBasis:
         z = down.ncols - r1
 
         # the image of the boundary from degree d + 1, in the kernel basis V[r1:]
-        up = mats[d].columns() if d + 1 <= cx.top_dim else []
+        up = zip(mats[d].rows, mats[d].signs) if d + 1 <= cx.top_dim else ()
         quotient = []
-        for j, col in enumerate(up):
-            w = self._kernel_coords(dict(col))
+        for rows, signs in up:
+            w = self._kernel_coords(dict(zip(rows, signs)))
             if w is None:
                 raise AssertionError("image column is not a kernel element")
-            quotient.extend((i, j, v) for i, v in w.items())
-        st2 = smith_with_transforms(z, len(up), quotient)
+            quotient.append((tuple(w), tuple(w.values())))
+        st2 = smith_with_transforms(z, len(quotient), quotient)
         if any(f != 1 for f in st2.factors):
             raise AssertionError("homology has torsion; basis extraction needs a free group")
         self.r2 = st2.rank

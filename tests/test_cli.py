@@ -435,6 +435,27 @@ def test_warm_load_computes_no_sign(tmp_path, monkeypatch):
     assert loaded is not None and loaded._matrices is not None
 
 
+# SHA-256 of the cache file save_complex writes for C(5, 4), recorded while
+# the matrices were held as (row, col, sign) triplets: the file format is
+# unchanged by the column layout
+CACHE_FILE_SHA256_5_4 = "60c9e32b0095e0503e8ce3f6224743e36befc5e88f94c34a2676f09c4c438128"
+
+
+def test_cache_file_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(complexes, "_held", {})
+    cache = str(tmp_path)
+    computed = build_complex(5, 4).matrices()
+    path = cli.save_complex(cli.get_complex(5, 4, None), cache)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == CACHE_FILE_SHA256_5_4
+    # a load with nothing held reads every sign from the file
+    complexes._held.clear()
+    loaded = cli.load_complex(cache, 5, 4).matrices()
+    assert loaded == computed
+    assert all(m.given_signs for m in loaded) and not any(m.given_signs for m in computed)
+    assert [m.to_text() for m in loaded] == [m.to_text() for m in computed]
+
+
 def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
     cache = str(tmp_path)
     cx = cli.get_complex(4, 3, None)

@@ -80,17 +80,17 @@ def test_parameter_validation():
 
 def test_edge_columns_one_plus_one_minus():
     cx = build_complex(4, 4)
-    for col in cx.matrices()[0].columns():
-        assert sorted(v for _, v in col) == [-1, 1]
+    for signs in cx.matrices()[0].signs:
+        assert sorted(signs) == [-1, 1]
 
 
 def test_simplex_column_support_sizes():
     cx = build_complex(5, 3)
     for m in cx.matrices():
-        for j, col in enumerate(m.columns()):
+        for j, (rows, signs) in enumerate(zip(m.rows, m.signs)):
             cell = cx.cells[m.degree][j]
-            assert len(col) == len(cx.lattice.facets(cell))
-            assert all(v in (-1, 1) for _, v in col)
+            assert len(rows) == len(signs) == len(cx.lattice.facets(cell))
+            assert all(v in (-1, 1) for v in signs)
 
 
 def test_rank_d1_connected_graph():
@@ -154,13 +154,42 @@ def test_flipped_orientations_still_give_chain_complex():
 
 
 def test_boundary_squared_check_catches_a_flipped_entry():
-    # a wrong sign in any degree breaks the product with its neighbours
+    # a wrong sign in any degree breaks the product with its neighbours,
+    # whether the matrix was built from triplets or from assembled columns
     mats = build_complex(4, 4).matrices()
     for i, m in enumerate(mats):
         r, c, v = m.entries[0]
         bad = BoundaryMatrix(m.degree, m.nrows, m.ncols, ((r, c, -v),) + m.entries[1:])
-        with pytest.raises(AssertionError, match="boundary squared nonzero"):
-            assert_boundary_squared_zero(mats[:i] + [bad] + mats[i + 1:])
+        # the last column, its first sign negated
+        last = (-m.signs[-1][0],) + m.signs[-1][1:]
+        flipped = BoundaryMatrix.from_columns(
+            m.degree, m.nrows, m.ncols, m.rows, m.signs[:-1] + (last,)
+        )
+        for wrong in (bad, flipped):
+            assert wrong != m
+            with pytest.raises(AssertionError, match="boundary squared nonzero"):
+                assert_boundary_squared_zero(mats[:i] + [wrong] + mats[i + 1:])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_triplet_construction_equals_the_assembled_columns(n, monkeypatch):
+    # BoundaryMatrix(degree, nrows, ncols, entries) groups the triplets into
+    # the columns that assembly builds: equal, with equal hash, repr, text
+    # and eliminations, for every cut and the full complex
+    monkeypatch.setattr(complexes, "_held", {})
+    for k in range(3, n + 2):
+        cx = build_complex(n, k)
+        for m in cx.matrices():
+            bare = BoundaryMatrix(m.degree, m.nrows, m.ncols, m.entries)
+            assert bare == m and hash(bare) == hash(m), (n, k, m.degree)
+            assert repr(bare) == repr(m) and bare.to_text() == m.to_text()
+            assert bare.rows == m.rows and bare.signs == m.signs
+            for modulus in (0, 30):
+                assert bare.eliminate(modulus) == m.eliminate(modulus), (n, k, m.degree, modulus)
+            # simplex columns share the alternating sign tuples
+            for cell, signs in zip(cx.cells[m.degree], m.signs):
+                if key_kind(n, cell) == KIND_SIMPLEX:
+                    assert signs is complexes._ALTERNATING[m.degree], (n, k, cell)
 
 
 def test_triplet_text_round_trip():
@@ -247,7 +276,7 @@ def test_assembly_computes_each_columns_facets_once(monkeypatch):
     assert sorted(calls) == columns
     calls.clear()
     complexes._held.clear()
-    assert boundary_matrices(cx, [[v for _, _, v in m.entries] for m in mats]) == mats
+    assert boundary_matrices(cx, [m.sign_text() for m in mats]) == mats
     assert sorted(calls) == columns
 
 

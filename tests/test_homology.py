@@ -82,9 +82,9 @@ def test_eliminations_live_on_their_matrix(monkeypatch):
     calls = []
     eliminate = linalg.eliminate
 
-    def counting(nrows, ncols, triplets, m, cleared=None):
+    def counting(nrows, ncols, columns, m, cleared=None):
         calls.append(m)
-        return eliminate(nrows, ncols, triplets, m, cleared)
+        return eliminate(nrows, ncols, columns, m, cleared)
 
     monkeypatch.setattr(linalg, "eliminate", counting)
     cx = build_complex(5, 4)
@@ -188,7 +188,7 @@ def test_cleared_eliminations_match_whole_matrices(n):
                 whole[key] += [{p: r} for p, r in ranks.items()] + [ranks]
             for p, want in zip((0, 2, 3, 5, 30), whole[key]):
                 cleared = above.get(p)
-                got, above[p] = linalg.eliminate(m.nrows, m.ncols, m.entries, p, cleared)
+                got, above[p] = linalg.eliminate(m.nrows, m.ncols, zip(m.rows, m.signs), p, cleared)
                 assert got == want, (n, k, d, p)
                 if cleared is not None:
                     # the degree above had no residual: it cleared a whole rank's worth
@@ -275,17 +275,19 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
     d2 = mats[1]
     # the unit phase leaves a +-2 residual: only its nine unit pivots clear,
     # not the ten rows an elimination over F_3 pivots on
-    sf, pivot_rows = linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 0)
+    d2_columns = list(zip(d2.rows, d2.signs))
+    sf, pivot_rows = linalg.eliminate(d2.nrows, d2.ncols, d2_columns, 0)
     assert sf.factors == (1,) * 9 + (2,)
     assert sum(pivot_rows) == 9
-    assert sum(linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 3)[1]) == 10
+    assert sum(linalg.eliminate(d2.nrows, d2.ncols, d2_columns, 3)[1]) == 10
     # mod 30 the +-2 is a zero divisor: F_3 and F_5 finish it as a pivot of
     # their own, F_2 finds it zero, and only the nine joint unit pivots clear
-    ranks, joint_rows = linalg.eliminate(d2.nrows, d2.ncols, d2.entries, 30)
+    ranks, joint_rows = linalg.eliminate(d2.nrows, d2.ncols, d2_columns, 30)
     assert ranks == {2: 9, 3: 10, 5: 10}
     assert sum(joint_rows) == 9
     d1 = mats[0]
-    assert linalg.eliminate(d1.nrows, d1.ncols, d1.entries, 30, joint_rows)[0] == {2: 5, 3: 5, 5: 5}
+    d1_columns = zip(d1.rows, d1.signs)
+    assert linalg.eliminate(d1.nrows, d1.ncols, d1_columns, 30, joint_rows)[0] == {2: 5, 3: 5, 5: 5}
     live, moduli = [], []
     unit_phase = linalg._unit_phase
 

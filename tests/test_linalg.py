@@ -52,7 +52,7 @@ def test_joint_ranks_mod_30_against_dense_oracle():
         nc = rng.randrange(1, 9)
         trip = random_triplets(rng, nr, nc, -15, 15)
         dense = triplets_to_dense(nr, nc, trip)
-        ranks, pivot_rows = linalg.eliminate(nr, nc, trip, 30)
+        ranks, pivot_rows = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, trip), 30)
         assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, trip
         assert ranks == {p: linalg.rank_mod_p(nr, nc, trip, p) for p in (2, 3, 5)}, trip
         assert sum(pivot_rows) <= min(ranks.values())
@@ -70,13 +70,13 @@ def test_unit_phase_leaves_no_unit_in_the_residual():
         dense = [[rng.randint(-15, 15) for _ in range(nc)] for _ in range(nr)]
         trip = dense_to_triplets(dense)
         for m in (0, 2, 30):
-            rows, cols = linalg._sparse(nr, nc, trip, m)
+            rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), m)
             pivots = linalg._unit_phase(rows, cols, m)
             assert not any(gcd(v, m) == 1 for row in rows.values() for v in row.values()), (m, dense)
             if m == 2:
                 assert len(pivots) == dense_rank_mod(dense, 2)
         assert linalg.smith_normal_form(nr, nc, trip).rank == dense_rank(dense)
-        ranks, _ = linalg.eliminate(nr, nc, trip, 30)
+        ranks, _ = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, trip), 30)
         assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, dense
 
 
@@ -90,7 +90,7 @@ def test_joint_pivot_rows_clear_for_every_prime():
         nr = rng.randrange(2, 8)
         nc = rng.randrange(1, 7)
         b_trip = random_triplets(rng, nr, nc, -15, 15)
-        st = linalg.smith_with_transforms(nr, nc, b_trip)
+        st = linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, b_trip))
         kernel = st.U[st.rank:]
         if not kernel:
             continue
@@ -104,10 +104,11 @@ def test_joint_pivot_rows_clear_for_every_prime():
         b = triplets_to_dense(nr, nc, b_trip)
         assert all(not any(r) for r in dense_mat_mul(a, b))
         a_trip = dense_to_triplets(a)
-        pivot_rows = linalg.eliminate(nr, nc, b_trip, 30)[1]
-        whole = linalg.eliminate(a_rows, nr, a_trip, 30)[0]
+        pivot_rows = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, b_trip), 30)[1]
+        whole = linalg.eliminate(a_rows, nr, linalg.triplet_columns(nr, a_trip), 30)[0]
         assert whole == {p: dense_rank_mod(a, p) for p in (2, 3, 5)}
-        assert linalg.eliminate(a_rows, nr, a_trip, 30, pivot_rows)[0] == whole, (a, b)
+        a_columns = linalg.triplet_columns(nr, a_trip)
+        assert linalg.eliminate(a_rows, nr, a_columns, 30, pivot_rows)[0] == whole, (a, b)
         cleared_some += any(pivot_rows)
     assert cleared_some > 50
 
@@ -163,7 +164,7 @@ def certify_smith(dense, factors, U, Uinv, V, Vinv):
 
 def transforms_matching_oracle(nr, nc, trip):
     """smith_with_transforms(nr, nc, trip), densified, after checking all five outputs against the dense oracle."""
-    st = linalg.smith_with_transforms(nr, nc, trip)
+    st = linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, trip))
     got = dense_transforms(st, nr, nc)
     assert got == dense_smith_with_transforms(triplets_to_dense(nr, nc, trip)), trip
     assert st.rank == len(st.factors)
@@ -182,7 +183,7 @@ def test_smith_divisibility_chain_random():
         sf = linalg.smith_normal_form(nr, nc, trip)
         assert list(sf.factors) == invariant_factors(dense), trip
         assert sf.rank == dense_rank(dense)
-        rows, cols = linalg._sparse(nr, nc, trip, 0)
+        rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), 0)
         linalg._unit_phase(rows, cols, 0)
         residuals += any(rows.values())
     # most cases reach the smallest-magnitude reduction of what the unit phase leaves
@@ -237,7 +238,7 @@ def test_smith_matches_dense_route_on_boundary_matrices():
         for k in range(3, n + 2):
             for m in build_complex(n, k).matrices():
                 trip = m.entries
-                rows, cols = linalg._sparse(m.nrows, m.ncols, trip, 0)
+                rows, cols = linalg._sparse(m.nrows, m.ncols, zip(m.rows, m.signs), 0)
                 linalg._unit_phase(rows, cols, 0)
                 assert not any(rows.values()), (n, k, m.degree)
                 sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
@@ -313,9 +314,10 @@ def test_smith_with_transforms_matches_dense_oracle_on_homology_bases(n, k, monk
 
     seen = []
 
-    def recording(nrows, ncols, triplets):
-        seen.append((nrows, ncols, list(triplets)))
-        return linalg.smith_with_transforms(nrows, ncols, triplets)
+    def recording(nrows, ncols, columns):
+        columns = list(columns)
+        seen.append((nrows, ncols, [(r, c, v) for c, col in enumerate(columns) for r, v in zip(*col)]))
+        return linalg.smith_with_transforms(nrows, ncols, columns)
 
     monkeypatch.setattr(symmetry, "smith_with_transforms", recording)
     symmetry.HomologyBasis(n, k)
@@ -369,7 +371,7 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column():
     for nr, nc, trip in mats:
         dense = triplets_to_dense(nr, nc, trip)
         for p in (2, 3):
-            rows, cols = linalg._sparse(nr, nc, trip, p)
+            rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), p)
             rank = len(linalg._unit_phase(rows, Columns(cols), p))
             assert rank == dense_rank_mod(dense, p)
             assert not rows or not any(rows.values())
@@ -392,25 +394,29 @@ def test_rank_functions_reject_triplets_outside_the_shape(trip):
     for rank in (
         lambda nr, nc, t: linalg.rank_mod_p(nr, nc, t, 3),
         linalg.smith_normal_form,
-        linalg.smith_with_transforms,
+        lambda nr, nc, t: linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, t)),
         # clearing every column must not let an index outside the shape through
-        lambda nr, nc, t: linalg.eliminate(nr, nc, t, 0, bytes([1] * nc)),
+        lambda nr, nc, t: linalg.eliminate(nr, nc, linalg.triplet_columns(nc, t), 0, bytes([1] * nc)),
     ):
         with pytest.raises(ValueError, match="triplet index outside the stated shape"):
             rank(2, 2, trip)
 
 
 def test_eliminate_rejects_a_bad_modulus_or_clearing_mask():
-    trip = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]
-    assert linalg.eliminate(2, 2, trip, 5) == ({5: 1}, b"\1\0")
-    assert linalg.eliminate(2, 2, trip, 5, b"\0\1") == ({5: 1}, b"\1\0")
+    columns = linalg.triplet_columns(2, [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)])
+    assert linalg.eliminate(2, 2, columns, 5) == ({5: 1}, b"\1\0")
+    assert linalg.eliminate(2, 2, columns, 5, b"\0\1") == ({5: 1}, b"\1\0")
     # mod 30 the unit 1 at (1, 0) is the one pivot; it leaves 1 - 2 * 3 = -5 at
     # (0, 1), a zero divisor that only F_2 and F_3 count, while mod 6 it is a unit
-    assert linalg.eliminate(2, 2, trip, 30) == ({2: 2, 3: 2, 5: 1}, b"\0\1")
-    assert linalg.eliminate(2, 2, trip, 6) == ({2: 2, 3: 2}, b"\1\1")
+    assert linalg.eliminate(2, 2, columns, 30) == ({2: 2, 3: 2, 5: 1}, b"\0\1")
+    assert linalg.eliminate(2, 2, columns, 6) == ({2: 2, 3: 2}, b"\1\1")
     for p in (1, 4, 12, -2, -30, 8, 18, True, False, 0.0, 30.0, None):
         with pytest.raises(ValueError, match="modulus must be 0 or a squarefree product of primes"):
-            linalg.eliminate(2, 2, trip, p)
+            linalg.eliminate(2, 2, columns, p)
     for cleared in (b"", b"\0", b"\0\0\0"):
         with pytest.raises(ValueError, match="one flag per column"):
-            linalg.eliminate(2, 2, trip, 0, cleared)
+            linalg.eliminate(2, 2, columns, 0, cleared)
+    # a column count other than ncols is refused like an index outside the shape
+    for ncols in (1, 3):
+        with pytest.raises(ValueError, match="triplet index outside the stated shape"):
+            linalg.eliminate(2, ncols, columns, 0)

@@ -24,7 +24,7 @@ from oracles import (
 from halfcube import linalg, symmetry
 from halfcube.complexes import build_complex
 from halfcube.core import Mask, Vertex, hamming_distance
-from halfcube.faces import build_face_lattice
+from halfcube.faces import build_face_lattice, key_kind
 from halfcube.symmetry import (
     SignedPermutation,
     SPECIAL_REFLECTION_4,
@@ -180,7 +180,7 @@ def test_chain_map_commutes_with_boundary():
         for m in mats:
             d = m.degree
             # P_(d-1) . boundary == boundary . P_d, column by column
-            cols = m.columns()
+            cols = [list(zip(rows, signs)) for rows, signs in zip(m.rows, m.signs)]
             for j, col in enumerate(cols):
                 jj, s = maps[d][j]
                 lhs = {}
@@ -268,6 +268,25 @@ def test_orbits_match_descriptor_closure(n, extended):
     assert got == reference_orbits(n, extended)
 
 
+@pytest.mark.parametrize("n, extended", [(4, False), (4, True), (5, False), (6, False)])
+def test_orbit_kinds_match_their_faces_kinds(n, extended, monkeypatch):
+    # an orbit's kind comes from the kind_split counts of its members; read
+    # face by face with key_kind, the same members give the same kind, and
+    # only the n = 4 reflection makes an orbit "mixed"
+    got = []
+    split = symmetry.kind_split
+
+    def per_face(dim, members):
+        kinds = {key_kind(n, key) for key in members}
+        got.append(kinds.pop() if len(kinds) == 1 else "mixed")
+        return split(dim, members)
+
+    monkeypatch.setattr(symmetry, "kind_split", per_face)
+    rep = orbits(n, extended=extended)
+    assert got == [o.kind for dim in rep.orbits for o in dim]
+    assert ("mixed" in got) == extended
+
+
 def test_orbits_describe_only_representatives(monkeypatch):
     from halfcube import faces
 
@@ -322,7 +341,7 @@ def test_chain_map_rejects_odd():
 def test_coords_of_basis_cycles_and_non_cycles():
     # chains are sparse {cell: coef} over the 2-cells of C(4, 3)
     basis = homology_basis(4, 3)
-    down, up = (m.columns() for m in basis.cx.matrices()[1:3])
+    down, up = ([list(zip(*col)) for col in zip(m.rows, m.signs)] for m in basis.cx.matrices()[1:3])
 
     def boundary(chain):
         out = {}
