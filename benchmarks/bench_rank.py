@@ -1,14 +1,14 @@
 """Time the elimination routine per prime and over Z/30 next to Smith normal form, whole and cleared.
 
 For the largest boundary matrix of each C(n, k), k = 3, 4, times the rank
-over F_2, F_3 and F_5 (each its own elimination over F_p), the joint
-elimination over Z/30 = F_2 x F_3 x F_5 that gives all three ranks from
-one pass, and the sparse Smith normal form, whose rank is the rank over
-Q.  It exits nonzero unless the three joint ranks equal the per-prime
-ranks and the Smith rank.  The Smith form plus the joint pass is what
-``verify``'s rank-agreement certificate costs, against the Smith form
-alone for ``snf``; the three per-prime passes are what it cost before
-the joint pass.
+over F_2, F_3 and F_5 (``linalg.eliminate`` modulo each prime, an
+elimination of its own), the joint elimination over Z/30 = F_2 x F_3 x F_5
+that gives all three ranks from one pass, and the sparse Smith normal
+form, whose rank is the rank over Q.  It exits nonzero unless the three
+joint ranks equal the per-prime ranks and the Smith rank.  The Smith form
+plus the joint pass is what ``verify``'s rank-agreement certificate costs,
+against the Smith form alone for ``snf``; the three per-prime passes are
+what it cost before the joint pass.
 
 Then it times the same eliminations as ``verify`` runs them, cleared:
 each first deletes the columns at the pivot rows that the same modulus's
@@ -39,9 +39,10 @@ def timed(fn, *args):
 def bench_matrix(label, m, above):
     trip = m.entries
     columns = list(zip(m.rows, m.signs))  # eliminate takes a matrix as its columns
-    ranks_p, times_p = zip(
-        *(timed(linalg.rank_mod_p, m.nrows, m.ncols, trip, p) for p in PRIMES)
+    per_prime, times_p = zip(
+        *(timed(linalg.eliminate, m.nrows, m.ncols, columns, p) for p in PRIMES)
     )
+    ranks_p = tuple(ranks[p] for (ranks, _), p in zip(per_prime, PRIMES))
     sf, t_snf = timed(linalg.smith_normal_form, m.nrows, m.ncols, trip)
     (joint, _), t_joint = timed(linalg.eliminate, m.nrows, m.ncols, columns, JOINT)
     if set(ranks_p) != {sf.rank} or joint != dict(zip(PRIMES, ranks_p)):

@@ -1,8 +1,7 @@
 """Exact combinatorics, chain complexes and integer homology of the half cube."""
 
-from .core import Mask, Vertex, hamming_distance
 from .complexes import BoundaryMatrix, CellComplex, build_complex, euler_characteristic
-from .faces import FaceDescriptor, FaceLattice, build_face_lattice
+from .faces import FaceLattice, build_face_lattice
 from .homology import HomologyProfile, homology_of
 from .linalg import smith_normal_form
 from .morse import MorseMatching, build_matching, check_acyclic, unpaired_census
@@ -14,20 +13,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryMatrix",
     "CellComplex",
-    "FaceDescriptor",
     "FaceLattice",
     "HomologyProfile",
-    "Mask",
     "MorseMatching",
     "SignedPermutation",
     "TriangleTable",
-    "Vertex",
     "build_complex",
     "build_face_lattice",
     "build_matching",
     "check_acyclic",
     "euler_characteristic",
-    "hamming_distance",
     "homology_action",
     "homology_of",
     "orbits",

@@ -25,6 +25,7 @@ import tempfile
 from . import homology, morse, symmetry, triangle
 from .complexes import CellComplex, boundary_matrices, build_complex, euler_characteristic
 from .faces import (
+    MAX_DIM,
     build_face_lattice,
     check_face_budget,
     face_census,
@@ -376,7 +377,7 @@ def run_orbits(n, extended):
                     "dim": dim,
                     "kind": o.kind,
                     "size": o.size,
-                    "representative": list(o.representative.key),
+                    "representative": list(o.representative),
                 }
             )
     return results, checks
@@ -550,8 +551,8 @@ def usage_error(message: str):
 
 def validate_args(args) -> None:
     n = getattr(args, "n", None)
-    if n is not None and not 4 <= n <= 32:
-        usage_error(f"--n must be in 4..32, got {n}")
+    if n is not None and not 4 <= n <= MAX_DIM:
+        usage_error(f"--n must be in 4..{MAX_DIM}, got {n}")
     k = getattr(args, "k", None)
     if k is not None:
         if not 3 <= k <= n:
@@ -570,8 +571,8 @@ def validate_args(args) -> None:
     if characters is not None and characters > MAX_CHARACTERS:
         usage_error(f"--characters must be at most {MAX_CHARACTERS}, got {characters}")
     n_max = getattr(args, "n_max", None)
-    if n_max is not None and not 4 <= n_max <= 32:
-        usage_error(f"--n-max must be in 4..32, got {n_max}")
+    if n_max is not None and not 4 <= n_max <= MAX_DIM:
+        usage_error(f"--n-max must be in 4..{MAX_DIM}, got {n_max}")
     # face counts grow with n, so the largest n of a command decides
     largest = n if n is not None else n_max
     if largest is not None:

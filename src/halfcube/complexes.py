@@ -71,8 +71,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .core import MAX_DIM
-from .faces import FaceLattice, _opposite_point, _span, build_face_lattice, simplex_keys
+from .faces import (
+    MAX_DIM,
+    FaceLattice,
+    _opposite_point,
+    _span,
+    build_face_lattice,
+    simplex_keys,
+)
 
 
 class CellComplex:

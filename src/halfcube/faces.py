@@ -1,7 +1,8 @@
 """The face lattice of the n-dimensional half cube.
 
 Faces are identified by their canonical key, the sorted tuple of vertex bit
-patterns.  Four kinds:
+patterns (bit i-1 set means coordinate i is -1; the half cube's vertices
+are the patterns with an even number of bits set).  Four kinds:
 
   vertex    -- a single even vertex, dimension 0
   simplex   -- K(v', S) with odd opposite point v' and |S| >= 2; dim |S|-1
@@ -16,9 +17,7 @@ column table holds, for every subset q of S, the vertices h + q over all h of
 q's parity; each family of keys is the zip of the columns of its base.  The
 kind of a face can be read off its key, too: a simplex's |S| vertices
 disagree on exactly S, while a half cube's 2^(|S|-1) > |S| vertices do so on
-its S.  Past the lattice a cell is its key.  Descriptors (kind, point,
-mask) are built from the keys only for reports and tests, with one shared
-Vertex per bit pattern and one Mask per coordinate set.
+its S.  Past the lattice a cell is its key.
 
 One enumeration, ``_generate``, yields the keys in batches, one per kind
 and coordinate set, and has two consumers.  ``build_face_lattice`` joins
@@ -39,11 +38,10 @@ plus the single n-face.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .core import MAX_DIM, Mask, Vertex
+MAX_DIM = 32  # the largest n that any command or builder accepts
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
 # It guards the lattices that orbits and the complexes keep: build_face_lattice(11)
@@ -56,37 +54,6 @@ KIND_VERTEX = "vertex"
 KIND_SIMPLEX = "simplex"
 KIND_HALFCUBE = "halfcube"
 KIND_TOP = "top"
-
-
-class FaceDescriptor:
-    """One face; equality and hashing go through the canonical vertex key."""
-
-    __slots__ = ("kind", "n", "point", "mask", "dim", "key")
-
-    def __init__(self, kind, n, point, mask, dim, key):
-        self.kind = kind
-        self.n = n
-        self.point = point
-        self.mask = mask
-        self.dim = dim
-        self.key = key
-
-    def __eq__(self, other):
-        return isinstance(other, FaceDescriptor) and self.n == other.n and self.key == other.key
-
-    def __hash__(self):
-        return hash((self.n, self.key))
-
-    def __repr__(self):
-        if self.kind == KIND_VERTEX:
-            return f"Face(vertex {self.point.signs()})"
-        if self.kind == KIND_TOP:
-            return f"Face(top, n={self.n})"
-        tag = "K" if self.kind == KIND_SIMPLEX else "L"
-        return f"Face({tag}({self.point.signs()}, {set(self.mask.coords())}))"
-
-    def vertices(self):
-        return [Vertex(self.n, b) for b in self.key]
 
 
 def _k_key(v_bits: int, mask_bits: int) -> tuple:
@@ -175,11 +142,6 @@ def _opposite_point(key: tuple) -> int:
     return twice
 
 
-def key_kind(n: int, key: tuple) -> str:
-    """The kind of the face with this key, read off the key alone."""
-    return _classify(n, key)[0]
-
-
 def simplex_keys(dim: int, keys: list) -> list:
     """The keys of the vertices or simplices among the keys of one dimension, in their order.
 
@@ -203,10 +165,8 @@ class FaceLattice:
     """All faces of the half cube: ``keys[d]`` lists the d-faces' keys in increasing order.
 
     ``facets`` takes and returns keys, and ``positions(d)`` (key -> place in
-    ``keys[d]``) serves every complex that keeps dimension d whole.  ``faces``
-    (descriptors per dimension, in key order) and ``index`` (key -> descriptor,
-    read by ``face`` and ``intersection``) serve reports and tests.  All
-    three are built on first use (per dimension for ``positions``) and kept.
+    ``keys[d]``) serves every complex that keeps dimension d whole; it is
+    built on first use per dimension and kept.
     """
 
     def __init__(self, n: int, keys: list):
@@ -218,40 +178,6 @@ class FaceLattice:
         if self._positions[d] is None:
             self._positions[d] = {key: i for i, key in enumerate(self.keys[d])}
         return self._positions[d]
-
-    @cached_property
-    def faces(self) -> list:
-        return [[self.describe(key) for key in keys] for keys in self.keys]
-
-    @cached_property
-    def index(self) -> dict:
-        return {f.key: f for dim_faces in self.faces for f in dim_faces}
-
-    # one Vertex per bit pattern and one Mask per coordinate set, shared by the descriptors
-    @cached_property
-    def _vertices(self) -> list:
-        return [Vertex(self.n, b) for b in range(1 << self.n)]
-
-    @cached_property
-    def _masks(self) -> list:
-        return [Mask(self.n, b) for b in range(1 << self.n)]
-
-    def describe(self, key: tuple) -> FaceDescriptor:
-        """The descriptor of the face with this key, built from the key alone.
-
-        A simplex is named by its opposite point (``_opposite_point``), a
-        half cube or the top cell by its smallest vertex.
-        """
-        kind, span = _classify(self.n, key)
-        mask = None if kind == KIND_VERTEX else self._masks[span]
-        if kind == KIND_SIMPLEX:
-            dim, point = len(key) - 1, _opposite_point(key)
-        else:
-            dim, point = span.bit_count(), key[0]
-        return FaceDescriptor(kind, self.n, self._vertices[point], mask, dim, key)
-
-    def face(self, key) -> FaceDescriptor:
-        return self.index[tuple(key)]
 
     def facets(self, key: tuple) -> list:
         """The keys of the codimension-1 faces of the face with this key, in key order.
@@ -281,19 +207,6 @@ class FaceLattice:
                 keys.append(tuple(sorted(u ^ bit for bit in bits)))
             keys.sort()
         return keys
-
-    def intersection(self, f: FaceDescriptor, g: FaceDescriptor):
-        """The face on the common vertices, or None when disjoint."""
-        if f.key not in self.index or g.key not in self.index:
-            raise ValueError("faces do not belong to this lattice")
-        other = set(g.key)
-        common = tuple(b for b in f.key if b in other)  # f.key is sorted
-        if not common:
-            return None
-        got = self.index.get(common)
-        if got is None:
-            raise ValueError("vertex-set intersection is not a face")
-        return got
 
     def counts(self) -> list:
         return [len(keys) for keys in self.keys]

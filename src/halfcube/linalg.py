@@ -13,9 +13,12 @@ no other entry point.  The same reduction, run on a whole matrix by
 ``smith_with_transforms``, gives the homology bases their transforms,
 returned as sparse vectors.  ``eliminate`` and ``smith_with_transforms``
 take a matrix as its columns, (rows, values) each, which is how a
-``BoundaryMatrix`` holds it; ``smith_normal_form`` and ``rank_mod_p`` take
-(row, col, value) triplets and group them with ``triplet_columns``.  One
-loader, ``_sparse``, reads the columns for all of them.
+``BoundaryMatrix`` holds it; ``smith_normal_form`` takes (row, col, value)
+triplets and groups them with ``triplet_columns``.  One loader,
+``_sparse``, reads the columns for all of them.  The rank over a single
+prime p is ``eliminate`` modulo p: the modulus has one prime factor, so
+that elimination is its own, and a rank over F_p that agrees with the
+rank of the Smith form is evidence, not a restatement of it.
 
 Modulo a squarefree m = p_1 ... p_s the Chinese remainder theorem makes
 Z/m the product of the fields F_{p_i}, and a unit of Z/m is a unit in
@@ -74,19 +77,6 @@ def _prime_factors(m):
     if m > 1:
         primes.append(m)
     return primes
-
-
-def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
-    """Rank of an integer matrix over the prime field F_p.
-
-    It is an elimination over F_p of its own (the modulus p has one prime
-    factor), so a rank over F_p that agrees with the rank over Q (the rank
-    of ``smith_normal_form``) is evidence, not a restatement of the Smith
-    form.
-    """
-    if _prime_factors(p) != [p]:
-        raise ValueError(f"modulus must be a prime, got {p!r}")
-    return eliminate(nrows, ncols, triplet_columns(ncols, triplets), p)[0][p]
 
 
 def triplet_columns(ncols: int, triplets) -> list:

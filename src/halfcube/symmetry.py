@@ -2,7 +2,7 @@
 
 The even-signed permutation group (type D_n, order 2^(n-1) n!) acts on the
 half cube by permuting coordinates and flipping an even number of signs.
-It maps each descriptor family to itself, so its face orbits follow the
+It maps each family of faces (K or L) to itself, so its face orbits follow the
 kind split; at n = 4 one extra orthogonal reflection (perpendicular to the
 all-ones vector) stabilizes the polytope and merges the two tetrahedron
 orbits.  The orbits are closed under three generators of the group
@@ -14,10 +14,9 @@ product (Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.10).
 
 Every such map is linear, so it permutes the even vertices, and the image
 of a face is the face on the image vertex set.  Orbits and chain maps move
-face keys through a vertex permutation table (``vertex_table``) instead of
-rebuilding descriptors, and chain maps read each cell's vertex count and
-span off its key; the tests check the tables against moving the
-descriptors themselves (``tests/oracles.py``).
+face keys through a vertex permutation table (``vertex_table``), and chain
+maps read each cell's vertex count and span off its key; the tests check
+the tables against moving each face by its (v, S) (``tests/oracles.py``).
 
 Chain-map signs are parities, taken by ``complexes.sort_sign``.  A cell
 with dim + 1 vertices (a simplex, or a half-cube tetrahedron) is oriented
@@ -173,7 +172,7 @@ def random_wdn(n: int, rng: random.Random) -> SignedPermutation:
 
 @dataclass(frozen=True)
 class Orbit:
-    representative: object  # FaceDescriptor
+    representative: tuple  # the smallest key of the orbit
     size: int
     kind: str  # "simplex" / "halfcube" / "vertex" / "top" / "mixed"
 
@@ -194,7 +193,7 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
     are all the double flips, the even sign changes.  It runs over the
     lattice's sorted keys and keeps the smallest index as each root.  An
     orbit's kind comes from its ``kind_split`` counts ("mixed" when both
-    are nonzero), and only the orbit representatives get descriptors.
+    are nonzero), and its representative is its smallest key.
     extended adds the table of the n = 4 reflection (``SPECIAL_REFLECTION_4``)
     and is rejected elsewhere.
     """
@@ -239,7 +238,7 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
                 kind = KIND_VERTEX if dim == 0 else KIND_TOP
             else:
                 kind = KIND_SIMPLEX if simp else KIND_HALFCUBE
-            dim_orbits.append(Orbit(lattice.describe(members[0]), len(members), kind))
+            dim_orbits.append(Orbit(members[0], len(members), kind))
         report.append(tuple(dim_orbits))
     return OrbitReport(n, extended, tuple(report))
 

@@ -1,8 +1,13 @@
 """Independent brute-force references the tests check the library against.
 
 Everything here works from first principles on explicit vertex sets; none
-of it reuses the descriptor arithmetic under test, except these routes:
+of it reuses the key arithmetic under test, except these routes:
 
+* describe names the face of a lattice key by (kind, point, mask) through
+  _classify and _opposite_point of halfcube.faces, the key readers that
+  morse and complexes use; lattice_faces, face_of and intersection build
+  their descriptors with it, so comparing lattice_faces with
+  reference_lattice checks those readers against the (v, S) construction;
 * reference_lattice builds every descriptor one face at a time from (v, S),
   through the key routines _k_key of halfcube.faces and _l_key here, as do
   the (v, S) constructors vertex_face, simplex_face, halfcube_face and
@@ -22,27 +27,239 @@ of it reuses the descriptor arithmetic under test, except these routes:
   frame_sign takes a half-cube cell's sign against its coordinate frame,
   the lemma both bit rules rest on;
 * hasse_acyclicity sorts the whole reoriented Hasse digraph of a matching,
-  every cell included.
+  every cell included;
+* rank_mod_p is halfcube.linalg.eliminate modulo one prime, an elimination
+  of its own beside the Smith form and the dense ranks here.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from heapq import heappop, heappush
 from math import gcd
 
+from halfcube import linalg
 from halfcube.complexes import BoundaryMatrix, assert_boundary_squared_zero
-from halfcube.core import Mask, Vertex, hamming_distance
 from halfcube.faces import (
     KIND_HALFCUBE,
     KIND_SIMPLEX,
     KIND_TOP,
     KIND_VERTEX,
-    FaceDescriptor,
+    MAX_DIM,
+    _classify,
     _k_key,
+    _opposite_point,
 )
 from halfcube.morse import AcyclicityCertificate
 from halfcube.symmetry import SignedPermutation
+
+
+# ---------------------------------------------------------------------------
+# Vertices, coordinate masks and face descriptors
+#
+# A vertex of the n-cube is a sign vector in {+-1}^n packed into an n-bit
+# integer: bit i-1 set means coordinate i equals -1.  The even-parity
+# vertices are the vertices of the half cube, and its graph joins two of
+# them at Hamming distance 2.  Coordinates are 1-based, so a mask is
+# literally a subset of {1, ..., n}.
+
+
+@dataclass(frozen=True, order=True)
+class Vertex:
+    """A hypercube vertex; bit i-1 of ``bits`` set means coordinate i is -1."""
+
+    n: int
+    bits: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_DIM:
+            raise ValueError(f"dimension {self.n} outside 1..{MAX_DIM}")
+        if not 0 <= self.bits < (1 << self.n):
+            raise ValueError(f"vertex bits {self.bits:#x} do not fit in {self.n} coordinates")
+
+    @classmethod
+    def from_signs(cls, signs) -> "Vertex":
+        signs = tuple(signs)
+        if any(s not in (1, -1) for s in signs):
+            raise ValueError("coordinates must be +1 or -1")
+        bits = 0
+        for i, s in enumerate(signs):
+            if s == -1:
+                bits |= 1 << i
+        return cls(len(signs), bits)
+
+    def signs(self) -> tuple:
+        return tuple(-1 if self.bits >> i & 1 else 1 for i in range(self.n))
+
+    @property
+    def parity(self) -> int:
+        return self.bits.bit_count() & 1
+
+    @property
+    def is_even(self) -> bool:
+        """True iff the vertex lies in the even class (a half cube vertex)."""
+        return self.parity == 0
+
+    def flip(self, coord: int) -> "Vertex":
+        """Flip the sign of the 1-based coordinate ``coord``."""
+        if not 1 <= coord <= self.n:
+            raise ValueError(f"coordinate {coord} outside 1..{self.n}")
+        return Vertex(self.n, self.bits ^ (1 << (coord - 1)))
+
+
+@dataclass(frozen=True)
+class Mask:
+    """A subset S of the coordinate set {1, ..., n}, packed into bits."""
+
+    n: int
+    bits: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_DIM:
+            raise ValueError(f"dimension {self.n} outside 1..{MAX_DIM}")
+        if not 0 <= self.bits < (1 << self.n):
+            raise ValueError("mask bits exceed the ambient dimension")
+
+    @classmethod
+    def of(cls, n: int, *coords: int) -> "Mask":
+        bits = 0
+        for c in coords:
+            if not 1 <= c <= n:
+                raise ValueError(f"coordinate {c} outside 1..{n}")
+            bits |= 1 << (c - 1)
+        return cls(n, bits)
+
+    @classmethod
+    def full(cls, n: int) -> "Mask":
+        return cls(n, (1 << n) - 1)
+
+    @property
+    def size(self) -> int:
+        return self.bits.bit_count()
+
+    def coords(self) -> tuple:
+        return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
+
+    def __contains__(self, coord: int) -> bool:
+        return 1 <= coord <= self.n and bool(self.bits >> (coord - 1) & 1)
+
+    def __iter__(self):
+        return iter(self.coords())
+
+    def without(self, coord: int) -> "Mask":
+        if coord not in self:
+            raise ValueError(f"coordinate {coord} not in mask")
+        return Mask(self.n, self.bits & ~(1 << (coord - 1)))
+
+    def with_coord(self, coord: int) -> "Mask":
+        if not 1 <= coord <= self.n:
+            raise ValueError(f"coordinate {coord} outside 1..{self.n}")
+        return Mask(self.n, self.bits | 1 << (coord - 1))
+
+
+def hamming_distance(x: Vertex, y: Vertex) -> int:
+    """Number of coordinates at which x and y differ."""
+    if x.n != y.n:
+        raise ValueError(f"dimension mismatch: {x.n} != {y.n}")
+    return (x.bits ^ y.bits).bit_count()
+
+
+class FaceDescriptor:
+    """One face as (kind, point, mask); equality and hashing go through its vertex key."""
+
+    __slots__ = ("kind", "n", "point", "mask", "dim", "key")
+
+    def __init__(self, kind, n, point, mask, dim, key):
+        self.kind = kind
+        self.n = n
+        self.point = point
+        self.mask = mask
+        self.dim = dim
+        self.key = key
+
+    def __eq__(self, other):
+        return isinstance(other, FaceDescriptor) and self.n == other.n and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.n, self.key))
+
+    def __repr__(self):
+        if self.kind == KIND_VERTEX:
+            return f"Face(vertex {self.point.signs()})"
+        if self.kind == KIND_TOP:
+            return f"Face(top, n={self.n})"
+        tag = "K" if self.kind == KIND_SIMPLEX else "L"
+        return f"Face({tag}({self.point.signs()}, {set(self.mask.coords())}))"
+
+    def vertices(self):
+        return [Vertex(self.n, b) for b in self.key]
+
+
+def key_kind(n: int, key: tuple) -> str:
+    """The kind of the face with this key, read off the key alone."""
+    return _classify(n, key)[0]
+
+
+@lru_cache(maxsize=None)
+def _points_and_masks(n: int) -> tuple:
+    """One Vertex per bit pattern and one Mask per coordinate set, shared by the descriptors."""
+    return [Vertex(n, b) for b in range(1 << n)], [Mask(n, b) for b in range(1 << n)]
+
+
+def describe(lattice, key: tuple) -> FaceDescriptor:
+    """The descriptor of the face with this key, built from the key alone.
+
+    A simplex is named by its opposite point (``_opposite_point``), a half
+    cube or the top cell by its smallest vertex.
+    """
+    n = lattice.n
+    points, masks = _points_and_masks(n)
+    kind, span = _classify(n, key)
+    mask = None if kind == KIND_VERTEX else masks[span]
+    if kind == KIND_SIMPLEX:
+        dim, point = len(key) - 1, _opposite_point(key)
+    else:
+        dim, point = span.bit_count(), key[0]
+    return FaceDescriptor(kind, n, points[point], mask, dim, key)
+
+
+def lattice_faces(lattice) -> list:
+    """The descriptors of the lattice's faces per dimension, in key order."""
+    return [[describe(lattice, key) for key in keys] for keys in lattice.keys]
+
+
+def is_face(lattice, key: tuple) -> bool:
+    """Whether ``key`` is the key of a face of the lattice, by its ``positions`` dicts."""
+    return any(key in lattice.positions(d) for d in range(lattice.n + 1))
+
+
+def face_of(lattice, key) -> FaceDescriptor:
+    """The descriptor of the lattice's face with this key; KeyError for any other key."""
+    key = tuple(key)
+    if not is_face(lattice, key):
+        raise KeyError(key)
+    return describe(lattice, key)
+
+
+def intersection(lattice, f: FaceDescriptor, g: FaceDescriptor):
+    """The face of the lattice on the common vertices of f and g, or None when disjoint."""
+    if not (is_face(lattice, f.key) and is_face(lattice, g.key)):
+        raise ValueError("faces do not belong to this lattice")
+    other = set(g.key)
+    common = tuple(b for b in f.key if b in other)  # f.key is sorted
+    if not common:
+        return None
+    if not is_face(lattice, common):
+        raise ValueError("vertex-set intersection is not a face")
+    return describe(lattice, common)
+
+
+def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
+    """Rank of an integer matrix given by (row, col, value) triplets over the prime field F_p."""
+    if linalg._prime_factors(p) != [p]:
+        raise ValueError(f"modulus must be a prime, got {p!r}")
+    return linalg.eliminate(nrows, ncols, linalg.triplet_columns(ncols, triplets), p)[0][p]
 
 
 def even_vertices(n: int):
@@ -224,7 +441,7 @@ def reference_orbits(n, extended=False):
         sp = SpecialReflection4()
         moves.append(lambda f: face_image_by_vertices(sp, f, lattice))
     out = []
-    for dim_faces in lattice.faces:
+    for dim_faces in lattice_faces(lattice):
         seen = set()
         dim_orbits = []
         for f in dim_faces:
@@ -511,10 +728,9 @@ def act_on_face(g, f):
 def face_image_by_vertices(g, f, lattice):
     """Image of a face under any vertex map that stabilizes the polytope."""
     key = tuple(sorted(act_on_vertex(g, Vertex(lattice.n, b)).bits for b in f.key))
-    got = lattice.index.get(key)
-    if got is None:
+    if not is_face(lattice, key):
         raise ValueError("image vertex set is not a face")
-    return got
+    return describe(lattice, key)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +922,7 @@ def reoriented_matrices(cx, flips) -> list:
         row_of = cx.index[d - 1]
         # facets come in key order, which is row order
         entries = tuple(
-            (row_of[g], j, gram_sign(lat, lat.face(c), lat.face(g), c in flips, g in flips))
+            (row_of[g], j, gram_sign(lat, describe(lat, c), describe(lat, g), c in flips, g in flips))
             for j, c in enumerate(cx.cells[d])
             for g in lat.facets(c)
         )

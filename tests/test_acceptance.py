@@ -11,6 +11,8 @@ import random
 import pytest
 
 from oracles import (
+    Mask,
+    Vertex,
     brute_force_cliques,
     classify_clique,
     dense_mat_mul,
@@ -18,8 +20,12 @@ from oracles import (
     enumerate_cliques,
     extends_to_larger_clique,
     face_image_by_vertices,
+    face_of,
     halfcube_face,
+    intersection,
+    lattice_faces,
     random_flip_set,
+    rank_mod_p,
     reoriented_matrices,
     simplex_face,
     SpecialReflection4,
@@ -30,7 +36,6 @@ from halfcube.complexes import (
     build_complex,
     euler_characteristic,
 )
-from halfcube.core import Mask, Vertex
 from halfcube.faces import build_face_lattice, face_counts
 from halfcube.homology import (
     CERT_RANK_AGREE,
@@ -38,7 +43,7 @@ from halfcube.homology import (
     homology_from_matrices,
     homology_of,
 )
-from halfcube.linalg import rank_mod_p, smith_normal_form
+from halfcube.linalg import smith_normal_form
 from halfcube.morse import build_matching, check_acyclic, unpaired_census
 from halfcube.symmetry import (
     SignedPermutation,
@@ -170,14 +175,14 @@ def test_criterion_05_chain_soundness_and_reorientation():
 def test_criterion_06_intersection_property():
     for n in (4, 5):
         lat = build_face_lattice(n)
-        faces = [f for dim_faces in lat.faces for f in dim_faces]
+        faces = [f for dim_faces in lattice_faces(lat) for f in dim_faces]
         # vertex sets as bit sets built here, independent of the library's lookup
         bits = {f: sum(1 << b for b in f.key) for f in faces}
         face_bits = set(bits.values())
         for f in faces:
             for g in faces:
                 common = bits[f] & bits[g]
-                got = lat.intersection(f, g)
+                got = intersection(lat, f, g)
                 if common:
                     assert common in face_bits, (n, f, g)
                     assert bits[got] == common
@@ -217,7 +222,7 @@ def test_criterion_08_orbits():
     # distinguished simplex, vertex set to vertex set
     lat = build_face_lattice(4)
     sp = SpecialReflection4()
-    L = lat.face(halfcube_face(Vertex.from_signs((1, 1, 1, 1)), Mask.of(4, 1, 2, 3)).key)
+    L = face_of(lat, halfcube_face(Vertex.from_signs((1, 1, 1, 1)), Mask.of(4, 1, 2, 3)).key)
     K = simplex_face(Vertex.from_signs((-1, -1, -1, 1)), Mask.of(4, 1, 2, 3, 4))
     assert face_image_by_vertices(sp, L, lat).key == K.key
     done("8 orbits 4<=n<=7 including the n=4 special cases")

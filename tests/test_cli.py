@@ -65,6 +65,9 @@ def test_json_output_is_deterministic(capsys):
 
 def test_faces_usage_error_below_range(capsys):
     assert "--n must be in 4..32, got 3" in usage_error(capsys, "faces", "--n", "3")
+    # both bounds are faces.MAX_DIM, and the text names it
+    assert "--n must be in 4..32, got 33" in usage_error(capsys, "faces", "--n", "33")
+    assert "--n-max must be in 4..32, got 33" in usage_error(capsys, "verify", "--n-max", "33")
 
 
 def test_betti_command(capsys):
@@ -316,8 +319,8 @@ def test_faces_census_builds_no_descriptors(monkeypatch):
 
 def test_commands_build_no_face_index_or_facet_memo(capsys, monkeypatch):
     # cells and facets are keys: complexes, boundary columns, Morse pairs and
-    # checks, orbits and the homology action build no descriptor list and
-    # read no all-faces index (only face() and intersection() build one)
+    # checks, orbits and the homology action leave each lattice its keys and
+    # its key positions, and no descriptor list, all-faces index or memo
     monkeypatch.setattr(faces, "_lattice_cache", {})
     assert run_cli(capsys, "verify", "--n-max", "5")[0] == 0
     assert run_cli(capsys, "betti", "--n", "5", "--k", "4", "--characters", "1")[0] == 0
@@ -325,9 +328,7 @@ def test_commands_build_no_face_index_or_facet_memo(capsys, monkeypatch):
     assert run_cli(capsys, "orbits", "--n", "5")[0] == 0
     assert sorted(faces._lattice_cache) == [4, 5]
     for lat in faces._lattice_cache.values():
-        held = vars(lat)
-        assert "index" not in held and not any("memo" in name for name in held), sorted(held)
-        assert "faces" not in held, sorted(held)
+        assert set(vars(lat)) == {"n", "keys", "_positions"}, sorted(vars(lat))
 
 
 # run in a fresh interpreter, so that what earlier tests left allocated or

@@ -16,14 +16,18 @@ from halfcube.complexes import (
     euler_characteristic,
     incidence_sign,
 )
-from halfcube.core import Mask, Vertex
-from halfcube.faces import KIND_SIMPLEX, build_face_lattice, key_kind
+from halfcube.faces import KIND_SIMPLEX, build_face_lattice
 from halfcube.linalg import smith_normal_form
 from oracles import (
+    Mask,
+    Vertex,
     echelon_orientation_tuple,
+    face_of,
     frame_sign,
     gram_sign,
     halfcube_face,
+    key_kind,
+    lattice_faces,
     orientation_of,
     orientation_tuple,
     random_flip_set,
@@ -53,12 +57,12 @@ def test_full_complex_is_everything():
 def test_deleted_cell_counts_formula():
     # the cut removes 2^(n-i) C(n,i) cells in each dimension i >= k_cut
     for n in (5, 6):
-        lat = build_face_lattice(n)
+        faces = lattice_faces(build_face_lattice(n))
         for k in range(3, n + 1):
             cx = build_complex(n, k)
             for i in range(n + 1):
                 have = len(cx.cells[i]) if i < len(cx.cells) else 0
-                removed = len(lat.faces[i]) - have
+                removed = len(faces[i]) - have
                 want = (1 << (n - i)) * comb(n, i) if i >= k else 0
                 assert removed == want, (n, k, i)
 
@@ -117,8 +121,8 @@ def test_skeleton_agreement_below_cut():
 
 
 def test_orientation_tuple_is_lex_smallest_prefix():
-    lat = build_face_lattice(5)
-    for f in lat.faces[3][:40]:
+    faces = lattice_faces(build_face_lattice(5))
+    for f in faces[3][:40]:
         tup = orientation_tuple(f)
         assert len(tup) == f.dim + 1
         assert tup[0] == f.key[0]
@@ -126,7 +130,7 @@ def test_orientation_tuple_is_lex_smallest_prefix():
         idx = [f.key.index(a) for a in tup]
         assert idx == sorted(idx)
     # simplices use every vertex in order
-    for f in lat.faces[2][:20]:
+    for f in faces[2][:20]:
         assert orientation_tuple(f) == f.key
 
 
@@ -136,7 +140,7 @@ def test_orientation_tuple_matches_echelon_search(n):
     # |S| = 3) returns its key without the search; every face must agree
     # with the search itself
     lat = build_face_lattice(n)
-    for dim_faces in lat.faces:
+    for dim_faces in lattice_faces(lat):
         for f in dim_faces:
             assert orientation_tuple(f) == echelon_orientation_tuple(n, f.key, f.dim), f
 
@@ -320,7 +324,7 @@ def test_cells_are_the_lattice_keys(n):
 
 def test_orientation_accessor():
     cx = build_complex(5, 4)
-    f = cx.lattice.face(cx.cells[3][0])
+    f = face_of(cx.lattice, cx.cells[3][0])
     tup = orientation_of(cx, f)
     assert len(tup) == 4 and set(tup) <= set(f.key)
     with pytest.raises(ValueError):
@@ -338,23 +342,24 @@ def test_simplex_closed_form_matches_determinant(n):
     # route: reorienting the parent negates the sign.  incidence_sign
     # refuses a simplex parent
     lat = build_face_lattice(n)
+    faces = lattice_faces(lat)
     seen = 0
-    for dim_faces in lat.faces[1:]:
+    for dim_faces in faces[1:]:
         for p in dim_faces:
             if p.kind != KIND_SIMPLEX:
                 continue
             fks = lat.facets(p.key)
             for c, got in zip(fks, column_signs(p.key, fks), strict=True):
-                assert got == -gram_sign(lat, p, lat.face(c), flip_parent=True), (p, c)
+                assert got == -gram_sign(lat, p, face_of(lat, c), flip_parent=True), (p, c)
                 seen += 1
     assert seen == SIMPLEX_INCIDENCES[n]
-    triangle = lat.faces[2][0]
+    triangle = faces[2][0]
     with pytest.raises(ValueError, match="not a half-cube or top cell"):
         incidence_sign(triangle.key, triangle.mask.bits, lat.facets(triangle.key)[0])
     # a half-cube parent refuses every child that is not one of its facets:
     # faces of its dimension - 1 off its coordinate set or outside it, and
     # faces two dimensions down
-    parent = next(f for f in lat.faces[4] if f.kind != KIND_SIMPLEX)
+    parent = next(f for f in faces[4] if f.kind != KIND_SIMPLEX)
     facets = set(lat.facets(parent.key))
     refused = [c for c in lat.keys[3] + lat.keys[2] if c not in facets]
     assert len(refused) == len(lat.keys[3]) + len(lat.keys[2]) - len(facets)
@@ -375,12 +380,12 @@ def test_factored_halfcube_sign_matches_determinant(n):
     # Gram determinant of the reoriented parent (which negates it)
     lat = build_face_lattice(n)
     seen = 0
-    for dim_faces in lat.faces[3:]:
+    for dim_faces in lattice_faces(lat)[3:]:
         for p in dim_faces:
             if p.kind == KIND_SIMPLEX:
                 continue
             for c in lat.facets(p.key):
-                want = -gram_sign(lat, p, lat.face(c), flip_parent=True)
+                want = -gram_sign(lat, p, face_of(lat, c), flip_parent=True)
                 assert incidence_sign(p.key, p.mask.bits, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
@@ -410,10 +415,10 @@ def test_columns_follow_facet_order():
     # every column, simplex ones included, against the Gram determinant in
     # lattice.facets order
     lat = build_face_lattice(5)
-    for dim_faces in lat.faces[1:]:
+    for dim_faces in lattice_faces(lat)[1:]:
         for p in dim_faces:
             fks = lat.facets(p.key)
-            want = tuple(-gram_sign(lat, p, lat.face(c), flip_parent=True) for c in fks)
+            want = tuple(-gram_sign(lat, p, face_of(lat, c), flip_parent=True) for c in fks)
             assert column_signs(p.key, fks) == want, p
 
 

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from halfcube.core import Mask, Vertex, hamming_distance
 from oracles import (
     CliqueSet,
+    Mask,
+    Vertex,
     classify_clique,
     clique_K,
     clique_L,
     disagreement_mask,
     enumerate_cliques,
     even_vertices,
+    hamming_distance,
     odd_vertices,
     recover_K_descriptor,
 )

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from halfcube import faces as faces_mod
-from halfcube.core import Mask, Vertex
 from halfcube.faces import (
     KIND_HALFCUBE,
     KIND_SIMPLEX,
@@ -13,13 +12,18 @@ from halfcube.faces import (
     build_face_lattice,
     face_count,
     face_counts,
-    key_kind,
     kind_split,
 )
 from oracles import (
+    Mask,
+    Vertex,
     brute_force_cliques,
     face_from_vertices,
+    face_of,
     halfcube_face,
+    intersection,
+    key_kind,
+    lattice_faces,
     odd_vertices,
     reference_lattice,
     simplex_contains_point,
@@ -52,7 +56,8 @@ def test_lattice_matches_reference_enumerator(n, monkeypatch):
     lat = build_face_lattice(n)
     want = reference_lattice(n)
     assert lat.keys == [[f.key for f in fs] for fs in want]
-    assert [[fields(f) for f in fs] for fs in lat.faces] == [[fields(f) for f in fs] for fs in want]
+    got = lattice_faces(lat)
+    assert [[fields(f) for f in fs] for fs in got] == [[fields(f) for f in fs] for fs in want]
 
 
 # SHA-256 of repr() of the _generate batches joined per dimension, in generation order
@@ -131,7 +136,7 @@ def test_kinds_read_off_keys_match_descriptors(n):
 @pytest.mark.parametrize("n", [4, 6])
 def test_face_from_vertices_returns_each_descriptor(n):
     # n = 5 is test_face_from_vertices_round_trip_n5
-    for dim_faces in build_face_lattice(n).faces:
+    for dim_faces in lattice_faces(build_face_lattice(n)):
         for f in dim_faces:
             assert fields(face_from_vertices(f.vertices())) == fields(f)
 
@@ -140,7 +145,7 @@ def test_descriptors_share_vertices_and_masks(monkeypatch):
     monkeypatch.setattr(faces_mod, "_lattice_cache", {})
     lat = build_face_lattice(6)
     points, masks = {}, {}
-    for dim_faces in lat.faces:
+    for dim_faces in lattice_faces(lat):
         for f in dim_faces:
             assert points.setdefault(f.point.bits, f.point) is f.point
             if f.mask is not None:
@@ -159,14 +164,14 @@ def test_cliques_are_the_faces_with_dim_plus_one_vertices(n):
 
 def test_n4_facets_split_eight_eight():
     lat = build_face_lattice(4)
-    dim3 = lat.faces[3]
+    dim3 = lattice_faces(lat)[3]
     assert sum(1 for f in dim3 if f.kind == KIND_SIMPLEX) == 8
     assert sum(1 for f in dim3 if f.kind == KIND_HALFCUBE) == 8
 
 
 def test_top_cell_facet_census():
     lat = build_face_lattice(5)
-    fs = [lat.face(k) for k in lat.facets(lat.keys[5][0])]
+    fs = [face_of(lat, k) for k in lat.facets(lat.keys[5][0])]
     assert len(fs) == 2**4 + 2 * 5
     assert sum(1 for f in fs if f.kind == KIND_SIMPLEX) == 16
     assert sum(1 for f in fs if f.kind == KIND_HALFCUBE) == 10
@@ -177,7 +182,7 @@ def test_top_cell_facet_census():
 def test_edge_facets_are_vertices():
     e = simplex_face(odd_vertices(5)[0], Mask.of(5, 1, 2))
     lat = build_face_lattice(5)
-    fs = [lat.face(k) for k in lat.facets(e.key)]
+    fs = [face_of(lat, k) for k in lat.facets(e.key)]
     assert [f.kind for f in fs] == [KIND_VERTEX, KIND_VERTEX]
     assert {f.key[0] for f in fs} == set(e.key)
 
@@ -185,7 +190,7 @@ def test_edge_facets_are_vertices():
 def test_halfcube_tetrahedron_facets_are_simplices():
     f = halfcube_face(Vertex.from_signs((1, -1, -1, 1, 1)), Mask.of(5, 1, 3, 4))
     lat = build_face_lattice(5)
-    fs = [lat.face(k) for k in lat.facets(f.key)]
+    fs = [face_of(lat, k) for k in lat.facets(f.key)]
     assert len(fs) == 4
     assert all(g.kind == KIND_SIMPLEX and g.dim == 2 for g in fs)
 
@@ -193,7 +198,7 @@ def test_halfcube_tetrahedron_facets_are_simplices():
 def test_halfcube_facet_rule():
     f = halfcube_face(Vertex(6, 0), Mask.of(6, 1, 2, 3, 4))
     lat = build_face_lattice(6)
-    fs = [lat.face(k) for k in lat.facets(f.key)]
+    fs = [face_of(lat, k) for k in lat.facets(f.key)]
     simp = [g for g in fs if g.kind == KIND_SIMPLEX]
     hc = [g for g in fs if g.kind == KIND_HALFCUBE]
     assert len(simp) == 2**3 and len(hc) == 2 * 4
@@ -204,10 +209,11 @@ def test_halfcube_facet_rule():
 
 def test_facets_have_codimension_one_everywhere():
     lat = build_face_lattice(5)
+    faces = lattice_faces(lat)
     for dim in range(1, 6):
-        for f in lat.faces[dim]:
+        for f in faces[dim]:
             for k in lat.facets(f.key):
-                g = lat.face(k)
+                g = face_of(lat, k)
                 assert g.dim == dim - 1
                 assert set(g.key) < set(f.key)
 
@@ -232,7 +238,7 @@ def test_vertices_have_no_facets():
 def test_hasse_reaches_every_face():
     lat = build_face_lattice(5)
     seen = set()
-    frontier = [lat.faces[5][0]]
+    frontier = [lattice_faces(lat)[5][0]]
     seen.add(frontier[0].key)
     while frontier:
         nxt = []
@@ -242,7 +248,7 @@ def test_hasse_reaches_every_face():
             for k in lat.facets(f.key):
                 if k not in seen:
                     seen.add(k)
-                    nxt.append(lat.face(k))
+                    nxt.append(face_of(lat, k))
         frontier = nxt
     assert len(seen) == sum(face_counts(5))
 
@@ -262,20 +268,20 @@ def test_diamond_property(n):
 
 def test_intersection_idempotent_and_commutative():
     lat = build_face_lattice(4)
-    faces = [f for dim in lat.faces for f in dim]
+    faces = [f for dim in lattice_faces(lat) for f in dim]
     for f in faces[::7]:
-        assert lat.intersection(f, f) == f
+        assert intersection(lat, f, f) == f
     for f in faces[::11]:
         for g in faces[::13]:
-            assert lat.intersection(f, g) == lat.intersection(g, f)
+            assert intersection(lat, f, g) == intersection(lat, g, f)
 
 
 def test_intersection_associative_on_nested_triples():
     lat = build_face_lattice(4)
-    faces = [f for dim in lat.faces for f in dim]
+    faces = [f for dim in lattice_faces(lat) for f in dim]
 
     def meet(f, g):
-        return lat.intersection(f, g) if f is not None and g is not None else None
+        return intersection(lat, f, g) if f is not None and g is not None else None
 
     for f in faces[::5]:
         for g in faces[::9]:
@@ -287,19 +293,19 @@ def test_intersection_of_adjacent_top_simplex_facets_is_edge():
     lat = build_face_lattice(5)
     u = odd_vertices(5)[0]
     w = Vertex(5, u.bits ^ 0b00011)
-    f = lat.face(simplex_face(u, Mask.full(5)).key)
-    g = lat.face(simplex_face(w, Mask.full(5)).key)
-    e = lat.intersection(f, g)
+    f = face_of(lat, simplex_face(u, Mask.full(5)).key)
+    g = face_of(lat, simplex_face(w, Mask.full(5)).key)
+    e = intersection(lat, f, g)
     assert e.dim == 1
     assert set(e.key) == set(f.key) & set(g.key)
 
 
 def test_intersection_exhaustive_n4():
     lat = build_face_lattice(4)
-    faces = [f for dim in lat.faces for f in dim]
+    faces = [f for dim in lattice_faces(lat) for f in dim]
     for f in faces:
         for g in faces:
-            got = lat.intersection(f, g)
+            got = intersection(lat, f, g)
             common = set(f.key) & set(g.key)
             if not common:
                 assert got is None
@@ -314,12 +320,13 @@ def test_intersection_is_the_bitset_and(n):
     # on exactly the vertices of the AND
     lat = build_face_lattice(n)
     keys_of_dim = [set(keys) for keys in lat.keys]
+    faces = lattice_faces(lat)
     rng = random.Random(n)
     met = 0
     for _ in range(2000):
-        f, g = (rng.choice(lat.faces[rng.randrange(n + 1)]) for _ in range(2))
+        f, g = (rng.choice(faces[rng.randrange(n + 1)]) for _ in range(2))
         both = sum(1 << b for b in f.key) & sum(1 << b for b in g.key)
-        got = lat.intersection(f, g)
+        got = intersection(lat, f, g)
         if not both:
             assert got is None, (f, g)
             continue
@@ -333,7 +340,7 @@ def test_intersection_rejects_foreign_faces():
     lat = build_face_lattice(4)
     other = top_face(5)
     with pytest.raises(ValueError):
-        lat.intersection(lat.faces[0][0], other)
+        intersection(lat, lattice_faces(lat)[0][0], other)
 
 
 def test_membership_vertices_and_opposite_point():
@@ -362,7 +369,7 @@ def test_membership_requires_simplex_kind():
 
 def test_face_from_vertices_round_trip_n5():
     lat = build_face_lattice(5)
-    for dim_faces in lat.faces:
+    for dim_faces in lattice_faces(lat):
         for f in dim_faces:
             assert fields(face_from_vertices(f.vertices())) == fields(f)
 
@@ -383,7 +390,7 @@ def test_descriptor_equality_is_by_key():
 
 def test_lattice_orders_faces_by_key():
     lat = build_face_lattice(5)
-    for dim_faces in lat.faces:
+    for dim_faces in lattice_faces(lat):
         keys = [f.key for f in dim_faces]
         assert keys == sorted(keys)
 

@@ -13,6 +13,7 @@ from oracles import (
     dense_transforms,
     det_sign,
     invariant_factors,
+    rank_mod_p,
     triplets_to_dense,
 )
 
@@ -38,7 +39,7 @@ def test_rank_kernels_against_dense_oracle():
         want = dense_rank(dense)
         assert linalg.smith_normal_form(nr, nc, trip).rank == want
         for p in (2, 3, 5, 7):
-            assert linalg.rank_mod_p(nr, nc, trip, p) == dense_rank_mod(dense, p)
+            assert rank_mod_p(nr, nc, trip, p) == dense_rank_mod(dense, p)
 
 
 def test_joint_ranks_mod_30_against_dense_oracle():
@@ -54,7 +55,7 @@ def test_joint_ranks_mod_30_against_dense_oracle():
         dense = triplets_to_dense(nr, nc, trip)
         ranks, pivot_rows = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, trip), 30)
         assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, trip
-        assert ranks == {p: linalg.rank_mod_p(nr, nc, trip, p) for p in (2, 3, 5)}, trip
+        assert ranks == {p: rank_mod_p(nr, nc, trip, p) for p in (2, 3, 5)}, trip
         assert sum(pivot_rows) <= min(ranks.values())
         residuals += sum(pivot_rows) < max(ranks.values())
     assert residuals > 100
@@ -124,7 +125,7 @@ def test_rank_duplicate_triplets_accumulate():
     # (0,0) gets 2 + (-2) = 0; the matrix is the zero matrix
     trip = [(0, 0, 2), (0, 0, -2)]
     assert linalg.smith_normal_form(1, 1, trip).rank == 0
-    assert linalg.rank_mod_p(1, 1, trip, 3) == 0
+    assert rank_mod_p(1, 1, trip, 3) == 0
 
 
 def test_smith_diag_and_rank_one():
@@ -347,7 +348,7 @@ def test_kernel_equivalence_on_boundary_matrices():
             want = dense_rank(dense)
             assert linalg.smith_normal_form(m.nrows, m.ncols, trip).rank == want
             for p in (2, 3, 5):
-                assert linalg.rank_mod_p(m.nrows, m.ncols, trip, p) == dense_rank_mod(dense, p)
+                assert rank_mod_p(m.nrows, m.ncols, trip, p) == dense_rank_mod(dense, p)
 
 
 def test_pure_kernels_pivot_on_the_sparsest_live_column():
@@ -382,9 +383,9 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column():
 def test_rank_mod_p_rejects_a_modulus_that_is_not_prime(p):
     # [[2, 1], [1, 3]] has determinant 5: rank 2 over every F_p but F_5
     trip = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]
-    assert [linalg.rank_mod_p(2, 2, trip, q) for q in (2, 3, 5, 7, 97)] == [2, 2, 1, 2, 2]
+    assert [rank_mod_p(2, 2, trip, q) for q in (2, 3, 5, 7, 97)] == [2, 2, 1, 2, 2]
     with pytest.raises(ValueError, match="prime"):
-        linalg.rank_mod_p(2, 2, trip, p)
+        rank_mod_p(2, 2, trip, p)
 
 
 @pytest.mark.parametrize(
@@ -392,7 +393,7 @@ def test_rank_mod_p_rejects_a_modulus_that_is_not_prime(p):
 )
 def test_rank_functions_reject_triplets_outside_the_shape(trip):
     for rank in (
-        lambda nr, nc, t: linalg.rank_mod_p(nr, nc, t, 3),
+        lambda nr, nc, t: rank_mod_p(nr, nc, t, 3),
         linalg.smith_normal_form,
         lambda nr, nc, t: linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, t)),
         # clearing every column must not let an index outside the shape through

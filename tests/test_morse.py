@@ -14,7 +14,7 @@ from halfcube.morse import (
     unpaired_census,
 )
 from halfcube.triangle import predicted_betti
-from oracles import hasse_acyclicity
+from oracles import face_of, hasse_acyclicity, lattice_faces
 
 
 def test_pair_count_n5_k3():
@@ -27,7 +27,7 @@ def test_pairs_follow_the_mask_rule():
     m = build_matching(build_complex(5, 3))
     n = 5
     for pair in m.pairs:
-        lo, up = map(m.complex.lattice.face, pair)
+        lo, up = (face_of(m.complex.lattice, key) for key in pair)
         assert lo.kind == KIND_SIMPLEX and up.kind == KIND_SIMPLEX
         assert lo.point == up.point
         assert n not in lo.mask
@@ -51,7 +51,7 @@ def test_paired_iff_rules():
     paired = m.paired_keys()
     for dim, cells in enumerate(cx.cells):
         for key in cells:
-            f = cx.lattice.face(key)
+            f = face_of(cx.lattice, key)
             if f.kind != KIND_SIMPLEX or f.mask is None:
                 expect = False
             elif f.mask.size >= k + 1:
@@ -67,7 +67,7 @@ def test_no_halfcube_cell_is_paired():
     cx = build_complex(5, 4)
     m = build_matching(cx)
     for pair in m.pairs:
-        lo, up = map(cx.lattice.face, pair)
+        lo, up = (face_of(cx.lattice, key) for key in pair)
         assert lo.kind == KIND_SIMPLEX and up.kind == KIND_SIMPLEX
 
 
@@ -147,8 +147,8 @@ def _invalid_c53_matching(case):
     cx = build_complex(5, 3)
     lat = cx.lattice
     lo, up = build_matching(cx).pairs[0]
-    cut = next(f.key for f in lat.faces[3] if f.kind == KIND_HALFCUBE)
-    uppers = cx.cells[lat.face(up).dim]
+    cut = next(f.key for f in lattice_faces(lat)[3] if f.kind == KIND_HALFCUBE)
+    uppers = cx.cells[face_of(lat, up).dim]
     pairs = {
         # a facet of the lower cell under the upper one: codimension 2
         "codimension 2": [(lat.facets(lo)[0], up)],

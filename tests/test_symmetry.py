@@ -5,15 +5,23 @@ import random
 
 import pytest
 from oracles import (
+    Mask,
+    Vertex,
     act_on_face,
     act_on_vertex,
     coxeter_generators,
     dense_mat_mul,
+    describe,
     det_sign,
     even_vertices,
     face_image_by_vertices,
+    face_of,
     group_order_by_closure,
     halfcube_face,
+    hamming_distance,
+    is_face,
+    key_kind,
+    lattice_faces,
     orientation_tuple,
     reference_orbits,
     simplex_face,
@@ -23,8 +31,7 @@ from oracles import (
 
 from halfcube import linalg, symmetry
 from halfcube.complexes import build_complex
-from halfcube.core import Mask, Vertex, hamming_distance
-from halfcube.faces import build_face_lattice, key_kind
+from halfcube.faces import build_face_lattice
 from halfcube.symmetry import (
     SignedPermutation,
     SPECIAL_REFLECTION_4,
@@ -93,13 +100,13 @@ def test_face_transport_preserves_kind():
     lat = build_face_lattice(5)
     gens = coxeter_generators(5)
     e = SignedPermutation.identity(5)
-    for dim_faces in lat.faces:
+    for dim_faces in lattice_faces(lat):
         for f in dim_faces[::5]:
             assert act_on_face(e, f) == f
             for g in gens:
                 img = act_on_face(g, f)
                 assert img.kind == f.kind
-                assert img.key in lat.index
+                assert is_face(lat, img.key)
                 # transport agrees with mapping the vertex set directly
                 assert img == face_image_by_vertices(g, f, lat)
 
@@ -117,7 +124,7 @@ def test_special_reflection_fixed_points_and_image():
     assert sp.vertex_image(Vertex.from_signs((1, 1, 1, 1))).signs() == (-1, -1, -1, -1)
     assert sp.vertex_image(Vertex.from_signs((1, -1, -1, 1))).signs() == (1, -1, -1, 1)
     lat = build_face_lattice(4)
-    L = lat.face(halfcube_face(Vertex.from_signs((1, 1, 1, 1)), Mask.of(4, 1, 2, 3)).key)
+    L = face_of(lat, halfcube_face(Vertex.from_signs((1, 1, 1, 1)), Mask.of(4, 1, 2, 3)).key)
     K = simplex_face(Vertex.from_signs((-1, -1, -1, 1)), Mask.of(4, 1, 2, 3, 4))
     assert face_image_by_vertices(sp, L, lat).key == K.key
 
@@ -125,7 +132,7 @@ def test_special_reflection_fixed_points_and_image():
 def test_special_reflection_permutes_all_faces():
     sp = SpecialReflection4()
     lat = build_face_lattice(4)
-    for dim_faces in lat.faces:
+    for dim_faces in lattice_faces(lat):
         images = {face_image_by_vertices(sp, f, lat).key for f in dim_faces}
         assert images == {f.key for f in dim_faces}
 
@@ -164,7 +171,7 @@ def test_skeleton_stability_on_cut_complex():
     for _ in range(5):
         g = random_wdn(5, rng)
         for dim, cells in enumerate(cx.cells):
-            for f in map(cx.lattice.face, cells[::7]):
+            for f in (face_of(cx.lattice, key) for key in cells[::7]):
                 img = act_on_face(g, f)
                 assert cx.has_cell(img.key)
                 assert img.dim == dim and img.kind == f.kind
@@ -264,7 +271,7 @@ def test_vertex_table_matches_vertex_images():
 )
 def test_orbits_match_descriptor_closure(n, extended):
     rep = orbits(n, extended=extended)
-    got = [[(o.representative.key, o.size, o.kind) for o in dim] for dim in rep.orbits]
+    got = [[(o.representative, o.size, o.kind) for o in dim] for dim in rep.orbits]
     assert got == reference_orbits(n, extended)
 
 
@@ -287,25 +294,41 @@ def test_orbit_kinds_match_their_faces_kinds(n, extended, monkeypatch):
     assert ("mixed" in got) == extended
 
 
-def test_orbits_describe_only_representatives(monkeypatch):
+def test_orbit_representatives_are_smallest_keys(monkeypatch):
+    # a representative is a key of the lattice, the smallest of its orbit's
+    # members (closed here under the generators' vertex tables); described
+    # by the oracle, it has the orbit's kind.  orbits leaves the lattice
+    # its keys and nothing else
     from halfcube import faces
 
     monkeypatch.setattr(faces, "_lattice_cache", {})
-    rep = orbits(6)
-    lat = faces._lattice_cache[6]
-    assert "faces" not in vars(lat) and "index" not in vars(lat)
-    for dim_orbits in rep.orbits:
-        for o in dim_orbits:
-            f, g = o.representative, lat.index[o.representative.key]
-            assert (f.kind, f.point, f.mask, f.dim) == (g.kind, g.point, g.mask, g.dim)
-            assert f.kind == o.kind
+    for n, extended in ((4, False), (4, True), (6, False)):
+        rep = orbits(n, extended=extended)
+        lat = faces._lattice_cache[n]
+        assert set(vars(lat)) == {"n", "keys", "_positions"}, sorted(vars(lat))
+        tables = [vertex_table(g, n) for g in orbit_generators(n)]
+        if extended:
+            tables.append(SPECIAL_REFLECTION_4)
+        for dim, dim_orbits in enumerate(rep.orbits):
+            keys = set(lat.keys[dim])
+            for o in dim_orbits:
+                assert o.representative in keys, (n, dim, o)
+                members, frontier = {o.representative}, [o.representative]
+                while frontier:
+                    images = {tuple(sorted(t[b] for b in key)) for key in frontier for t in tables}
+                    frontier = list(images - members)
+                    members |= images
+                assert len(members) == o.size, (n, dim, o)
+                assert min(members) == o.representative, (n, dim, o)
+                if o.kind != "mixed":
+                    assert describe(lat, o.representative).kind == o.kind, (n, dim, o)
 
 
 def _determinant_chain_map(g, cx, dim):
     """(index, sign) per cell from descriptor transport and an orientation determinant."""
     n = cx.n
     out = []
-    for f in map(cx.lattice.face, cx.cells[dim]):
+    for f in (face_of(cx.lattice, key) for key in cx.cells[dim]):
         img = act_on_face(g, f)
         j = cx.index[dim][img.key]
         if dim == 0:
