@@ -9,24 +9,24 @@ are the patterns with an even number of bits set).  Four kinds:
   halfcube  -- L(v, S) with even base point and 3 <= |S| < n; dim |S|
   top       -- the polytope itself, dimension n
 
-The lattice is built keys first.  A face's key follows from its (v, S) by
-bit arithmetic: with h the bits of v outside S, the key is a sorted list of
-subsets q of S (one per vertex) shifted by h, so a whole family of keys
-shares one sorted base and needs no per-face sort.  Per coordinate set S, one
-column table holds, for every subset q of S, the vertices h + q over all h of
+The lattice is built keys first, with no per-face sort.  A simplex
+K(v', S) with |S| >= 3 is a subsequence of the sorted neighbours of its odd
+opposite point v', so the combinations of those neighbours are its sorted
+keys.  Edges and half cubes come from the column table of their coordinate
+set S: for every subset q of S, the vertices h + q over all h outside S of
 q's parity; each family of keys is the zip of the columns of its base.  The
 kind of a face can be read off its key, too: a simplex's |S| vertices
-disagree on exactly S, while a half cube's 2^(|S|-1) > |S| vertices do so on
-its S.  Past the lattice a cell is its key.
+disagree on exactly S, while a half cube's 2^(|S|-1) > |S| vertices do so
+on its S.  Past the lattice a cell is its key.
 
-One enumeration, ``_generate``, yields the keys in batches, one per kind
-and coordinate set, and has two consumers.  ``build_face_lattice`` joins
-the batches per dimension, sorts each dimension's keys once and caches the
-lattice.  ``face_census`` counts each batch and its kind split and drops
-it, so ``faces --n N`` neither sorts nor keeps a lattice, only one batch
-and one column table at a time; a lattice already built (``verify`` builds
-each one first, since its complexes and orbits read every lattice it
-counts) is counted from its keys instead.
+One enumeration, ``_generate``, yields the keys in batches and has two
+consumers.  ``build_face_lattice`` joins the batches per dimension, sorts
+each dimension's keys once and caches the lattice.  ``face_census`` counts
+each batch and its kind split and drops it, so ``faces --n N`` neither
+sorts nor keeps a lattice, only one batch and at most one column table;
+a lattice already built (``verify`` builds each one first, since its
+complexes and orbits read every lattice it counts) is counted from its
+keys instead.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -45,8 +45,8 @@ MAX_DIM = 32  # the largest n that any command or builder accepts
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
 # It guards the lattices that orbits and the complexes keep: build_face_lattice(11)
-# takes 2.2-2.4 s at 232 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
-# 0.9-1.0 s at 18 MB), but validate_args applies the limit to every command, so
+# takes 0.9-1.4 s at 232 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
+# 0.6-0.9 s at 17 MB), but validate_args applies the limit to every command, so
 # `faces --n 12` is still refused (shared 2-vCPU x86-64 host, Python 3.11).
 MAX_FACES = 4_000_000
 
@@ -235,21 +235,20 @@ def _check_size(n: int) -> None:
 def _generate(n: int):
     """Yield the key of every face of the half cube in (dim, keys) batches, unsorted.
 
-    Vertices come first, then per coordinate set S in increasing size: the
-    simplices K(v', S) as one batch, and the half cubes L(v, S) as another
-    when 3 <= |S| < n; the top cell comes last.  Both batches of S are zips
-    of one column table of 2^(n-1) references to the shared vertex ints, so
-    every key holds one int object per vertex.  Joined per dimension and
-    sorted, the batches are ``build_face_lattice(n).keys``.  Callers check n
-    first (``_check_size``).
+    Vertices come first; then per coordinate set S, 2 <= |S| < n, in
+    increasing size, its edges (|S| = 2) or its half cubes L(v, S) as one
+    batch zipped from its column table; then per odd vertex v' and size
+    3 <= |S| <= n, the simplices K(v', S) as one batch; the top cell last.
+    Every key holds the one shared int object of each of its vertices.
+    Joined per dimension and sorted, the batches are
+    ``build_face_lattice(n).keys``.  Callers check n first (``_check_size``).
     """
     ints = list(range(1 << n))  # one int object per vertex, shared by every key
     full = (1 << n) - 1
     yield 0, [(b,) for b in ints if not b.bit_count() & 1]
-    for size in range(2, n + 1):
+    for size in range(2, n):
         for coords in combinations(range(n), size):
             bits = [1 << c for c in coords]
-            high_first = bits[::-1]
             mask = sum(bits)
             outside = _ascending_subsets(full ^ mask)
             by_parity = (
@@ -257,25 +256,26 @@ def _generate(n: int):
                 [h for h in outside if h.bit_count() & 1],
             )
             inside = _ascending_subsets(mask)
-            # the column of q: the vertices h + q, h outside S of q's parity, in
-            # increasing h.  No h shares a bit with S, so the zip of the columns
-            # of an increasing base is a list of sorted keys
+            # the column of q: the vertices h + q, h outside S of q's parity, in increasing
+            # h.  No h shares a bit with S, so columns of an increasing base zip to sorted keys
             col = {q: [ints[h + q] for h in by_parity[q.bit_count() & 1]] for q in inside}
-            # K(v', S) with v' = h + p, p inside S and h outside: its vertices
-            # are h + (p ^ bit), bit in S, and v' is odd.  The base lists p - bit
-            # for the bits of p, high first, then p + bit for the others, which
-            # is increasing.  Of the two opposite points of an edge, p = 0 or
-            # the low bit is the smaller.
-            simplices = []
-            for p in inside if size > 2 else (0, bits[0]):
-                base = [p - b for b in high_first if b & p] + [p + b for b in bits if not b & p]
-                simplices.extend(zip(*[col[q] for q in base]))
-            yield size - 1, simplices
-            if 3 <= size < n:
+            if size == 2:
+                # v' = h (h odd) or h + bits[0] (h even), the smaller opposite point of K(v', S)
+                edges = list(zip(col[bits[0]], col[bits[1]]))
+                edges.extend(zip(col[0], col[mask]))
+                yield 1, edges
+            else:
                 # L(v, S) with h the bits of v outside S: h plus the subsets of S of h's parity
                 halfcubes = list(zip(*[col[s] for s in inside if not s.bit_count() & 1]))
                 halfcubes.extend(zip(*[col[s] for s in inside if s.bit_count() & 1]))
                 yield size, halfcubes
+    # K(v', S) for odd v' has the vertices v' ^ (1 << i), i in S: a subsequence of
+    # the sorted neighbours of v', so each combination of them is a sorted key
+    for v in ints:
+        if v.bit_count() & 1:
+            neighbours = sorted(ints[v ^ (1 << i)] for i in range(n))
+            for size in range(3, n + 1):
+                yield size - 1, list(combinations(neighbours, size))
     yield n, [tuple(b for b in ints if not b.bit_count() & 1)]
 
 
@@ -305,7 +305,7 @@ def face_census(n: int) -> list:
 
     A lattice already built is counted from its keys.  Otherwise each batch
     of ``_generate`` is counted and dropped, so the census keeps no lattice:
-    its memory is one batch plus one column table, not the 2.2M keys of n = 11.
+    its memory is one batch and at most one column table, not the 2.2M keys of n = 11.
     """
     lattice = _lattice_cache.get(n)
     if lattice is not None:

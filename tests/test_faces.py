@@ -62,14 +62,25 @@ def test_lattice_matches_reference_enumerator(n, monkeypatch):
 
 # SHA-256 of repr() of the _generate batches joined per dimension, in generation order
 GENERATED_SHA256 = {
-    4: "6da0f693bbfc402ee1658331c7f480c1f27e3eeda17af3fa901c3391a8a9e3fd",
-    5: "a30c9836f3be5368f18c538c383f797403b8ab4e53bf3b966118a5c2a4e96aaf",
-    6: "439df60016a69417b74f0faef93b06022f211a805efa139249a5704f02f2317b",
-    7: "cabee7bcd7745c1cfb4a90f98306595ca4cb599e6af90dbca605d82758e835be",
-    8: "a308e35948ba7d52c86e5fa59b5f2be01db8df2f052d8b89db02cd89492aaa1d",
-    9: "9f2bf4d47fa7b31aa29c32dc1d4fd010e2ba9240aa0c78ffa64d45cc17031a71",
+    4: "2c059ca15c314f74d3459f2112d90293c874b03fca63f3df5077d284b31c07d5",
+    5: "19110a9909604699fa02b5623d902bae0bde09734cb2c979549427ab629e81d8",
+    6: "0e70101dd11848e86c5c3609d1175af0e45b0d14fc3fac1869157db2313d8b84",
+    7: "b299f172f590913a58bbf51c0bbc8f21177c38aefda867b0f9fcbae4198cbc8c",
+    8: "2e5f263d5ad72c857854fa50e6fb3e3ce6e72ae61c56769537e63146fc6383e3",
+    9: "7a29ecbc429ed3f71953592894f9862ebf96753cccaf32bbdf69c4fc2e6b1a19",
 }
-GENERATED_10_SHA256 = "2e8209d5fd113bd41d333e350f2403877ac33caa8d5ca2110afe1b9b16fddcd5"
+GENERATED_10_SHA256 = "36b234a11b391b0b1e2c54384a7b080a9b4b56658b479c559c547d6821fee023"
+# SHA-256 of repr() of the joined batches with each dimension's keys sorted: the key set
+# per dimension, independent of the generation order
+LATTICE_SHA256 = {
+    4: "cead34df9e48cebce8baf086c2bb64269078c0e133f3074f3d2a758678e2fead",
+    5: "ba16257d6640284012f6b116fff31e4608153201e117a816b6ecb36fcf46d8e5",
+    6: "4afe1bac6c8c7a927a4ae65912b12b4e3a51a69581a65d97641a13e7418d8d92",
+    7: "5eb09a698fd47a33b6c38c866ab2a9d8b1c6084a3dc0422db1c786815bd1d4b8",
+    8: "c4a88d45038ceff848c71a73b033f1c69c616344ab78ca321cb6283f1e1afb54",
+    9: "5e56246d6cb5cf7b447539d7963402b038c258e24e0958906102d7cff9e0e3b6",
+    10: "46e5bbc4f0106da0962f9e73e8fb363cf54c047e4c4303dad7d69271aeb2227d",
+}
 
 
 def joined_batches(n):
@@ -79,12 +90,35 @@ def joined_batches(n):
     return joined
 
 
+def sha256_sorted(joined):
+    return hashlib.sha256(repr([sorted(keys) for keys in joined]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_simplex_batches_are_neighbours_of_an_odd_point(n):
+    # every simplex of dimension d >= 2 has d + 1 vertices on d + 1 coordinates (the
+    # half-cube tetrahedra, 4 vertices on 3, are the other keys of that length), and
+    # its opposite point, as the library computes it, is odd and one bit from each vertex
+    simplices = [0] * (n + 1)
+    for dim, batch in faces_mod._generate(n):
+        for key in batch:
+            if dim < 2 or len(key) != dim + 1 or faces_mod._span(key).bit_count() == dim:
+                continue
+            point = faces_mod._opposite_point(key)
+            assert point.bit_count() & 1, (n, key)
+            assert all((point ^ b).bit_count() == 1 for b in key), (n, key)
+            assert list(key) == sorted(set(key)), (n, key)
+            simplices[dim] += 1
+    assert simplices[2:n] == [faces_mod._face_split(n, k)[0] for k in range(2, n)]
+
+
 @pytest.mark.parametrize("n", sorted(GENERATED_SHA256))
 def test_lattice_joins_the_generated_batches(n, monkeypatch):
     # one enumeration serves the census and the lattice, and its order is pinned
     monkeypatch.setattr(faces_mod, "_lattice_cache", {})
     joined = joined_batches(n)
     assert hashlib.sha256(repr(joined).encode()).hexdigest() == GENERATED_SHA256[n]
+    assert sha256_sorted(joined) == LATTICE_SHA256[n]
     split = [kind_split(dim, keys) for dim, keys in enumerate(joined)]
     assert faces_mod.face_census(n) == split  # streamed: no lattice yet
     assert n not in faces_mod._lattice_cache
@@ -96,8 +130,9 @@ def test_lattice_joins_the_generated_batches(n, monkeypatch):
 def test_generated_order_at_the_benchmark_size(monkeypatch):
     # `faces --n 10` counts these batches; hashed alone, with no lattice built
     monkeypatch.setattr(faces_mod, "_lattice_cache", {})
-    digest = hashlib.sha256(repr(joined_batches(10)).encode()).hexdigest()
-    assert digest == GENERATED_10_SHA256
+    joined = joined_batches(10)
+    assert hashlib.sha256(repr(joined).encode()).hexdigest() == GENERATED_10_SHA256
+    assert sha256_sorted(joined) == LATTICE_SHA256[10]
     assert faces_mod._lattice_cache == {}
 
 
