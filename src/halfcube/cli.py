@@ -43,9 +43,9 @@ CHARACTER_SEED = 0  # betti --characters samples the same group elements every r
 # on a 2-vCPU host with Python 3.11, 100 rows take about 0.3 s, 150 about
 # 1.3 s and 400 about 98 s
 MAX_ROWS = 100
-# betti --characters COUNT at (8, 4), single runs: 1 takes 7.2 s, 10 take
-# 11.0 s and 100 take 53.4 s, all at 235 MB, so each sample costs about
-# 0.47 s once the basis is built; at (7, 6), 100 take 0.75 s (same host)
+# betti --characters COUNT at (8, 4), single in-process runs: 1 takes 0.9-1.6 s,
+# 10 take 4.1 s and 100 take 32 s, at 58-63 MB, so each sample costs about
+# 0.3 s once the basis is built; at (7, 6), 100 take 0.7 s (same host)
 MAX_CHARACTERS = 100
 
 KNOWN_ROWS = {

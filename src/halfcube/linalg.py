@@ -1,24 +1,25 @@
-"""Exact integer linear algebra: sparse elimination, Smith normal form, small solvers.
+"""Exact integer linear algebra: sparse elimination and Smith normal form.
 
-One sparse elimination routine, ``_unit_phase``, serves every rank and
-Smith form.  It works modulo m, where m is 0 (the integers) or a
-squarefree product of primes, and a unit is an entry v with gcd(v, m) = 1:
-+-1 over the integers, a residue coprime to m otherwise, so every nonzero
-residue when m is prime.  It takes the sparsest live column that holds a
-unit, pivots on that unit in the shortest row and clears the column.
-Over the integers each pivot splits off an invariant factor 1, and the
-sparse smallest-magnitude reduction ``_smallest_magnitude`` finishes the
-Smith normal form on what is left; its rank is the rank over Q, which has
-no other entry point.  The same reduction, run on a whole matrix by
-``smith_with_transforms``, gives the homology bases their transforms,
-returned as sparse vectors.  ``eliminate`` and ``smith_with_transforms``
-take a matrix as its columns, (rows, values) each, which is how a
-``BoundaryMatrix`` holds it; ``smith_normal_form`` takes (row, col, value)
-triplets and groups them with ``triplet_columns``.  One loader,
-``_sparse``, reads the columns for all of them.  The rank over a single
-prime p is ``eliminate`` modulo p: the modulus has one prime factor, so
-that elimination is its own, and a rank over F_p that agrees with the
-rank of the Smith form is evidence, not a restatement of it.
+One sparse elimination routine, ``_unit_phase``, serves every rank, every
+Smith form and the homology bases.  It works modulo m, where m is 0 (the
+integers) or a squarefree product of primes, and a unit is an entry v
+with gcd(v, m) = 1: +-1 over the integers, a residue coprime to m
+otherwise, so every nonzero residue when m is prime.  It takes the
+sparsest live column that holds a unit, pivots on that unit in the
+shortest row, clears the column and yields the pivot with the rest of its
+row.  Over the integers each pivot splits off an invariant factor 1, and
+the sparse smallest-magnitude reduction ``_smallest_magnitude`` finishes
+the Smith normal form on what is left; its rank is the rank over Q,
+which has no other entry point.  ``unit_pivots`` returns the integer
+pivot records themselves, and refuses a matrix the unit phase does not
+finish; the homology bases back-substitute through them.  ``eliminate``
+and ``unit_pivots`` take a matrix as its columns, (rows, values) each,
+which is how a ``BoundaryMatrix`` holds it; ``smith_normal_form`` takes
+(row, col, value) triplets and groups them with ``triplet_columns``.  One
+loader, ``_sparse``, reads the columns for all of them.  The rank over a
+single prime p is ``eliminate`` modulo p: the modulus has one prime
+factor, so that elimination is its own, and a rank over F_p that agrees
+with the rank of the Smith form is evidence, not a restatement of it.
 
 Modulo a squarefree m = p_1 ... p_s the Chinese remainder theorem makes
 Z/m the product of the fields F_{p_i}, and a unit of Z/m is a unit in
@@ -115,10 +116,10 @@ def eliminate(nrows: int, ncols: int, columns, m: int, cleared=None):
     if cleared is not None and len(cleared) != ncols:
         raise ValueError("cleared must hold one flag per column")
     rows, cols = _sparse(nrows, ncols, columns, m, cleared)
-    pivots = _unit_phase(rows, cols, m)
     pivot_rows = bytearray(nrows)
-    for r in pivots:
+    for r, _, _, _ in _unit_phase(rows, cols, m):
         pivot_rows[r] = 1
+    unit_rank = sum(pivot_rows)
     if m:
         # each prime finishes over F_p what the unit phase mod m left; a rank
         # needs no labels, so the residual's live rows are numbered afresh
@@ -131,13 +132,13 @@ def eliminate(nrows: int, ncols: int, columns, m: int, cleared=None):
         ranks = {}
         for p in primes:
             rows_p, cols_p = _sparse(len(live), len(residual), residual, p)
-            ranks[p] = len(pivots) + len(_unit_phase(rows_p, cols_p, p))
+            ranks[p] = unit_rank + sum(1 for _ in _unit_phase(rows_p, cols_p, p))
         return ranks, bytes(pivot_rows)
-    factors = [1] * len(pivots)
+    factors = [1] * unit_rank
     live_rows = sorted(r for r, row in rows.items() if row)
     if live_rows:
         live_cols = sorted(c for c, col in cols.items() if col)
-        factors += _smallest_magnitude(rows, live_rows, live_cols)[0]
+        factors += _smallest_magnitude(rows, live_rows, live_cols)
     return SmithForm(tuple(factors)), bytes(pivot_rows)
 
 
@@ -196,8 +197,8 @@ def _sparse(nrows, ncols, columns, m, cleared=None):
     return rows, cols
 
 
-def _unit_phase(rows, cols, m) -> list:
-    """Eliminate unit pivots modulo m in place; return their rows, in pivot order.
+def _unit_phase(rows, cols, m):
+    """Eliminate unit pivots modulo m in place, yielding each as (row, column, value, rest).
 
     A unit is an entry v with gcd(v, m) = 1; entries stay reduced mod m
     when m > 0.  While some live column holds a unit, take the sparsest
@@ -205,7 +206,11 @@ def _unit_phase(rows, cols, m) -> list:
     on its unit in the shortest row (ties by row index) and clear the
     column by the row operations row += -w * pv^-1 * prow.  The column
     operations that would clear the pivot row then touch no other row, so
-    the pivot splits off as a 1x1 block: its row and column are deleted.
+    the pivot splits off as a 1x1 block: its row and column are deleted,
+    and the pivot is yielded with ``rest``, the rest of its row {column:
+    value} at that step.  A pivot's rest holds no column pivoted before it,
+    so the yielded rows are triangular in pivot order; ``rest`` is the
+    caller's once yielded, and the phase keeps no list of them.
     A column goes back on the heap when its count changes, or, if it was
     passed over for want of a unit, when a row operation writes into it,
     since that may make a unit without changing the count.
@@ -221,7 +226,6 @@ def _unit_phase(rows, cols, m) -> list:
     counts = {c: len(s) for c, s in cols.items()}
     heap = [(cnt, c) for c, cnt in counts.items() if cnt]
     heapq.heapify(heap)
-    pivots = []
     stalled = set()  # columns popped without a unit and not pushed since
     while heap:
         cnt, c = heapq.heappop(heap)
@@ -269,8 +273,7 @@ def _unit_phase(rows, cols, m) -> list:
                 counts[cc] = len(col)
                 if col:
                     heapq.heappush(heap, (len(col), cc))
-        pivots.append(pr)
-    return pivots
+        yield pr, c, pv, prow
 
 
 # ---------------------------------------------------------------------------
@@ -298,62 +301,29 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
 
     The unit phase splits off every +-1 pivot it finds as a factor 1.  The
     rows and columns it leaves live go, in index order, to
-    ``_smallest_magnitude``, the reduction that also gives the homology
-    bases their transforms; its factors follow the 1s.
+    ``_smallest_magnitude``; its factors follow the 1s.
     """
     return eliminate(nrows, ncols, triplet_columns(ncols, triplets), 0)[0]
 
 
-@dataclass
-class SmithTransforms:
-    """Sparse U M V = D bookkeeping for kernel/quotient bases.
+def unit_pivots(nrows: int, ncols: int, columns) -> list:
+    """The +-1 pivots of the integer unit phase, each (row, column, value, rest of its row).
 
-    factors lists the nonzero diagonal of D.  The transforms are lists of
-    sparse vectors {index: value}, one per position of D: the rows of U and
-    Vinv, the columns of Uinv and V.  V's columns beyond ``rank`` are a
-    basis of the integer kernel lattice of M; Vinv and Uinv are the exact
-    unimodular inverses, maintained alongside the reduction.
+    ``columns`` gives the ncols columns as (rows, values), as for
+    ``eliminate``.  The records come in pivot order, triangular as
+    ``_unit_phase`` yields them.  A matrix whose unit phase leaves any
+    entry is refused with ValueError: one with a factor above 1, or one
+    such as [[2, 3]] whose factors are 1 but whose pivots are not +-1.
     """
-
-    factors: list
-    U: list
-    Uinv: list
-    V: list
-    Vinv: list
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
+    rows, cols = _sparse(nrows, ncols, columns, 0)
+    pivots = list(_unit_phase(rows, cols, 0))
+    if any(rows.values()):
+        raise ValueError("the unit phase left entries that no +-1 pivot clears")
+    return pivots
 
 
-def smith_with_transforms(nrows: int, ncols: int, columns) -> SmithTransforms:
-    """Smith normal form of a sparse integer matrix, with all four transforms.
-
-    ``columns`` gives the ncols columns as (rows, values), as for ``eliminate``.
-    """
-    rows = _sparse(nrows, ncols, columns, 0)[0]
-    factors, row_at, col_at, U, Uinv, V, Vinv = _smallest_magnitude(rows, range(nrows), range(ncols))
-    return SmithTransforms(
-        factors,
-        [U[r] for r in row_at],
-        [Uinv[r] for r in row_at],
-        [V[c] for c in col_at],
-        [Vinv[c] for c in col_at],
-    )
-
-
-def _add_multiple(dst, src, mult):
-    """dst += mult * src for sparse vectors {index: value}, mult nonzero."""
-    for k, x in src.items():
-        cur = dst.get(k, 0) + mult * x
-        if cur:
-            dst[k] = cur
-        else:
-            del dst[k]
-
-
-def _smallest_magnitude(rows, row_order, col_order):
-    """Smallest-magnitude Smith reduction of sparse rows {r: {c: v}}, in place.
+def _smallest_magnitude(rows, row_order, col_order) -> list:
+    """Smallest-magnitude Smith reduction of sparse rows {r: {c: v}}, in place; its factors.
 
     Rows and columns are known by labels, the keys of ``rows`` and of its
     rows; ``row_order`` and ``col_order`` list every label in its starting
@@ -364,14 +334,9 @@ def _smallest_magnitude(rows, row_order, col_order):
     row, by floor-quotient operations, swapping a nonzero remainder into
     the pivot and starting over; when the pivot (not +-1) fails to divide
     some live entry, the first such row is added to the pivot row and the
-    clearing starts over.  A negative pivot has its row negated.  A swap
-    only exchanges two labels in the position arrays.
-
-    Returns (factors, row_at, col_at, U, Uinv, V, Vinv): the labels in their
-    final positions, and the transforms with U M V = D, all keyed by label:
-    the rows of U and columns of Uinv by row label, the columns of V and
-    rows of Vinv by column label, each a sparse vector {label: value} over
-    the starting labels.
+    clearing starts over.  A swap only exchanges two labels in the
+    position arrays.  Returns the nonzero invariant factors, the pivots'
+    absolute values in step order.
     """
     row_at = list(row_order)
     col_at = list(col_order)
@@ -381,13 +346,9 @@ def _smallest_magnitude(rows, row_order, col_order):
     for r in row_at:
         for c in rows[r]:
             cols[c].add(r)
-    U = {r: {r: 1} for r in row_at}
-    Uinv = {r: {r: 1} for r in row_at}
-    V = {c: {c: 1} for c in col_at}
-    Vinv = {c: {c: 1} for c in col_at}
 
     def row_op(dst, src, mult):
-        # D_dst += mult * D_src, tracked in U (and the inverse op in Uinv)
+        # D_dst += mult * D_src
         drow = rows[dst]
         for c, x in rows[src].items():
             cur = drow.get(c, 0) + mult * x
@@ -397,11 +358,9 @@ def _smallest_magnitude(rows, row_order, col_order):
             else:
                 del drow[c]
                 cols[c].discard(dst)
-        _add_multiple(U[dst], U[src], mult)
-        _add_multiple(Uinv[src], Uinv[dst], -mult)
 
     def col_op(dst, src, mult):
-        # D^dst += mult * D^src, tracked in V (and the inverse op in Vinv)
+        # D^dst += mult * D^src
         dcol = cols[dst]
         for r in cols[src]:
             row = rows[r]
@@ -412,9 +371,6 @@ def _smallest_magnitude(rows, row_order, col_order):
             else:
                 del row[dst]
                 dcol.discard(r)
-        _add_multiple(V[dst], V[src], mult)
-        _add_multiple(Vinv[src], Vinv[dst], -mult)
-
     def row_swap(i, j):
         a, b = row_at[i], row_at[j]
         row_at[i], row_at[j] = b, a
@@ -482,9 +438,5 @@ def _smallest_magnitude(rows, row_order, col_order):
             if offender is None:
                 break
             row_op(pr, row_at[offender], 1)
-        if v < 0:
-            for vec in (prow, U[pr], Uinv[pr]):
-                for k in vec:
-                    vec[k] = -vec[k]
         factors.append(abs(v))
-    return factors, row_at, col_at, U, Uinv, V, Vinv
+    return factors

@@ -34,7 +34,8 @@ of the orientation bases.
 
 On the cut complexes the action is cellular and therefore acts on the
 one nonzero homology group; the matrices of that action are assembled
-from a kernel-modulo-image basis extracted from Smith transforms.
+from a kernel-modulo-image basis that two runs of the unit phase give,
+by back-substitution through their +-1 pivots (``HomologyBasis``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .faces import (
     face_counts_by_type,
     kind_split,
 )
-from .linalg import _add_multiple, smith_with_transforms
+from .linalg import unit_pivots
 from .triangle import predicted_betti
 
 
@@ -265,7 +266,14 @@ def expected_orbit_profile(n: int, extended: bool = False) -> list:
 class HomologyBasis:
     """Kernel-modulo-image coordinates on the one nonzero homology group.
 
-    Chains are sparse {cell index: coefficient} over the (k-1)-cells.
+    Chains are sparse {cell index: coefficient} over the (k-1)-cells.  The
+    unit phase takes the boundary of degree k - 1 to +-1 pivots
+    (``unit_pivots``), whose rows are triangular in pivot order: a cycle
+    is fixed by its entries on the free (non-pivot) cells, its kernel
+    coordinates.  The image of the boundary of degree k on the free cells
+    is eliminated transposed, so that row operations keep the image; its
+    pivot rows span it and, triangular with +-1 pivots, complete to a
+    basis of the kernel with the free ``cells`` they do not pivot on.
     """
 
     def __init__(self, n: int, k: int):
@@ -275,63 +283,83 @@ class HomologyBasis:
         self.cx = cx
         d = k - 1
         mats = cx.matrices()
-        down = mats[d - 1]
+        self._down = down = mats[d - 1]
+        kernel_pivots = unit_pivots(down.nrows, down.ncols, zip(down.rows, down.signs))
+        free = bytearray([1]) * down.ncols
+        for _, c, _, _ in kernel_pivots:
+            free[c] = 0
+        self._free = free
 
-        st = smith_with_transforms(down.nrows, down.ncols, zip(down.rows, down.signs))
-        if any(f != 1 for f in st.factors):
-            raise AssertionError("boundary factors above 1")
-        r1 = st.rank
-        self.r1 = r1
-        # the columns of Vinv, so that Vinv x is a sum over the cells of x
-        self._vinv_cols = [{} for _ in range(down.ncols)]
-        for i, row in enumerate(st.Vinv):
-            for j, v in row.items():
-                self._vinv_cols[j][i] = v
-        z = down.ncols - r1
-
-        # the image of the boundary from degree d + 1, in the kernel basis V[r1:]
-        up = zip(mats[d].rows, mats[d].signs) if d + 1 <= cx.top_dim else ()
-        quotient = []
-        for rows, signs in up:
-            w = self._kernel_coords(dict(zip(rows, signs)))
-            if w is None:
-                raise AssertionError("image column is not a kernel element")
-            quotient.append((tuple(w), tuple(w.values())))
-        st2 = smith_with_transforms(z, len(quotient), quotient)
-        if any(f != 1 for f in st2.factors):
-            raise AssertionError("homology has torsion; basis extraction needs a free group")
-        self.r2 = st2.rank
-        # coordinates of a cycle x are rows r2.. of U2 . (Vinv x)[r1:]
-        self._coord_rows = st2.U[self.r2:]
-        self.rank = z - self.r2
+        # the transpose of the image (cycles: assembly checks that the boundary
+        # squares to zero): column c lists the (d + 1)-cells whose boundary
+        # meets the free cell c, with their signs
+        image = [([], []) for _ in range(down.ncols)]
+        up_cells = 0
+        for up in mats[d:d + 1]:  # none when the complex stops at dimension d
+            up_cells = up.ncols
+            for j, (rows, signs) in enumerate(zip(up.rows, up.signs)):
+                for r, s in zip(rows, signs):
+                    if free[r]:
+                        image[r][0].append(j)
+                        image[r][1].append(s)
+        self._image_pivots = unit_pivots(up_cells, down.ncols, image)
+        image_cells = {c for _, c, _, _ in self._image_pivots}
+        self.cells = [c for c, f in enumerate(free) if f and c not in image_cells]
+        self.rank = len(self.cells)
         if self.rank != predicted_betti(n, k):
             raise AssertionError("basis size disagrees with the predicted Betti number")
-        # basis cycles: V[r1:] applied to the columns r2.. of U2inv
-        self.cycles = []
-        for tail in st2.Uinv[self.r2:]:
-            cycle = {}
-            for i, t in tail.items():
-                _add_multiple(cycle, st.V[r1 + i], t)
-            self.cycles.append(cycle)
 
-    def _kernel_coords(self, chain):
-        """(Vinv x)[r1:] as {i: value} for a chain x, or None if x is not a cycle."""
-        # U . boundary . V = D is zero outside its first r1 columns and U is
-        # invertible, so (Vinv x)[:r1] = 0 exactly when boundary . x = 0
-        w = {}
-        for j, coef in chain.items():
-            if coef:
-                _add_multiple(w, self._vinv_cols[j], coef)
-        if any(i < self.r1 for i in w):
-            return None
-        return {i - self.r1: v for i, v in w.items()}
+        # basis cycles, back-substituted in one reverse pass: cycle i is 1 on
+        # cells[i] and 0 on the other free cells, and a pivot's row
+        # v x_c + rest . x = 0 sets x_c = -v (rest . x), v being +-1
+        values = {c: {i: 1} for i, c in enumerate(self.cells)}  # cell -> {cycle: value}
+        for _, c, v, rest in reversed(kernel_pivots):
+            got = {}
+            for cc, a in rest.items():
+                for i, x in values.get(cc, {}).items():
+                    got[i] = got.get(i, 0) - v * a * x
+            values[c] = {i: x for i, x in got.items() if x}
+        self.cycles = [{} for _ in self.cells]
+        for c, col in values.items():
+            for i, x in col.items():
+                self.cycles[i][c] = x
+
+    def coords_of(self, chains) -> list:
+        """The homology classes of cycles {cell: coef}, each in the basis ``cycles``.
+
+        A chain with a nonzero boundary raises AssertionError.
+        """
+        down, free = self._down, self._free
+        rows, signs = down.rows, down.signs
+        chains = list(chains)
+        w = {}  # free cell -> {chain: kernel coordinate}
+        for t, chain in enumerate(chains):
+            boundary = [0] * down.nrows
+            for j, coef in chain.items():
+                if coef:
+                    for r, s in zip(rows[j], signs[j]):
+                        boundary[r] += coef * s
+                    if free[j]:
+                        w.setdefault(j, {})[t] = coef
+            if any(boundary):
+                raise AssertionError("not a cycle")
+        # subtract the image pivot rows in pivot order; a pivot's rest holds no
+        # cell an earlier pivot cleared, so what is left lies on the cells
+        for _, c, v, rest in self._image_pivots:
+            col = w.pop(c, None)
+            for cc, a in rest.items() if col else ():
+                dst = w.setdefault(cc, {})
+                for t, x in col.items():
+                    dst[t] = dst.get(t, 0) - v * a * x
+        out = [[0] * self.rank for _ in chains]
+        for i, c in enumerate(self.cells):
+            for t, x in w.get(c, {}).items():
+                out[t][i] = x
+        return out
 
     def coords(self, cycle) -> list:
-        """The homology class of a cycle {cell: coef} in the basis ``cycles``."""
-        w = self._kernel_coords(cycle)
-        if w is None:
-            raise AssertionError("not a cycle")
-        return [sum(v * w.get(i, 0) for i, v in row.items()) for row in self._coord_rows]
+        """The homology class of one cycle {cell: coef} in the basis ``cycles``."""
+        return self.coords_of([cycle])[0]
 
 
 _basis_cache = {}
@@ -377,11 +405,11 @@ def homology_action(n: int, k: int, g: SignedPermutation):
     basis = homology_basis(n, k)
     cx = basis.cx
     cmap = chain_map_on_cells(g, cx, k - 1)
-    cols = []
+    images = []
     for cycle in basis.cycles:
         image = {}
         for i, coef in cycle.items():
             j, s = cmap[i]
             image[j] = s * coef  # cmap is a signed permutation: no two cells meet
-        cols.append(basis.coords(image))
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))] if cols else []
+        images.append(image)
+    return [list(row) for row in zip(*basis.coords_of(images))]

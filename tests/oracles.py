@@ -411,22 +411,6 @@ def dense_mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def dense_transforms(st, nrows, ncols):
-    """(factors, U, Uinv, V, Vinv) of a sparse SmithTransforms, the transforms as dense lists.
-
-    The rows of U and Vinv and the columns of Uinv and V are sparse
-    vectors {index: value}, one per position of D.
-    """
-
-    def rows(vectors, size):
-        return [[vec.get(j, 0) for j in range(size)] for vec in vectors]
-
-    def columns(vectors, size):
-        return [[vec.get(i, 0) for vec in vectors] for i in range(size)]
-
-    return st.factors, rows(st.U, nrows), columns(st.Uinv, nrows), columns(st.V, ncols), rows(st.Vinv, ncols)
-
-
 def reference_orbits(n, extended=False):
     """Face orbits per dimension by breadth-first closure of descriptor images.
 
@@ -473,9 +457,8 @@ def dense_smith_with_transforms(dense):
     block; its column and row are cleared by floor-quotient operations,
     swapping in any remainder, and a row with an entry the pivot does not
     divide is added to the pivot row.  Returns (factors, U, Uinv, V, Vinv):
-    halfcube.linalg.smith_with_transforms must return the same, entry for
-    entry once densified (dense_transforms), since the homology bases are
-    read off these transforms.
+    the factors are the reference for halfcube.linalg.smith_normal_form,
+    and the rows of U past the rank span a matrix's integer left kernel.
     """
     m = len(dense)
     n = len(dense[0]) if m else 0

@@ -209,9 +209,9 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
 
     def recording(rows, cols, m):
         live = {c for c, rs in cols.items() if rs}
-        pivots = unit_phase(rows, cols, m)
-        calls.append((degree[-1], m, live, set(pivots)))
-        return pivots
+        pivots = list(unit_phase(rows, cols, m))
+        calls.append((degree[-1], m, live, {r for r, _, _, _ in pivots}))
+        return iter(pivots)
 
     monkeypatch.setattr(BoundaryMatrix, "eliminate", eliminating)
     monkeypatch.setattr(linalg, "_unit_phase", recording)

@@ -10,7 +10,6 @@ from oracles import (
     dense_rank,
     dense_rank_mod,
     dense_smith_with_transforms,
-    dense_transforms,
     det_sign,
     invariant_factors,
     rank_mod_p,
@@ -72,7 +71,7 @@ def test_unit_phase_leaves_no_unit_in_the_residual():
         trip = dense_to_triplets(dense)
         for m in (0, 2, 30):
             rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), m)
-            pivots = linalg._unit_phase(rows, cols, m)
+            pivots = list(linalg._unit_phase(rows, cols, m))
             assert not any(gcd(v, m) == 1 for row in rows.values() for v in row.values()), (m, dense)
             if m == 2:
                 assert len(pivots) == dense_rank_mod(dense, 2)
@@ -83,16 +82,18 @@ def test_unit_phase_leaves_no_unit_in_the_residual():
 
 def test_joint_pivot_rows_clear_for_every_prime():
     # A B = 0 with A's rows drawn from B's integer left kernel (the rows of
-    # U past the rank in U B V = D); the rows where the elimination of B
-    # mod 30 pivoted on a unit clear A for F_2, F_3 and F_5 at once
+    # U past the rank in U B V = D, from the dense oracle); the rows where
+    # the elimination of B mod 30 pivoted on a unit clear A for F_2, F_3
+    # and F_5 at once
     rng = random.Random(31)
     cleared_some = 0
     for _ in range(150):
         nr = rng.randrange(2, 8)
         nc = rng.randrange(1, 7)
         b_trip = random_triplets(rng, nr, nc, -15, 15)
-        st = linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, b_trip))
-        kernel = st.U[st.rank:]
+        b = triplets_to_dense(nr, nc, b_trip)
+        factors, U = dense_smith_with_transforms(b)[:2]
+        kernel = U[len(factors):]
         if not kernel:
             continue
         a_rows = rng.randrange(1, 6)
@@ -100,9 +101,8 @@ def test_joint_pivot_rows_clear_for_every_prime():
         for row in a:
             for vec in kernel:
                 coeff = rng.randint(-3, 3)
-                for j, x in vec.items():
+                for j, x in enumerate(vec):
                     row[j] += coeff * x
-        b = triplets_to_dense(nr, nc, b_trip)
         assert all(not any(r) for r in dense_mat_mul(a, b))
         a_trip = dense_to_triplets(a)
         pivot_rows = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, b_trip), 30)[1]
@@ -163,13 +163,13 @@ def certify_smith(dense, factors, U, Uinv, V, Vinv):
     assert all(eye_v[i][j] == (i == j) for i in range(nc) for j in range(nc))
 
 
-def transforms_matching_oracle(nr, nc, trip):
-    """smith_with_transforms(nr, nc, trip), densified, after checking all five outputs against the dense oracle."""
-    st = linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, trip))
-    got = dense_transforms(st, nr, nc)
-    assert got == dense_smith_with_transforms(triplets_to_dense(nr, nc, trip)), trip
-    assert st.rank == len(st.factors)
-    return got
+def factors_matching_oracle(nr, nc, trip):
+    """The dense oracle's (factors, U, Uinv, V, Vinv), after checking smith_normal_form's factors against it."""
+    want = dense_smith_with_transforms(triplets_to_dense(nr, nc, trip))
+    sf = linalg.smith_normal_form(nr, nc, trip)
+    assert list(sf.factors) == want[0], trip
+    assert sf.rank == len(want[0])
+    return want
 
 
 def test_smith_divisibility_chain_random():
@@ -185,7 +185,7 @@ def test_smith_divisibility_chain_random():
         assert list(sf.factors) == invariant_factors(dense), trip
         assert sf.rank == dense_rank(dense)
         rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), 0)
-        linalg._unit_phase(rows, cols, 0)
+        list(linalg._unit_phase(rows, cols, 0))
         residuals += any(rows.values())
     # most cases reach the smallest-magnitude reduction of what the unit phase leaves
     assert residuals > 50
@@ -231,8 +231,8 @@ def test_smith_recovers_known_invariant_factors():
 
 def test_smith_matches_dense_route_on_boundary_matrices():
     # the unit phase alone diagonalizes every one of these matrices, so the
-    # sparse Smith form never reaches the smallest-magnitude reduction;
-    # smith_with_transforms reduces them whole, as the dense oracle does
+    # sparse Smith form never reaches the smallest-magnitude reduction; the
+    # dense oracle reduces them whole
     from halfcube.complexes import build_complex
 
     for n in (4, 5):
@@ -240,11 +240,9 @@ def test_smith_matches_dense_route_on_boundary_matrices():
             for m in build_complex(n, k).matrices():
                 trip = m.entries
                 rows, cols = linalg._sparse(m.nrows, m.ncols, zip(m.rows, m.signs), 0)
-                linalg._unit_phase(rows, cols, 0)
+                list(linalg._unit_phase(rows, cols, 0))
                 assert not any(rows.values()), (n, k, m.degree)
-                sf = linalg.smith_normal_form(m.nrows, m.ncols, trip)
-                factors = transforms_matching_oracle(m.nrows, m.ncols, trip)[0]
-                assert list(sf.factors) == factors, (n, k, m.degree)
+                factors_matching_oracle(m.nrows, m.ncols, trip)
 
 
 def test_smith_near_unimodular_random():
@@ -276,13 +274,15 @@ def test_smith_near_unimodular_random():
 
 
 def test_smith_with_transforms_identities():
+    # the sparse Smith form against the dense oracle's, whose transforms
+    # certify it: U M V = D with U and V unimodular
     rng = random.Random(10)
     for _ in range(100):
         nr = rng.randrange(1, 6)
         nc = rng.randrange(1, 6)
         trip = random_triplets(rng, nr, nc, -6, 6)
         dense = triplets_to_dense(nr, nc, trip)
-        factors, U, Uinv, V, Vinv = transforms_matching_oracle(nr, nc, trip)
+        factors, U, Uinv, V, Vinv = factors_matching_oracle(nr, nc, trip)
         certify_smith(dense, factors, U, Uinv, V, Vinv)
         assert factors == invariant_factors(dense)
         assert det_sign(U) in (1, -1)
@@ -290,8 +290,9 @@ def test_smith_with_transforms_identities():
 
 
 def test_smith_with_transforms_matches_dense_oracle_with_torsion():
-    # non-unit entries, so pivots above 1, remainders swapped into the pivot
-    # and rows added for entries the pivot does not divide
+    # non-unit entries, so the unit phase leaves a residual, and the sparse
+    # smallest-magnitude reduction meets pivots above 1, remainders swapped
+    # into the pivot and rows added for entries the pivot does not divide
     rng = random.Random(23)
     torsion = 0
     for _ in range(400):
@@ -299,32 +300,32 @@ def test_smith_with_transforms_matches_dense_oracle_with_torsion():
         nc = rng.randrange(1, 9)
         dense = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(nc)]
                  for _ in range(nr)]
-        factors = transforms_matching_oracle(nr, nc, dense_to_triplets(dense))[0]
+        factors = factors_matching_oracle(nr, nc, dense_to_triplets(dense))[0]
         torsion += any(f > 1 for f in factors)
     assert torsion > 100
     for dense in ([[0, 0], [0, 0]], [[], []], [[0, 4, 6]], [[2], [3]]):
-        transforms_matching_oracle(len(dense), len(dense[0]), dense_to_triplets(dense))
+        factors_matching_oracle(len(dense), len(dense[0]), dense_to_triplets(dense))
 
 
-@pytest.mark.parametrize("n, k", [(5, 4), (6, 5)])
-def test_smith_with_transforms_matches_dense_oracle_on_homology_bases(n, k, monkeypatch):
-    # both matrices HomologyBasis reduces: a boundary matrix and the image
-    # block in kernel coordinates; the pinned homology actions depend on
-    # these exact transforms
-    from halfcube import symmetry
+def test_unit_pivots_are_triangular_and_refuse_a_residual():
+    # on a boundary matrix the records are the integer unit pivots, +-1
+    # each, one per unit of rank, and a pivot's rest holds no column an
+    # earlier pivot took; a matrix the unit phase cannot finish is refused,
+    # even [[2, 3]], whose one invariant factor is 1
+    from halfcube.complexes import build_complex
 
-    seen = []
-
-    def recording(nrows, ncols, columns):
-        columns = list(columns)
-        seen.append((nrows, ncols, [(r, c, v) for c, col in enumerate(columns) for r, v in zip(*col)]))
-        return linalg.smith_with_transforms(nrows, ncols, columns)
-
-    monkeypatch.setattr(symmetry, "smith_with_transforms", recording)
-    symmetry.HomologyBasis(n, k)
-    assert len(seen) == 2
-    for nrows, ncols, triplets in seen:
-        transforms_matching_oracle(nrows, ncols, triplets)
+    for m in build_complex(5, 4).matrices():
+        pivots = linalg.unit_pivots(m.nrows, m.ncols, zip(m.rows, m.signs))
+        assert len(pivots) == linalg.smith_normal_form(m.nrows, m.ncols, m.entries).rank
+        assert len({r for r, _, _, _ in pivots}) == len({c for _, c, _, _ in pivots}) == len(pivots)
+        taken = set()
+        for r, c, v, rest in pivots:
+            assert v in (1, -1) and c not in rest and not taken & set(rest), (m.degree, r, c)
+            taken.add(c)
+    assert linalg.smith_normal_form(1, 2, [(0, 0, 2), (0, 1, 3)]).factors == (1,)
+    for nrows, ncols, columns in ((1, 2, [((0,), (2,)), ((0,), (3,))]), (1, 1, [((0,), (2,))])):
+        with pytest.raises(ValueError, match="left entries"):
+            linalg.unit_pivots(nrows, ncols, columns)
 
 
 def test_det_sign_matches_fraction_determinant():
@@ -373,7 +374,7 @@ def test_pure_kernels_pivot_on_the_sparsest_live_column():
         dense = triplets_to_dense(nr, nc, trip)
         for p in (2, 3):
             rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), p)
-            rank = len(linalg._unit_phase(rows, Columns(cols), p))
+            rank = sum(1 for _ in linalg._unit_phase(rows, Columns(cols), p))
             assert rank == dense_rank_mod(dense, p)
             assert not rows or not any(rows.values())
     assert len(picks) > 1000
@@ -395,7 +396,7 @@ def test_rank_functions_reject_triplets_outside_the_shape(trip):
     for rank in (
         lambda nr, nc, t: rank_mod_p(nr, nc, t, 3),
         linalg.smith_normal_form,
-        lambda nr, nc, t: linalg.smith_with_transforms(nr, nc, linalg.triplet_columns(nc, t)),
+        lambda nr, nc, t: linalg.unit_pivots(nr, nc, linalg.triplet_columns(nc, t)),
         # clearing every column must not let an index outside the shape through
         lambda nr, nc, t: linalg.eliminate(nr, nc, linalg.triplet_columns(nc, t), 0, bytes([1] * nc)),
     ):

@@ -201,7 +201,7 @@ def test_chain_map_commutes_with_boundary():
 
 def test_homology_action_identity_and_functoriality():
     rng = random.Random(5)
-    for (n, k) in ((4, 3), (4, 4)):
+    for (n, k) in ((4, 3), (4, 4), *sorted(ACTION_PINS)):
         basis = homology_basis(n, k)
         eye = homology_action(n, k, SignedPermutation.identity(n))
         assert eye == [[int(i == j) for j in range(basis.rank)] for i in range(basis.rank)]
@@ -361,10 +361,11 @@ def test_chain_map_rejects_odd():
         chain_map_on_cells(SignedPermutation.sign_flips(4, (1,)), cx, 1)
 
 
-def test_coords_of_basis_cycles_and_non_cycles():
-    # chains are sparse {cell: coef} over the 2-cells of C(4, 3)
-    basis = homology_basis(4, 3)
-    down, up = ([list(zip(*col)) for col in zip(m.rows, m.signs)] for m in basis.cx.matrices()[1:3])
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 4), (6, 5), (7, 6)])
+def test_coords_of_basis_cycles_and_non_cycles(n, k):
+    # chains are sparse {cell: coef} over the (k-1)-cells of C(n, k)
+    basis = homology_basis(n, k)
+    down, up = ([list(zip(*col)) for col in zip(m.rows, m.signs)] for m in basis.cx.matrices()[k - 2:k])
 
     def boundary(chain):
         out = {}
@@ -373,11 +374,15 @@ def test_coords_of_basis_cycles_and_non_cycles():
                 out[r] = out.get(r, 0) + coef * v
         return {r: v for r, v in out.items() if v}
 
+    assert basis.rank == len(basis.cycles) >= 2
     for i, cycle in enumerate(basis.cycles):
         assert cycle and all(coef for coef in cycle.values())
         assert boundary(cycle) == {}
         assert basis.coords(cycle) == [int(i == j) for j in range(basis.rank)]
-    # coordinates are linear, a boundary has none, and zero coefficients are ignored
+    # every boundary of a k-cell has zero coordinates, read one by one or in one batch
+    assert basis.coords_of(dict(col) for col in up) == [[0] * basis.rank] * len(up)
+    assert basis.coords(dict(up[5])) == [0] * basis.rank
+    # coordinates are linear, a boundary adds none, and zero coefficients are ignored
     combo = {}
     for a, cycle in zip((2, -3), basis.cycles):
         for j, coef in cycle.items():
@@ -386,38 +391,65 @@ def test_coords_of_basis_cycles_and_non_cycles():
         combo[r] = combo.get(r, 0) + v
     combo[next(j for j in range(len(down)) if j not in combo)] = 0
     assert basis.coords(combo) == [2, -3] + [0] * (basis.rank - 2)
-    assert basis.coords(dict(up[5])) == [0] * basis.rank
     assert boundary({0: 1})
     with pytest.raises(AssertionError, match="not a cycle"):
         basis.coords({0: 1})
+    with pytest.raises(AssertionError, match="not a cycle"):
+        basis.coords_of([basis.cycles[0], {0: 1}])
+
+
+@pytest.mark.slow
+def test_basis_sizes_at_n8(monkeypatch):
+    # the unit phase takes both matrices of every n = 8 basis to +-1 pivots
+    monkeypatch.setattr(symmetry, "_basis_cache", {})
+    from halfcube.triangle import predicted_betti
+
+    for k in range(3, 9):
+        assert homology_basis(8, k).rank == predicted_betti(8, k), k
 
 
 def test_boundary_factor_above_one_is_refused(monkeypatch):
-    # an explicit raise, so the check survives python -O
-    def doubled(nrows, ncols, triplets):
-        st = linalg.smith_with_transforms(nrows, ncols, triplets)
-        st.factors[-1] = 2
-        return st
+    # doubling every entry of either matrix the basis eliminates (the
+    # boundary, then the transposed image) leaves the unit phase no +-1
+    # pivot; unit_pivots refuses what is left with an explicit raise, so
+    # the check survives python -O
+    for step in (0, 1):
+        calls = []
 
-    monkeypatch.setattr(symmetry, "smith_with_transforms", doubled)
-    with pytest.raises(AssertionError, match="boundary factors above 1"):
-        symmetry.HomologyBasis(4, 3)
+        def doubled(nrows, ncols, columns):
+            columns = list(columns)
+            if len(calls) == step:
+                columns = [(rows, [2 * v for v in values]) for rows, values in columns]
+            calls.append(sum(len(rows) for rows, _ in columns))
+            return linalg.unit_pivots(nrows, ncols, columns)
+
+        monkeypatch.setattr(symmetry, "unit_pivots", doubled)
+        with pytest.raises(ValueError, match="left entries"):
+            symmetry.HomologyBasis(4, 3)
+        assert len(calls) == step + 1 and calls[step] > 0, step
 
 
-# SHA-256 of json.dumps of the 8 action matrices below, recorded before the
-# chain map and coordinates moved to vertex tables and a projection matrix;
-# (6, 3) was recorded with dense transform products, before the basis
-# applied the sparse transforms directly; (7, 6), whose 5-cells include
-# 5-dimensional half cubes, was recorded with the determinant chain map,
-# before half-cube cells took the parity of the permutation on their
-# coordinate set; (7, 4), whose basis costs the smallest-magnitude pivot
-# search most, before that search stopped at the first row holding +-1
+# SHA-256 of json.dumps of the 8 action matrices below, recorded when the
+# basis became the free cells of two unit-pivot eliminations, with its
+# cycles back-substituted through the boundary's pivots: a change of basis
+# conjugates every matrix, so these pins move with the basis
 ACTION_PINS = {
-    (5, 4): "7438496827b9775b14142701e23d40285eba7b53a17e26d5231ca5142268213b",
-    (6, 5): "d8c80c90a6b3f1cd75c093957a33b7258a541e8dc9a59f618ad1a974e747d17d",
-    (6, 3): "25852618e1a4f7bb3e54a4b48315426d3df5487f1d8ba3ecd06f7ff82172ace6",
-    (7, 6): "4084d24ad2b54677b8be1cdb1e802d5a62589a23581ac8d4083c8c3fc43d2106",
-    (7, 4): "ac1ac501bcaeb35ad065bd7046ae70fe852757311d51b1d2f1ba2a52ede7cfad",
+    (5, 4): "2056ce60c2f8471619b0f8979e0f9f2d0fdfe12084c38c2aadf8fb97fcc5f04b",
+    (6, 5): "0decabd9690dca907c8e7d29568c159ea1cc24de065e5f07617de2c86b95da45",
+    (6, 3): "492cd9b101d4d75c50cad4c71b7be6ac017beff929baf306f509ace5f6e4dc8a",
+    (7, 6): "53a7e71c0b6e0393adf55a86754a15ab248cf6717fc4f6cd370daf0e94a1035c",
+    (7, 4): "bc67586c36b14a49a8e5c27f1656effb3675c11cf0b75d55a75b3f34c3fef4d1",
+}
+
+# what no basis can change: SHA-256 of json.dumps of the traces of g and of
+# g * g for the same 8 elements, recorded with the Smith-transform basis
+# that came before the unit-pivot one
+CHARACTER_PINS = {
+    (5, 4): "5ac5b6b4df972a704e78343b7d21fb18500e2a3153c4edf81e60bd0e5540e3c7",
+    (6, 3): "f7f7a2315eba09917f793afeae132a05a4a0cf79a2df1d44b6dec00109e272dd",
+    (6, 5): "9333aa0922d276b11b3a80dff8b8ce24098618299dcb6e40bfe1b50740eada66",
+    (7, 4): "d45c2e52acb19fca4f4930219df9f368afb4a6743f7cebfbced4eee1efdd9e43",
+    (7, 6): "667ce4e0f851cd67c9776a778bbdd0603cac63f04f0ef039699f5b45873cdc82",
 }
 
 
@@ -426,3 +458,16 @@ def test_homology_action_is_pinned(n, k):
     rng = random.Random(20261018)
     mats = [homology_action(n, k, random_wdn(n, rng)) for _ in range(8)]
     assert hashlib.sha256(json.dumps(mats).encode()).hexdigest() == ACTION_PINS[(n, k)]
+
+
+@pytest.mark.parametrize("n, k", sorted(CHARACTER_PINS))
+def test_homology_characters_are_pinned(n, k):
+    rng = random.Random(20261018)
+    gs = [random_wdn(n, rng) for _ in range(8)]
+
+    def trace(g):
+        mat = homology_action(n, k, g)
+        return sum(mat[i][i] for i in range(len(mat)))
+
+    traces = [[trace(g) for g in gs], [trace(g * g) for g in gs]]
+    assert hashlib.sha256(json.dumps(traces).encode()).hexdigest() == CHARACTER_PINS[(n, k)]
