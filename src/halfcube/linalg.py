@@ -8,13 +8,15 @@ otherwise, so every nonzero residue when m is prime.  It takes the
 sparsest live column that holds a unit, pivots on that unit in the
 shortest row, clears the column and yields the pivot with the rest of its
 row.  Over the integers each pivot splits off an invariant factor 1, and
-the sparse smallest-magnitude reduction ``_smallest_magnitude`` finishes
-the Smith normal form on what is left; its rank is the rank over Q,
-which has no other entry point.  ``unit_pivots`` returns the integer
-pivot records themselves, and refuses a matrix the unit phase does not
-finish; the homology bases back-substitute through them.  ``eliminate``
-and ``unit_pivots`` take a matrix as its columns, (rows, values) each,
-which is how a ``BoundaryMatrix`` holds it; ``smith_normal_form`` takes
+``_residual_factors`` finishes the Smith normal form on what is left: it
+splits off each least entry whose row and column its floor quotients
+clear, then puts the diagonal in divisibility order by gcd/lcm
+exchanges.  Its rank is the rank over Q, which has no other entry point.
+``unit_pivots`` returns the integer pivot records themselves, and refuses
+a matrix the unit phase does not finish; the homology bases
+back-substitute through them.  ``eliminate`` and ``unit_pivots`` take a
+matrix as its columns, (rows, values) each, which is how a
+``BoundaryMatrix`` holds it; ``smith_normal_form`` takes
 (row, col, value) triplets and groups them with ``triplet_columns``.  One
 loader, ``_sparse``, reads the columns for all of them.  The rank over a
 single prime p is ``eliminate`` modulo p: the modulus has one prime
@@ -30,9 +32,10 @@ F_{p_i} at once: each of its pivots counts once in every rank, and
 
 the residual being what the unit phase leaves: the zero divisors mod m,
 and any entry that became a unit in a column the phase had passed over.
-Each prime finishes its own residual with the unit phase mod p; for m
-prime the residual is empty.  Entries are Python integers throughout, so no answer
-depends on a machine word size.
+Each prime finishes its own residual with the unit phase mod p, on a copy
+of the residual rows reduced mod p; for m prime the residual is empty.
+Entries are Python integers throughout, so no answer depends on a machine
+word size.
 
 ``eliminate`` also reports the rows the unit phase pivoted on, and deletes
 the columns a caller flags before it starts ("clearing", the twist of
@@ -44,9 +47,9 @@ the ring, of A's other columns, and deleting it changes neither the rank
 nor the column lattice, hence neither the nonzero invariant factors.
 Over Z/m that holds in every factor F_p, so the pivot rows of one
 elimination mod m clear the next one for every p dividing m.  Only unit
-pivots of the same ring count: the pivots of the smallest-magnitude
-reduction carry no inverse over Z, and those of a residual over F_p none
-over the other factors; integer pivot rows clear only a Smith form, and
+pivots of the same ring count: the pivots ``_residual_factors`` splits
+off carry no inverse over Z, and those of a residual over F_p none over
+the other factors; integer pivot rows clear only a Smith form, and
 rows pivoted mod m only an elimination mod m.
 """
 
@@ -121,24 +124,14 @@ def eliminate(nrows: int, ncols: int, columns, m: int, cleared=None):
         pivot_rows[r] = 1
     unit_rank = sum(pivot_rows)
     if m:
-        # each prime finishes over F_p what the unit phase mod m left; a rank
-        # needs no labels, so the residual's live rows are numbered afresh
-        live = {r: i for i, r in enumerate(r for r, row in rows.items() if row)}
-        residual = [
-            (tuple(map(live.__getitem__, rs)), tuple(rows[r][c] for r in rs))
-            for c, rs in cols.items()
-            if rs
-        ]
+        # each prime finishes over F_p what the unit phase mod m left
         ranks = {}
         for p in primes:
-            rows_p, cols_p = _sparse(len(live), len(residual), residual, p)
-            ranks[p] = unit_rank + sum(1 for _ in _unit_phase(rows_p, cols_p, p))
+            rows_p = {r: {c: v % p for c, v in row.items() if v % p}
+                      for r, row in rows.items() if row}
+            ranks[p] = unit_rank + sum(1 for _ in _unit_phase(rows_p, _columns(rows_p), p))
         return ranks, bytes(pivot_rows)
-    factors = [1] * unit_rank
-    live_rows = sorted(r for r, row in rows.items() if row)
-    if live_rows:
-        live_cols = sorted(c for c, col in cols.items() if col)
-        factors += _smallest_magnitude(rows, live_rows, live_cols)
+    factors = [1] * unit_rank + _residual_factors(rows)
     return SmithForm(tuple(factors)), bytes(pivot_rows)
 
 
@@ -197,6 +190,15 @@ def _sparse(nrows, ncols, columns, m, cleared=None):
     return rows, cols
 
 
+def _columns(rows):
+    """The column sets {c: {r}} of sparse rows {r: {c: v}}."""
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    return cols
+
+
 def _unit_phase(rows, cols, m):
     """Eliminate unit pivots modulo m in place, yielding each as (row, column, value, rest).
 
@@ -216,9 +218,9 @@ def _unit_phase(rows, cols, m):
     since that may make a unit without changing the count.
 
     With m = 0 a unit is +-1, each pivot is an invariant factor 1, and what
-    is left in rows/cols is the residual that ``smith_normal_form`` hands
-    to the smallest-magnitude reduction (the boundary matrices of every
-    cut complex with n <= 8 leave none).  With m prime every nonzero
+    is left in rows is the residual that ``eliminate`` hands to
+    ``_residual_factors`` (the boundary matrices of every cut complex with
+    n <= 8, and of C(9, 4), leave none).  With m prime every nonzero
     residue is a unit, so nothing is left and the number of pivots is the
     rank over F_m.  With m composite what is left holds the zero divisors
     mod m, and ``eliminate`` finishes it one prime factor at a time.
@@ -300,8 +302,7 @@ def smith_normal_form(nrows: int, ncols: int, triplets) -> SmithForm:
     """Diagonalize by unimodular row/column operations; sparse, exact.
 
     The unit phase splits off every +-1 pivot it finds as a factor 1.  The
-    rows and columns it leaves live go, in index order, to
-    ``_smallest_magnitude``; its factors follow the 1s.
+    rows it leaves go to ``_residual_factors``; its factors follow the 1s.
     """
     return eliminate(nrows, ncols, triplet_columns(ncols, triplets), 0)[0]
 
@@ -322,121 +323,53 @@ def unit_pivots(nrows: int, ncols: int, columns) -> list:
     return pivots
 
 
-def _smallest_magnitude(rows, row_order, col_order) -> list:
-    """Smallest-magnitude Smith reduction of sparse rows {r: {c: v}}, in place; its factors.
+def _residual_factors(rows) -> list:
+    """Nonzero invariant factors of sparse integer rows {r: {c: v}}, reduced in place.
 
-    Rows and columns are known by labels, the keys of ``rows`` and of its
-    rows; ``row_order`` and ``col_order`` list every label in its starting
-    position, and every row label has a (possibly empty) row.
-
-    Step t pivots on the live entry of smallest (|value|, row position,
-    column position), swaps it to (t, t) and clears its column, then its
-    row, by floor-quotient operations, swapping a nonzero remainder into
-    the pivot and starting over; when the pivot (not +-1) fails to divide
-    some live entry, the first such row is added to the pivot row and the
-    clearing starts over.  A swap only exchanges two labels in the
-    position arrays.  Returns the nonzero invariant factors, the pivots'
-    absolute values in step order.
+    Each round takes the live entry a of least (|a|, row, column) and
+    reduces the rest of its column by row operations with floor quotients.
+    If that clears the column, it reduces the rest of a's row by column
+    operations, which then change a's row alone.  When both are clear, |a|
+    splits off with its row and column; otherwise a remainder, smaller than
+    |a|, is the next round's pivot, so the least magnitude falls until a
+    pivot splits off.  The split-off diagonal is put in divisibility order
+    by exchanging each pair (x, y) for (gcd, lcm).
     """
-    row_at = list(row_order)
-    col_at = list(col_order)
-    rpos = {r: i for i, r in enumerate(row_at)}
-    cpos = {c: j for j, c in enumerate(col_at)}
-    cols = {c: set() for c in col_at}
-    for r in row_at:
-        for c in rows[r]:
-            cols[c].add(r)
-
-    def row_op(dst, src, mult):
-        # D_dst += mult * D_src
-        drow = rows[dst]
-        for c, x in rows[src].items():
-            cur = drow.get(c, 0) + mult * x
-            if cur:
-                drow[c] = cur
-                cols[c].add(dst)
-            else:
-                del drow[c]
-                cols[c].discard(dst)
-
-    def col_op(dst, src, mult):
-        # D^dst += mult * D^src
-        dcol = cols[dst]
-        for r in cols[src]:
-            row = rows[r]
-            cur = row.get(dst, 0) + mult * row[src]
-            if cur:
-                row[dst] = cur
-                dcol.add(r)
-            else:
-                del row[dst]
-                dcol.discard(r)
-    def row_swap(i, j):
-        a, b = row_at[i], row_at[j]
-        row_at[i], row_at[j] = b, a
-        rpos[a], rpos[b] = j, i
-
-    def col_swap(i, j):
-        a, b = col_at[i], col_at[j]
-        col_at[i], col_at[j] = b, a
-        cpos[a], cpos[b] = j, i
-
-    factors = []
-    for t in range(min(len(row_at), len(col_at))):
-        # every entry of the live block lies in a row at position >= t, as a
-        # row or column before t keeps only its diagonal entry; the walk goes
-        # in position order, so the first row holding +-1 ends it
-        best = None
-        for i in range(t, len(row_at)):
-            row = rows[row_at[i]]
-            if row:
-                low = min(map(abs, row.values()))
-                if best is None or low < best[0]:
-                    best = (low, i)
-                    if low == 1:
-                        break
-        if best is None:
+    cols = _columns(rows)
+    diagonal = []
+    while True:
+        live = [(abs(v), r, c) for r, row in rows.items() for c, v in row.items()]
+        if not live:
             break
-        low, pi = best
-        r = row_at[pi]
-        pj = min(cpos[c] for c, v in rows[r].items() if abs(v) == low)
-        row_swap(t, pi)
-        col_swap(t, pj)
-        while True:
-            restart = False
-            pc = col_at[t]
-            for i in sorted(rpos[r] for r in cols[pc] if rpos[r] > t):
-                r, pr = row_at[i], row_at[t]
-                q = rows[r][pc] // rows[pr][pc]
-                if q:
-                    row_op(r, pr, -q)
-                if pc in rows[r]:
-                    row_swap(t, i)
-                    restart = True
-            if restart:
-                continue
-            pr = row_at[t]
-            prow = rows[pr]
-            for j in sorted(cpos[c] for c in prow if cpos[c] > t):
-                c, pc = col_at[j], col_at[t]
-                q = prow[c] // prow[pc]
-                if q:
-                    col_op(c, pc, -q)
-                if c in prow:
-                    col_swap(t, j)
-                    restart = True
-            if restart:
-                continue
-            v = prow[col_at[t]]
-            if v in (1, -1):  # a unit divides every entry
-                break
-            offender = next(
-                (i for i in range(t + 1, len(row_at))
-                 if any(x % v for x in rows[row_at[i]].values())),
-                None,
-            )
-            if offender is None:
-                break
-            row_op(pr, row_at[offender], 1)
-        factors.append(abs(v))
-    return factors
+        _, pr, pc = min(live)
+        prow = rows[pr]
+        a = prow[pc]
+        for r in cols[pc] - {pr}:
+            row = rows[r]
+            q = row[pc] // a
+            for c, x in prow.items():
+                cur = row.get(c, 0) - q * x
+                if cur:
+                    row[c] = cur
+                    cols[c].add(r)
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+        if len(cols[pc]) > 1:
+            continue
+        for c in [c for c in prow if c != pc]:
+            cur = prow[c] % a
+            if cur:
+                prow[c] = cur
+            else:
+                del prow[c]
+                cols[c].discard(pr)
+        if len(prow) == 1:
+            diagonal.append(abs(a))
+            del rows[pr], cols[pc]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            x, y = diagonal[i], diagonal[j]
+            g = gcd(x, y)
+            diagonal[i], diagonal[j] = g, x // g * y
+    return diagonal

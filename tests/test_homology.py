@@ -131,6 +131,17 @@ def test_smith_normal_form_of_dense_and_boundary_matrices():
         sf = _smith_of_dense(dense)
         assert sf.factors == (1, 6) and sf.rank == 2
     assert linalg.smith_normal_form(3, 2, [(0, 0, 2), (1, 1, 3)]).factors == (1, 6)
+    # a gcd/lcm exchange, a row remainder, a column remainder, and pivots
+    # that need both
+    for dense, factors in (
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+        ([[2, 3]], (1,)),
+        ([[2], [3]], (1,)),
+        ([[-6, 4], [4, -6]], (2, 10)),
+        ([[0, -4], [-6, 0]], (2, 12)),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], (2, 6, 12)),
+    ):
+        assert _smith_of_dense(dense).factors == factors, dense
     m = build_complex(4, 4).matrices()[0]
     sf = linalg.smith_normal_form(m.nrows, m.ncols, m.entries)
     assert sf.rank == 7

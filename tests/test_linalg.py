@@ -1,5 +1,6 @@
 import random
-from math import gcd
+import time
+from math import gcd, prod
 
 import pytest
 
@@ -41,20 +42,22 @@ def test_rank_kernels_against_dense_oracle():
             assert rank_mod_p(nr, nc, trip, p) == dense_rank_mod(dense, p)
 
 
-def test_joint_ranks_mod_30_against_dense_oracle():
-    # entries in -15..15 include the zero divisors 2, 3, 5, 6, 10 and 15 mod
-    # 30, so most matrices leave the unit phase a residual that each prime
-    # finishes over its own F_p
-    rng = random.Random(30)
+@pytest.mark.parametrize("m", [6, 30, 210])
+def test_joint_ranks_mod_30_against_dense_oracle(m):
+    # entries in -15..15 include zero divisors mod m (2 and 3 mod 6; 2, 3,
+    # 5, 6, 10 and 15 mod 30; 7 and 14 too mod 210), so most matrices leave
+    # the unit phase a residual that each prime finishes over its own F_p
+    primes = [p for p in (2, 3, 5, 7) if m % p == 0]
+    rng = random.Random(m)
     residuals = 0
     for _ in range(300):
         nr = rng.randrange(1, 9)
         nc = rng.randrange(1, 9)
         trip = random_triplets(rng, nr, nc, -15, 15)
         dense = triplets_to_dense(nr, nc, trip)
-        ranks, pivot_rows = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, trip), 30)
-        assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, trip
-        assert ranks == {p: rank_mod_p(nr, nc, trip, p) for p in (2, 3, 5)}, trip
+        ranks, pivot_rows = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, trip), m)
+        assert ranks == {p: dense_rank_mod(dense, p) for p in primes}, trip
+        assert ranks == {p: rank_mod_p(nr, nc, trip, p) for p in primes}, trip
         assert sum(pivot_rows) <= min(ranks.values())
         residuals += sum(pivot_rows) < max(ranks.values())
     assert residuals > 100
@@ -187,14 +190,13 @@ def test_smith_divisibility_chain_random():
         rows, cols = linalg._sparse(nr, nc, linalg.triplet_columns(nc, trip), 0)
         list(linalg._unit_phase(rows, cols, 0))
         residuals += any(rows.values())
-    # most cases reach the smallest-magnitude reduction of what the unit phase leaves
+    # most cases leave the unit phase a residual for _residual_factors
     assert residuals > 50
 
 
 def test_smith_recovers_known_invariant_factors():
     # scramble a known diagonal by random unimodular row/column operations;
     # the invariant factors must come back unchanged
-    from math import gcd, prod
     from itertools import combinations
 
     def invariant_factors_of_diagonal(diag):
@@ -231,8 +233,8 @@ def test_smith_recovers_known_invariant_factors():
 
 def test_smith_matches_dense_route_on_boundary_matrices():
     # the unit phase alone diagonalizes every one of these matrices, so the
-    # sparse Smith form never reaches the smallest-magnitude reduction; the
-    # dense oracle reduces them whole
+    # sparse Smith form leaves _residual_factors nothing; the dense oracle
+    # reduces them whole
     from halfcube.complexes import build_complex
 
     for n in (4, 5):
@@ -247,7 +249,7 @@ def test_smith_matches_dense_route_on_boundary_matrices():
 
 def test_smith_near_unimodular_random():
     # mostly +-1 entries with a few larger ones: the unit pivots split off
-    # first and the smallest-magnitude reduction finishes the residual; too
+    # first and _residual_factors finishes the residual; too
     # large for minors, so the reference is the dense oracle's reduction of
     # the whole matrix, certified by its transforms
     rng = random.Random(31)
@@ -290,9 +292,9 @@ def test_smith_with_transforms_identities():
 
 
 def test_smith_with_transforms_matches_dense_oracle_with_torsion():
-    # non-unit entries, so the unit phase leaves a residual, and the sparse
-    # smallest-magnitude reduction meets pivots above 1, remainders swapped
-    # into the pivot and rows added for entries the pivot does not divide
+    # non-unit entries, so the unit phase leaves a residual, and
+    # _residual_factors meets pivots above 1, remainders in the pivot's row
+    # and column, and split-off pivots that divide no later one
     rng = random.Random(23)
     torsion = 0
     for _ in range(400):
@@ -305,6 +307,27 @@ def test_smith_with_transforms_matches_dense_oracle_with_torsion():
     assert torsion > 100
     for dense in ([[0, 0], [0, 0]], [[], []], [[0, 4, 6]], [[2], [3]]):
         factors_matching_oracle(len(dense), len(dense[0]), dense_to_triplets(dense))
+
+
+def test_smith_scales_on_random_torsion_matrices():
+    # square matrices of density 0.3 with entries in -9..9: the residual is
+    # nearly the whole matrix; checked size by size, smallest first, so a
+    # reduction whose cost explodes fails at the first size instead of hanging
+    for size in (20, 30, 40):
+        rng = random.Random(size)
+        trip = [(i, j, rng.choice([v for v in range(-9, 10) if v]))
+                for i in range(size) for j in range(size) if rng.random() < 0.3]
+        start = time.perf_counter()
+        sf = linalg.smith_normal_form(size, size, trip)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, (size, elapsed)
+        dense = triplets_to_dense(size, size, trip)
+        rank = dense_rank(dense)
+        assert sf.rank == rank, size
+        if rank == size:
+            assert prod(sf.factors) == abs(dense_det(dense)), size
+        for p in (2, 3, 5, 7):
+            assert sum(f % p == 0 for f in sf.factors) == rank - dense_rank_mod(dense, p), (size, p)
 
 
 def test_unit_pivots_are_triangular_and_refuse_a_residual():
