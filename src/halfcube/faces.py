@@ -147,10 +147,14 @@ def simplex_keys(dim: int, keys: list) -> list:
 
     A simplex has dim + 1 vertices and a half cube 2^(dim-1), which differ
     except at dim 3, where the tetrahedra K(v', S), |S| = 4, and L(v, S),
-    |S| = 3, are told apart by the number of coordinates they span.
+    |S| = 3, are told apart by the XOR of their four vertices.
     """
     if dim == 3:
-        return [k for k in keys if ((k[0] ^ k[1]) | (k[0] ^ k[2]) | (k[0] ^ k[3])).bit_count() == 4]
+        # L(v, S), |S| = 3, has the vertices h + q over the even subsets q of
+        # S or over the odd ones, h fixed outside S: either way the four q
+        # XOR to 0, and so do the four vertices.  K(v', S), |S| = 4, has the
+        # vertices v' ^ (1 << i), i in S, which XOR to the mask of S, not 0
+        return [k for k in keys if k[0] ^ k[1] ^ k[2] ^ k[3]]
     return [k for k in keys if len(k) == dim + 1]
 
 
@@ -184,7 +188,8 @@ class FaceLattice:
 
         Computed on every call.  A face with dim + 1 vertices (a simplex, or
         the half-cube tetrahedron, on three coordinates) loses one vertex at
-        a time, the last one first: that is key order.  A larger half cube
+        a time, the last one first (the order of its combinations of all
+        but one vertex): that is key order.  A larger half cube
         or the top cell, varying on the coordinate set S, has for each i in
         S the two halves of its key with bit i clear and set, and for each
         odd vertex u of its subcube the simplex of the neighbours
@@ -195,7 +200,7 @@ class FaceLattice:
             raise ValueError("vertices have no facets")
         span = _span(key)
         if len(key) <= span.bit_count() + 1:
-            keys = [key[:i] + key[i + 1 :] for i in reversed(range(len(key)))]
+            keys = list(combinations(key, len(key) - 1))
         else:
             bits = [1 << i for i in range(self.n) if span >> i & 1]
             keys = []

@@ -185,16 +185,29 @@ class OrbitReport:
     orbits: tuple  # per dimension, tuple of Orbit
 
 
+def _image_positions(table, keys, index, error: str) -> list:
+    """index[image key] for each key moved through the vertex table ``table``.
+
+    An image key that ``index`` does not hold raises ValueError(error).
+    """
+    try:
+        return [index[tuple(sorted(map(table.__getitem__, key)))] for key in keys]
+    except KeyError:
+        raise ValueError(error) from None
+
+
 def orbits(n: int, extended: bool = False) -> OrbitReport:
     """Face orbits per dimension under W(D_n).
 
-    The union-find joins each face to its images under the three
-    generators of ``orbit_generators``: (1 2) and the n-cycle i -> i+1
-    generate S_n, and with the double flip at n-1, n, whose S_n-conjugates
-    are all the double flips, the even sign changes.  It runs over the
-    lattice's sorted keys and keeps the smallest index as each root.  An
-    orbit's kind comes from its ``kind_split`` counts ("mixed" when both
-    are nonzero), and its representative is its smallest key.
+    Per dimension each generator of ``orbit_generators`` becomes the list of
+    its faces' image positions: (1 2) and the n-cycle i -> i+1 generate
+    S_n, and with the double flip at n-1, n, whose S_n-conjugates are all
+    the double flips, the even sign changes.  The orbits are the connected
+    components of those maps, each collected by one stack traversal; the
+    keys are sorted, so the first face not yet reached in key order is its
+    orbit's smallest key, the representative, and orbits come out in the
+    order of their representatives.  An orbit's kind comes from its
+    ``kind_split`` counts ("mixed" when both are nonzero).
     extended adds the table of the n = 4 reflection (``SPECIAL_REFLECTION_4``)
     and is rejected elsewhere.
     """
@@ -207,31 +220,25 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
 
     report = []
     for dim, dim_keys in enumerate(lattice.keys):
-        parent = list(range(len(dim_keys)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        pos = {key: i for i, key in enumerate(dim_keys)}
-        for t in tables:
-            image = t.__getitem__
-            for i, key in enumerate(dim_keys):
-                j = pos.get(tuple(sorted(map(image, key))))
-                if j is None:
-                    raise ValueError("image vertex set is not a face")
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-        groups = {}
-        for i, key in enumerate(dim_keys):
-            groups.setdefault(find(i), []).append(key)
+        index = {key: i for i, key in enumerate(dim_keys)}
+        maps = [_image_positions(t, dim_keys, index, "image vertex set is not a face") for t in tables]
+        # each map permutes the faces, so what a face reaches forward is its orbit
+        seen = bytearray(len(dim_keys))
         dim_orbits = []
-        for root in sorted(groups):
-            members = groups[root]
+        for start, representative in enumerate(dim_keys):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            stack = [start]
+            members = [representative]
+            while stack:
+                i = stack.pop()
+                for m in maps:
+                    j = m[i]
+                    if not seen[j]:
+                        seen[j] = 1
+                        stack.append(j)
+                        members.append(dim_keys[j])
             simp, hc = kind_split(dim, members)
             if simp and hc:
                 kind = "mixed"
@@ -239,7 +246,7 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
                 kind = KIND_VERTEX if dim == 0 else KIND_TOP
             else:
                 kind = KIND_SIMPLEX if simp else KIND_HALFCUBE
-            dim_orbits.append(Orbit(members[0], len(members), kind))
+            dim_orbits.append(Orbit(representative, len(members), kind))
         report.append(tuple(dim_orbits))
     return OrbitReport(n, extended, tuple(report))
 
@@ -377,19 +384,16 @@ def chain_map_on_cells(g, cx, dim):
     if not g.is_even_signed:
         raise ValueError("only even-signed permutations act on the half cube")
     n = cx.n
-    image = vertex_table(g, n).__getitem__
-    index = cx.index[dim]
+    table = vertex_table(g, n)
+    cells = cx.cells[dim]
+    targets = _image_positions(table, cells, cx.index[dim], "image cell left the complex")
     out = []  # (target index, sign) per source cell
-    for key in cx.cells[dim]:
-        moved = [image(b) for b in key]
-        j = index.get(tuple(sorted(moved)))
-        if j is None:
-            raise ValueError("image cell left the complex")
+    for key, j in zip(cells, targets):
         if len(key) == dim + 1:
             # a vertex, a simplex or a half-cube tetrahedron, oriented by its
             # whole sorted key, and g is linear: moving the vertices in key
             # order gives the image's orientation up to the sorting permutation
-            out.append((j, sort_sign(moved)))
+            out.append((j, sort_sign(list(map(table.__getitem__, key)))))
         else:
             # a larger half cube or the top cell on S: the parity of g's
             # permutation restricted to S

@@ -307,6 +307,22 @@ def test_orbits_command(capsys):
     )
 
 
+# the SHA-256 of the whole `orbits --n N --format json` report: every orbit's
+# representative, size and kind in order, and the profile checks
+ORBITS_SHA256 = {
+    5: "d23a5b72c14fd93adb2b87290ad85523015756081358c643cd60e776eef97f90",
+    6: "cec470b4d443b19bb309e56c09d598907db2000614177703683b8a8413df855b",
+    7: "b671e2642a1ba1ceed07b28dd70436b05b579a3f7651f1021eaa89838df08b23",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBITS_SHA256))
+def test_orbits_report_is_pinned(capsys, n):
+    code, out = run_cli(capsys, "orbits", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_SHA256[n]
+
+
 def test_faces_census_builds_no_descriptors(monkeypatch):
     # the census and its kind split count each generated batch and keep no lattice
     monkeypatch.setattr(faces, "_lattice_cache", {})

@@ -361,6 +361,31 @@ def test_chain_map_rejects_odd():
         chain_map_on_cells(SignedPermutation.sign_flips(4, (1,)), cx, 1)
 
 
+def test_orbits_refuse_an_image_off_the_lattice(monkeypatch):
+    # a vertex table that swaps the even vertices 0 and 3 permutes the
+    # vertices but not the edges: the edge {0, 12} goes to {3, 12}, two
+    # antipodal vertices of the 16-cell
+    def swap_0_3(g, n):
+        table = list(range(1 << n))
+        table[0], table[3] = 3, 0
+        return table
+
+    monkeypatch.setattr(symmetry, "vertex_table", swap_0_3)
+    with pytest.raises(ValueError, match="image vertex set is not a face"):
+        orbits(4)
+
+
+def test_chain_map_refuses_an_image_cell_off_the_complex(monkeypatch):
+    # the n = 4 reflection stabilizes the 16-cell but swaps its simplex and
+    # half-cube tetrahedra, and C(4, 3) keeps only the simplex ones
+    cx = build_complex(4, 3)
+    identity = SignedPermutation.identity(4)
+    assert chain_map_on_cells(identity, cx, 3) == [(j, 1) for j in range(len(cx.cells[3]))]
+    monkeypatch.setattr(symmetry, "vertex_table", lambda g, n: SPECIAL_REFLECTION_4)
+    with pytest.raises(ValueError, match="image cell left the complex"):
+        chain_map_on_cells(identity, cx, 3)
+
+
 @pytest.mark.parametrize("n, k", [(4, 3), (5, 4), (6, 5), (7, 6)])
 def test_coords_of_basis_cycles_and_non_cycles(n, k):
     # chains are sparse {cell: coef} over the (k-1)-cells of C(n, k)
