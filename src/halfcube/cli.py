@@ -26,7 +26,6 @@ from . import homology, morse, symmetry, triangle
 from .complexes import CellComplex, boundary_matrices, build_complex, euler_characteristic
 from .faces import (
     MAX_DIM,
-    build_face_lattice,
     check_face_budget,
     face_census,
     face_count,
@@ -438,9 +437,6 @@ def cmd_verify(args) -> int:
     results = {"faces": [], "triangle": [], "betti": [], "morse": [], "orbits": []}
 
     for n in range(4, args.n_max + 1):
-        # the complexes and orbits below read every lattice: build each once,
-        # sorted, and let the census count its keys rather than enumerate it twice
-        build_face_lattice(n)
         res, ch = run_faces(n)
         results["faces"].append({"n": n, "counts": [r["total"] for r in res]})
         checks.extend(ch)

@@ -206,10 +206,10 @@ class BoundaryMatrix:
     lists its rows ascending, and simplex columns share ``_ALTERNATING``.
     ``BoundaryMatrix(degree, nrows, ncols, entries)`` groups (row, col,
     value) triplets into columns, keeping their order within a column;
-    ``from_columns`` takes the columns themselves.  Equality, hashing,
-    ``repr`` and ``to_text`` read the shape and the columns alone, so both
-    constructions agree.  It carries its eliminations, which they ignore
-    too, to every complex that reuses it.
+    ``from_columns`` takes the columns themselves.  Equality, hashing and
+    ``repr`` read the shape and the columns alone, so both constructions
+    agree.  It carries its eliminations, which they ignore too, to every
+    complex that reuses it.
     """
 
     degree: int
@@ -265,27 +265,6 @@ class BoundaryMatrix:
             text.get(s) or text.setdefault(s, "".join(["+" if v > 0 else "-" for v in s]))
             for s in self.signs
         ])
-
-    def to_text(self) -> str:
-        lines = [f"{self.degree} {self.nrows} {self.ncols}"]
-        for j, (rs, vs) in enumerate(zip(self.rows, self.signs)):
-            lines.extend(f"{r} {j} {v}" for r, v in zip(rs, vs))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BoundaryMatrix":
-        """Parses ``to_text`` output; raises ValueError on any other text."""
-        header, *body = [ln for ln in text.splitlines() if ln.strip()] or [""]
-        degree, nrows, ncols = map(int, header.split())
-        if min(degree, nrows, ncols) < 0:
-            raise ValueError(f"negative header field in {header!r}")
-        entries = {}  # (col, row) -> value
-        for ln in body:
-            r, c, v = map(int, ln.split())
-            if not (0 <= r < nrows and 0 <= c < ncols and v in (1, -1)) or (c, r) in entries:
-                raise ValueError(f"entry {ln!r} is outside {nrows} x {ncols}, not +-1 or repeated")
-            entries[c, r] = v
-        return cls(degree, nrows, ncols, tuple((r, c, v) for (c, r), v in sorted(entries.items())))
 
 
 def boundary_key(cx: CellComplex, d: int) -> tuple:

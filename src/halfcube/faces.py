@@ -22,11 +22,9 @@ on its S.  Past the lattice a cell is its key.
 One enumeration, ``_generate``, yields the keys in batches and has two
 consumers.  ``build_face_lattice`` joins the batches per dimension, sorts
 each dimension's keys once and caches the lattice.  ``face_census`` counts
-each batch and its kind split and drops it, so ``faces --n N`` neither
-sorts nor keeps a lattice, only one batch and at most one column table;
-a lattice already built (``verify`` builds each one first, since its
-complexes and orbits read every lattice it counts) is counted from its
-keys instead.
+each batch and its kind split and drops it, so the census neither sorts
+nor keeps a lattice, only one batch and at most one column table, whether
+or not a lattice of that n is built.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -308,18 +306,13 @@ def build_face_lattice(n: int) -> FaceLattice:
 def face_census(n: int) -> list:
     """Per-dimension ``kind_split`` of the face keys; their sum is the face count.
 
-    A lattice already built is counted from its keys.  Otherwise each batch
-    of ``_generate`` is counted and dropped, so the census keeps no lattice:
-    its memory is one batch and at most one column table, not the 2.2M keys of n = 11.
+    Each batch of ``_generate`` is counted and dropped, so the census keeps no
+    lattice: its memory is one batch and at most one column table, not the
+    2.2M keys of n = 11.
     """
-    lattice = _lattice_cache.get(n)
-    if lattice is not None:
-        batches = enumerate(lattice.keys)
-    else:
-        _check_size(n)
-        batches = _generate(n)
+    _check_size(n)
     split = [(0, 0)] * (n + 1)
-    for dim, batch in batches:
+    for dim, batch in _generate(n):
         simp, hc = kind_split(dim, batch)
         split[dim] = (split[dim][0] + simp, split[dim][1] + hc)
     return split

@@ -39,10 +39,6 @@ class MorseMatching:
     def paired_keys(self) -> set:
         return set(chain.from_iterable(self.pairs))
 
-    def to_text(self) -> str:
-        lines = (" ".join(map(str, lo)) + " | " + " ".join(map(str, up)) for lo, up in self.pairs)
-        return "\n".join(lines) + "\n"
-
 
 def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatching:
     """The canonical matching on a cut complex.

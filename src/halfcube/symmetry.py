@@ -364,10 +364,6 @@ class HomologyBasis:
                 out[t][i] = x
         return out
 
-    def coords(self, cycle) -> list:
-        """The homology class of one cycle {cell: coef} in the basis ``cycles``."""
-        return self.coords_of([cycle])[0]
-
 
 _basis_cache = {}
 

@@ -31,3 +31,17 @@ def test_public_api_is_pinned():
     names = {}
     exec("from halfcube import *", names)
     assert set(PUBLIC_API) <= set(names)
+
+
+def test_second_routes_are_gone():
+    # matrices compare with == and list their triplets in ``entries``; a
+    # matching's pairs are its keys; ``coords_of`` reads any batch of cycles
+    from halfcube.symmetry import HomologyBasis
+
+    for cls, name in (
+        (halfcube.BoundaryMatrix, "to_text"),
+        (halfcube.BoundaryMatrix, "from_text"),
+        (halfcube.MorseMatching, "to_text"),
+        (HomologyBasis, "coords"),
+    ):
+        assert not hasattr(cls, name), (cls.__name__, name)

@@ -470,7 +470,6 @@ def test_cache_file_bytes_are_pinned(tmp_path, monkeypatch):
     loaded = cli.load_complex(cache, 5, 4).matrices()
     assert loaded == computed
     assert all(m.given_signs for m in loaded) and not any(m.given_signs for m in computed)
-    assert [m.to_text() for m in loaded] == [m.to_text() for m in computed]
 
 
 def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):

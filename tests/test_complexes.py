@@ -178,15 +178,15 @@ def test_boundary_squared_check_catches_a_flipped_entry():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_triplet_construction_equals_the_assembled_columns(n, monkeypatch):
     # BoundaryMatrix(degree, nrows, ncols, entries) groups the triplets into
-    # the columns that assembly builds: equal, with equal hash, repr, text
-    # and eliminations, for every cut and the full complex
+    # the columns that assembly builds: equal, with equal hash, repr and
+    # eliminations, for every cut and the full complex
     monkeypatch.setattr(complexes, "_held", {})
     for k in range(3, n + 2):
         cx = build_complex(n, k)
         for m in cx.matrices():
             bare = BoundaryMatrix(m.degree, m.nrows, m.ncols, m.entries)
             assert bare == m and hash(bare) == hash(m), (n, k, m.degree)
-            assert repr(bare) == repr(m) and bare.to_text() == m.to_text()
+            assert repr(bare) == repr(m)
             assert bare.rows == m.rows and bare.signs == m.signs
             for modulus in (0, 30):
                 assert bare.eliminate(modulus) == m.eliminate(modulus), (n, k, m.degree, modulus)
@@ -196,43 +196,9 @@ def test_triplet_construction_equals_the_assembled_columns(n, monkeypatch):
                     assert signs is complexes._ALTERNATING[m.degree], (n, k, cell)
 
 
-def test_triplet_text_round_trip():
-    cx = build_complex(4, 3)
-    for m in cx.matrices():
-        text = m.to_text()
-        back = BoundaryMatrix.from_text(text)
-        assert back == m
-        header = text.splitlines()[0].split()
-        assert [int(x) for x in header] == [m.degree, m.nrows, m.ncols]
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "1 2\n",
-        "1 2 2 2\n",
-        "1 two 2\n",
-        "-1 2 2\n",
-        "1 2 -2\n",
-        "1 2 2\n5 0 7\n5 0 7\n",  # outside the shape, not +-1, repeated
-        "1 2 2\n2 0 1\n",
-        "1 2 2\n0 2 1\n",
-        "1 2 2\n-1 0 1\n",
-        "1 2 2\n0 0 2\n",
-        "1 2 2\n0 0 0\n",
-        "1 2 2\n0 0 1\n0 0 -1\n",
-        "1 2 2\n0 0\n",
-    ],
-)
-def test_triplet_text_rejects_malformed_input(text):
-    with pytest.raises(ValueError):
-        BoundaryMatrix.from_text(text)
-
-
 def test_eliminations_are_no_part_of_a_matrix(monkeypatch):
     # a matrix memoizes its eliminations, by modulus, but construction,
-    # equality, hashing, repr and the triplet text ignore them
+    # equality, hashing and repr ignore them
     monkeypatch.setattr(complexes, "_held", {})
     for m in build_complex(4, 3).matrices():
         bare = BoundaryMatrix(m.degree, m.nrows, m.ncols, m.entries)
@@ -241,10 +207,9 @@ def test_eliminations_are_no_part_of_a_matrix(monkeypatch):
         assert m.eliminate(0, bytes(m.ncols)) is got
         m.eliminate(30)
         assert set(m._eliminations) == {0, 30}
-        back = BoundaryMatrix.from_text(m.to_text())
+        back = BoundaryMatrix.from_columns(m.degree, m.nrows, m.ncols, m.rows, m.signs)
         assert back == m == bare and hash(back) == hash(m)
         assert back._eliminations == {} and repr(back) == repr(m)
-        assert back.to_text() == m.to_text()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -123,7 +123,17 @@ def test_lattice_joins_the_generated_batches(n, monkeypatch):
     assert faces_mod.face_census(n) == split  # streamed: no lattice yet
     assert n not in faces_mod._lattice_cache
     assert [sorted(keys) for keys in joined] == build_face_lattice(n).keys
-    assert faces_mod.face_census(n) == split  # counted from the cached lattice
+    assert faces_mod.face_census(n) == split  # streamed again, though the lattice is built
+
+
+def test_census_streams_past_a_cached_lattice(monkeypatch):
+    # a lattice in the cache lacking one 3-face: the census enumerates its own
+    # keys, so it reads nothing a lattice holds
+    for n in (4, 5, 6):
+        keys = [list(dim_keys) for dim_keys in build_face_lattice(n).keys]
+        del keys[3][0]
+        monkeypatch.setitem(faces_mod._lattice_cache, n, faces_mod.FaceLattice(n, keys))
+        assert faces_mod.face_census(n) == faces_mod.face_counts_by_type(n), n
 
 
 @pytest.mark.slow

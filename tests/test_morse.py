@@ -239,8 +239,9 @@ def test_random_matchings_agree_with_the_whole_digraph():
     assert verdicts == {True, False}
 
 
-# SHA-256 of the to_text() of build_matching(build_complex(n, k), j), joined
-# over n = 4..7, k = 3..n and j in (None, 1), in that order
+# SHA-256 of the pairs of build_matching(build_complex(n, k), j), one line
+# "lower key | upper key" per pair with a trailing newline, joined over
+# n = 4..7, k = 3..n and j in (None, 1), in that order
 MATCHING_TEXT_SHA256 = "9c54a94d62e7a510bda0076088c7db772660abc6e9d4f7a8daefa73578f79e4f"
 
 
@@ -250,12 +251,7 @@ def test_matching_pairs_are_pinned():
         for k in range(3, n + 1):
             cx = build_complex(n, k)
             for j in (None, 1):
-                h.update(build_matching(cx, j).to_text().encode())
+                pairs = build_matching(cx, j).pairs
+                lines = (" ".join(map(str, lo)) + " | " + " ".join(map(str, up)) for lo, up in pairs)
+                h.update(("\n".join(lines) + "\n").encode())
     assert h.hexdigest() == MATCHING_TEXT_SHA256
-
-
-def test_matching_text_export():
-    m = build_matching(build_complex(4, 3))
-    text = m.to_text()
-    assert len(text.strip().splitlines()) == m.pair_count()
-    assert "|" in text

@@ -403,10 +403,10 @@ def test_coords_of_basis_cycles_and_non_cycles(n, k):
     for i, cycle in enumerate(basis.cycles):
         assert cycle and all(coef for coef in cycle.values())
         assert boundary(cycle) == {}
-        assert basis.coords(cycle) == [int(i == j) for j in range(basis.rank)]
+        assert basis.coords_of([cycle])[0] == [int(i == j) for j in range(basis.rank)]
     # every boundary of a k-cell has zero coordinates, read one by one or in one batch
     assert basis.coords_of(dict(col) for col in up) == [[0] * basis.rank] * len(up)
-    assert basis.coords(dict(up[5])) == [0] * basis.rank
+    assert basis.coords_of([dict(up[5])])[0] == [0] * basis.rank
     # coordinates are linear, a boundary adds none, and zero coefficients are ignored
     combo = {}
     for a, cycle in zip((2, -3), basis.cycles):
@@ -415,10 +415,10 @@ def test_coords_of_basis_cycles_and_non_cycles(n, k):
     for r, v in up[0]:
         combo[r] = combo.get(r, 0) + v
     combo[next(j for j in range(len(down)) if j not in combo)] = 0
-    assert basis.coords(combo) == [2, -3] + [0] * (basis.rank - 2)
+    assert basis.coords_of([combo])[0] == [2, -3] + [0] * (basis.rank - 2)
     assert boundary({0: 1})
     with pytest.raises(AssertionError, match="not a cycle"):
-        basis.coords({0: 1})
+        basis.coords_of([{0: 1}])
     with pytest.raises(AssertionError, match="not a cycle"):
         basis.coords_of([basis.cycles[0], {0: 1}])
 
