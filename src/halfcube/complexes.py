@@ -68,8 +68,6 @@ tuple (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
 from .faces import (
     MAX_DIM,
@@ -197,7 +195,6 @@ def column_signs(cell: tuple, facet_keys) -> tuple:
 # Boundary matrices
 
 
-@dataclass(frozen=True, init=False)
 class BoundaryMatrix:
     """Sparse signed incidence matrix of one degree, held as its columns.
 
@@ -206,21 +203,22 @@ class BoundaryMatrix:
     lists its rows ascending, and simplex columns share ``_ALTERNATING``.
     ``BoundaryMatrix(degree, nrows, ncols, entries)`` groups (row, col,
     value) triplets into columns, keeping their order within a column;
-    ``from_columns`` takes the columns themselves.  Equality, hashing and
-    ``repr`` read the shape and the columns alone, so both constructions
-    agree.  It carries its eliminations, which they ignore too, to every
-    complex that reuses it.
+    ``from_columns`` takes the columns themselves.  Equality and hashing
+    read the shape and the columns alone, so both constructions agree;
+    ``repr`` adds ``given_signs``.  It carries its eliminations, which all
+    three ignore, to every complex that reuses it.  Its attributes are
+    read-only: assigning or deleting one raises AttributeError.
     """
 
-    degree: int
-    nrows: int
-    ncols: int
-    rows: tuple  # per column, its row positions
-    signs: tuple  # per column, the entries at those rows
-    # the signs were given (read from a cache file), not computed
-    given_signs: bool = field(default=False, compare=False)
-    # modulus -> linalg.eliminate's (result, pivot rows)
-    _eliminations: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = (
+        "degree",
+        "nrows",
+        "ncols",
+        "rows",  # per column, its row positions
+        "signs",  # per column, the entries at those rows
+        "given_signs",  # the signs were given (read from a cache file), not computed
+        "_eliminations",  # modulus -> linalg.eliminate's (result, pivot rows)
+    )
 
     def __init__(self, degree: int, nrows: int, ncols: int, entries=(), given_signs=False):
         columns = linalg.triplet_columns(ncols, entries)
@@ -236,11 +234,36 @@ class BoundaryMatrix:
         return m
 
     def _set(self, *values):
-        # the one place the frozen fields are written
-        names = ("degree", "nrows", "ncols", "rows", "signs", "given_signs")
-        for name, value in zip(names, values, strict=True):
+        # the one place the attributes are written
+        for name, value in zip(self.__slots__, (*values, {}), strict=True):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_eliminations", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _columns(self) -> tuple:
+        return (self.degree, self.nrows, self.ncols, self.rows, self.signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self):
+        return hash(self._columns())
+
+    def __repr__(self):
+        return (
+            f"BoundaryMatrix(degree={self.degree!r}, nrows={self.nrows!r}, ncols={self.ncols!r}, "
+            f"rows={self.rows!r}, signs={self.signs!r}, given_signs={self.given_signs!r})"
+        )
+
+    def __reduce__(self):
+        # pickle and copy rebuild through from_columns; the eliminations stay behind
+        return (self.from_columns, (*self._columns(), self.given_signs))
 
     @property
     def entries(self) -> tuple:

@@ -30,8 +30,8 @@ they carry clear that complex's degree below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .complexes import CellComplex, assert_boundary_squared_zero
 
@@ -42,8 +42,7 @@ _AGREE_PRIMES = (2, 3, 5)
 _AGREE_MODULUS = prod(_AGREE_PRIMES)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Per-degree Betti numbers and torsion lists of one complex."""
 
     betti: tuple

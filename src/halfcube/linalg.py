@@ -56,8 +56,8 @@ rows pivoted mod m only an elimination mod m.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 def kernel_name() -> str:
@@ -282,16 +282,21 @@ def _unit_phase(rows, cols, m):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple("SmithForm", [("factors", tuple)])):
     """Nonzero invariant factors d1 | d2 | ... | dr of an integer matrix."""
 
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
+    def __new__(cls, factors: tuple):
+        for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors violate the divisibility chain")
+        return super().__new__(cls, factors)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s check
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:

@@ -18,15 +18,14 @@ of its upper one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .complexes import CellComplex
 from .faces import KIND_SIMPLEX, _classify, _k_key, _opposite_point
 
 
-@dataclass(frozen=True)
-class MorseMatching:
+class MorseMatching(NamedTuple):
     """Pairs (lower, upper) of a discrete vector field on a cut complex."""
 
     complex: CellComplex
@@ -64,10 +63,9 @@ def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatch
     return MorseMatching(cx, tuple(pairs), j)
 
 
-@dataclass(frozen=True)
-class AcyclicityCertificate:
+class AcyclicityCertificate(NamedTuple):
     acyclic: bool
-    cycle: tuple = field(default=())  # forward-directed cell keys, when cyclic
+    cycle: tuple = ()  # forward-directed cell keys, when cyclic
 
 
 def acyclicity_certificate(facets, pairs) -> AcyclicityCertificate:

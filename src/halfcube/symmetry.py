@@ -41,7 +41,7 @@ by back-substitution through their +-1 pivots (``HomologyBasis``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import build_complex, sort_sign
 from .faces import (
@@ -59,19 +59,23 @@ from .linalg import unit_pivots
 from .triangle import predicted_betti
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(NamedTuple("SignedPermutation", [("perm", tuple), ("signs", tuple)])):
     """perm[i] is the image position of i (0-based); signs index targets."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
+    def __new__(cls, perm: tuple, signs: tuple):
+        n = len(perm)
+        if sorted(perm) != list(range(n)) or len(signs) != n:
             raise ValueError("not a signed permutation")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
+        return super().__new__(cls, perm, signs)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s check
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -171,15 +175,13 @@ def random_wdn(n: int, rng: random.Random) -> SignedPermutation:
 # Orbits
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: tuple  # the smallest key of the orbit
     size: int
     kind: str  # "simplex" / "halfcube" / "vertex" / "top" / "mixed"
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     n: int
     extended: bool
     orbits: tuple  # per dimension, tuple of Orbit

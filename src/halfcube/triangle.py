@@ -14,12 +14,11 @@ the k-cut complex.  Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(NamedTuple):
     """Rows 0..n_max of T(n, k)."""
 
     rows: tuple

@@ -155,6 +155,8 @@ def test_one_smith_normal_form_and_rank_read_off_factors():
         assert linalg.SmithForm(factors).rank == len(factors)
     with pytest.raises(ValueError, match="divisibility chain"):
         linalg.SmithForm((2, 3))
+    with pytest.raises(ValueError, match="divisibility chain"):
+        linalg.SmithForm((1, 2))._replace(factors=(2, 3))
 
 
 def test_torsion_reported_from_factors():

@@ -119,6 +119,31 @@ def test_odd_signed_rejected():
         act_on_face(g, f)
 
 
+def test_signed_permutation_is_validated():
+    # a permutation of 0..n-1 with one sign +-1 per target, or ValueError
+    for perm, signs in (
+        ((0, 0, 2), (1, 1, 1)),
+        ((0, 1, 3), (1, 1, 1)),
+        ((0, 1, 2), (1, 1)),
+        ((1, 0), (1, 1, 1)),
+    ):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            SignedPermutation(perm, signs)
+    for signs in ((1, 0, 1), (1, 1, 2), (-1, 1, 1.5)):
+        with pytest.raises(ValueError, match="signs must be"):
+            SignedPermutation((2, 0, 1), signs)
+    with pytest.raises(ValueError, match="signs must be"):
+        SignedPermutation(perm=(0, 1), signs=(1, -2))
+    g = SignedPermutation(perm=(2, 0, 1), signs=(-1, 1, -1))
+    assert g == ((2, 0, 1), (-1, 1, -1)) and g.n == 3 and g.is_even_signed
+    # _replace and _make check as the constructor does
+    with pytest.raises(ValueError, match="signs must be"):
+        g._replace(signs=(1, 1, 0))
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        SignedPermutation._make([(0, 0, 1), (1, 1, 1)])
+    assert g._replace(perm=(0, 1, 2)) == SignedPermutation((0, 1, 2), (-1, 1, -1))
+
+
 def test_special_reflection_fixed_points_and_image():
     sp = SpecialReflection4()
     assert sp.vertex_image(Vertex.from_signs((1, 1, 1, 1))).signs() == (-1, -1, -1, -1)
