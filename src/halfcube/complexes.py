@@ -106,6 +106,11 @@ class CellComplex:
         return [len(cs) for cs in self.cells]
 
     def has_cell(self, key: tuple) -> bool:
+        # a simplex key, as every key of the canonical Morse matching is, lives in
+        # dimension len - 1; other keys fall through to every dimension
+        d = len(key) - 1
+        if d < len(self.index) and key in self.index[d]:
+            return True
         return any(key in index for index in self.index)
 
     def matrices(self) -> list:
@@ -367,15 +372,24 @@ def _parse_signs(d: int, text: str, rows: list) -> list:
 
 
 def assert_boundary_squared_zero(mats) -> None:
-    """Every column of each matrix after the first, times the matrix before it, is zero."""
+    """Every column of each matrix after the first, times the matrix before it, is zero.
+
+    Each product column is summed into one list of the lower matrix's
+    nrows zeros, kept across columns; only the rows it touched are read
+    back, and when they are all zero the whole list is again.  Every row
+    must lie in 0..nrows - 1, as in an assembled matrix.
+    """
     for lower, upper in zip(mats, mats[1:]):
         lower_rows, lower_signs = lower.rows, lower.signs
+        acc = [0] * lower.nrows
         for j, (mids, vs) in enumerate(zip(upper.rows, upper.signs)):
-            acc = {}
+            touched = []
             for mid, v in zip(mids, vs):
-                for r, w in zip(lower_rows[mid], lower_signs[mid]):
-                    acc[r] = acc.get(r, 0) + v * w
-            if any(acc.values()):
+                rs = lower_rows[mid]
+                for r, w in zip(rs, lower_signs[mid]):
+                    acc[r] += v * w
+                touched += rs
+            if any(map(acc.__getitem__, touched)):
                 raise AssertionError(
                     f"boundary squared nonzero in degree {upper.degree} column {j}"
                 )

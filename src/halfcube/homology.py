@@ -30,6 +30,7 @@ they carry clear that complex's degree below.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import prod
 from typing import NamedTuple
 
@@ -63,9 +64,10 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
     """Homology of an explicit chain complex.
 
     Raises ValueError when two matrices share a degree, or, naming the
-    degree, when a matrix's degree or shape does not fit ``cell_counts`` or
-    two consecutive boundaries do not compose to zero: the matrices then
-    form no chain complex.
+    degree, when a matrix's degree, shape or row positions do not fit
+    ``cell_counts`` or two consecutive boundaries do not compose to zero:
+    the matrices then form no chain complex.  Every row is checked to lie
+    in the matrix's shape before any product is taken.
     """
     by_degree = {m.degree: m for m in mats}
     if len(by_degree) != len(mats):
@@ -78,11 +80,16 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
                 f"degree {d} boundary is {m.nrows} x {m.ncols}, "
                 f"the cell counts need {cell_counts[d - 1]} x {cell_counts[d]}"
             )
+        positions = list(chain.from_iterable(m.rows))
+        if positions and not 0 <= min(positions) <= max(positions) < m.nrows:
+            raise ValueError(f"degree {d} boundary has a row outside 0..{m.nrows - 1}")
+        above = by_degree.get(d + 1)
+        if above is not None and above.nrows != m.ncols:
+            raise ValueError(f"boundary shapes do not compose in degree {d + 1}")
+    for d, m in by_degree.items():
         above = by_degree.get(d + 1)
         if above is None:
             continue
-        if above.nrows != m.ncols:
-            raise ValueError(f"boundary shapes do not compose in degree {d + 1}")
         try:
             assert_boundary_squared_zero([m, above])
         except AssertionError as exc:

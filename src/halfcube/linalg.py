@@ -7,21 +7,24 @@ with gcd(v, m) = 1: +-1 over the integers, a residue coprime to m
 otherwise, so every nonzero residue when m is prime.  It takes the
 sparsest live column that holds a unit, pivots on that unit in the
 shortest row, clears the column and yields the pivot with the rest of its
-row.  Over the integers each pivot splits off an invariant factor 1, and
-``_residual_factors`` finishes the Smith normal form on what is left: it
-splits off each least entry whose row and column its floor quotients
-clear, then puts the diagonal in divisibility order by gcd/lcm
-exchanges.  Its rank is the rank over Q, which has no other entry point.
-``unit_pivots`` returns the integer pivot records themselves, and refuses
-a matrix the unit phase does not finish; the homology bases
-back-substitute through them.  ``eliminate`` and ``unit_pivots`` take a
-matrix as its columns, (rows, values) each, which is how a
-``BoundaryMatrix`` holds it; ``smith_normal_form`` takes
-(row, col, value) triplets and groups them with ``triplet_columns``.  One
-loader, ``_sparse``, reads the columns for all of them.  The rank over a
-single prime p is ``eliminate`` modulo p: the modulus has one prime
-factor, so that elimination is its own, and a rank over F_p that agrees
-with the rank of the Smith form is evidence, not a restatement of it.
+row.  A pivot alone in its row clears the column by deleting the other
+entries; any other runs its row operations in one loop over the integers
+or in another modulo m, so no entry asks which.  Over the integers each
+pivot splits off an invariant factor 1, and ``_residual_factors``
+finishes the Smith normal form on what is left: it splits off each least
+entry whose row and column its floor quotients clear, then puts the
+diagonal in divisibility order by gcd/lcm exchanges.  Its rank is the
+rank over Q, which has no other entry point.  ``unit_pivots`` returns the
+integer pivot records themselves, and refuses a matrix the unit phase
+does not finish; the homology bases back-substitute through them.
+``eliminate`` and ``unit_pivots`` take a matrix as its columns, (rows,
+values) each, which is how a ``BoundaryMatrix`` holds it;
+``smith_normal_form`` takes (row, col, value) triplets and groups them
+with ``triplet_columns``.  One loader, ``_sparse``, reads the columns for
+all of them.  The rank over a single prime p is ``eliminate`` modulo p:
+the modulus has one prime factor, so that elimination is its own, and a
+rank over F_p that agrees with the rank of the Smith form is evidence,
+not a restatement of it.
 
 Modulo a squarefree m = p_1 ... p_s the Chinese remainder theorem makes
 Z/m the product of the fields F_{p_i}, and a unit of Z/m is a unit in
@@ -202,20 +205,30 @@ def _columns(rows):
 def _unit_phase(rows, cols, m):
     """Eliminate unit pivots modulo m in place, yielding each as (row, column, value, rest).
 
-    A unit is an entry v with gcd(v, m) = 1; entries stay reduced mod m
-    when m > 0.  While some live column holds a unit, take the sparsest
-    such column (heap of live column counts, ties by column index), pivot
-    on its unit in the shortest row (ties by row index) and clear the
-    column by the row operations row += -w * pv^-1 * prow.  The column
-    operations that would clear the pivot row then touch no other row, so
-    the pivot splits off as a 1x1 block: its row and column are deleted,
-    and the pivot is yielded with ``rest``, the rest of its row {column:
-    value} at that step.  A pivot's rest holds no column pivoted before it,
-    so the yielded rows are triangular in pivot order; ``rest`` is the
-    caller's once yielded, and the phase keeps no list of them.
-    A column goes back on the heap when its count changes, or, if it was
-    passed over for want of a unit, when a row operation writes into it,
-    since that may make a unit without changing the count.
+    A unit is an entry v with gcd(v, m) = 1, which for m = 0 is v = +-1;
+    entries stay reduced mod m when m > 0.  While some live column holds
+    a unit, take the sparsest such column (heap of live column counts, ties
+    by column index), pivot on its unit in the shortest row (ties by row
+    index) and clear the column by the row operations row += -w * pv^-1 *
+    prow.  The column operations that would clear the pivot row then touch
+    no other row, so the pivot splits off as a 1x1 block: its row and
+    column are deleted, and the pivot is yielded with ``rest``, the rest of
+    its row {column: value} at that step.  A pivot's rest holds no column
+    pivoted before it, so the yielded rows are triangular in pivot order;
+    ``rest`` is the caller's once yielded, and the phase keeps no list of
+    them.  A column goes back on the heap when its count changes, or, if it
+    was passed over for want of a unit, when a row operation writes into
+    it, since that may make a unit without changing the count.
+
+    The loops spend as little as they can per entry.  A heap entry packs
+    (count, column) into one int, count << shift | column, which orders as
+    the pair does.  The search for the pivot row keeps the best (length,
+    row) so far in two locals and tests a unit only in a row that would
+    beat them.  When the pivot row holds the pivot alone, clearing the
+    column only deletes its entries from the other rows, and no other
+    column changes.  Otherwise the row operations run in one of two loops,
+    over the integers or modulo m; only the second reduces, and only it
+    can make a zero out of a fill-in (w * x mod a composite m).
 
     With m = 0 a unit is +-1, each pivot is an invariant factor 1, and what
     is left in rows is the residual that ``eliminate`` hands to
@@ -226,46 +239,84 @@ def _unit_phase(rows, cols, m):
     mod m, and ``eliminate`` finishes it one prime factor at a time.
     """
     counts = {c: len(s) for c, s in cols.items()}
-    heap = [(cnt, c) for c, cnt in counts.items() if cnt]
+    shift = max(counts, default=0).bit_length()
+    low = (1 << shift) - 1
+    heap = [cnt << shift | c for c, cnt in counts.items() if cnt]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     stalled = set()  # columns popped without a unit and not pushed since
     while heap:
-        cnt, c = heapq.heappop(heap)
-        if counts.get(c) != cnt:
+        key = heappop(heap)
+        c = key & low
+        if counts.get(c) != key >> shift:
             continue
-        best = None
+        pr = -1  # the unit's row of least (length, index) so far
+        best = 1 << 62  # longer than any row
         for r in cols[c]:
-            if gcd(rows[r][c], m) == 1:
-                score = (len(rows[r]), r)
-                if best is None or score < best:
-                    best = score
-        if best is None:
+            row = rows[r]
+            size = len(row)
+            # the unit test only for a row that would win
+            if size < best or (size == best and r < pr):
+                v = row[c]
+                if (gcd(v, m) == 1) if m else (v == 1 or v == -1):
+                    best, pr = size, r
+        if pr < 0:
             stalled.add(c)
             continue
-        pr = best[1]
         prow = rows.pop(pr)
         pv = prow.pop(c)
-        inv = pow(pv, -1, m) if m else pv
-        for r in cols.pop(c):
-            if r == pr:
-                continue
-            row = rows[r]
-            w = -row.pop(c) * inv
-            if m:
-                w %= m
-            for cc, x in prow.items():
-                cur = row.get(cc, 0) + w * x
-                if m:
-                    cur %= m
-                if cur:
-                    row[cc] = cur
-                    cols[cc].add(r)
-                elif cc in row:  # mod a composite m, w * x itself may be 0
-                    del row[cc]
-                    cols[cc].discard(r)
-            if not row:
-                del rows[r]
+        col = cols.pop(c)
+        col.discard(pr)
         del counts[c]
+        if not prow:
+            # the column's other entries go, and nothing else changes
+            for r in col:
+                row = rows[r]
+                del row[c]
+                if not row:
+                    del rows[r]
+            yield pr, c, pv, prow
+            continue
+        items = prow.items()
+        if m:
+            inv = pow(pv, -1, m)
+            for r in col:
+                row = rows[r]
+                w = -row.pop(c) * inv % m
+                for cc, x in items:
+                    cur = row.get(cc)
+                    if cur is None:
+                        cur = w * x % m  # 0 when w and x are zero divisors of m
+                        if cur:
+                            row[cc] = cur
+                            cols[cc].add(r)
+                    else:
+                        cur = (cur + w * x) % m
+                        if cur:
+                            row[cc] = cur
+                        else:
+                            del row[cc]
+                            cols[cc].discard(r)
+                if not row:
+                    del rows[r]
+        else:
+            for r in col:
+                row = rows[r]
+                w = -row.pop(c) * pv  # pv = +-1 is its own inverse
+                for cc, x in items:
+                    cur = row.get(cc)
+                    if cur is None:
+                        row[cc] = w * x
+                        cols[cc].add(r)
+                    else:
+                        cur += w * x
+                        if cur:
+                            row[cc] = cur
+                        else:
+                            del row[cc]
+                            cols[cc].discard(r)
+                if not row:
+                    del rows[r]
         for cc in prow:
             col = cols[cc]
             col.discard(pr)
@@ -274,7 +325,7 @@ def _unit_phase(rows, cols, m):
                 stalled.discard(cc)
                 counts[cc] = len(col)
                 if col:
-                    heapq.heappush(heap, (len(col), cc))
+                    heappush(heap, len(col) << shift | cc)
         yield pr, c, pv, prow
 
 

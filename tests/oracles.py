@@ -29,14 +29,18 @@ of it reuses the key arithmetic under test, except these routes:
 * hasse_acyclicity sorts the whole reoriented Hasse digraph of a matching,
   every cell included;
 * rank_mod_p is halfcube.linalg.eliminate modulo one prime, an elimination
-  of its own beside the Smith form and the dense ranks here.
+  of its own beside the Smith form and the dense ranks here;
+* reference_unit_phase is halfcube.linalg._unit_phase in its plain form,
+  one row-operation loop for every modulus and a score tuple per
+  candidate: the pivot records and residual rows of the library's kernel
+  must equal its own, in the same order.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from halfcube import linalg
@@ -260,6 +264,67 @@ def rank_mod_p(nrows: int, ncols: int, triplets, p: int) -> int:
     if linalg._prime_factors(p) != [p]:
         raise ValueError(f"modulus must be a prime, got {p!r}")
     return linalg.eliminate(nrows, ncols, linalg.triplet_columns(ncols, triplets), p)[0][p]
+
+
+def reference_unit_phase(rows, cols, m):
+    """Unit pivots mod m of sparse rows {r: {c: v}} with columns {c: {r}}, both reduced in place.
+
+    Yields (row, column, value, rest) as ``halfcube.linalg._unit_phase``
+    does, with the same choices: the sparsest live column holding a unit
+    (gcd(v, m) = 1), ties by index, its unit in the shortest row, ties by
+    index.  Every pivot, alone in its row or not, runs the one update loop.
+    """
+    counts = {c: len(s) for c, s in cols.items()}
+    heap = [(cnt, c) for c, cnt in counts.items() if cnt]
+    heapify(heap)
+    stalled = set()  # columns popped without a unit and not pushed since
+    while heap:
+        cnt, c = heappop(heap)
+        if counts.get(c) != cnt:
+            continue
+        best = None
+        for r in cols[c]:
+            if gcd(rows[r][c], m) == 1:
+                score = (len(rows[r]), r)
+                if best is None or score < best:
+                    best = score
+        if best is None:
+            stalled.add(c)
+            continue
+        pr = best[1]
+        prow = rows.pop(pr)
+        pv = prow.pop(c)
+        inv = pow(pv, -1, m) if m else pv
+        for r in cols.pop(c):
+            if r == pr:
+                continue
+            row = rows[r]
+            w = -row.pop(c) * inv
+            if m:
+                w %= m
+            for cc, x in prow.items():
+                cur = row.get(cc, 0) + w * x
+                if m:
+                    cur %= m
+                if cur:
+                    row[cc] = cur
+                    cols[cc].add(r)
+                elif cc in row:  # mod a composite m, w * x itself may be 0
+                    del row[cc]
+                    cols[cc].discard(r)
+            if not row:
+                del rows[r]
+        del counts[c]
+        for cc in prow:
+            col = cols[cc]
+            col.discard(pr)
+            # the row operations wrote into cc: a stalled cc may hold a unit now
+            if len(col) != counts[cc] or cc in stalled:
+                stalled.discard(cc)
+                counts[cc] = len(col)
+                if col:
+                    heappush(heap, (len(col), cc))
+        yield pr, c, pv, prow
 
 
 def even_vertices(n: int):

@@ -333,11 +333,17 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
         (BoundaryMatrix(2, 1, 2, ()), "degree 2 boundary is 1 x 2"),
         (BoundaryMatrix(3, 1, 1, ()), "degree 3 is outside 1..2"),
         (BoundaryMatrix(1, 2, 1, ()), "two matrices of the same degree"),
+        # a row outside 0..nrows - 1 is refused before the product is taken,
+        # whether the product would cancel or not
+        (BoundaryMatrix(2, 1, 1, ((-1, 0, 1),)), r"degree 2 boundary has a row outside 0\.\.0"),
+        (BoundaryMatrix(2, 1, 1, ((1, 0, 1),)), r"degree 2 boundary has a row outside 0\.\.0"),
+        (BoundaryMatrix(2, 1, 1, ((0, 0, 1), (-1, 0, -1))), "degree 2 boundary has a row outside"),
     ],
 )
 def test_homology_from_matrices_rejects_a_non_complex(upper, message):
     # d1 d2 = [1, 1]^T != 0, shapes that cannot be multiplied, a matrix
-    # that does not fit the cell counts, or two for one degree
+    # that does not fit the cell counts, two for one degree, or a row
+    # outside the shape
     lower = BoundaryMatrix(1, 2, 1, ((0, 0, 1), (1, 0, 1)))
     with pytest.raises(ValueError, match=message):
         homology_from_matrices([2, 1, 1], [lower, upper])

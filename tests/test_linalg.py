@@ -14,6 +14,7 @@ from oracles import (
     det_sign,
     invariant_factors,
     rank_mod_p,
+    reference_unit_phase,
     triplets_to_dense,
 )
 
@@ -81,6 +82,49 @@ def test_unit_phase_leaves_no_unit_in_the_residual():
         assert linalg.smith_normal_form(nr, nc, trip).rank == dense_rank(dense)
         ranks, _ = linalg.eliminate(nr, nc, linalg.triplet_columns(nc, trip), 30)
         assert ranks == {p: dense_rank_mod(dense, p) for p in (2, 3, 5)}, dense
+
+
+def _unit_phase_run(phase, nr, nc, columns, m):
+    # the records, every rest and residual row in its dict order, and the column sets
+    rows, cols = linalg._sparse(nr, nc, columns, m)
+    records = [(r, c, v, list(rest.items())) for r, c, v, rest in phase(rows, cols, m)]
+    return records, [(r, list(row.items())) for r, row in rows.items()], cols
+
+
+def test_unit_phase_matches_the_reference_records():
+    # the kernel's pivot choices, records and residual rows are those of the
+    # plain one-loop unit phase in oracles: on every boundary matrix of
+    # C(n, k), n = 4..6, and on random 9 x 9 matrices with entries in -4..4
+    from halfcube.complexes import build_complex
+
+    cases = []
+    for n in range(4, 7):
+        for k in range(3, n + 2):
+            for mat in build_complex(n, k).matrices():
+                cases.append((mat.nrows, mat.ncols, list(zip(mat.rows, mat.signs))))
+    boundary = len(cases)
+    rng = random.Random(39)
+    for _ in range(400):
+        cases.append((9, 9, linalg.triplet_columns(9, random_triplets(rng, 9, 9))))
+    seen = {"alone": 0, "residual over Z": 0, "residual mod 30": 0, "unit made": 0}
+    for i, (nr, nc, columns) in enumerate(cases):
+        for m in (0, 2, 3, 5, 30):
+            got = _unit_phase_run(linalg._unit_phase, nr, nc, columns, m)
+            want = _unit_phase_run(reference_unit_phase, nr, nc, columns, m)
+            assert got == want, (i, m)
+            records, residual, _ = want
+            seen["alone"] += sum(not rest for _, _, _, rest in records)
+            if i < boundary:
+                continue
+            left = any(row for _, row in residual)
+            seen["residual over Z"] += m == 0 and left
+            seen["residual mod 30"] += m == 30 and left
+            # a pivot column that held no unit before the phase began
+            start = linalg._sparse(nr, nc, columns, m)[0]
+            seen["unit made"] += any(
+                all(gcd(row.get(c, 0), m) != 1 for row in start.values()) for _, c, _, _ in records
+            )
+    assert all(count > 20 for count in seen.values()), seen
 
 
 def test_joint_pivot_rows_clear_for_every_prime():
