@@ -65,9 +65,10 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
 
     Raises ValueError when two matrices share a degree, or, naming the
     degree, when a matrix's degree, shape or row positions do not fit
-    ``cell_counts`` or two consecutive boundaries do not compose to zero:
-    the matrices then form no chain complex.  Every row is checked to lie
-    in the matrix's shape before any product is taken.
+    ``cell_counts``, it does not hold ``ncols`` columns of rows and signs
+    of one length, or two consecutive boundaries do not compose to zero:
+    the matrices then form no chain complex.  Every column is checked
+    against the shape before any product is taken.
     """
     by_degree = {m.degree: m for m in mats}
     if len(by_degree) != len(mats):
@@ -79,6 +80,10 @@ def homology_from_matrices(cell_counts, mats, reduced=False, certification=CERT_
             raise ValueError(
                 f"degree {d} boundary is {m.nrows} x {m.ncols}, "
                 f"the cell counts need {cell_counts[d - 1]} x {cell_counts[d]}"
+            )
+        if len(m.rows) != m.ncols or list(map(len, m.rows)) != list(map(len, m.signs)):
+            raise ValueError(
+                f"degree {d} boundary columns: need {m.ncols}, each with as many signs as rows"
             )
         positions = list(chain.from_iterable(m.rows))
         if positions and not 0 <= min(positions) <= max(positions) < m.nrows:

@@ -9,7 +9,8 @@ point up in dimension, matched edges reversed -- must be acyclic.
 A matching is a gradient field iff it has no closed V-path (Forman 1998),
 iff that digraph is acyclic (Chari 2000).  A matched lower cell is left
 only upward, so a directed cycle alternates up_1 -> lo_1 -> up_2 -> lo_2
--> ... within two adjacent dimensions: the check sorts the pairs alone.
+-> ... within two adjacent dimensions: the check searches the pairs alone,
+depth first, computing each upper cell's facets once and keeping none.
 A pair holds the two cells' keys.  ``check_acyclic`` is also the only
 validity check of a matching: every paired key must be a cell of the
 complex and lie in one pair only, and each lower key must be a facet key
@@ -71,10 +72,11 @@ class AcyclicityCertificate(NamedTuple):
 def acyclicity_certificate(facets, pairs) -> AcyclicityCertificate:
     """Search the matched pairs for a closed V-path.
 
-    facets: {upper key: [facet keys]}; pairs: (lower key, upper key) list.
-    The digraph on pairs, with an edge P -> Q when lo(P) is a facet of up(Q)
-    and P != Q, is acyclic iff the reoriented Hasse digraph is.  Returns
-    either acyclicity or a cycle of cell keys [lo_a, up_b, lo_b, ..., up_a].
+    facets: a function from an upper key to its facet keys; pairs: (lower
+    key, upper key) list.  The digraph on pairs, with an edge P -> Q when
+    lo(P) is a facet of up(Q) and P != Q, is acyclic iff the reoriented
+    Hasse digraph is.  One depth-first search returns either acyclicity or
+    the first cycle it closes, as cell keys [lo_a, up_b, lo_b, ..., up_a].
     Raises ValueError, as the reduction needs, when a cell lies in two pairs
     or a lower cell is not a facet of its upper one.
     """
@@ -84,52 +86,38 @@ def acyclicity_certificate(facets, pairs) -> AcyclicityCertificate:
             if key in pair_of:
                 raise ValueError(f"cell {key!r} lies in two pairs")
             pair_of[key] = tag
-    succ = [[] for _ in pairs]
-    indeg = [0] * len(pairs)
+    succ = {}  # pair index -> the pairs its lower cell is a facet of, if any
     for q, (lo, up) in enumerate(pairs):
         own = False
-        for fk in facets.get(up, ()):
+        for fk in facets(up):
             p = pair_of.get(fk)
             if p == q:
                 own = True
             elif p is not None:
-                succ[p].append(q)
-                indeg[q] += 1
+                succ.setdefault(p, []).append(q)
         if not own:
             raise ValueError(f"{lo!r} is not a facet of {up!r}")
 
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    remaining = len(pairs)
-    while ready:
-        i = ready.pop()
-        remaining -= 1
-        for nxt in succ[i]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if remaining == 0:
-        return AcyclicityCertificate(True)
-
-    # every leftover pair keeps a leftover predecessor; walk back until a repeat
-    leftover = {i for i, d in enumerate(indeg) if d > 0}
-    pred = {i: [] for i in leftover}
-    for i in leftover:
-        for nxt in succ[i]:
-            if nxt in leftover:
-                pred[nxt].append(i)
-    start = min(leftover)
-    trail = [start]
-    seen_at = {start: 0}
-    while True:
-        prv = min(pred[trail[-1]])
-        if prv in seen_at:
-            cycle = trail[seen_at[prv]:]
-            cycle.reverse()
-            steps = zip(cycle, cycle[1:] + cycle[:1])  # lo_a -> up_b, then up_b -> lo_b
-            keys = tuple(key for a, b in steps for key in (pairs[a][0], pairs[b][1]))
-            return AcyclicityCertificate(False, keys)
-        seen_at[prv] = len(trail)
-        trail.append(prv)
+    # the search starts at a root (None) whose successors are the pairs with an edge
+    on_path = {}  # pair index -> True while on the search path, False once left
+    path, todo = [None], [iter(succ)]
+    while todo:
+        for q in todo[-1]:
+            state = on_path.get(q)
+            if state:  # back to a pair on the path: the path from q closes
+                cycle = path[path.index(q):]
+                steps = zip(cycle, cycle[1:] + cycle[:1])  # lo_a -> up_b, then up_b -> lo_b
+                keys = tuple(key for a, b in steps for key in (pairs[a][0], pairs[b][1]))
+                return AcyclicityCertificate(False, keys)
+            if state is None and q in succ:
+                on_path[q] = True
+                path.append(q)
+                todo.append(iter(succ[q]))
+                break
+        else:
+            on_path[path.pop()] = False
+            todo.pop()
+    return AcyclicityCertificate(True)
 
 
 def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
@@ -143,8 +131,7 @@ def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
     for key in chain.from_iterable(m.pairs):
         if not cx.has_cell(key):
             raise ValueError(f"{key!r} is not a cell of the complex")
-    uppers = {up: cx.lattice.facets(up) for _, up in m.pairs}
-    return acyclicity_certificate(uppers, m.pairs)
+    return acyclicity_certificate(cx.lattice.facets, m.pairs)
 
 
 def unpaired_census(m: MorseMatching) -> list:

@@ -325,6 +325,10 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
         assert moduli == want, fresh
 
 
+def _one_by_one(rows, signs):
+    return BoundaryMatrix.from_columns(1, 1, 1, rows, signs)
+
+
 @pytest.mark.parametrize(
     "upper, message",
     [
@@ -338,15 +342,22 @@ def test_torsion_survives_the_clearing_rp2(monkeypatch):
         (BoundaryMatrix(2, 1, 1, ((-1, 0, 1),)), r"degree 2 boundary has a row outside 0\.\.0"),
         (BoundaryMatrix(2, 1, 1, ((1, 0, 1),)), r"degree 2 boundary has a row outside 0\.\.0"),
         (BoundaryMatrix(2, 1, 1, ((0, 0, 1), (-1, 0, -1))), "degree 2 boundary has a row outside"),
+        # a 1 x 1 matrix alone, against cell counts [1, 1], whose columns
+        # do not fit its shape: refused before any product or elimination
+        ([_one_by_one(((0,),), ((1, 1),))], "degree 1 boundary columns: need 1, each"),
+        ([_one_by_one(((0, 0),), ((1,),))], "degree 1 boundary columns: need 1, each"),
+        ([_one_by_one((), ())], "degree 1 boundary columns: need 1, each"),
+        ([_one_by_one(((0,),), ())], "degree 1 boundary columns: need 1, each"),
     ],
 )
 def test_homology_from_matrices_rejects_a_non_complex(upper, message):
     # d1 d2 = [1, 1]^T != 0, shapes that cannot be multiplied, a matrix
-    # that does not fit the cell counts, two for one degree, or a row
-    # outside the shape
+    # that does not fit the cell counts, two for one degree, a row
+    # outside the shape, or columns that do not fit the shape
     lower = BoundaryMatrix(1, 2, 1, ((0, 0, 1), (1, 0, 1)))
+    counts, mats = ([1, 1], upper) if isinstance(upper, list) else ([2, 1, 1], [lower, upper])
     with pytest.raises(ValueError, match=message):
-        homology_from_matrices([2, 1, 1], [lower, upper])
+        homology_from_matrices(counts, mats)
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -122,13 +123,13 @@ def test_other_distinguished_coordinate():
 
 def test_empty_matching_is_acyclic():
     facets = {"e": ["a", "b"]}
-    assert acyclicity_certificate(facets, []).acyclic
+    assert acyclicity_certificate(lambda key: facets.get(key, ()), []).acyclic
 
 
 def test_adversarial_cycle_witness():
     # two 2-cells glued along the same two edges, matched into a loop
     facets = {"F": ["e", "f"], "G": ["e", "f"]}
-    cert = acyclicity_certificate(facets, [("e", "F"), ("f", "G")])
+    cert = acyclicity_certificate(lambda key: facets.get(key, ()), [("e", "F"), ("f", "G")])
     assert not cert.acyclic
     assert len(cert.cycle) == 4
     assert set(cert.cycle) == {"e", "f", "F", "G"}
@@ -184,7 +185,22 @@ def test_invalid_matching_is_rejected(pairs, match):
         return
     facets = {"F": ["e", "f"], "G": ["e", "f"]}
     with pytest.raises(ValueError, match=match):
-        acyclicity_certificate(facets, pairs)
+        acyclicity_certificate(lambda key: facets.get(key, ()), pairs)
+
+
+def test_check_acyclic_keeps_no_facet_table():
+    # each upper cell's facets are computed while its pair is checked and
+    # dropped after; C(8, 3) has 12,672 pairs and not one edge between
+    # them, so the peak is the pair index (a facet table of every upper
+    # cell would take 9.4 MiB)
+    m = build_matching(build_complex(8, 3))
+    tracemalloc.start()
+    try:
+        assert check_acyclic(m).acyclic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def _hasse(cx):
@@ -231,7 +247,7 @@ def test_random_matchings_agree_with_the_whole_digraph():
                 if lo not in used and up not in used:
                     used |= {lo, up}
                     pairs.append((lo, up))
-            cert = acyclicity_certificate(facets, pairs)
+            cert = acyclicity_certificate(lambda key: facets.get(key, ()), pairs)
             assert cert.acyclic == hasse_acyclicity(cells, facets, pairs).acyclic, (n, k, seed)
             if not cert.acyclic:
                 _assert_directed_cycle(list(cert.cycle), facets, pairs)
