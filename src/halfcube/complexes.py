@@ -83,6 +83,7 @@ class CellComplex:
     """Cell keys of the full or cut complex per dimension; ``index[d]`` maps them to positions.
 
     Below the cut both are the lattice's own, ``keys[d]`` and ``positions(d)``.
+    ``cell_dim`` finds a key's dimension in at most two of them.
     """
 
     def __init__(self, n: int, k_cut: int, lattice: FaceLattice, cells: list):
@@ -105,13 +106,19 @@ class CellComplex:
     def cell_counts(self) -> list:
         return [len(cs) for cs in self.cells]
 
-    def has_cell(self, key: tuple) -> bool:
-        # a simplex key, as every key of the canonical Morse matching is, lives in
-        # dimension len - 1; other keys fall through to every dimension
+    def cell_dim(self, key: tuple) -> int:
+        """The dimension of the cell with this key; ValueError when it is not one."""
+        index = self.index
         d = len(key) - 1
-        if d < len(self.index) and key in self.index[d]:
-            return True
-        return any(key in index for index in self.index)
+        # a simplex or a half-cube tetrahedron has dim + 1 vertices; a larger
+        # half cube or the top cell spans as many coordinates as its dimension
+        if 0 <= d < len(index) and key in index[d]:
+            return d
+        if key:
+            d = _span(key).bit_count()
+            if d < len(index) and key in index[d]:
+                return d
+        raise ValueError(f"{key!r} is not a cell of the complex")
 
     def matrices(self) -> list:
         if self._matrices is None:
@@ -205,7 +212,7 @@ class BoundaryMatrix:
 
     Column j is ``rows[j]``, its row positions, and ``signs[j]``, their
     entries (+-1 in a boundary matrix), in one order; an assembled column
-    lists its rows ascending, and simplex columns share ``_ALTERNATING``.
+    lists its rows ascending, and computed simplex columns share ``_ALTERNATING``.
     ``BoundaryMatrix(degree, nrows, ncols, entries)`` groups (row, col,
     value) triplets into columns, keeping their order within a column;
     ``from_columns`` takes the columns themselves.  Equality and hashing
@@ -350,13 +357,9 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
     return mats
 
 
-# the text of each alternating sign tuple, so that given simplex columns share them too
-_ALTERNATING_TEXT = {"".join("+" if v > 0 else "-" for v in a): a for a in _ALTERNATING}
-
-
 def _parse_signs(d: int, text: str, rows: list) -> list:
     """The sign tuples of ``text`` cut to the columns' lengths; equal columns share one tuple."""
-    parsed = dict(_ALTERNATING_TEXT)
+    parsed = {}
     out = []
     at = 0
     for col in rows:

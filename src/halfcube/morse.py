@@ -14,7 +14,8 @@ depth first, computing each upper cell's facets once and keeping none.
 A pair holds the two cells' keys.  ``check_acyclic`` is also the only
 validity check of a matching: every paired key must be a cell of the
 complex and lie in one pair only, and each lower key must be a facet key
-of its upper one.
+of its upper one, which the census of unpaired cells, read off the cell
+counts and the pairs, relies on.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class MorseMatching(NamedTuple):
 
     def pair_count(self) -> int:
         return len(self.pairs)
-
-    def paired_keys(self) -> set:
-        return set(chain.from_iterable(self.pairs))
 
 
 def build_matching(cx: CellComplex, coordinate: int | None = None) -> MorseMatching:
@@ -129,12 +127,19 @@ def check_acyclic(m: MorseMatching) -> AcyclicityCertificate:
     """
     cx = m.complex
     for key in chain.from_iterable(m.pairs):
-        if not cx.has_cell(key):
-            raise ValueError(f"{key!r} is not a cell of the complex")
+        cx.cell_dim(key)
     return acyclicity_certificate(cx.lattice.facets, m.pairs)
 
 
 def unpaired_census(m: MorseMatching) -> list:
-    """Unpaired cells per dimension p >= 0 (the empty cell is not counted)."""
-    paired = m.paired_keys()
-    return [sum(1 for key in cs if key not in paired) for cs in m.complex.cells]
+    """Unpaired cells per dimension p >= 0 (the empty cell is not counted): the cell
+    counts less each pair's two cells, at d = ``cell_dim`` of its lower key and d + 1."""
+    cx = m.complex
+    cell_dim, index, top, census = cx.cell_dim, cx.index, cx.top_dim, cx.cell_counts()
+    for lo, up in m.pairs:
+        d = cell_dim(lo)
+        if d == top or up not in index[d + 1]:
+            raise ValueError(f"{up!r} is not a cell of the complex")
+        census[d] -= 1
+        census[d + 1] -= 1
+    return census

@@ -877,8 +877,8 @@ def orientation_tuple(face) -> tuple:
 
 def orientation_of(cx, face) -> tuple:
     """The ordered vertex tuple whose edge vectors orient a cell of ``cx``."""
-    if not cx.has_cell(face.key):
-        raise ValueError(f"{face!r} is not a cell of this complex")
+    if cx.cell_dim(face.key) != face.dim:  # cell_dim raises on a key that is not a cell
+        raise ValueError(f"{face!r} is not a cell of this complex in its dimension")
     return orientation_tuple(face)
 
 

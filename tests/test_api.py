@@ -43,13 +43,16 @@ def test_public_api_is_pinned():
 
 def test_second_routes_are_gone():
     # matrices compare with == and list their triplets in ``entries``; a
-    # matching's pairs are its keys; ``coords_of`` reads any batch of cycles
+    # matching's pairs are its keys; ``cell_dim`` finds a cell or raises;
+    # ``coords_of`` reads any batch of cycles
     from halfcube.symmetry import HomologyBasis
 
     for cls, name in (
         (halfcube.BoundaryMatrix, "to_text"),
         (halfcube.BoundaryMatrix, "from_text"),
         (halfcube.MorseMatching, "to_text"),
+        (halfcube.MorseMatching, "paired_keys"),
+        (halfcube.CellComplex, "has_cell"),
         (HomologyBasis, "coords"),
     ):
         assert not hasattr(cls, name), (cls.__name__, name)

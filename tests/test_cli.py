@@ -549,6 +549,24 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert made.is_dir()
 
 
+def test_unwritable_cache_file_is_a_warning(tmp_path, capsys):
+    # a directory where one cache file goes: verify reports as without a cache,
+    # names the file on stderr and writes the others
+    argv = ("verify", "--n-max", "4", "--format", "json")
+    _, plain = run_cli(capsys, *argv)
+    cache = str(tmp_path)
+    blocked = cli.cache_path(cache, 4, 3)
+    os.mkdir(blocked)
+    code = cli.main([*argv, "--cache-dir", cache])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == plain
+    assert captured.err == f"warning: cannot write cache file {blocked}: Is a directory\n"
+    assert sorted(os.listdir(cache)) == sorted(
+        os.path.basename(cli.cache_path(cache, 4, k)) for k in (3, 4)
+    )
+    assert os.path.isdir(blocked) and cli.load_complex(cache, 4, 4) is not None
+
+
 # SHA-256 of `verify --n-max N --format json` stdout, as pinned in perfbench/pins.json;
 # n = 7 is the first n_max whose jobs certify by rank agreement
 VERIFY_SHA256 = {

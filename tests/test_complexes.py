@@ -287,6 +287,26 @@ def test_cells_are_the_lattice_keys(n):
             assert cx.index[d] == {key: i for i, key in enumerate(cells)}, (k, d)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cell_dim_is_the_lattice_dimension(n):
+    # every face of the lattice is a cell of its own dimension unless the cut
+    # removed it, and only a half cube (or the top cell) at or above the cut is
+    lat = build_face_lattice(n)
+    not_faces = [(), (0, 1), (3, 0), (0, 15), (0, 3, 5, 6, 9), (*lat.keys[n][0], 1 << n)]
+    for k in range(3, n + 2):
+        cx = build_complex(n, k)
+        for d, keys in enumerate(lat.keys):
+            for key in keys:
+                if d < k or key_kind(n, key) == KIND_SIMPLEX:
+                    assert cx.cell_dim(key) == d, (k, key)
+                else:
+                    with pytest.raises(ValueError, match="not a cell of the complex"):
+                        cx.cell_dim(key)
+        for key in not_faces:
+            with pytest.raises(ValueError, match="not a cell of the complex"):
+                cx.cell_dim(key)
+
+
 def test_orientation_accessor():
     cx = build_complex(5, 4)
     f = face_of(cx.lattice, cx.cells[3][0])
@@ -402,6 +422,20 @@ TRIPLET_SHA256 = {
     (6, 5): "2bb0b54fd0e56e52106fdf9817fb3350eac526b131f84e818d73ec7076c61415",
     (6, 6): "2f2e20cfc1a659bce24294370e543855de9517ea71e97d25ff815078ef4590b1",
     (6, 7): "1aa97cf8523b23455119c398c9b5a016d5fbf9a9c8762450ab5fa176fcbc3f1d",
+    # (7, 3..7) equal perfbench/pins.json's triplets.n=7.k=*.sha256
+    (7, 3): "28437210993719c83c9ac7af5e5cd57a953cec959bbe7a5deb01c34f7b2e454e",
+    (7, 4): "6f4a6e1a93da9e8185f5ca5efe87b61ea42867f2112a302cd3a5abed96e2a145",
+    (7, 5): "744ca3a73f422bffa41402601addb852e2fb61f592b9f4dd926004c6bebf4713",
+    (7, 6): "c38bba619688d934db8bf383ec780816c48f309ae9e7e33c018e0c0c14837b56",
+    (7, 7): "47f253ba8466cdb861e10e8508688dd229a818f2c9a87b0c75bf3a8d6d54bf62",
+    (7, 8): "bd7c4fa54cf7f8c55d0f7e33803cffea587a542481119f8fa169962e99420a15",
+    (8, 3): "4b7242b43ae6ed66ff3b39fa82f6047a9fa435fac37b6022708644d2a5ee1740",
+    (8, 4): "99ac27b79fb60c00bd79ed7be324ad3632586c3bdcbca6c995a8f4ec773399da",
+    (8, 5): "8b574b417c7c2d942bd83e98f8c19f3477e6392d7206d85f4dd839c58ca98244",
+    (8, 6): "9bff6b5079aa34325a2785d350d8497da98af1af964cfe20b6dddb58ad44758e",
+    (8, 7): "4de23710d999cf7339bfd382950af26ea663a5a0d9b469b771c04fa2bb36a6e6",
+    (8, 8): "fb01c05ab50ac697e75f1e60b83775fe3ac230d8a74c4e01650d29bf879f8385",
+    (8, 9): "0adb9a2cd70c8c08034fbab6923e84c9aacac366e594a265507ef752ddecf459",
 }
 
 
@@ -413,7 +447,10 @@ def triplet_sha256(cx):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("n,k", sorted(TRIPLET_SHA256))
+@pytest.mark.parametrize(
+    "n,k",  # n = 8 under slow
+    [pytest.param(n, k, marks=[pytest.mark.slow] * (n == 8)) for n, k in sorted(TRIPLET_SHA256)],
+)
 def test_boundary_triplets_are_pinned(n, k):
     assert triplet_sha256(build_complex(n, k)) == TRIPLET_SHA256[(n, k)]
 

@@ -49,7 +49,8 @@ def test_paired_iff_rules():
     n, k = 5, 3
     cx = build_complex(n, k)
     m = build_matching(cx)
-    paired = m.paired_keys()
+    paired = {key for pair in m.pairs for key in pair}
+    assert len(paired) == 2 * m.pair_count()  # no key in two pairs
     for dim, cells in enumerate(cx.cells):
         for key in cells:
             f = face_of(cx.lattice, key)
@@ -102,6 +103,45 @@ def test_weak_morse_inequality():
 def test_census_values_n5_k3():
     m = build_matching(build_complex(5, 3))
     assert unpaired_census(m) == [16, 80, 96, 0, 0]
+
+
+def _census_by_set(m):
+    """The unpaired cells per dimension, each cell tested against the set of paired keys."""
+    paired = {key for pair in m.pairs for key in pair}
+    return [sum(key not in paired for key in cs) for cs in m.complex.cells]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_census_equals_a_set_based_count(n):
+    for k in range(3, n + 1):
+        cx = build_complex(n, k)
+        for j in range(1, n + 1):
+            m = build_matching(cx, coordinate=j)
+            assert unpaired_census(m) == _census_by_set(m), (n, k, j)
+
+
+def test_census_keeps_no_key_set():
+    # each pair is subtracted from the cell counts as it is read; a set of
+    # the 25,344 paired keys of C(8, 3) would take 2.5 MiB
+    m = build_matching(build_complex(8, 3))
+    tracemalloc.start()
+    try:
+        census = unpaired_census(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census == _census_by_set(m)
+    assert peak < 1 << 18, peak
+
+
+def test_census_rejects_a_key_outside_the_complex():
+    m = _invalid_c53_matching("removed by the cut")  # its upper cell is not a cell
+    cx = m.complex
+    top = cx.cells[cx.top_dim][0]
+    # a removed lower cell, a lower cell with no dimension above it, the empty key
+    for pairs in (m.pairs, [(m.pairs[0][1], top)], [(top, top)], [((), top)]):
+        with pytest.raises(ValueError, match="not a cell of the complex"):
+            unpaired_census(MorseMatching(cx, tuple(pairs), cx.n))
 
 
 def test_full_complex_rejected():
@@ -233,12 +273,15 @@ def test_canonical_matchings_agree_with_the_whole_digraph():
                 assert expect.acyclic, (n, k, j)
 
 
-def test_random_matchings_agree_with_the_whole_digraph():
-    # greedy matchings on a random share of the shuffled Hasse edges: the
-    # short draws are mostly acyclic and the long ones mostly cyclic
-    verdicts = set()
+def _random_matchings():
+    """Greedy matchings on a random share of the shuffled Hasse edges, seeds 0..99 a complex.
+
+    Yields ((n, k, seed), complex, cells, facets, pairs); the short draws are
+    mostly acyclic and the long ones mostly cyclic.
+    """
     for n, k in ((4, 3), (4, 4), (5, 3)):
-        cells, facets = _hasse(build_complex(n, k))
+        cx = build_complex(n, k)
+        cells, facets = _hasse(cx)
         edges = sorted((fk, key) for key, fks in facets.items() for fk in fks)
         for seed in range(100):
             rng = random.Random(seed)
@@ -247,11 +290,28 @@ def test_random_matchings_agree_with_the_whole_digraph():
                 if lo not in used and up not in used:
                     used |= {lo, up}
                     pairs.append((lo, up))
-            cert = acyclicity_certificate(lambda key: facets.get(key, ()), pairs)
-            assert cert.acyclic == hasse_acyclicity(cells, facets, pairs).acyclic, (n, k, seed)
-            if not cert.acyclic:
-                _assert_directed_cycle(list(cert.cycle), facets, pairs)
-            verdicts.add(cert.acyclic)
+            yield (n, k, seed), cx, cells, facets, pairs
+
+
+def test_random_matchings_agree_with_the_whole_digraph():
+    verdicts = set()
+    for case, _, cells, facets, pairs in _random_matchings():
+        cert = acyclicity_certificate(lambda key: facets.get(key, ()), pairs)
+        assert cert.acyclic == hasse_acyclicity(cells, facets, pairs).acyclic, case
+        if not cert.acyclic:
+            _assert_directed_cycle(list(cert.cycle), facets, pairs)
+        verdicts.add(cert.acyclic)
+    assert verdicts == {True, False}
+
+
+def test_census_of_random_matchings_equals_a_set_based_count():
+    # every draw is a discrete vector field, acyclic or not, so check_acyclic
+    # accepts it and its census is defined
+    verdicts = set()
+    for case, cx, _, _, pairs in _random_matchings():
+        m = MorseMatching(cx, tuple(pairs), cx.n)
+        verdicts.add(check_acyclic(m).acyclic)
+        assert unpaired_census(m) == _census_by_set(m), case
     assert verdicts == {True, False}
 
 
