@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -582,7 +583,15 @@ def validate_args(args) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     validate_args(args)
-    return args.func(args)
+    # the package's work makes no reference cycles, so the cyclic collector
+    # only costs a command time; the caller's setting comes back afterwards
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

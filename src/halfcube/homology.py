@@ -24,8 +24,9 @@ which clearing relies on.
 Each elimination, with its pivot rows, is memoized on the ``BoundaryMatrix``
 it eliminates, by modulus (0 for the Smith form, 30 for the F_p ranks), and
 lives as long as the matrix: ``complexes`` hands the last complex's matrices
-on to the next one of the sweep that shares their degree, and the pivot rows
-they carry clear that complex's degree below.
+on to the next one of the sweep that shares their degree, and carries the
+eliminations of a matrix whose rows it renumbers, pivot rows renumbered; the
+pivot rows they carry clear that complex's degree below.
 """
 
 from __future__ import annotations

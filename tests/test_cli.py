@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -591,10 +592,11 @@ def test_verify_twice_in_one_process_prints_the_same_report(capsys):
     assert hashlib.sha256(outs[0][1].encode()).hexdigest() == VERIFY_SHA256[5]
 
 
-@pytest.mark.parametrize("n_max, eliminations", [(5, 11), (6, 21)])
+@pytest.mark.parametrize("n_max, eliminations", [(5, 10), (6, 18)])
 def test_verify_eliminates_each_distinct_matrix_once(capsys, monkeypatch, n_max, eliminations):
     # a matrix handed on to the next complex brings its eliminations along,
-    # so only the new degrees of each complex are eliminated
+    # and so does one whose rows the next complex renumbers, so only the
+    # degrees each complex assembles are eliminated
     monkeypatch.setattr(complexes, "_held", {})
     calls = []
     eliminate = linalg.eliminate
@@ -784,16 +786,198 @@ def test_reoriented_cache_file_gives_the_no_cache_report(tmp_path, capsys, monke
             assert json.load(fh) == payload
 
 
+def _flip_signs(payload, matrix, at):
+    """Negate, in a cache payload, the signs of ``matrix``'s entries at the (row, col) ``at`` accepts."""
+    signs = list(payload["signs"][matrix.degree - 1])
+    for i, (r, c, _) in enumerate(matrix.entries):
+        if at(r, c):
+            signs[i] = "+" if signs[i] == "-" else "-"
+    payload["signs"][matrix.degree - 1] = "".join(signs)
+
+
+def _rewrite(path, edit):
+    with open(path) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    return payload
+
+
+def test_file_signs_at_odds_with_a_borrowed_column_are_assembled_from_the_file(
+    tmp_path, capsys, monkeypatch
+):
+    # C(5, 4)'s degree 3 takes its simplex columns from C(5, 3)'s only where
+    # the file's signs equal them; otherwise the degree is assembled from the
+    # file, as with nothing held.  One flipped sign there then fails the
+    # boundary-squared check: a miss, and the report of a run without the cache
+    monkeypatch.setattr(complexes, "_held", {})
+    cache = str(tmp_path)
+    argv = ("verify", "--n-max", "5", "--format", "json")
+    _, fresh_out = run_cli(capsys, *argv)
+    run_cli(capsys, *argv, "--cache-dir", cache)
+    cx = build_complex(5, 4)
+    mats = cx.matrices()
+    j = cx.index[3][faces.simplex_keys(3, cx.cells[3])[0]]  # the first simplex 3-cell
+    first = sum(map(len, mats[2].rows[:j]))
+    path = cli.cache_path(cache, 5, 4)
+    _rewrite(path, lambda p: _flip_signs(p, mats[2], lambda r, c: c == j and r == mats[2].rows[j][0]))
+    build_complex(5, 3).matrices()
+    with open(path) as fh:
+        signs = json.load(fh)["signs"]
+    assert signs[2][first] != mats[2].sign_text()[first]
+    with pytest.raises(AssertionError, match=f"nonzero in degree 3 column {j}$"):
+        complexes.boundary_matrices(build_complex(5, 4), signs)
+    loads = []
+    load_complex = cli.load_complex
+
+    def recording_load(cache_dir, n, k_cut):
+        cx = load_complex(cache_dir, n, k_cut)
+        loads.append((n, k_cut, cx is not None))
+        return cx
+
+    monkeypatch.setattr(cli, "load_complex", recording_load)
+    code, out = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 0 and out == fresh_out
+    assert [hit for n, k, hit in loads if n == 5] == [True, False, True]
+    # the miss rewrote the file from a fresh build
+    with open(path) as fh:
+        assert json.load(fh)["signs"][2] == mats[2].sign_text()
+
+
+def test_reoriented_simplex_in_a_cache_file_loads_as_a_hit(tmp_path, capsys, monkeypatch):
+    # reorienting a simplex 3-cell of C(5, 4) flips one column that degree 3
+    # would take from the held C(5, 3) and one row of the degree-4 matrix it
+    # would renumber: both degrees are assembled from the file, which squares
+    # to zero and loads as a hit, while the report stays that of no cache
+    monkeypatch.setattr(complexes, "_held", {})
+    cache = str(tmp_path)
+    argv = ("verify", "--n-max", "5", "--format", "json")
+    _, fresh_out = run_cli(capsys, *argv)
+    run_cli(capsys, *argv, "--cache-dir", cache)
+    cx = build_complex(5, 4)
+    mats = cx.matrices()
+    j = cx.index[3][faces.simplex_keys(3, cx.cells[3])[0]]
+
+    def reorient(payload):
+        _flip_signs(payload, mats[2], lambda r, c: c == j)
+        _flip_signs(payload, mats[3], lambda r, c: r == j)
+
+    path = cli.cache_path(cache, 5, 4)
+    payload = _rewrite(path, reorient)
+    cli.get_complex(5, 3, cache)
+    held = dict(complexes._held)
+    loaded = cli.load_complex(cache, 5, 4)
+    assert loaded is not None
+    got = loaded.matrices()
+    assert got[2].signs[j] == tuple(-v for v in mats[2].signs[j])
+    assert got[3].signs != held[(5, 4, "simplex", "simplex")].signs
+    assert all(m.given_signs for m in got[2:4])
+    code, out = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 0 and out == fresh_out
+    with open(path) as fh:  # a hit, so not rewritten
+        assert json.load(fh) == payload
+
+
+def test_readme_reoriented_file_borrows_beside_the_held_complex(tmp_path, capsys, monkeypatch):
+    # the README's example flips column 0 of C(5, 4)'s degree 3, a half cube,
+    # and row 0 of its degree 4, where no simplex column has an entry: with
+    # C(5, 3) loaded first, degree 3 still takes the held simplex columns,
+    # degree 4 renumbers the held rows, and the file is a hit
+    monkeypatch.setattr(complexes, "_held", {})
+    cache = str(tmp_path)
+    run_cli(capsys, "verify", "--n-max", "5", "--format", "json", "--cache-dir", cache)
+    mats = build_complex(5, 4).matrices()
+
+    def reorient(payload):
+        _flip_signs(payload, mats[2], lambda r, c: c == 0)
+        _flip_signs(payload, mats[3], lambda r, c: r == 0)
+
+    _rewrite(cli.cache_path(cache, 5, 4), reorient)
+    cli.get_complex(5, 3, cache)
+    held = dict(complexes._held)
+    loaded = cli.load_complex(cache, 5, 4)
+    assert loaded is not None
+    got = loaded.matrices()
+    assert got[2].signs[0] == tuple(-v for v in mats[2].signs[0])
+    assert set(map(id, got[2].rows)) >= set(map(id, held[(5, 3, "full", "simplex")].rows))
+    assert got[3].signs is held[(5, 4, "simplex", "simplex")].signs
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fail", [False, True])
+def test_main_pauses_cyclic_gc_and_restores_it(capsys, monkeypatch, enabled, fail):
+    # the collector is off while the command runs and back as it was after,
+    # whether the command's checks pass, fail or it raises
+    seen = []
+    run_faces = cli.run_faces
+
+    def observing(n):
+        seen.append(gc.isenabled())
+        results, checks = run_faces(n)
+        if fail:
+            cli.check(checks, "forced", 0, 1)
+        return results, checks
+
+    monkeypatch.setattr(cli, "run_faces", observing)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(capsys, "faces", "--n", "5")[0] == int(fail)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "run_faces", lambda n: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["faces", "--n", "5"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify", "--n-max", "{n}"),
+        ("betti", "--n", "{n}", "--k", "4", "--characters", "1"),
+        ("morse", "--n", "{n}", "--k", "4"),
+        ("orbits", "--n", "{n}"),
+        ("faces", "--n", "{n}"),
+    ],
+)
+def test_cyclic_garbage_does_not_grow_with_n(capsys, command):
+    # what a command leaves to the cyclic collector is the same at n = 5 and
+    # n = 6: the package's own work makes no reference cycles, so pausing
+    # the collector during a command keeps no garbage that grows with the job
+    def garbage(n):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_cli(capsys, *(arg.format(n=n) for arg in command), "--format", "json")
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    assert garbage(5) == garbage(6)
+
+
 def test_verify_checks_each_boundary_pair_once(capsys, monkeypatch):
-    # every consecutive pair of every complex is checked, by the complex that
-    # assembled it, so a pair that later complexes reuse is not checked again
+    # every consecutive pair of every complex is certified: checked whole;
+    # held, as it is, from the complex before, which certified it; a pair
+    # certified there with the rows of its lower matrix renumbered; or
+    # checked on its assembled columns above the lower matrix that the
+    # complex before certified the others against.  No pair is checked twice
     monkeypatch.setattr(complexes, "_held", {})
     check = complexes.assert_boundary_squared_zero
-    checked = []
+    checked = {}  # (id lower, id upper) -> the upper columns checked, None for all
 
-    def recording(mats):
-        checked.extend(zip(mats, mats[1:]))
-        check(mats)
+    def recording(mats, columns=None):
+        assert len(mats) == 2
+        pair = (id(mats[0]), id(mats[1]))
+        assert pair not in checked
+        checked[pair] = None if columns is None else list(columns)
+        check(mats, columns)
 
     monkeypatch.setattr(complexes, "assert_boundary_squared_zero", recording)
     got = []
@@ -806,9 +990,37 @@ def test_verify_checks_each_boundary_pair_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "get_complex", keeping)
     code, _ = run_cli(capsys, "verify", "--n-max", "6", "--format", "json")
     assert code == 0 and len(got) == 2 + 3 + 4
-    seen = {(id(a), id(b)) for a, b in checked}
-    for cx in got:
+    certified = set()
+    ways = []
+    for prev, cx in zip([None] + got, got):
         mats = cx.matrices()
-        assert all((id(a), id(b)) in seen for a, b in zip(mats, mats[1:])), (cx.n, cx.k_cut)
-    # one check per pair, fewer than one per pair of every complex
-    assert len(checked) == len(seen) < sum(cx.top_dim - 1 for cx in got)
+        before = prev.matrices() if prev is not None and prev.n == cx.n else None
+        for d in range(2, cx.top_dim + 1):
+            a, b = mats[d - 2], mats[d - 1]
+            columns = checked.get((id(a), id(b)), "unchecked")
+            a0, b0 = before[d - 2 : d] if before else (None, None)
+            if columns is None:
+                way = "whole"
+            elif a is a0 and b is b0:
+                way = "held"
+            elif b is b0 and a.signs is a0.signs and a is not a0:
+                # the same incidences, by key, at renumbered rows
+                assert [[cx.cells[d - 2][r] for r in rs] for rs in a.rows] == [
+                    [prev.cells[d - 2][r] for r in rs] for rs in a0.rows
+                ], (cx.n, cx.k_cut, d)
+                way = "renumbered"
+            elif a is a0 and type(columns) is list and len(columns) < b.ncols:
+                # every column not checked is the one b0 held at the same cell
+                for j in sorted(set(range(b.ncols)) - set(columns)):
+                    i = prev.index[d][cx.cells[d][j]]
+                    assert b.rows[j] is b0.rows[i] and b.signs[j] is b0.signs[i], (cx.n, d, j)
+                way = "assembled columns"
+            else:
+                raise AssertionError(f"uncertified pair {(cx.n, cx.k_cut, d)}")
+            if way != "whole":
+                assert (id(a0), id(b0)) in certified, (cx.n, cx.k_cut, d, way)
+            certified.add((id(a), id(b)))
+            ways.append(way)
+    assert set(ways) == {"whole", "held", "renumbered", "assembled columns"}
+    # fewer checks than pairs of every complex
+    assert len(checked) < len(ways) == sum(cx.top_dim - 1 for cx in got)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from halfcube import complexes, faces
+from halfcube import complexes, faces, linalg
 from halfcube.cli import run_faces
 from halfcube.complexes import (
     BoundaryMatrix,
@@ -17,6 +17,7 @@ from halfcube.complexes import (
     incidence_sign,
 )
 from halfcube.faces import KIND_SIMPLEX, build_face_lattice
+from halfcube.homology import CERT_RANK_AGREE, CERT_SNF, homology_of
 from halfcube.linalg import smith_normal_form
 from oracles import (
     Mask,
@@ -259,6 +260,78 @@ def test_flipped_assembly_leaves_the_held_matrices_alone(monkeypatch):
     assert not any(m is h for m in flipped for h in held.values())
     assert complexes._held.keys() == held.keys()
     assert all(complexes._held[key] is m for key, m in held.items())
+
+
+@pytest.mark.parametrize(
+    "n", [pytest.param(n, marks=[pytest.mark.slow] * (n == 8)) for n in range(4, 9)]
+)
+def test_borrowed_matrices_equal_the_assembled_ones(n, monkeypatch):
+    # the verify sweep of one n: each complex takes what the one before it
+    # holds, and its homology memoizes eliminations.  Every matrix equals
+    # the one assembled with nothing held, and every elimination carried to
+    # a degree whose rows were renumbered equals linalg.eliminate of that
+    # degree, cleared by the pivot rows of the degree above: result and pivots
+    monkeypatch.setattr(complexes, "_held", {})
+    certification = CERT_SNF if n <= 6 else CERT_RANK_AGREE
+    carried = 0
+    for k in range(3, n + 1):
+        before = {id(m) for m in complexes._held.values()}
+        cx = build_complex(n, k)
+        mats = cx.matrices()
+        held = dict(complexes._held)
+        complexes._held.clear()
+        fresh = boundary_matrices(build_complex(n, k))
+        complexes._held.clear()
+        complexes._held.update(held)
+        for m, f in zip(mats, fresh, strict=True):
+            assert (m.degree, m.nrows, m.ncols) == (f.degree, f.nrows, f.ncols), (n, k)
+            assert m.rows == f.rows and m.signs == f.signs, (n, k, m.degree)
+            assert m.entries == f.entries, (n, k, m.degree)
+        for d, m in enumerate(mats, start=1):
+            if id(m) in before or not m._eliminations:
+                continue  # held, or without eliminations of its own yet
+            above = mats[d] if d < len(mats) else None
+            for modulus, got in m._eliminations.items():
+                cleared = None if above is None else above.eliminate(modulus)[1]
+                columns = zip(m.rows, m.signs)
+                want = linalg.eliminate(m.nrows, m.ncols, columns, modulus, cleared)
+                assert got == want, (n, k, d, modulus)
+                carried += 1
+        homology_of(cx, reduced=True, certification=certification)
+    # C(n, k), 4 <= k < n, renumbers the rows of degree k; each modulus carries
+    assert carried == max(n - 4, 0) * (1 if certification == CERT_SNF else 2)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_flipped_sign_in_an_assembled_column_is_caught(n, monkeypatch):
+    # C(n, k)'s degree k - 1 takes its simplex columns from C(n, k - 1)'s
+    # and assembles its half-cube columns alone, which are checked against
+    # the held degree below: a wrong sign there still raises, and leaves
+    # the held matrices alone
+    monkeypatch.setattr(complexes, "_held", {})
+    signs = complexes.column_signs
+    for k in range(4, n + 1):
+        build_complex(n, k - 1).matrices()
+        held = dict(complexes._held)
+        cx = build_complex(n, k)
+        d = k - 1
+        j, cell = next(
+            (j, c) for j, c in enumerate(cx.cells[d]) if key_kind(n, c) != KIND_SIMPLEX
+        )
+
+        def flipping(c, facet_keys):
+            got = signs(c, facet_keys)
+            return (-got[0],) + got[1:] if c is cell else got
+
+        monkeypatch.setattr(complexes, "column_signs", flipping)
+        with pytest.raises(AssertionError, match=f"nonzero in degree {d} column {j}$"):
+            boundary_matrices(cx)
+        monkeypatch.setattr(complexes, "column_signs", signs)
+        assert complexes._held == held
+        assert all(complexes._held[key] is m for key, m in held.items())
+        # unflipped, the degree shares the held simplex columns
+        source = held[(n, d, "full", "simplex")]
+        assert set(map(id, cx.matrices()[d - 1].rows)) >= set(map(id, source.rows)), (n, k)
 
 
 def test_cell_order_is_key_order():

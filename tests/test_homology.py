@@ -6,6 +6,7 @@ import pytest
 import halfcube
 from halfcube import complexes, homology, linalg
 from halfcube.complexes import BoundaryMatrix, build_complex
+from halfcube.faces import simplex_keys
 from halfcube.homology import CERT_RANK_AGREE, CERT_SNF, homology_from_matrices, homology_of
 from halfcube.triangle import predicted_betti, triangle_alternating
 from oracles import random_flip_set, rank_mod_p, reoriented_matrices
@@ -209,9 +210,10 @@ def test_cleared_eliminations_match_whole_matrices(n):
 
 
 def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
-    # C(6, 3) first: C(6, 4) then reuses its degree-5 boundary, which carries
-    # its eliminations, but not its degree-4 one, which still gets cleared
-    # by the pivot rows the reused matrix carries
+    # C(6, 3) first: C(6, 4) then reuses its degree-5 boundary and renumbers
+    # the rows of its degree-4 one, and both carry their eliminations, so
+    # C(6, 4) eliminates degree 3 alone, cleared by the pivot rows of C(6, 3)'s
+    # degree 4 at their lattice positions
     monkeypatch.setattr(complexes, "_held", {})
     degree, calls = [], []
     eliminate, unit_phase = BoundaryMatrix.eliminate, linalg._unit_phase
@@ -230,6 +232,13 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_unit_phase", recording)
     returned = {}  # (boundary key, modulus) -> the pivot rows its elimination returned
     for cx in (build_complex(6, 3), build_complex(6, 4)):
+        if cx.k_cut == 4:
+            # the 3-simplices' positions among the 3-faces
+            lattice = cx.lattice
+            moved = [lattice.positions(3)[f] for f in simplex_keys(3, lattice.keys[3])]
+            for m in (0, 30):
+                pivots = returned[((6, 4, "simplex", "simplex"), m)]
+                returned[((6, 4, "full", "simplex"), m)] = {moved[r] for r in pivots}
         calls.clear()
         homology_of(cx, certification=CERT_RANK_AGREE)
         # top-down, the Smith form and then one pass over Z/30 in every degree
@@ -245,8 +254,12 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
             assert deleted == returned.get((complexes.boundary_key(cx, d + 1), m), set())
             assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, m)
             returned[(complexes.boundary_key(cx, d), m)] = pivots
-    # C(6, 4) eliminated degrees 4 and 3 but took degree 5's from its matrix
-    assert {d for d, *_ in calls} == {4, 3}
+    # C(6, 4) eliminated degree 3 but took degree 5's and degree 4's from
+    # their matrices; degree 4 carries C(6, 3)'s pivot rows, renumbered
+    assert {d for d, *_ in calls} == {3}
+    for m in (0, 30):
+        carried = cx.matrices()[3].eliminate(m)[1]
+        assert {r for r, flag in enumerate(carried) if flag} == returned[(complexes.boundary_key(cx, 4), m)]
 
 
 @pytest.mark.parametrize("certification", [CERT_SNF, CERT_RANK_AGREE])
