@@ -10,11 +10,15 @@ plus the joint pass is what ``verify``'s rank-agreement certificate costs,
 against the Smith form alone for ``snf``; the three per-prime passes are
 what it cost before the joint pass.
 
-Then it times the same eliminations as ``verify`` runs them, cleared:
-each first deletes the columns at the pivot rows that the same modulus's
-elimination of the boundary one degree up returned (nothing is deleted
-when the matrix is the top boundary).  It exits nonzero unless the cleared
-ranks and Smith factors equal the whole-matrix ones.
+Then it times the same eliminations as ``verify``'s sweep runs them,
+cleared: each first deletes the columns at the pivot rows that the same
+modulus's elimination of a boundary one degree up returned.  That sweep
+takes each n from the sphere C(n, n) down, so a full degree (every face a
+column) is cleared by C(n, n)'s degree above, and a degree with simplex
+columns by its own complex's degree above; nothing is deleted from a top
+boundary.  It exits nonzero unless the cleared ranks and Smith factors
+equal the whole-matrix ones.  Each line also counts the columns that
+reduce to zero over Q: the columns it eliminates less the rank.
 
 Usage: python benchmarks/bench_rank.py [--n-max 7]
 """
@@ -23,7 +27,7 @@ import argparse
 import time
 
 from halfcube import linalg
-from halfcube.complexes import build_complex
+from halfcube.complexes import boundary_key, build_complex
 
 PRIMES = (2, 3, 5)
 JOINT = 30  # 2 * 3 * 5
@@ -63,12 +67,12 @@ def bench_matrix(label, m, above):
     if got != want:
         raise SystemExit(f"{label}: cleared eliminations {got} differ from whole {want}")
     print(
-        f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {sf.rank:5d}   "
+        f"{label:28s} {m.nrows:5d}x{m.ncols:<5d} rank {sf.rank:5d}  zero {m.ncols - sf.rank:5d}   "
         + timing_columns(times_p, t_joint, t_snf)
     )
-    dropped = sum(cleared[0]) if above is not None else 0
+    kept = m.ncols - (sum(cleared[0]) if above is not None else 0)
     print(
-        f"{'  cleared':28s} {m.nrows:5d}x{m.ncols - dropped:<5d} {'':10s}   "
+        f"{'  cleared':28s} {m.nrows:5d}x{kept:<5d} {'':10s}  zero {kept - sf.rank:5d}   "
         + timing_columns(times_c[1:4], times_c[4], times_c[0])
     )
 
@@ -88,14 +92,17 @@ def main():
 
     print(f"kernel: {linalg.kernel_name()}")
     for n in range(5, args.n_max + 1):
+        sphere = build_complex(n, n).matrices()
         for k in (3, 4):
-            if k > n:
-                continue
             cx = build_complex(n, k)
             mats = cx.matrices()
             biggest = max(mats, key=lambda m: m.nrows * m.ncols)
-            above = mats[biggest.degree] if biggest.degree < cx.top_dim else None
-            bench_matrix(f"C({n},{k}) boundary deg {biggest.degree}", biggest, above)
+            d = biggest.degree
+            # the sweep eliminates a full degree once, in the sphere, where
+            # the sphere's degree above clears it
+            source = sphere if boundary_key(cx, d)[3] == "full" else mats
+            above = source[d] if d < len(source) else None
+            bench_matrix(f"C({n},{k}) boundary deg {d}", biggest, above)
 
 
 if __name__ == "__main__":

@@ -437,12 +437,15 @@ def cmd_verify(args) -> int:
     results["triangle"] = res
     checks.extend(ch)
 
-    # one pass over (n, k); the report lists every betti job before every Morse job
-    betti_out, morse_out = zip(*(
-        verify_cut(n, k, args.cache_dir, args.max_cells)
+    # one pass over (n, k), each n from the sphere C(n, n) down, so that every
+    # cut restricts the complex before it; the report lists the jobs in
+    # ascending (n, k), every betti job before every Morse job
+    reports = {
+        (n, k): verify_cut(n, k, args.cache_dir, args.max_cells)
         for n in range(4, args.n_max + 1)
-        for k in range(3, n + 1)
-    ))
+        for k in range(n, 2, -1)
+    }
+    betti_out, morse_out = zip(*(reports[job] for job in sorted(reports)))
     for section, outs in (("betti", betti_out), ("morse", morse_out)):
         for result, ch in outs:
             results[section].append(result)

@@ -61,25 +61,20 @@ unless a cache file's sign string, cut at the column lengths, supplies it.
 ``BoundaryMatrix.entries`` rebuilds the triplets on demand.
 
 The complexes of one n are nested, C(n, 3) in C(n, 4) in ... in C(n, n),
-and every facet of a simplex is a simplex, so the last complex's matrices,
-held by ``boundary_key``, serve the next one in three ways per degree d: a
-held matrix of equal key as it is; a (full, simplex) degree as the held
-(simplex, simplex) matrix with its rows renumbered to lattice positions,
-an order-preserving map, so that its sign tuples and its eliminations
-(pivot rows renumbered) carry over; and a (full, full) degree takes the
-held (full, simplex) matrix's columns at its simplex d-cells and assembles
-only its half-cube columns.  The boundary-squared assertion takes each
-column once per matrix below it: every column above a newly made matrix,
-only the assembled ones above the held matrix that the taken ones were
-checked against, and none in a held pair, renumbered or not.  The tests
-check the sign rules and the lemma against the full Gram determinant of
-reoriented cells and the echelon orientation tuple (``tests/oracles.py``),
-and every borrowed matrix against one assembled with nothing held.
+and every facet of a simplex is a simplex, so each of their matrices is a
+restriction of the sphere C(n, n)'s: ``boundary_matrices`` takes a degree
+from the last complex's matrices, held by ``boundary_key``, when the held
+degree's row and column cells contain its own.  ``verify`` sweeps each n
+from C(n, n) down, so only the sphere is assembled: below it a cut calls
+no ``facets``, computes no sign and checks no pair for boundary squared
+zero, since each of its products is a held, checked one, rows renumbered.
+The tests check the sign rules and the lemma against the full Gram
+determinant of reoriented cells and the echelon orientation tuple
+(``tests/oracles.py``), and every restricted matrix against one assembled
+with nothing held.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 from . import linalg
 from .faces import (
@@ -330,98 +325,86 @@ def boundary_matrices(cx: CellComplex, signs=None) -> list:
 
     ``signs`` (one string of '+' and '-' per degree, in (col, row) order,
     as ``sign_text`` gives and a cache file holds) replaces computing them,
-    and raises ValueError where it does not fit.  A call takes what the
-    last one's matrices (``_held``) give for its degree d, then holds its
-    own instead:
-
-    * a held matrix of equal boundary_key, as it is;
-    * for a (full, simplex) degree, the held (simplex, simplex) one with its
-      rows renumbered to lattice positions (an order-preserving map), its
-      sign tuples shared and its eliminations carried, pivot rows renumbered;
-    * for a (full, full) degree, the held (full, simplex) one's columns at
-      the simplex d-cells; only the half-cube columns are assembled.
+    and raises ValueError where it does not fit.  A call takes each degree
+    d it can from the last one's matrices (``_held``), then holds its own
+    instead.  A degree takes the held degree-d matrix of the same n whose
+    row and column cells contain its own: as it is when their keys are
+    equal, else restricted to its own cells by ``_restricted``.  Every facet
+    of a simplex is a simplex, so a restriction keeps all of a kept column.
 
     A computed degree never takes given signs, so a consistently reoriented
-    file cannot meet computed signs in one complex; a loaded degree takes
-    the first only when the file's signs equal the held ones (else it
-    raises), and the others only when the file's signs for the columns it
-    would take equal theirs (else it is assembled from the file).  The
-    boundary-squared check then takes each column once per matrix below
-    it: not at all when the pair is held, or is a held pair with the lower
-    rows renumbered; only the assembled columns above a held matrix that
-    checked the taken ones; every column otherwise.
+    file cannot meet computed signs in one complex; a loaded degree takes a
+    held matrix of equal key only when the file's signs equal it (else it
+    raises), and a restriction only when they equal the restriction's (else
+    it is assembled from the file).  The boundary-squared check skips a
+    pair whose two degrees were both taken: each of its product columns is
+    one of the held pair's, rows renumbered, and that pair was certified.
     """
     lat = cx.lattice
     keys = [boundary_key(cx, d) for d in range(1, cx.top_dim + 1)]
     given = [None] * len(keys) if signs is None else signs
-    mats, how = [], []  # how: "held", "renumbered", the assembled columns' list, or None (all)
+    held = {key[:2]: (key, m) for key, m in _held.items()}  # (n, d) -> the held degree d
+    mats, taken = [], []
     for d, (key, text) in enumerate(zip(keys, given, strict=True), start=1):
-        m = _held.get(key)
-        if m is not None and not (text is None and m.given_signs):
-            if text is not None and m.sign_text() != text:
-                raise ValueError(f"degree {d} signs differ from the held matrix")
-            mats.append(m)
-            how.append("held")
-            continue
-        # the held degree d whose rows (full, simplex) or columns (full, full)
-        # this one takes: its column mode is their row mode, its rows simplex
-        col_mode = key[3]
-        src = _held.get((cx.n, d, col_mode, "simplex"))
-        if src is not None and text is None and src.given_signs:
-            src = None
-        cells = cx.cells[d]
-        nrows = len(cx.cells[d - 1])
-        if src is not None and col_mode == "simplex":
-            if text is None or text == src.sign_text():
-                pos = cx.index[d - 1]
-                renum = [pos[f] for f in simplex_keys(d - 1, cx.cells[d - 1])]
-                rows = tuple([tuple(map(renum.__getitem__, col)) for col in src.rows])
-                m = BoundaryMatrix.from_columns(
-                    d, nrows, len(cells), rows, src.signs, text is not None
-                )
-                for modulus, (result, pivots) in src._eliminations.items():
-                    moved = bytearray(nrows)
-                    for i in compress(renum, pivots):
-                        moved[i] = 1
-                    m._eliminations[modulus] = (result, bytes(moved))
+        src_key, src = held.get(key[:2], (None, None))
+        if (
+            src is not None
+            and not (text is None and src.given_signs)
+            and all(mode in ("full", own) for mode, own in zip(src_key[2:], key[2:]))
+        ):
+            m = src if src_key == key else _restricted(cx, src, src_key, key, text is not None)
+            if text is None or m.sign_text() == text:
                 mats.append(m)
-                how.append("renumbered")
+                taken.append(True)
                 continue
-            src = None
+            if m is src:
+                raise ValueError(f"degree {d} signs differ from the held matrix")
         row_of = cx.index[d - 1].__getitem__
-        # the columns src gives, at its simplex d-cells, in key order
-        taken = zip(simplex_keys(d, cells), src.rows, src.signs) if src is not None else iter(())
-        nxt = next(taken, None)
-        rows, col_signs, assembled = [], [], []
-        for j, c in enumerate(cells):
-            if nxt is not None and c is nxt[0]:
-                rows.append(nxt[1])
-                col_signs.append(nxt[2])
-                nxt = next(taken, None)
-                continue
+        rows, col_signs = [], []
+        for c in cx.cells[d]:
             # one facets call per column; facets come in key order, which is row order
             fks = lat.facets(c)
             rows.append(tuple(map(row_of, fks)))
-            assembled.append(j)
-            col_signs.append(None if text is not None else column_signs(c, fks))
+            if text is None:
+                col_signs.append(column_signs(c, fks))
         if text is not None:
-            parsed = _parse_signs(d, text, rows)
-            if any(s is not None and s != t for s, t in zip(col_signs, parsed)):
-                src = None
-            col_signs = parsed
+            col_signs = _parse_signs(d, text, rows)
         mats.append(BoundaryMatrix.from_columns(
-            d, nrows, len(cells), tuple(rows), tuple(col_signs), text is not None
+            d, len(cx.cells[d - 1]), len(rows), tuple(rows), tuple(col_signs), text is not None
         ))
-        how.append(assembled if src is not None else None)
+        taken.append(False)
     for d in range(1, len(mats)):
-        below, above = how[d - 1], how[d]
-        if below in ("held", "renumbered") and above == "held":
-            continue  # a pair of the held complex, checked there
-        columns = above if below == "held" and type(above) is list else None
-        assert_boundary_squared_zero(mats[d - 1 : d + 1], columns)
+        if not (taken[d - 1] and taken[d]):
+            assert_boundary_squared_zero(mats[d - 1 : d + 1])
     _held.clear()
     _held.update(zip(keys, mats))
     return mats
+
+
+def _restricted(cx: CellComplex, src, src_key, key, given_signs) -> BoundaryMatrix:
+    """cx's degree d (``key``) as ``src``, the held degree d of ``src_key``, restricted.
+
+    A (full, simplex) degree takes src's full columns at its simplex
+    d-cells; a (simplex, simplex) degree renumbers src's rows to its
+    simplex (d-1)-cells, an order-preserving map.  When every column is
+    kept the rows are all that change, and src's eliminations carry over,
+    pivot rows renumbered: the result and pivots of eliminating it anew.
+    """
+    lat, d = cx.lattice, key[1]
+    cells, lower = cx.cells[d], cx.cells[d - 1]
+    rows, signs = src.rows, src.signs
+    if src_key[3] != key[3]:  # src's columns are every d-face
+        at = list(map(lat.positions(d).__getitem__, cells))
+        rows, signs = tuple(map(rows.__getitem__, at)), tuple(map(signs.__getitem__, at))
+    if src_key[2] != key[2]:  # src's rows are every (d-1)-face
+        row_at = list(map(lat.positions(d - 1).__getitem__, lower))
+        renum = dict(zip(row_at, range(len(row_at))))
+        rows = tuple([tuple(map(renum.__getitem__, col)) for col in rows])
+    m = BoundaryMatrix.from_columns(d, len(lower), len(cells), rows, signs, given_signs)
+    if src_key[3] == key[3]:
+        for modulus, (result, pivots) in src._eliminations.items():
+            m._eliminations[modulus] = (result, bytes(map(pivots.__getitem__, row_at)))
+    return m
 
 
 def _parse_signs(d: int, text: str, rows: list) -> list:
@@ -441,22 +424,20 @@ def _parse_signs(d: int, text: str, rows: list) -> list:
     return out
 
 
-def assert_boundary_squared_zero(mats, columns=None) -> None:
+def assert_boundary_squared_zero(mats) -> None:
     """Every column of each matrix after the first, times the matrix before it, is zero.
 
-    ``columns``, when given, lists the only columns checked in each such
-    matrix.  Each product column is summed into one list of the lower
-    matrix's nrows zeros, kept across columns; only the rows it touched
-    are read back, and when they are all zero the whole list is again.
-    Every row must lie in 0..nrows - 1, as in an assembled matrix.
+    Each product column is summed into one list of the lower matrix's
+    nrows zeros, kept across columns; only the rows it touched are read
+    back, and when they are all zero the whole list is again.  Every row
+    must lie in 0..nrows - 1, as in an assembled matrix.
     """
     for lower, upper in zip(mats, mats[1:]):
         lower_rows, lower_signs = lower.rows, lower.signs
-        upper_rows, upper_signs = upper.rows, upper.signs
         acc = [0] * lower.nrows
-        for j in range(len(upper_rows)) if columns is None else columns:
+        for j, (rows, signs) in enumerate(zip(upper.rows, upper.signs)):
             touched = []
-            for mid, v in zip(upper_rows[j], upper_signs[j]):
+            for mid, v in zip(rows, signs):
                 rs = lower_rows[mid]
                 for r, w in zip(rs, lower_signs[mid]):
                     acc[r] += v * w

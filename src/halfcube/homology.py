@@ -21,6 +21,17 @@ the Smith form.  ``homology_from_matrices`` takes its matrices from the
 caller, so it first checks that consecutive boundaries compose to zero,
 which clearing relies on.
 
+Clearing deletes a whole rank's worth of columns of degree d when only
+unit pivots reduce degree d + 1, so when H_d is zero every column left
+adds to the rank and none reduces to zero, the costly kind.  ``verify``
+sweeps each n from the sphere C(n, n) down, whose homology is one class
+in its top degree.  Each degree with every face a column is eliminated
+there, once.  Below the sphere, C(n, k) eliminates its degree k alone,
+whose columns are the k-simplices, cleared by its degree k + 1, and
+H_k(C(n, k)) = 0 as well; that elimination, rows renumbered, is degree
+k + 1 of C(n, k - 1).  So only each sphere's top degree keeps a column
+that reduces to zero, one per modulus.
+
 Each elimination, with its pivot rows, is memoized on the ``BoundaryMatrix``
 it eliminates, by modulus (0 for the Smith form, 30 for the F_p ranks), and
 lives as long as the matrix: ``complexes`` hands the last complex's matrices

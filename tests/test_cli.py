@@ -635,8 +635,8 @@ def test_verify_loads_each_cached_complex_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "load_complex", counting_load)
     code, warm_out = run_cli(capsys, *argv)
     assert code == 0 and warm_out == cold_out
-    # one load per (n, k) job, each a hit
-    assert loads == [(n, k, True) for n in (4, 5) for k in range(3, n + 1)]
+    # one load per (n, k) job, each n from the sphere C(n, n) down, each a hit
+    assert loads == [(n, k, True) for n in (4, 5) for k in range(n, 2, -1)]
 
 
 def test_failed_check_yields_nonzero_exit():
@@ -751,34 +751,32 @@ def test_cache_file_at_odds_with_a_held_matrix_is_a_miss(tmp_path):
 
 
 def test_reoriented_cache_file_gives_the_no_cache_report(tmp_path, capsys, monkeypatch):
-    # reorienting the 3-cell at column 0 of C(5, 4) negates that column of
-    # the degree-3 signs and that row of the degree-4 ones: the boundary
-    # still squares to zero, so the file is a hit, and no complex that
-    # computes its signs may reuse the file's held matrices
+    # reorienting the 3-cell at column 0 of the sphere C(5, 5), a half-cube
+    # tetrahedron, negates that column of the degree-3 signs and that row of
+    # the degree-4 ones, where the 4-dimensional half cubes through it have
+    # entries: the boundary still squares to zero, so the file is a hit, and
+    # no complex that computes its signs may reuse the file's held matrices
     monkeypatch.setattr(complexes, "_held", {})
     cache = str(tmp_path)
     argv = ("verify", "--n-max", "5", "--format", "json")
     _, fresh_out = run_cli(capsys, *argv)
     run_cli(capsys, *argv, "--cache-dir", cache)
-    path = cli.cache_path(cache, 5, 4)
-    with open(path) as fh:
-        payload = json.load(fh)
-    mats = build_complex(5, 4).matrices()
-    for d, at in ((3, lambda r, c: c == 0), (4, lambda r, c: r == 0)):
-        signs = list(payload["signs"][d - 1])
-        for i, (r, c, _) in enumerate(mats[d - 1].entries):
-            if at(r, c):
-                signs[i] = "+" if signs[i] == "-" else "-"
-        payload["signs"][d - 1] = "".join(signs)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    path = cli.cache_path(cache, 5, 5)
+    mats = build_complex(5, 5).matrices()
+    assert any(r == 0 for r, _, _ in mats[3].entries)
+
+    def reorient(payload):
+        _flip_signs(payload, mats[2], lambda r, c: c == 0)
+        _flip_signs(payload, mats[3], lambda r, c: r == 0)
+
+    payload = _rewrite(path, reorient)
     complexes._held.clear()  # mats, computed, would make the load a miss
-    assert cli.load_complex(cache, 5, 4) is not None
-    # C(5, 5) is then a miss against the held degree 3, and rebuilt; the
-    # second run finds no C(5, 5) file at all
-    for drop_k5 in (False, True):
-        if drop_k5:
-            os.remove(cli.cache_path(cache, 5, 5))
+    assert cli.load_complex(cache, 5, 5) is not None
+    # C(5, 4) is then a miss against the held degree 3, and rebuilt; the
+    # second run finds no C(5, 4) file at all
+    for drop_k4 in (False, True):
+        if drop_k4:
+            os.remove(cli.cache_path(cache, 5, 4))
         code, out = run_cli(capsys, *argv, "--cache-dir", cache)
         assert code == 0 and out == fresh_out
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[5]
@@ -807,8 +805,8 @@ def _rewrite(path, edit):
 def test_file_signs_at_odds_with_a_borrowed_column_are_assembled_from_the_file(
     tmp_path, capsys, monkeypatch
 ):
-    # C(5, 4)'s degree 3 takes its simplex columns from C(5, 3)'s only where
-    # the file's signs equal them; otherwise the degree is assembled from the
+    # C(5, 3)'s degree 3 takes its columns from C(5, 4)'s only where the
+    # file's signs equal them; otherwise the degree is assembled from the
     # file, as with nothing held.  One flipped sign there then fails the
     # boundary-squared check: a miss, and the report of a run without the cache
     monkeypatch.setattr(complexes, "_held", {})
@@ -816,18 +814,17 @@ def test_file_signs_at_odds_with_a_borrowed_column_are_assembled_from_the_file(
     argv = ("verify", "--n-max", "5", "--format", "json")
     _, fresh_out = run_cli(capsys, *argv)
     run_cli(capsys, *argv, "--cache-dir", cache)
-    cx = build_complex(5, 4)
-    mats = cx.matrices()
-    j = cx.index[3][faces.simplex_keys(3, cx.cells[3])[0]]  # the first simplex 3-cell
+    mats = build_complex(5, 3).matrices()
+    j = 7  # a simplex 3-cell, as every 3-cell of C(5, 3) is
     first = sum(map(len, mats[2].rows[:j]))
-    path = cli.cache_path(cache, 5, 4)
+    path = cli.cache_path(cache, 5, 3)
     _rewrite(path, lambda p: _flip_signs(p, mats[2], lambda r, c: c == j and r == mats[2].rows[j][0]))
-    build_complex(5, 3).matrices()
+    build_complex(5, 4).matrices()
     with open(path) as fh:
         signs = json.load(fh)["signs"]
     assert signs[2][first] != mats[2].sign_text()[first]
     with pytest.raises(AssertionError, match=f"nonzero in degree 3 column {j}$"):
-        complexes.boundary_matrices(build_complex(5, 4), signs)
+        complexes.boundary_matrices(build_complex(5, 3), signs)
     loads = []
     load_complex = cli.load_complex
 
@@ -839,39 +836,41 @@ def test_file_signs_at_odds_with_a_borrowed_column_are_assembled_from_the_file(
     monkeypatch.setattr(cli, "load_complex", recording_load)
     code, out = run_cli(capsys, *argv, "--cache-dir", cache)
     assert code == 0 and out == fresh_out
-    assert [hit for n, k, hit in loads if n == 5] == [True, False, True]
+    assert [(k, hit) for n, k, hit in loads if n == 5] == [(5, True), (4, True), (3, False)]
     # the miss rewrote the file from a fresh build
     with open(path) as fh:
         assert json.load(fh)["signs"][2] == mats[2].sign_text()
 
 
 def test_reoriented_simplex_in_a_cache_file_loads_as_a_hit(tmp_path, capsys, monkeypatch):
-    # reorienting a simplex 3-cell of C(5, 4) flips one column that degree 3
-    # would take from the held C(5, 3) and one row of the degree-4 matrix it
-    # would renumber: both degrees are assembled from the file, which squares
-    # to zero and loads as a hit, while the report stays that of no cache
+    # reorienting a 3-simplex of C(5, 3) flips one column that its degree 3
+    # would take from the held C(5, 4) and one row of the degree-4 matrix
+    # whose rows it would renumber: both degrees are assembled from the
+    # file, which squares to zero and loads as a hit, while the report stays
+    # that of no cache
     monkeypatch.setattr(complexes, "_held", {})
     cache = str(tmp_path)
     argv = ("verify", "--n-max", "5", "--format", "json")
     _, fresh_out = run_cli(capsys, *argv)
     run_cli(capsys, *argv, "--cache-dir", cache)
-    cx = build_complex(5, 4)
-    mats = cx.matrices()
-    j = cx.index[3][faces.simplex_keys(3, cx.cells[3])[0]]
+    mats = build_complex(5, 3).matrices()
+    j = 7
+    assert any(r == j for r, _, _ in mats[3].entries)
 
     def reorient(payload):
         _flip_signs(payload, mats[2], lambda r, c: c == j)
         _flip_signs(payload, mats[3], lambda r, c: r == j)
 
-    path = cli.cache_path(cache, 5, 4)
+    path = cli.cache_path(cache, 5, 3)
     payload = _rewrite(path, reorient)
-    cli.get_complex(5, 3, cache)
+    cli.get_complex(5, 5, cache)
+    cli.get_complex(5, 4, cache)
     held = dict(complexes._held)
-    loaded = cli.load_complex(cache, 5, 4)
+    loaded = cli.load_complex(cache, 5, 3)
     assert loaded is not None
     got = loaded.matrices()
     assert got[2].signs[j] == tuple(-v for v in mats[2].signs[j])
-    assert got[3].signs != held[(5, 4, "simplex", "simplex")].signs
+    assert got[3].signs != held[(5, 4, "full", "simplex")].signs
     assert all(m.given_signs for m in got[2:4])
     code, out = run_cli(capsys, *argv, "--cache-dir", cache)
     assert code == 0 and out == fresh_out
@@ -880,28 +879,64 @@ def test_reoriented_simplex_in_a_cache_file_loads_as_a_hit(tmp_path, capsys, mon
 
 
 def test_readme_reoriented_file_borrows_beside_the_held_complex(tmp_path, capsys, monkeypatch):
-    # the README's example flips column 0 of C(5, 4)'s degree 3, a half cube,
-    # and row 0 of its degree 4, where no simplex column has an entry: with
-    # C(5, 3) loaded first, degree 3 still takes the held simplex columns,
-    # degree 4 renumbers the held rows, and the file is a hit
+    # the README's example reorients the half-cube tetrahedron at column 0
+    # of the sphere C(5, 5)'s degree 3, whose row 0 of degree 4 holds the
+    # entries of the 4-dimensional half cubes through it.  The file is a
+    # hit; C(5, 4)'s file is then a miss against the held degree 3 and is
+    # rebuilt, as computed, byte for byte; C(5, 3)'s is a hit that takes
+    # its degrees from the rebuilt C(5, 4); the report is that of no cache
     monkeypatch.setattr(complexes, "_held", {})
     cache = str(tmp_path)
-    run_cli(capsys, "verify", "--n-max", "5", "--format", "json", "--cache-dir", cache)
-    mats = build_complex(5, 4).matrices()
+    argv = ("verify", "--n-max", "5", "--format", "json")
+    _, fresh_out = run_cli(capsys, *argv)
+    run_cli(capsys, *argv, "--cache-dir", cache)
+    cx = build_complex(5, 5)
+    mats = cx.matrices()
+    # L((1,1,1,1,1), {1,2,3}): the even sign patterns on coordinates 1, 2, 3
+    # (bit i - 1 set where coordinate i is -1), the other two at +1
+    assert cx.cells[3][0] == (0b000, 0b011, 0b101, 0b110)
+    assert faces.simplex_keys(3, cx.cells[3][:1]) == []
+    assert [c for r, c, _ in mats[3].entries if r == 0]
 
     def reorient(payload):
         _flip_signs(payload, mats[2], lambda r, c: c == 0)
         _flip_signs(payload, mats[3], lambda r, c: r == 0)
 
-    _rewrite(cli.cache_path(cache, 5, 4), reorient)
-    cli.get_complex(5, 3, cache)
-    held = dict(complexes._held)
-    loaded = cli.load_complex(cache, 5, 4)
-    assert loaded is not None
-    got = loaded.matrices()
-    assert got[2].signs[0] == tuple(-v for v in mats[2].signs[0])
-    assert set(map(id, got[2].rows)) >= set(map(id, held[(5, 3, "full", "simplex")].rows))
-    assert got[3].signs is held[(5, 4, "simplex", "simplex")].signs
+    path = cli.cache_path(cache, 5, 5)
+    payload = _rewrite(path, reorient)
+    k4 = cli.cache_path(cache, 5, 4)
+    with open(k4, "rb") as fh:
+        k4_bytes = fh.read()
+    loads = []
+    load_complex = cli.load_complex
+
+    def recording_load(cache_dir, n, k_cut):
+        cx = load_complex(cache_dir, n, k_cut)
+        loads.append((n, k_cut, cx is not None))
+        return cx
+
+    monkeypatch.setattr(cli, "load_complex", recording_load)
+    code, out = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 0 and out == fresh_out
+    assert [(k, hit) for n, k, hit in loads if n == 5] == [(5, True), (4, False), (3, True)]
+    with open(path) as fh:  # a hit, so not rewritten
+        assert json.load(fh) == payload
+    with open(k4, "rb") as fh:
+        assert fh.read() == k4_bytes
+    # the same, matrix by matrix: the reoriented sphere with nothing of n = 5
+    # held, then C(5, 4) computed beside it, taking none of its given signs,
+    # then C(5, 3) loaded beside that
+    complexes._held.clear()
+    sphere = cli.get_complex(5, 5, cache).matrices()
+    assert sphere[2].signs[0] == tuple(-v for v in mats[2].signs[0])
+    assert all(m.given_signs for m in sphere)
+    assert cli.load_complex(cache, 5, 4) is None
+    rebuilt = cli.get_complex(5, 4, cache).matrices()
+    assert not any(m.given_signs or any(m is s for s in sphere) for m in rebuilt)
+    got = cli.load_complex(cache, 5, 3).matrices()
+    assert got[:2] == rebuilt[:2] and all(g is r for g, r in zip(got[:2], rebuilt))
+    assert set(map(id, got[2].rows)) <= set(map(id, rebuilt[2].rows))
+    assert got[3].signs is rebuilt[3].signs
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -963,21 +998,22 @@ def test_cyclic_garbage_does_not_grow_with_n(capsys, command):
 
 
 def test_verify_checks_each_boundary_pair_once(capsys, monkeypatch):
-    # every consecutive pair of every complex is certified: checked whole;
-    # held, as it is, from the complex before, which certified it; a pair
-    # certified there with the rows of its lower matrix renumbered; or
-    # checked on its assembled columns above the lower matrix that the
-    # complex before certified the others against.  No pair is checked twice
+    # every consecutive pair of every complex is certified: checked whole in
+    # the sphere C(n, n), the first complex of its n, or a restriction of a
+    # pair that the complex before certified: each matrix holds, at each of
+    # its cells, the column of that complex's matrix of the same degree at
+    # the same cell, with the same rows, by key, and signs.  No pair is
+    # checked twice, and no complex below a sphere checks one
     monkeypatch.setattr(complexes, "_held", {})
     check = complexes.assert_boundary_squared_zero
-    checked = {}  # (id lower, id upper) -> the upper columns checked, None for all
+    checked = {}  # (id lower, id upper) -> the place in got of the complex that checked it
 
-    def recording(mats, columns=None):
+    def recording(mats):
         assert len(mats) == 2
         pair = (id(mats[0]), id(mats[1]))
         assert pair not in checked
-        checked[pair] = None if columns is None else list(columns)
-        check(mats, columns)
+        checked[pair] = len(got) - 1
+        check(mats)
 
     monkeypatch.setattr(complexes, "assert_boundary_squared_zero", recording)
     got = []
@@ -989,38 +1025,116 @@ def test_verify_checks_each_boundary_pair_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "get_complex", keeping)
     code, _ = run_cli(capsys, "verify", "--n-max", "6", "--format", "json")
-    assert code == 0 and len(got) == 2 + 3 + 4
+    assert code == 0
+    assert [(cx.n, cx.k_cut) for cx in got] == [(n, k) for n in (4, 5, 6) for k in range(n, 2, -1)]
+
+    def restricts(cx, m, prev, m0):
+        d = m.degree
+        return all(
+            [cx.cells[d - 1][r] for r in m.rows[j]]
+            == [prev.cells[d - 1][r] for r in m0.rows[prev.index[d][cell]]]
+            and m.signs[j] == m0.signs[prev.index[d][cell]]
+            for j, cell in enumerate(cx.cells[d])
+        )
+
     certified = set()
     ways = []
-    for prev, cx in zip([None] + got, got):
+    for i, (prev, cx) in enumerate(zip([None] + got, got)):
         mats = cx.matrices()
-        before = prev.matrices() if prev is not None and prev.n == cx.n else None
         for d in range(2, cx.top_dim + 1):
             a, b = mats[d - 2], mats[d - 1]
-            columns = checked.get((id(a), id(b)), "unchecked")
-            a0, b0 = before[d - 2 : d] if before else (None, None)
-            if columns is None:
+            if checked.get((id(a), id(b))) == i:
+                assert cx.k_cut == cx.n, (cx.n, cx.k_cut, d)
                 way = "whole"
-            elif a is a0 and b is b0:
-                way = "held"
-            elif b is b0 and a.signs is a0.signs and a is not a0:
-                # the same incidences, by key, at renumbered rows
-                assert [[cx.cells[d - 2][r] for r in rs] for rs in a.rows] == [
-                    [prev.cells[d - 2][r] for r in rs] for rs in a0.rows
-                ], (cx.n, cx.k_cut, d)
-                way = "renumbered"
-            elif a is a0 and type(columns) is list and len(columns) < b.ncols:
-                # every column not checked is the one b0 held at the same cell
-                for j in sorted(set(range(b.ncols)) - set(columns)):
-                    i = prev.index[d][cx.cells[d][j]]
-                    assert b.rows[j] is b0.rows[i] and b.signs[j] is b0.signs[i], (cx.n, d, j)
-                way = "assembled columns"
             else:
-                raise AssertionError(f"uncertified pair {(cx.n, cx.k_cut, d)}")
-            if way != "whole":
-                assert (id(a0), id(b0)) in certified, (cx.n, cx.k_cut, d, way)
+                assert prev.n == cx.n, (cx.n, cx.k_cut, d)
+                a0, b0 = prev.matrices()[d - 2 : d]
+                assert (id(a0), id(b0)) in certified, (cx.n, cx.k_cut, d)
+                assert restricts(cx, a, prev, a0) and restricts(cx, b, prev, b0), (cx.n, cx.k_cut, d)
+                way = "held" if a is a0 and b is b0 else "restricted"
             certified.add((id(a), id(b)))
             ways.append(way)
-    assert set(ways) == {"whole", "held", "renumbered", "assembled columns"}
-    # fewer checks than pairs of every complex
-    assert len(checked) < len(ways) == sum(cx.top_dim - 1 for cx in got)
+    assert set(ways) == {"whole", "held", "restricted"}
+    # the pairs of the spheres alone, fewer than the pairs of every complex
+    assert len(checked) == sum(n - 2 for n in (4, 5, 6)) < len(ways)
+
+
+@pytest.mark.parametrize("n_max", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_clearing_leaves_a_zero_column_only_in_each_sphere_top_degree(capsys, monkeypatch, n_max):
+    # swept from the sphere C(n, n) down, each elimination is cleared by the
+    # degree above it to as many columns as its rank, because H(C(n, k)) lies
+    # in degree k - 1 alone.  Only the top degree of each sphere, with nothing
+    # above it, keeps one column that reduces to zero, once per modulus
+    monkeypatch.setattr(complexes, "_held", {})
+    jobs = []
+    get_complex = cli.get_complex
+
+    def tracking(n, k_cut, cache_dir):
+        jobs.append((n, k_cut))
+        return get_complex(n, k_cut, cache_dir)
+
+    zero = []  # (job, modulus, ncols, columns processed minus rank) per elimination
+    eliminate = linalg.eliminate
+
+    def counting(nrows, ncols, columns, m, cleared=None):
+        result, pivots = eliminate(nrows, ncols, columns, m, cleared)
+        rank = result.rank if m == 0 else result[2]  # the ranks over F_p agree
+        zero.append((jobs[-1], m, ncols, ncols - sum(cleared or b"") - rank))
+        return result, pivots
+
+    monkeypatch.setattr(cli, "get_complex", tracking)
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    assert run_cli(capsys, "verify", "--n-max", str(n_max), "--format", "json")[0] == 0
+    assert len(zero) == {6: 18, 7: 38}[n_max]
+    assert [entry for entry in zero if entry[3]] == [
+        ((n, n), m, faces.face_count(n, n - 1), 1)
+        for n in range(4, n_max + 1)
+        for m in ((0,) if n <= 6 else (0, 30))
+    ]
+
+
+def test_budgeted_verify_keeps_the_first_cut_of_n7_alone(capsys, monkeypatch):
+    # under --max-cells 2500 the sweep of n = 7 skips C(7, 7) .. C(7, 4), so
+    # its first kept complex, C(7, 3), finds nothing of n = 7 held and
+    # assembles every column, as each sphere does, while every cut below a
+    # sphere assembles none.  Each kept job reports as in the unbudgeted run
+    monkeypatch.setattr(complexes, "_held", {})
+    argv = ("verify", "--n-max", "7", "--format", "json")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    unbudgeted = json.loads(out)["results"]
+    assembling, assembled = [], {}
+    facets, matrices = faces.FaceLattice.facets, complexes.boundary_matrices
+
+    def recording_facets(lattice, key):
+        if assembling:
+            assembling[-1].append(key)
+        return facets(lattice, key)
+
+    def recording_matrices(cx, signs=None):
+        held_n = {key[0] for key in complexes._held}
+        assembling.append([])
+        try:
+            return matrices(cx, signs)
+        finally:
+            assembled[(cx.n, cx.k_cut)] = (held_n, assembling.pop())
+
+    monkeypatch.setattr(faces.FaceLattice, "facets", recording_facets)
+    monkeypatch.setattr(complexes, "boundary_matrices", recording_matrices)
+    code, out = run_cli(capsys, *argv, "--max-cells", "2500")
+    assert code == 0
+    results = json.loads(out)["results"]
+    kept = [(r["n"], r["k"]) for r in results["betti"] if r["status"] == "ok"]
+    assert kept == [(n, k) for n in range(4, 7) for k in range(3, n + 1)] + [(7, 3)]
+    assert list(assembled) == [(n, k) for n in range(4, 7) for k in range(n, 2, -1)] + [(7, 3)]
+    assert assembled[(7, 3)][0] == {6}
+    for (n, k), (_, calls) in assembled.items():
+        cx = build_complex(n, k)
+        every_column = sorted(key for cells in cx.cells[1:] for key in cells)
+        first = k == n or (n, k) == (7, 3)  # the first complex of its n
+        assert sorted(calls) == (every_column if first else []), (n, k)
+    for section in ("betti", "morse"):
+        want = {(r["n"], r["k"]): r for r in unbudgeted[section]}
+        for r in results[section]:
+            if (r["n"], r["k"]) in kept:
+                assert r == want[(r["n"], r["k"])], (section, r["n"], r["k"])

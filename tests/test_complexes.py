@@ -266,15 +266,16 @@ def test_flipped_assembly_leaves_the_held_matrices_alone(monkeypatch):
     "n", [pytest.param(n, marks=[pytest.mark.slow] * (n == 8)) for n in range(4, 9)]
 )
 def test_borrowed_matrices_equal_the_assembled_ones(n, monkeypatch):
-    # the verify sweep of one n: each complex takes what the one before it
-    # holds, and its homology memoizes eliminations.  Every matrix equals
-    # the one assembled with nothing held, and every elimination carried to
-    # a degree whose rows were renumbered equals linalg.eliminate of that
-    # degree, cleared by the pivot rows of the degree above: result and pivots
+    # the verify sweep of one n, from the sphere C(n, n) down: each complex
+    # takes what the one before it holds, and its homology memoizes
+    # eliminations.  Every matrix equals the one assembled with nothing
+    # held, and every elimination carried to a degree whose rows were
+    # renumbered equals linalg.eliminate of that degree, cleared by the
+    # pivot rows of the degree above: result and pivots
     monkeypatch.setattr(complexes, "_held", {})
     certification = CERT_SNF if n <= 6 else CERT_RANK_AGREE
     carried = 0
-    for k in range(3, n + 1):
+    for k in range(n, 2, -1):
         before = {id(m) for m in complexes._held.values()}
         cx = build_complex(n, k)
         mats = cx.matrices()
@@ -298,16 +299,17 @@ def test_borrowed_matrices_equal_the_assembled_ones(n, monkeypatch):
                 assert got == want, (n, k, d, modulus)
                 carried += 1
         homology_of(cx, reduced=True, certification=certification)
-    # C(n, k), 4 <= k < n, renumbers the rows of degree k; each modulus carries
+    # C(n, k), 3 <= k <= n - 2, renumbers the rows of degree k + 1; each modulus carries
     assert carried == max(n - 4, 0) * (1 if certification == CERT_SNF else 2)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_a_flipped_sign_in_an_assembled_column_is_caught(n, monkeypatch):
-    # C(n, k)'s degree k - 1 takes its simplex columns from C(n, k - 1)'s
-    # and assembles its half-cube columns alone, which are checked against
-    # the held degree below: a wrong sign there still raises, and leaves
-    # the held matrices alone
+    # built upward, C(n, k) takes its degrees below k - 1 from C(n, k - 1),
+    # but no held matrix's cells contain those of its degrees k - 1 (full,
+    # full) and k (full, simplex): it assembles both whole.  A wrong sign in
+    # a half-cube column of degree k - 1, beside the taken degree k - 2,
+    # still raises, and leaves the held matrices alone
     monkeypatch.setattr(complexes, "_held", {})
     signs = complexes.column_signs
     for k in range(4, n + 1):
@@ -329,9 +331,13 @@ def test_a_flipped_sign_in_an_assembled_column_is_caught(n, monkeypatch):
         monkeypatch.setattr(complexes, "column_signs", signs)
         assert complexes._held == held
         assert all(complexes._held[key] is m for key, m in held.items())
-        # unflipped, the degree shares the held simplex columns
-        source = held[(n, d, "full", "simplex")]
-        assert set(map(id, cx.matrices()[d - 1].rows)) >= set(map(id, source.rows)), (n, k)
+        # unflipped, degrees k - 1 and k share no column with a held matrix
+        held_columns = {id(rows) for m in held.values() for rows in m.rows}
+        for e, m in enumerate(cx.matrices(), start=1):
+            if e in (d, k):
+                assert not held_columns & set(map(id, m.rows)), (n, k, e)
+            else:
+                assert m is held[boundary_key(cx, e)], (n, k, e)
 
 
 def test_cell_order_is_key_order():

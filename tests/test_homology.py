@@ -210,10 +210,12 @@ def test_cleared_eliminations_match_whole_matrices(n):
 
 
 def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
-    # C(6, 3) first: C(6, 4) then reuses its degree-5 boundary and renumbers
-    # the rows of its degree-4 one, and both carry their eliminations, so
-    # C(6, 4) eliminates degree 3 alone, cleared by the pivot rows of C(6, 3)'s
-    # degree 4 at their lattice positions
+    # verify's order: the sphere C(6, 6) eliminates every degree; C(6, 5)
+    # reuses its degrees 1..4 and eliminates only its new top degree 5,
+    # whose columns it takes from C(6, 6)'s; C(6, 4) reuses degrees 1..3,
+    # renumbers the rows of C(6, 5)'s degree 5, which carries its
+    # eliminations, and eliminates degree 4 alone, cleared by those pivot
+    # rows at their places among the 4-simplices
     monkeypatch.setattr(complexes, "_held", {})
     degree, calls = [], []
     eliminate, unit_phase = BoundaryMatrix.eliminate, linalg._unit_phase
@@ -231,20 +233,25 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
     monkeypatch.setattr(BoundaryMatrix, "eliminate", eliminating)
     monkeypatch.setattr(linalg, "_unit_phase", recording)
     returned = {}  # (boundary key, modulus) -> the pivot rows its elimination returned
-    for cx in (build_complex(6, 3), build_complex(6, 4)):
+    eliminated = {}  # k_cut -> the degrees it eliminated
+    for cx in (build_complex(6, 6), build_complex(6, 5), build_complex(6, 4)):
         if cx.k_cut == 4:
-            # the 3-simplices' positions among the 3-faces
+            # the 4-simplices' places among the 4-faces
             lattice = cx.lattice
-            moved = [lattice.positions(3)[f] for f in simplex_keys(3, lattice.keys[3])]
+            moved = {
+                lattice.positions(4)[f]: i
+                for i, f in enumerate(simplex_keys(4, lattice.keys[4]))
+            }
             for m in (0, 30):
-                pivots = returned[((6, 4, "simplex", "simplex"), m)]
-                returned[((6, 4, "full", "simplex"), m)] = {moved[r] for r in pivots}
+                pivots = returned[((6, 5, "full", "simplex"), m)]
+                returned[((6, 5, "simplex", "simplex"), m)] = {moved[r] for r in pivots}
         calls.clear()
         homology_of(cx, certification=CERT_RANK_AGREE)
         # top-down, the Smith form and then one pass over Z/30 in every degree
         # computed, whose residual F_2, F_3 and F_5 each find empty
         assert [m for _, m, _, _ in calls] == [0, 30, 2, 3, 5] * (len(calls) // 5)
         assert [d for d, _, _, _ in calls[::5]] == sorted({d for d, *_ in calls}, reverse=True)
+        eliminated[cx.k_cut] = {d for d, *_ in calls}
         for d, m, live, pivots in calls:
             if m in (2, 3, 5):
                 assert not live and not pivots, (cx.k_cut, d, m)
@@ -254,12 +261,11 @@ def test_each_modulus_clears_with_its_own_pivot_rows(monkeypatch):
             assert deleted == returned.get((complexes.boundary_key(cx, d + 1), m), set())
             assert bool(deleted) == (d < cx.top_dim), (cx.k_cut, d, m)
             returned[(complexes.boundary_key(cx, d), m)] = pivots
-    # C(6, 4) eliminated degree 3 but took degree 5's and degree 4's from
-    # their matrices; degree 4 carries C(6, 3)'s pivot rows, renumbered
-    assert {d for d, *_ in calls} == {3}
+    assert eliminated == {6: {1, 2, 3, 4, 5}, 5: {5}, 4: {4}}
+    # C(6, 4)'s degree 5 carries C(6, 5)'s pivot rows, renumbered
     for m in (0, 30):
-        carried = cx.matrices()[3].eliminate(m)[1]
-        assert {r for r, flag in enumerate(carried) if flag} == returned[(complexes.boundary_key(cx, 4), m)]
+        carried = cx.matrices()[4].eliminate(m)[1]
+        assert {r for r, flag in enumerate(carried) if flag} == returned[(complexes.boundary_key(cx, 5), m)]
 
 
 @pytest.mark.parametrize("certification", [CERT_SNF, CERT_RANK_AGREE])
