@@ -13,24 +13,40 @@ generate the even sign changes (Z/2)^(n-1), and D_n is their semidirect
 product (Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.10).
 
 Every such map is linear, so it permutes the even vertices, and the image
-of a face is the face on the image vertex set.  Orbits and chain maps move
-face keys through a vertex permutation table (``vertex_table``), and chain
-maps read each cell's vertex count and span off its key; the tests check
-the tables against moving each face by its (v, S) (``tests/oracles.py``).
+of a face is the face on the image vertex set.  Maps are vertex tables
+(``vertex_table``).  Every face is a simplex K(v', S) or a half cube
+L(v, S), so it is fixed by its coordinate set S and one point, and a
+signed permutation g with coordinate permutation pi moves that pair
+without touching the rest of the key: S goes to pi(S) and the point
+through the table.  Orbits move faces so, by a descriptor (span, anchor)
+per face (``_descriptors``): a simplex with |S| = dim + 1 >= 3 is
+anchored at v', any other face at the bits of its vertices outside S.  A
+table moves descriptors only when it passes the signed-permutation check
+(``_is_signed_permutation``: affine, each unit bit to a distinct unit bit);
+any other table, such as the n = 4 reflection, moves whole keys, each
+mapped and re-sorted.  Chain maps find each image cell by its key, so an
+image cell that left the complex is refused as such.  The tests check
+both routes against each other and against moving each face by its
+(v, S) (``tests/oracles.py``).
 
-Chain-map signs are parities, taken by ``complexes.sort_sign``.  A cell
-with dim + 1 vertices (a simplex, or a half-cube tetrahedron) is oriented
-by its whole sorted key, so its sign is the parity of the permutation that
-sorts its image vertices.  A half cube or the top cell f on the coordinate
-set S goes to g f on pi(S), pi being g's permutation.
-In the frames (e_i, i in S ascending) and (e_j, j in pi(S) ascending) its
-sign is eps_f eps_gf det(g|_S), with eps the frame sign of the lemma in
-``halfcube.complexes``.  det(g|_S) is sgn(pi|_S) times (-1) per sign g
-flips inside pi(S), and eps_f eps_gf is (-1) per sign g flips outside
-pi(S), since those flips change the parity of the outside bits.  g flips
-an even number of signs, so the sign is sgn(pi|_S), the parity of
-(pi(i), i in S ascending).  The tests check both against the determinant
-of the orientation bases.
+Chain-map signs are parities, taken by ``complexes.sort_sign``.  A vertex,
+an edge or a half-cube tetrahedron (dim + 1 vertices on dim coordinates)
+is oriented by its whole sorted key, so its sign is the parity of the
+permutation that sorts its image vertices.  So is a simplex K(v', S), and
+that parity factors through the coordinates: its key lists v' ^ e_tau_t
+in key order, its image lists gv' ^ e_pi(tau_t), and with e(f) =
+sgn(tau), the frame parity of the K(u, S) incidence rule in
+``halfcube.complexes``, the sign is sgn(pi|_S) e(f) e(gf).  sgn(pi|_S),
+the parity of (pi(i), i in S ascending), is one value per span, and
+e(f) one value per cell, which ``HomologyBasis`` keeps for its degree.  A
+half cube or the top cell f on the coordinate set S goes to g f on
+pi(S).  In the frames (e_i, i in S ascending) and (e_j, j in pi(S)
+ascending) its sign is eps_f eps_gf det(g|_S), with eps the frame sign of
+the lemma in ``halfcube.complexes``.  det(g|_S) is sgn(pi|_S) times (-1)
+per sign g flips inside pi(S), and eps_f eps_gf is (-1) per sign g flips
+outside pi(S), since those flips change the parity of the outside bits.
+g flips an even number of signs, so the sign is sgn(pi|_S).  The tests
+check every sign against the determinant of the orientation bases.
 
 On the cut complexes the action is cellular and therefore acts on the
 one nonzero homology group; the matrices of that action are assembled
@@ -49,6 +65,7 @@ from .faces import (
     KIND_SIMPLEX,
     KIND_TOP,
     KIND_VERTEX,
+    _opposite_point,
     _span,
     build_face_lattice,
     face_count,
@@ -60,15 +77,19 @@ from .triangle import predicted_betti
 
 
 class SignedPermutation(NamedTuple("SignedPermutation", [("perm", tuple), ("signs", tuple)])):
-    """perm[i] is the image position of i (0-based); signs index targets."""
+    """perm[i] is the image position of i (0-based); signs index targets.
+
+    Every entry is an int, not a bool or a float: 0.0 or True would pass
+    the range and sign tests but not the bit arithmetic of ``vertex_table``.
+    """
 
     __slots__ = ()
 
     def __new__(cls, perm: tuple, signs: tuple):
         n = len(perm)
-        if sorted(perm) != list(range(n)) or len(signs) != n:
+        if not all(type(p) is int for p in perm) or sorted(perm) != list(range(n)) or len(signs) != n:
             raise ValueError("not a signed permutation")
-        if any(s not in (1, -1) for s in signs):
+        if not all(type(s) is int and s in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
         return super().__new__(cls, perm, signs)
 
@@ -198,20 +219,95 @@ def _image_positions(table, keys, index, error: str) -> list:
         raise ValueError(error) from None
 
 
+def _is_signed_permutation(table, n: int) -> bool:
+    """Whether the vertex table is a signed permutation's.
+
+    It is when each unit bit goes to a distinct unit bit, t[1 << i] ^ t[0],
+    and t is affine: t[b] is t[0] XOR the images of b's unit bits.
+    """
+    if len(table) != 1 << n or not 0 <= table[0] < 1 << n:
+        return False
+    t0 = table[0]
+    units = [table[1 << i] ^ t0 for i in range(n)]
+    if sorted(units) != [1 << i for i in range(n)]:
+        return False
+    return all(table[b] == table[b & (b - 1)] ^ units[(b & -b).bit_length() - 1] for b in range(1, 1 << n))
+
+
+def _descriptors(n: int, dim: int, keys) -> tuple:
+    """Parallel lists (spans, anchors) of the faces with these keys, and their index.
+
+    The span S holds the coordinates on which the vertices disagree.  A
+    simplex K(v', S) with |S| = dim + 1 >= 3 is anchored at v', the bitwise
+    majority of its first three vertices, each v' with one bit of S
+    flipped; any other face at key[0] & ~S, which names a vertex, an edge,
+    a half cube L(v, S) or the top cell.  index maps S to {anchor: the
+    face's position}: its keys are the lists' own int objects, so it makes
+    no int per face.
+    """
+    ints = list(range(1 << n))  # the lists share one int object per value
+    spans = []
+    for key in keys:  # faces._span inline: a call per key costs a third more
+        first = key[0]
+        span = 0
+        for b in key:
+            span |= first ^ b
+        spans.append(ints[span])
+    simplex = dim + 1 if dim >= 2 else -1
+    anchors = [
+        ints[key[0] & key[1] | key[2] & (key[0] | key[1]) if s.bit_count() == simplex else key[0] & ~s]
+        for key, s in zip(keys, spans)
+    ]
+    index = {s: {} for s in spans}
+    for i, (s, a) in enumerate(zip(spans, anchors)):
+        index[s][a] = i
+    return spans, anchors, index
+
+
+def _moved_descriptors(table, dim: int, spans, anchors, index, error: str) -> list:
+    """index[S'][a'] for each face (S, a) moved through a signed permutation's ``table``.
+
+    S goes to S' = t[S] ^ t[0]; a simplex's anchor v' to t[v'], any other
+    anchor to t[a] with the bits of S' cleared, since t[0] may set them.  A
+    descriptor that ``index`` does not hold raises ValueError(error).
+    """
+    t0 = table[0]
+    linear = [x ^ t0 for x in table]
+    simplex = dim + 1 if dim >= 2 else -1
+    try:
+        return [
+            index[image][table[a] if s.bit_count() == simplex else table[a] & ~image]
+            for s, a, image in zip(spans, anchors, [linear[s] for s in spans])
+        ]
+    except KeyError:
+        raise ValueError(error) from None
+
+
 def orbits(n: int, extended: bool = False) -> OrbitReport:
     """Face orbits per dimension under W(D_n).
 
     Per dimension each generator of ``orbit_generators`` becomes the list of
     its faces' image positions: (1 2) and the n-cycle i -> i+1 generate
     S_n, and with the double flip at n-1, n, whose S_n-conjugates are all
-    the double flips, the even sign changes.  The orbits are the connected
-    components of those maps, each collected by one stack traversal; the
-    keys are sorted, so the first face not yet reached in key order is its
-    orbit's smallest key, the representative, and orbits come out in the
-    order of their representatives.  An orbit's kind comes from its
-    ``kind_split`` counts ("mixed" when both are nonzero).
-    extended adds the table of the n = 4 reflection (``SPECIAL_REFLECTION_4``)
-    and is rejected elsewhere.
+    the double flips, the even sign changes.  A face is moved by its
+    descriptor (``_descriptors``), with no image key: its span S, the
+    coordinates its vertices disagree on, and its anchor, v' (the bitwise
+    majority of the first three vertices) for a simplex K(v', S) with
+    |S| = dim + 1 >= 3 and key[0] & ~S otherwise.  A vertex table t that
+    passes the signed-permutation check (``_is_signed_permutation``) takes
+    (S, a) to (t[S] ^ t[0], t[a]) for such a simplex and to
+    (S', t[a] & ~S') otherwise, and one span -> {anchor: position} dict
+    per dimension finds the image.  A table that fails the check, such as the n = 4
+    reflection, moves whole keys (``_image_positions``).  The descriptors
+    live for their dimension only.
+
+    The orbits are the connected components of those maps, each collected
+    by one stack traversal; the keys are sorted, so the first face not yet
+    reached in key order is its orbit's smallest key, the representative,
+    and orbits come out in the order of their representatives.  An orbit's
+    kind comes from its ``kind_split`` counts ("mixed" when both are
+    nonzero).  extended adds the table of the n = 4 reflection
+    (``SPECIAL_REFLECTION_4``) and is rejected elsewhere.
     """
     if extended and n != 4:
         raise ValueError("the special reflection exists only at n = 4")
@@ -219,11 +315,11 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
     tables = [vertex_table(g, n) for g in orbit_generators(n)]
     if extended:
         tables.append(SPECIAL_REFLECTION_4)
+    signed = [_is_signed_permutation(t, n) for t in tables]
 
     report = []
     for dim, dim_keys in enumerate(lattice.keys):
-        index = {key: i for i, key in enumerate(dim_keys)}
-        maps = [_image_positions(t, dim_keys, index, "image vertex set is not a face") for t in tables]
+        maps = _generator_maps(n, dim, dim_keys, tables, signed)
         # each map permutes the faces, so what a face reaches forward is its orbit
         seen = bytearray(len(dim_keys))
         dim_orbits = []
@@ -251,6 +347,21 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
             dim_orbits.append(Orbit(representative, len(members), kind))
         report.append(tuple(dim_orbits))
     return OrbitReport(n, extended, tuple(report))
+
+
+def _generator_maps(n: int, dim: int, keys, tables, signed) -> list:
+    """Per table, the image positions of the faces of one dimension.
+
+    Descriptors serve the tables that ``signed`` marks, keys the others;
+    both are dropped on return.
+    """
+    error = "image vertex set is not a face"
+    descriptors = _descriptors(n, dim, keys) if any(signed) else None
+    by_key = None if all(signed) else {key: i for i, key in enumerate(keys)}
+    return [
+        _moved_descriptors(t, dim, *descriptors, error) if ok else _image_positions(t, keys, by_key, error)
+        for t, ok in zip(tables, signed)
+    ]
 
 
 def expected_orbit_profile(n: int, extended: bool = False) -> list:
@@ -283,6 +394,8 @@ class HomologyBasis:
     is eliminated transposed, so that row operations keep the image; its
     pivot rows span it and, triangular with +-1 pivots, complete to a
     basis of the kernel with the free ``cells`` they do not pivot on.
+    The basis also keeps the spans and frame parities of the (k-1)-cells
+    (``_frame_parities``), which the chain map of every action reads.
     """
 
     def __init__(self, n: int, k: int):
@@ -291,6 +404,7 @@ class HomologyBasis:
         cx = build_complex(n, k)
         self.cx = cx
         d = k - 1
+        self._frames = _frame_parities(cx.cells[d], d)
         mats = cx.matrices()
         self._down = down = mats[d - 1]
         kernel_pivots = unit_pivots(down.nrows, down.ncols, zip(down.rows, down.signs))
@@ -377,26 +491,68 @@ def homology_basis(n: int, k: int) -> HomologyBasis:
     return got
 
 
+def _frame_parities(cells, dim: int) -> tuple:
+    """Parallel lists (spans, parities) of the cells of one dimension, for the chain map.
+
+    A simplex K(v', S) with |S| = dim + 1 >= 3 gets its span and its frame
+    parity e, the sort_sign of the coordinates its key flips in v' (the
+    tau of the K(u, S) incidence rule in ``halfcube.complexes``); a larger
+    half cube or the top cell its span and 1.  A vertex, an edge or a
+    half-cube tetrahedron, whose sign is the sort parity of its image
+    vertices, gets span 0 and parity 0.
+    """
+    spans, parities = [], []
+    for key in cells:
+        span = _span(key)
+        if len(key) > dim + 1:
+            spans.append(span)
+            parities.append(1)
+        elif dim >= 2 and span.bit_count() == dim + 1:
+            u = _opposite_point(key)
+            spans.append(span)
+            parities.append(sort_sign([(b ^ u).bit_length() for b in key]))
+        else:
+            spans.append(0)
+            parities.append(0)
+    return spans, parities
+
+
 def chain_map_on_cells(g, cx, dim):
-    """The signed permutation matrix of g on the dimension-dim chain group."""
+    """The signed permutation matrix of g on the dimension-dim chain group.
+
+    Each cell's target is its image key's position, so an image cell that
+    left the complex is refused.  The sign of a simplex K(v', S) with
+    |S| = dim + 1 >= 3 is sgn(pi|_S) e(f) e(gf), pi being g's permutation
+    and e the frame parities of ``_frame_parities``; that of a larger half
+    cube or the top cell sgn(pi|_S); sgn(pi|_S) is computed once per
+    distinct span.  A vertex, an edge or a half-cube tetrahedron takes the
+    parity of the permutation that sorts its image vertices.
+    """
+    return _chain_map(g, cx, dim, _frame_parities(cx.cells[dim], dim))
+
+
+def _chain_map(g, cx, dim, frames):
+    """``chain_map_on_cells`` with the frames of ``_frame_parities`` given."""
     if not g.is_even_signed:
         raise ValueError("only even-signed permutations act on the half cube")
     n = cx.n
     table = vertex_table(g, n)
     cells = cx.cells[dim]
     targets = _image_positions(table, cells, cx.index[dim], "image cell left the complex")
+    spans, parities = frames
+    restricted = {}  # span -> sgn(pi|_S)
     out = []  # (target index, sign) per source cell
-    for key, j in zip(cells, targets):
-        if len(key) == dim + 1:
-            # a vertex, a simplex or a half-cube tetrahedron, oriented by its
-            # whole sorted key, and g is linear: moving the vertices in key
-            # order gives the image's orientation up to the sorting permutation
-            out.append((j, sort_sign(list(map(table.__getitem__, key)))))
+    for key, j, span, e in zip(cells, targets, spans, parities):
+        if e:
+            sign = restricted.get(span)
+            if sign is None:
+                sign = restricted[span] = sort_sign([g.perm[i] for i in range(n) if span >> i & 1])
+            out.append((j, sign * e * parities[j]))
         else:
-            # a larger half cube or the top cell on S: the parity of g's
-            # permutation restricted to S
-            s = _span(key)
-            out.append((j, sort_sign([g.perm[i] for i in range(n) if s >> i & 1])))
+            # oriented by its whole sorted key, and g is linear: moving the
+            # vertices in key order gives the image's orientation up to the
+            # sorting permutation
+            out.append((j, sort_sign(list(map(table.__getitem__, key)))))
     return out
 
 
@@ -405,8 +561,7 @@ def homology_action(n: int, k: int, g: SignedPermutation):
     if not g.is_even_signed:
         raise ValueError("only even-signed permutations act")
     basis = homology_basis(n, k)
-    cx = basis.cx
-    cmap = chain_map_on_cells(g, cx, k - 1)
+    cmap = _chain_map(g, basis.cx, k - 1, basis._frames)
     images = []
     for cycle in basis.cycles:
         image = {}

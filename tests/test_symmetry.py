@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -31,7 +32,7 @@ from oracles import (
 
 from halfcube import linalg, symmetry
 from halfcube.complexes import build_complex
-from halfcube.faces import build_face_lattice
+from halfcube.faces import _opposite_point, build_face_lattice
 from halfcube.symmetry import (
     SignedPermutation,
     SPECIAL_REFLECTION_4,
@@ -132,6 +133,14 @@ def test_signed_permutation_is_validated():
     for signs in ((1, 0, 1), (1, 1, 2), (-1, 1, 1.5)):
         with pytest.raises(ValueError, match="signs must be"):
             SignedPermutation((2, 0, 1), signs)
+    # floats equal to ints, bools and strings are refused, where the floats
+    # and bools once passed and failed later in vertex_table
+    for perm in ((0.0, 1, 2, 3), (0, 1, 2, 3.0), (False, True, 2, 3), ("0", 1, 2, 3)):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            SignedPermutation(perm, (1, 1, 1, 1))
+    for signs in ((1.0, 1, 1, 1), (1, -1.0, -1, 1), (True, 1, 1, 1), (1, 1, 1, "1")):
+        with pytest.raises(ValueError, match="signs must be"):
+            SignedPermutation((0, 1, 2, 3), signs)
     with pytest.raises(ValueError, match="signs must be"):
         SignedPermutation(perm=(0, 1), signs=(1, -2))
     g = SignedPermutation(perm=(2, 0, 1), signs=(-1, 1, -1))
@@ -370,7 +379,11 @@ def _determinant_chain_map(g, cx, dim):
     return out
 
 
-@pytest.mark.parametrize("n, k", [(5, 3), (5, 4), (5, 5), (5, 6), (6, 5)])
+# (6, 4): dimension 3 holds both kinds of tetrahedron; (7, 6): 5-dimensional half cubes
+@pytest.mark.parametrize(
+    "n, k",
+    [(5, 3), (5, 4), (5, 5), (5, 6), (6, 4), (6, 5), pytest.param(7, 6, marks=pytest.mark.slow)],
+)
 def test_chain_map_matches_determinant_route(n, k):
     cx = build_complex(n, k)
     rng = random.Random(100 * n + k)
@@ -378,6 +391,26 @@ def test_chain_map_matches_determinant_route(n, k):
         g = random_wdn(n, rng)
         for dim in range(len(cx.cells)):
             assert chain_map_on_cells(g, cx, dim) == _determinant_chain_map(g, cx, dim), dim
+
+
+def test_homology_action_computes_frame_parities_once_per_basis(monkeypatch):
+    # the basis holds the frame parities of its degree; the public chain map
+    # computes them per call through the same helper
+    monkeypatch.setattr(symmetry, "_basis_cache", {})
+    calls = []
+    frame_parities = symmetry._frame_parities
+
+    def counted(cells, dim):
+        calls.append(dim)
+        return frame_parities(cells, dim)
+
+    monkeypatch.setattr(symmetry, "_frame_parities", counted)
+    rng = random.Random(11)
+    for _ in range(5):
+        homology_action(5, 4, random_wdn(5, rng))
+    assert calls == [3]
+    chain_map_on_cells(random_wdn(5, rng), homology_basis(5, 4).cx, 3)
+    assert calls == [3, 3]
 
 
 def test_chain_map_rejects_odd():
@@ -398,6 +431,46 @@ def test_orbits_refuse_an_image_off_the_lattice(monkeypatch):
     monkeypatch.setattr(symmetry, "vertex_table", swap_0_3)
     with pytest.raises(ValueError, match="image vertex set is not a face"):
         orbits(4)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_descriptors_move_faces_as_keys_do(n):
+    # on every face, the descriptor route finds the position that moving and
+    # re-sorting the whole key finds, under the orbit generators and ten
+    # seeded elements of W(D_n)
+    lat = build_face_lattice(n)
+    rng = random.Random(44 + n)
+    tables = [vertex_table(g, n) for g in orbit_generators(n)]
+    tables += [vertex_table(random_wdn(n, rng), n) for _ in range(10)]
+    for dim, keys in enumerate(lat.keys):
+        spans, anchors, index = symmetry._descriptors(n, dim, keys)
+        # distinct: one position per descriptor, and each names its own face
+        assert len(spans) == len(anchors) == sum(map(len, index.values())) == len(keys), (n, dim)
+        assert [index[s][a] for s, a in zip(spans, anchors)] == list(range(len(keys)))
+        by_key = {key: i for i, key in enumerate(keys)}
+        for t in tables:
+            moved = symmetry._moved_descriptors(t, dim, spans, anchors, index, "off")
+            assert moved == symmetry._image_positions(t, keys, by_key, "off"), (n, dim)
+        # a simplex on dim + 1 >= 3 coordinates is anchored at its opposite point
+        for key, a in zip(keys, anchors):
+            if describe(lat, key).kind == "simplex" and dim >= 2:
+                assert a == _opposite_point(key), key
+
+
+def test_signed_permutation_check():
+    # the table of every signed permutation passes, odd ones included; the
+    # n = 4 reflection, a swap of two vertices and a table of the wrong
+    # length fail
+    for n in (4, 5):
+        for perm in itertools.permutations(range(n)):
+            for flips in range(1 << n):
+                g = SignedPermutation(perm, tuple(-1 if flips >> i & 1 else 1 for i in range(n)))
+                assert symmetry._is_signed_permutation(vertex_table(g, n), n), g
+    assert not symmetry._is_signed_permutation(SPECIAL_REFLECTION_4, 4)
+    swapped = list(range(16))
+    swapped[0], swapped[3] = 3, 0
+    assert not symmetry._is_signed_permutation(swapped, 4)
+    assert not symmetry._is_signed_permutation(list(range(16)), 5)
 
 
 def test_chain_map_refuses_an_image_cell_off_the_complex(monkeypatch):
