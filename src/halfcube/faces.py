@@ -12,19 +12,21 @@ are the patterns with an even number of bits set).  Four kinds:
 The lattice is built keys first, with no per-face sort.  A simplex
 K(v', S) with |S| >= 3 is a subsequence of the sorted neighbours of its odd
 opposite point v', so the combinations of those neighbours are its sorted
-keys.  Edges and half cubes come from the column table of their coordinate
-set S: for every subset q of S, the vertices h + q over all h outside S of
-q's parity; each family of keys is the zip of the columns of its base.  The
-kind of a face can be read off its key, too: a simplex's |S| vertices
-disagree on exactly S, while a half cube's 2^(|S|-1) > |S| vertices do so
-on its S.  Past the lattice a cell is its key.
+keys.  Edges, half cubes and the top cell are the even vertices of a
+subcube h + 2^S (h outside S), and come from one depth-first walk over the
+coordinate sets S, which grows S only by a coordinate c above its maximum:
+the sorted key of the subcube h + 2^S is that of h + 2^(S-c) followed by
+that of h + e_c + 2^(S-c), one tuple concatenation of two keys already
+built.  The kind of a face can be read off its key, too: a simplex's |S|
+vertices disagree on exactly S, while a half cube's 2^(|S|-1) > |S|
+vertices do so on its S.  Past the lattice a cell is its key.
 
 One enumeration, ``_generate``, yields the keys in batches and has two
 consumers.  ``build_face_lattice`` joins the batches per dimension, sorts
 each dimension's keys once and caches the lattice.  ``face_census`` counts
 each batch and its kind split and drops it, so the census neither sorts
-nor keeps a lattice, only one batch and at most one column table, whether
-or not a lattice of that n is built.
+nor keeps a lattice, only one batch and the subcube tables along one path
+of the walk, whether or not a lattice of that n is built.
 
 Per-dimension census (k-faces, 0 <= k < n):
 
@@ -38,13 +40,15 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import countOf
 
 MAX_DIM = 32  # the largest n that any command or builder accepts
 
 # the largest lattice built: n = 11 (2,193,403 faces) fits, n = 12 (8,731,633) does not.
 # It guards the lattices that orbits and the complexes keep: build_face_lattice(11)
-# takes 0.9-1.4 s at 232 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
-# 0.6-0.9 s at 17 MB), but validate_args applies the limit to every command, so
+# takes 0.6-0.8 s at 231 MB peak RSS.  The census keeps no lattice (`faces --n 11`:
+# 0.27-0.43 s at 16 MB over ten fresh processes, each timed from fork to exit with
+# its ru_maxrss), but validate_args applies the limit to every command, so
 # `faces --n 12` is still refused (shared 2-vCPU x86-64 host, Python 3.11).
 MAX_FACES = 4_000_000
 
@@ -159,7 +163,7 @@ def simplex_keys(dim: int, keys: list) -> list:
 def kind_split(dim: int, keys: list) -> tuple:
     """(vertex or simplex, half cube or top) counts among the keys of one dimension."""
     # off dim 3 the lengths alone are counted, without a list of the keys
-    simp = len(simplex_keys(dim, keys)) if dim == 3 else list(map(len, keys)).count(dim + 1)
+    simp = len(simplex_keys(dim, keys)) if dim == 3 else countOf(map(len, keys), dim + 1)
     return simp, len(keys) - simp
 
 
@@ -218,16 +222,6 @@ class FaceLattice:
 _lattice_cache = {}
 
 
-def _ascending_subsets(bits: int) -> list:
-    """Every subset of the mask ``bits``, in increasing order."""
-    out = [0]
-    sub = -bits & bits
-    while sub:
-        out.append(sub)
-        sub = (sub - bits) & bits
-    return out
-
-
 def _check_size(n: int) -> None:
     """Refuse, before any enumeration, an n out of range or over the face budget."""
     if not 4 <= n <= MAX_DIM:
@@ -238,40 +232,33 @@ def _check_size(n: int) -> None:
 def _generate(n: int):
     """Yield the key of every face of the half cube in (dim, keys) batches, unsorted.
 
-    Vertices come first; then per coordinate set S, 2 <= |S| < n, in
-    increasing size, its edges (|S| = 2) or its half cubes L(v, S) as one
-    batch zipped from its column table; then per odd vertex v' and size
-    3 <= |S| <= n, the simplices K(v', S) as one batch; the top cell last.
-    Every key holds the one shared int object of each of its vertices.
-    Joined per dimension and sorted, the batches are
-    ``build_face_lattice(n).keys``.  Callers check n first (``_check_size``).
+    Vertices come first.  Then a depth-first walk over the coordinate sets S
+    yields per S, 2 <= |S| <= n, its edges (|S| = 2), its half cubes L(v, S)
+    or the top cell (|S| = n) as one batch; per odd vertex v' and size
+    3 <= |S| <= n, the simplices K(v', S) follow as one batch each.  Every key
+    holds the one shared int object of each of its vertices.  Joined per
+    dimension and sorted, the batches are ``build_face_lattice(n).keys``.
+    Callers check n first (``_check_size``).
     """
     ints = list(range(1 << n))  # one int object per vertex, shared by every key
-    full = (1 << n) - 1
     yield 0, [(b,) for b in ints if not b.bit_count() & 1]
-    for size in range(2, n):
-        for coords in combinations(range(n), size):
-            bits = [1 << c for c in coords]
-            mask = sum(bits)
-            outside = _ascending_subsets(full ^ mask)
-            by_parity = (
-                [h for h in outside if not h.bit_count() & 1],
-                [h for h in outside if h.bit_count() & 1],
-            )
-            inside = _ascending_subsets(mask)
-            # the column of q: the vertices h + q, h outside S of q's parity, in increasing
-            # h.  No h shares a bit with S, so columns of an increasing base zip to sorted keys
-            col = {q: [ints[h + q] for h in by_parity[q.bit_count() & 1]] for q in inside}
-            if size == 2:
-                # v' = h (h odd) or h + bits[0] (h even), the smaller opposite point of K(v', S)
-                edges = list(zip(col[bits[0]], col[bits[1]]))
-                edges.extend(zip(col[0], col[mask]))
-                yield 1, edges
-            else:
-                # L(v, S) with h the bits of v outside S: h plus the subsets of S of h's parity
-                halfcubes = list(zip(*[col[s] for s in inside if not s.bit_count() & 1]))
-                halfcubes.extend(zip(*[col[s] for s in inside if s.bit_count() & 1]))
-                yield size, halfcubes
+    # the table of S maps each h outside S to the sorted even vertices of the subcube
+    # h + 2^S.  S grows only by a coordinate c above its maximum, so each S is reached
+    # once, from S minus c; all vertices of the subcube h lie below those of h + e_c,
+    # so the key of h in S + c is the key of h in S followed by that of h + e_c.
+    # A walk entry is (|S|, the table of S, the next c to add to S)
+    walk = [(0, {h: () if h.bit_count() & 1 else (h,) for h in ints}, 0)]
+    while walk:
+        size, table, c = walk.pop()
+        if c + 1 < n:
+            walk.append((size, table, c + 1))
+        bit = 1 << c
+        table = {h: key + table[h | bit] for h, key in table.items() if not h & bit}
+        size += 1
+        if size >= 2:
+            yield (1 if size == 2 else size), list(table.values())
+        if c + 1 < n:
+            walk.append((size, table, c + 1))
     # K(v', S) for odd v' has the vertices v' ^ (1 << i), i in S: a subsequence of
     # the sorted neighbours of v', so each combination of them is a sorted key
     for v in ints:
@@ -279,7 +266,6 @@ def _generate(n: int):
             neighbours = sorted(ints[v ^ (1 << i)] for i in range(n))
             for size in range(3, n + 1):
                 yield size - 1, list(combinations(neighbours, size))
-    yield n, [tuple(b for b in ints if not b.bit_count() & 1)]
 
 
 def build_face_lattice(n: int) -> FaceLattice:
@@ -307,8 +293,8 @@ def face_census(n: int) -> list:
     """Per-dimension ``kind_split`` of the face keys; their sum is the face count.
 
     Each batch of ``_generate`` is counted and dropped, so the census keeps no
-    lattice: its memory is one batch and at most one column table, not the
-    2.2M keys of n = 11.
+    lattice: its memory is one batch and the subcube tables along one path of
+    the coordinate-set walk, not the 2.2M keys of n = 11.
     """
     _check_size(n)
     split = [(0, 0)] * (n + 1)

@@ -62,14 +62,14 @@ def test_lattice_matches_reference_enumerator(n, monkeypatch):
 
 # SHA-256 of repr() of the _generate batches joined per dimension, in generation order
 GENERATED_SHA256 = {
-    4: "2c059ca15c314f74d3459f2112d90293c874b03fca63f3df5077d284b31c07d5",
-    5: "19110a9909604699fa02b5623d902bae0bde09734cb2c979549427ab629e81d8",
-    6: "0e70101dd11848e86c5c3609d1175af0e45b0d14fc3fac1869157db2313d8b84",
-    7: "b299f172f590913a58bbf51c0bbc8f21177c38aefda867b0f9fcbae4198cbc8c",
-    8: "2e5f263d5ad72c857854fa50e6fb3e3ce6e72ae61c56769537e63146fc6383e3",
-    9: "7a29ecbc429ed3f71953592894f9862ebf96753cccaf32bbdf69c4fc2e6b1a19",
+    4: "e015226e3c33a5035596ccd393a21af72c55c1e31bad21c97da74a9d7d43858b",
+    5: "e1247583dfbd4cd82a68ea7687489a07e94f67c33b0f3f65a0146f67b9eff997",
+    6: "5c05c2e7190b49a4712c090b44f9a1a3f1bd227923a4420a1afb1e9a603dcd1c",
+    7: "ae4b2df3d84efd5a3f8c941f879c9508cfe6c2618b7277602959bae26b093f78",
+    8: "6210b960f1ed6a58b9ce1fe65918fc634437e41be88b2db045ac9b50d3114846",
+    9: "db8ee9d64b0e9f5115405c20c5d50ae5c8fcae10b78eda185a6b834bd2fd6df7",
 }
-GENERATED_10_SHA256 = "36b234a11b391b0b1e2c54384a7b080a9b4b56658b479c559c547d6821fee023"
+GENERATED_10_SHA256 = "c194d1452c7de5b0a561967db7671de21a2f53990521be1f97b2ef98fd543dfd"
 # SHA-256 of repr() of the joined batches with each dimension's keys sorted: the key set
 # per dimension, independent of the generation order
 LATTICE_SHA256 = {
@@ -110,6 +110,29 @@ def test_simplex_batches_are_neighbours_of_an_odd_point(n):
             assert list(key) == sorted(set(key)), (n, key)
             simplices[dim] += 1
     assert simplices[2:n] == [faces_mod._face_split(n, k)[0] for k in range(2, n)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_subcube_batches_cover_each_coordinate_set_once(n):
+    # past the vertices and the simplices (dim + 1 vertices on dim + 1 coordinates,
+    # dim >= 2), a batch holds the even vertices of each subcube h + 2^S of one
+    # coordinate set S: its edges, its half cubes or the top cell
+    seen = []
+    for dim, batch in faces_mod._generate(n):
+        if dim == 0 or dim >= 2 and faces_mod._span(batch[0]).bit_count() == dim + 1:
+            continue
+        spans = {faces_mod._span(key) for key in batch}
+        assert len(spans) == 1, (n, dim)
+        (span,) = spans
+        size = span.bit_count()
+        assert dim == (1 if size == 2 else size), (n, dim, span)
+        assert len(batch) == len(set(batch)) == 1 << (n - size), (n, span)
+        for key in batch:
+            assert len(key) == 1 << (size - 1), (n, span, key)
+            assert list(key) == sorted(set(key)), (n, span, key)
+            assert not any(b.bit_count() & 1 for b in key), (n, span, key)
+        seen.append(span)
+    assert sorted(seen) == [s for s in range(1 << n) if s.bit_count() >= 2]
 
 
 @pytest.mark.parametrize("n", sorted(GENERATED_SHA256))
