@@ -48,8 +48,15 @@ parent:
   Since eps_P (-1)^(m-1) (-1)^|u & S| = (-1)^(|h| + |u & S|) = (-1)^|u|
   = -1, the sign is -sgn(tau).
 
-  ``incidence_sign`` computes both with one parity helper, ``sort_sign``:
-  tau lists (b ^ u).bit_length() for the facet's vertices b in key order.
+  Frame parity: sgn(tau) is read off the bits of u and S
+  (``frame_parity``).  The vertex u ^ e_i is u - 2^i for i in S & u and
+  u + 2^i for i in S - u, so key order lists the coordinates of S & u
+  descending, then those of S - u ascending.  With a = |S & u|, the
+  inversions of tau are the C(a, 2) pairs inside the descending run and
+  the pairs (i in S & u, j in S - u) with j < i, so sgn(tau) =
+  (-1)^(C(a, 2) + #{(i, j) : i in S & u, j in S - u, j < i}), one
+  masked popcount per coordinate of S & u.  The chain maps of
+  ``halfcube.symmetry`` read the same parity.
 
 Every matrix is assembled by ``boundary_matrices`` column by column and
 held as its columns, with no (row, col, sign) tuple per entry: one
@@ -161,13 +168,22 @@ def euler_characteristic(c: CellComplex) -> int:
 # Orientation signs
 
 
-def sort_sign(seq) -> int:
-    """Sign of the permutation that sorts the distinct items of seq."""
-    inversions = 0
-    for i, x in enumerate(seq):
-        for y in seq[i + 1:]:
-            if x > y:
-                inversions += 1
+def frame_parity(u: int, s: int) -> int:
+    """sgn(tau) of the simplex K(u, S), tau listing the coordinates its key flips in u, in key order.
+
+    ``s`` holds the mask bits of S.  Key order lists S & u descending, then
+    S - u ascending, so the inversions are C(a, 2) with a = |S & u|, plus
+    the pairs (i in S & u, j in S - u) with j < i.  A point u with no bit
+    in S has parity 1.
+    """
+    inside = u & s
+    outside = s ^ inside
+    a = inside.bit_count()
+    inversions = a * (a - 1) >> 1
+    while inside:
+        low = inside & -inside
+        inversions += (outside & (low - 1)).bit_count()
+        inside ^= low
     return -1 if inversions & 1 else 1
 
 
@@ -187,8 +203,7 @@ def incidence_sign(parent: tuple, s: int, ckey: tuple) -> int:
         simplex = len(ckey) == span.bit_count()
         if simplex and span == s:
             # K(u, S): -sgn of the coordinates its vertices flip in u, in key order
-            u = _opposite_point(ckey)
-            return -sort_sign([(b ^ u).bit_length() for b in ckey])
+            return -frame_parity(_opposite_point(ckey), s)
         i = s ^ span
         if not simplex and span | s == s and i.bit_count() == 1:
             # the half on S - {i}: -(-1)^#{j in S : j < i}

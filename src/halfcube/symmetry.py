@@ -18,35 +18,38 @@ of a face is the face on the image vertex set.  Maps are vertex tables
 L(v, S), so it is fixed by its coordinate set S and one point, and a
 signed permutation g with coordinate permutation pi moves that pair
 without touching the rest of the key: S goes to pi(S) and the point
-through the table.  Orbits move faces so, by a descriptor (span, anchor)
-per face (``_descriptors``): a simplex with |S| = dim + 1 >= 3 is
-anchored at v', any other face at the bits of its vertices outside S.  A
-table moves descriptors only when it passes the signed-permutation check
-(``_is_signed_permutation``: affine, each unit bit to a distinct unit bit);
-any other table, such as the n = 4 reflection, moves whole keys, each
-mapped and re-sorted.  Chain maps find each image cell by its key, so an
-image cell that left the complex is refused as such.  The tests check
-both routes against each other and against moving each face by its
-(v, S) (``tests/oracles.py``).
+through the table.  So there is one mover for signed permutations, used
+by orbits and chain maps alike: a descriptor (span, anchor) per face
+(``_descriptors``), a simplex with |S| = dim + 1 >= 3 anchored at v',
+any other face at the bits of its vertices outside S, moved by
+``_moved_descriptors``, which refuses a descriptor its index does not
+hold ("image vertex set is not a face" in orbits, "image cell left the
+complex" in chain maps).  Only the n = 4 reflection, which is no signed
+permutation, moves whole keys, each mapped and re-sorted
+(``_image_positions``).  The tests check both routes against each other
+and against moving each face by its (v, S) (``tests/oracles.py``).
 
-Chain-map signs are parities, taken by ``complexes.sort_sign``.  A vertex,
-an edge or a half-cube tetrahedron (dim + 1 vertices on dim coordinates)
-is oriented by its whole sorted key, so its sign is the parity of the
-permutation that sorts its image vertices.  So is a simplex K(v', S), and
-that parity factors through the coordinates: its key lists v' ^ e_tau_t
-in key order, its image lists gv' ^ e_pi(tau_t), and with e(f) =
-sgn(tau), the frame parity of the K(u, S) incidence rule in
-``halfcube.complexes``, the sign is sgn(pi|_S) e(f) e(gf).  sgn(pi|_S),
-the parity of (pi(i), i in S ascending), is one value per span, and
-e(f) one value per cell, which ``HomologyBasis`` keeps for its degree.  A
-half cube or the top cell f on the coordinate set S goes to g f on
-pi(S).  In the frames (e_i, i in S ascending) and (e_j, j in pi(S)
-ascending) its sign is eps_f eps_gf det(g|_S), with eps the frame sign of
-the lemma in ``halfcube.complexes``.  det(g|_S) is sgn(pi|_S) times (-1)
-per sign g flips inside pi(S), and eps_f eps_gf is (-1) per sign g flips
-outside pi(S), since those flips change the parity of the outside bits.
-g flips an even number of signs, so the sign is sgn(pi|_S).  The tests
-check every sign against the determinant of the orientation bases.
+Chain-map signs are parities.  A simplex K(v', S) is oriented by its
+sorted key, and that parity factors through the coordinates: its key
+lists v' ^ e_tau_t in key order, its image lists gv' ^ e_pi(tau_t), and
+with e(f) = sgn(tau), the frame parity of the K(u, S) incidence rule
+(``complexes.frame_parity``, read off the bits of v' and S), the sign is
+sgn(pi|_S) e(f) e(gf).  sgn(pi|_S), the parity of (pi(i), i in S
+ascending), is one value per span.  A half cube or the top cell f on the
+coordinate set S goes to g f on pi(S).  In the frames (e_i, i in S
+ascending) and (e_j, j in pi(S) ascending) its sign is eps_f eps_gf
+det(g|_S), with eps the frame sign of the lemma in
+``halfcube.complexes``.  det(g|_S) is sgn(pi|_S) times (-1) per sign g
+flips inside pi(S), and eps_f eps_gf is (-1) per sign g flips outside
+pi(S), since those flips change the parity of the outside bits.  g flips
+an even number of signs, so the sign is sgn(pi|_S).  That holds for the
+half-cube tetrahedron (|S| = 3) too, whose sorted key is the lemma's
+orientation tuple, and for a vertex (S empty).  The anchor of any cell
+but a simplex has no bit in S, so ``frame_parity`` gives it 1, and every
+cell but an edge takes sgn(pi|_S) e(f) e(gf).  An edge has two opposite points, so its
+descriptor names neither: it is oriented by its sorted key, and its sign
+is whether g keeps its two vertices in order.  The tests check every
+sign against the determinant of the orientation bases.
 
 On the cut complexes the action is cellular and therefore acts on the
 one nonzero homology group; the matrices of that action are assembled
@@ -59,14 +62,12 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .complexes import build_complex, sort_sign
+from .complexes import build_complex, frame_parity
 from .faces import (
     KIND_HALFCUBE,
     KIND_SIMPLEX,
     KIND_TOP,
     KIND_VERTEX,
-    _opposite_point,
-    _span,
     build_face_lattice,
     face_count,
     face_counts_by_type,
@@ -219,21 +220,6 @@ def _image_positions(table, keys, index, error: str) -> list:
         raise ValueError(error) from None
 
 
-def _is_signed_permutation(table, n: int) -> bool:
-    """Whether the vertex table is a signed permutation's.
-
-    It is when each unit bit goes to a distinct unit bit, t[1 << i] ^ t[0],
-    and t is affine: t[b] is t[0] XOR the images of b's unit bits.
-    """
-    if len(table) != 1 << n or not 0 <= table[0] < 1 << n:
-        return False
-    t0 = table[0]
-    units = [table[1 << i] ^ t0 for i in range(n)]
-    if sorted(units) != [1 << i for i in range(n)]:
-        return False
-    return all(table[b] == table[b & (b - 1)] ^ units[(b & -b).bit_length() - 1] for b in range(1, 1 << n))
-
-
 def _descriptors(n: int, dim: int, keys) -> tuple:
     """Parallel lists (spans, anchors) of the faces with these keys, and their index.
 
@@ -293,13 +279,12 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
     descriptor (``_descriptors``), with no image key: its span S, the
     coordinates its vertices disagree on, and its anchor, v' (the bitwise
     majority of the first three vertices) for a simplex K(v', S) with
-    |S| = dim + 1 >= 3 and key[0] & ~S otherwise.  A vertex table t that
-    passes the signed-permutation check (``_is_signed_permutation``) takes
-    (S, a) to (t[S] ^ t[0], t[a]) for such a simplex and to
+    |S| = dim + 1 >= 3 and key[0] & ~S otherwise.  A generator's vertex
+    table t takes (S, a) to (t[S] ^ t[0], t[a]) for such a simplex and to
     (S', t[a] & ~S') otherwise, and one span -> {anchor: position} dict
-    per dimension finds the image.  A table that fails the check, such as the n = 4
-    reflection, moves whole keys (``_image_positions``).  The descriptors
-    live for their dimension only.
+    per dimension finds the image (``_moved_descriptors``).  The n = 4
+    reflection, no signed permutation, moves whole keys
+    (``_image_positions``).  The descriptors live for their dimension only.
 
     The orbits are the connected components of those maps, each collected
     by one stack traversal; the keys are sorted, so the first face not yet
@@ -313,13 +298,15 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
         raise ValueError("the special reflection exists only at n = 4")
     lattice = build_face_lattice(n)
     tables = [vertex_table(g, n) for g in orbit_generators(n)]
-    if extended:
-        tables.append(SPECIAL_REFLECTION_4)
-    signed = [_is_signed_permutation(t, n) for t in tables]
+    error = "image vertex set is not a face"
 
     report = []
     for dim, dim_keys in enumerate(lattice.keys):
-        maps = _generator_maps(n, dim, dim_keys, tables, signed)
+        spans, anchors, index = _descriptors(n, dim, dim_keys)
+        maps = [_moved_descriptors(t, dim, spans, anchors, index, error) for t in tables]
+        del spans, anchors, index  # the traversal reads the maps alone
+        if extended:
+            maps.append(_image_positions(SPECIAL_REFLECTION_4, dim_keys, lattice.positions(dim), error))
         # each map permutes the faces, so what a face reaches forward is its orbit
         seen = bytearray(len(dim_keys))
         dim_orbits = []
@@ -347,21 +334,6 @@ def orbits(n: int, extended: bool = False) -> OrbitReport:
             dim_orbits.append(Orbit(representative, len(members), kind))
         report.append(tuple(dim_orbits))
     return OrbitReport(n, extended, tuple(report))
-
-
-def _generator_maps(n: int, dim: int, keys, tables, signed) -> list:
-    """Per table, the image positions of the faces of one dimension.
-
-    Descriptors serve the tables that ``signed`` marks, keys the others;
-    both are dropped on return.
-    """
-    error = "image vertex set is not a face"
-    descriptors = _descriptors(n, dim, keys) if any(signed) else None
-    by_key = None if all(signed) else {key: i for i, key in enumerate(keys)}
-    return [
-        _moved_descriptors(t, dim, *descriptors, error) if ok else _image_positions(t, keys, by_key, error)
-        for t, ok in zip(tables, signed)
-    ]
 
 
 def expected_orbit_profile(n: int, extended: bool = False) -> list:
@@ -394,8 +366,8 @@ class HomologyBasis:
     is eliminated transposed, so that row operations keep the image; its
     pivot rows span it and, triangular with +-1 pivots, complete to a
     basis of the kernel with the free ``cells`` they do not pivot on.
-    The basis also keeps the spans and frame parities of the (k-1)-cells
-    (``_frame_parities``), which the chain map of every action reads.
+    The basis also keeps the cell table of the (k-1)-cells
+    (``_cell_table``), which the chain map of every action reads.
     """
 
     def __init__(self, n: int, k: int):
@@ -404,7 +376,7 @@ class HomologyBasis:
         cx = build_complex(n, k)
         self.cx = cx
         d = k - 1
-        self._frames = _frame_parities(cx.cells[d], d)
+        self._cell_table = _cell_table(n, d, cx.cells[d])
         mats = cx.matrices()
         self._down = down = mats[d - 1]
         kernel_pivots = unit_pivots(down.nrows, down.ncols, zip(down.rows, down.signs))
@@ -491,68 +463,61 @@ def homology_basis(n: int, k: int) -> HomologyBasis:
     return got
 
 
-def _frame_parities(cells, dim: int) -> tuple:
-    """Parallel lists (spans, parities) of the cells of one dimension, for the chain map.
+def sort_sign(seq) -> int:
+    """Sign of the permutation that sorts the distinct items of seq."""
+    inversions = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                inversions += 1
+    return -1 if inversions & 1 else 1
 
-    A simplex K(v', S) with |S| = dim + 1 >= 3 gets its span and its frame
-    parity e, the sort_sign of the coordinates its key flips in v' (the
-    tau of the K(u, S) incidence rule in ``halfcube.complexes``); a larger
-    half cube or the top cell its span and 1.  A vertex, an edge or a
-    half-cube tetrahedron, whose sign is the sort parity of its image
-    vertices, gets span 0 and parity 0.
+
+def _cell_table(n: int, dim: int, cells) -> tuple:
+    """(spans, anchors, index, parities) of the cells of one dimension, for the chain map.
+
+    The descriptors are ``_descriptors``'s; a cell's parity is
+    frame_parity(anchor, span): e(f) = sgn(tau) for a simplex K(v', S) with
+    |S| = dim + 1 >= 3, and 1 for any other cell, whose anchor has no bit
+    in S.
     """
-    spans, parities = [], []
-    for key in cells:
-        span = _span(key)
-        if len(key) > dim + 1:
-            spans.append(span)
-            parities.append(1)
-        elif dim >= 2 and span.bit_count() == dim + 1:
-            u = _opposite_point(key)
-            spans.append(span)
-            parities.append(sort_sign([(b ^ u).bit_length() for b in key]))
-        else:
-            spans.append(0)
-            parities.append(0)
-    return spans, parities
+    spans, anchors, index = _descriptors(n, dim, cells)
+    return spans, anchors, index, list(map(frame_parity, anchors, spans))
 
 
 def chain_map_on_cells(g, cx, dim):
     """The signed permutation matrix of g on the dimension-dim chain group.
 
-    Each cell's target is its image key's position, so an image cell that
-    left the complex is refused.  The sign of a simplex K(v', S) with
-    |S| = dim + 1 >= 3 is sgn(pi|_S) e(f) e(gf), pi being g's permutation
-    and e the frame parities of ``_frame_parities``; that of a larger half
-    cube or the top cell sgn(pi|_S); sgn(pi|_S) is computed once per
-    distinct span.  A vertex, an edge or a half-cube tetrahedron takes the
-    parity of the permutation that sorts its image vertices.
+    Each cell's target is its moved descriptor's position, so an image
+    cell that left the complex is refused.  An edge's sign is whether g
+    keeps its two vertices in order; any other cell's sgn(pi|_S) e(f)
+    e(gf), pi being g's permutation and e the parities of ``_cell_table``,
+    with sgn(pi|_S) computed once per distinct span.
     """
-    return _chain_map(g, cx, dim, _frame_parities(cx.cells[dim], dim))
+    if not 0 <= dim <= cx.top_dim:
+        raise ValueError(f"need 0 <= dim <= {cx.top_dim}")
+    return _chain_map(g, cx, dim, _cell_table(cx.n, dim, cx.cells[dim]))
 
 
-def _chain_map(g, cx, dim, frames):
-    """``chain_map_on_cells`` with the frames of ``_frame_parities`` given."""
+def _chain_map(g, cx, dim, cell_table):
+    """``chain_map_on_cells`` with the table of ``_cell_table`` given."""
     if not g.is_even_signed:
         raise ValueError("only even-signed permutations act on the half cube")
-    n = cx.n
-    table = vertex_table(g, n)
-    cells = cx.cells[dim]
-    targets = _image_positions(table, cells, cx.index[dim], "image cell left the complex")
-    spans, parities = frames
+    table = vertex_table(g, cx.n)
+    spans, anchors, index, parities = cell_table
+    targets = _moved_descriptors(table, dim, spans, anchors, index, "image cell left the complex")
+    if dim == 1:
+        # an edge runs from its smaller vertex to its larger, and g is linear:
+        # it keeps the orientation where it keeps their order
+        return [(j, 1 if table[a] < table[b] else -1) for (a, b), j in zip(cx.cells[1], targets)]
+    perm = g.perm
     restricted = {}  # span -> sgn(pi|_S)
     out = []  # (target index, sign) per source cell
-    for key, j, span, e in zip(cells, targets, spans, parities):
-        if e:
-            sign = restricted.get(span)
-            if sign is None:
-                sign = restricted[span] = sort_sign([g.perm[i] for i in range(n) if span >> i & 1])
-            out.append((j, sign * e * parities[j]))
-        else:
-            # oriented by its whole sorted key, and g is linear: moving the
-            # vertices in key order gives the image's orientation up to the
-            # sorting permutation
-            out.append((j, sort_sign(list(map(table.__getitem__, key)))))
+    for span, e, j in zip(spans, parities, targets):
+        sign = restricted.get(span)
+        if sign is None:
+            sign = restricted[span] = sort_sign([p for i, p in enumerate(perm) if span >> i & 1])
+        out.append((j, sign * e * parities[j]))
     return out
 
 
@@ -561,7 +526,7 @@ def homology_action(n: int, k: int, g: SignedPermutation):
     if not g.is_even_signed:
         raise ValueError("only even-signed permutations act")
     basis = homology_basis(n, k)
-    cmap = _chain_map(g, basis.cx, k - 1, basis._frames)
+    cmap = _chain_map(g, basis.cx, k - 1, basis._cell_table)
     images = []
     for cycle in basis.cycles:
         image = {}

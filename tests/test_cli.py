@@ -176,6 +176,28 @@ def test_verify_budget_skips_whole_jobs(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
+    [("betti", "--n", "5", "--k", "4"), ("morse", "--n", "5", "--k", "4"), ("verify", "--n-max", "5")],
+)
+def test_cell_budget_boundary(capsys, argv):
+    # a job whose largest chain group holds exactly --max-cells cells runs;
+    # a budget one cell below skips it, and only the jobs over it
+    peak = cli._peak_cells(5, 4)
+    assert peak == 160
+    for budget, want in ((peak, "pass"), (peak - 1, "skipped")):
+        code, out = run_cli(capsys, *argv, "--max-cells", str(budget), "--format", "json")
+        assert code == 0, budget
+        statuses = {}
+        for c in json.loads(out)["checks"]:
+            if c["name"].startswith(("betti.", "morse.")):
+                job = tuple(int(part.split("=")[1]) for part in c["name"].split(".")[1:3])
+                statuses.setdefault(job, set()).add(c["status"])
+        assert statuses[(5, 4)] == {want}, budget
+        for (n, k), got in statuses.items():
+            assert got == ({"skipped"} if cli._peak_cells(n, k) > budget else {"pass"}), (budget, n, k)
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ("verify", "--n-max", "4", "--max-cells", "-1"),
         ("betti", "--n", "4", "--k", "3", "--max-cells", "-1"),

@@ -14,9 +14,10 @@ from halfcube.complexes import (
     build_complex,
     column_signs,
     euler_characteristic,
+    frame_parity,
     incidence_sign,
 )
-from halfcube.faces import KIND_SIMPLEX, build_face_lattice
+from halfcube.faces import KIND_SIMPLEX, _opposite_point, _span, build_face_lattice, simplex_keys
 from halfcube.homology import CERT_RANK_AGREE, CERT_SNF, homology_of
 from halfcube.linalg import smith_normal_form
 from oracles import (
@@ -453,6 +454,26 @@ def test_factored_halfcube_sign_matches_determinant(n):
                 assert incidence_sign(p.key, p.mask.bits, c) == want, (p, c)
                 seen += 1
     assert seen == HALFCUBE_INCIDENCES[n]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_frame_parity_matches_the_sort_parity_of_tau(n):
+    # the closed form against the parity of tau itself, the coordinates the
+    # vertices of K(u, S) flip in u, in key order, on every simplex with
+    # |S| >= 3; a point with no bit in S has parity 1
+    from halfcube.symmetry import sort_sign
+
+    lat = build_face_lattice(n)
+    seen = {1: 0, -1: 0}
+    for d in range(2, n):
+        for key in simplex_keys(d, lat.keys[d]):
+            u, s = _opposite_point(key), _span(key)
+            got = frame_parity(u, s)
+            assert got == sort_sign([(b ^ u).bit_length() for b in key]), key
+            assert frame_parity(u & ~s, s) == 1
+            seen[got] += 1
+    assert seen[1] and seen[-1]
+    assert sum(seen.values()) == sum(simp for simp, _ in faces.face_counts_by_type(n)[2:n])
 
 
 @pytest.mark.parametrize("m", range(3, 12))

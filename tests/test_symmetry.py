@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -394,17 +393,17 @@ def test_chain_map_matches_determinant_route(n, k):
 
 
 def test_homology_action_computes_frame_parities_once_per_basis(monkeypatch):
-    # the basis holds the frame parities of its degree; the public chain map
-    # computes them per call through the same helper
+    # the basis holds the cell table (descriptors and frame parities) of its
+    # degree; the public chain map computes it per call through the same helper
     monkeypatch.setattr(symmetry, "_basis_cache", {})
     calls = []
-    frame_parities = symmetry._frame_parities
+    cell_table = symmetry._cell_table
 
-    def counted(cells, dim):
+    def counted(n, dim, cells):
         calls.append(dim)
-        return frame_parities(cells, dim)
+        return cell_table(n, dim, cells)
 
-    monkeypatch.setattr(symmetry, "_frame_parities", counted)
+    monkeypatch.setattr(symmetry, "_cell_table", counted)
     rng = random.Random(11)
     for _ in range(5):
         homology_action(5, 4, random_wdn(5, rng))
@@ -419,18 +418,29 @@ def test_chain_map_rejects_odd():
         chain_map_on_cells(SignedPermutation.sign_flips(4, (1,)), cx, 1)
 
 
-def test_orbits_refuse_an_image_off_the_lattice(monkeypatch):
-    # a vertex table that swaps the even vertices 0 and 3 permutes the
-    # vertices but not the edges: the edge {0, 12} goes to {3, 12}, two
-    # antipodal vertices of the 16-cell
-    def swap_0_3(g, n):
-        table = list(range(1 << n))
-        table[0], table[3] = 3, 0
-        return table
+def test_chain_map_refuses_a_dimension_outside_the_complex():
+    # dimensions run 0..top_dim; a negative one once indexed from the top,
+    # and one past the top raised a bare IndexError
+    cx = build_complex(5, 4)
+    identity = SignedPermutation.identity(5)
+    assert cx.top_dim == 4 and len(chain_map_on_cells(identity, cx, 4)) == 16
+    assert len(chain_map_on_cells(identity, cx, 0)) == 16
+    for dim in (-1, -2, len(cx.cells), len(cx.cells) + 1):
+        with pytest.raises(ValueError, match="need 0 <= dim <= 4"):
+            chain_map_on_cells(identity, cx, dim)
 
-    monkeypatch.setattr(symmetry, "vertex_table", swap_0_3)
+
+def test_orbits_refuse_an_image_off_the_lattice(monkeypatch):
+    # the n = 4 reflection moves whole keys: planted in its place, a vertex
+    # table that swaps the even vertices 0 and 3 permutes the vertices but
+    # not the edges, and the edge {0, 12} goes to {3, 12}, two antipodal
+    # vertices of the 16-cell
+    swap_0_3 = list(range(16))
+    swap_0_3[0], swap_0_3[3] = 3, 0
+    monkeypatch.setattr(symmetry, "SPECIAL_REFLECTION_4", swap_0_3)
+    orbits(4)
     with pytest.raises(ValueError, match="image vertex set is not a face"):
-        orbits(4)
+        orbits(4, extended=True)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -457,31 +467,37 @@ def test_descriptors_move_faces_as_keys_do(n):
                 assert a == _opposite_point(key), key
 
 
-def test_signed_permutation_check():
-    # the table of every signed permutation passes, odd ones included; the
-    # n = 4 reflection, a swap of two vertices and a table of the wrong
-    # length fail
-    for n in (4, 5):
-        for perm in itertools.permutations(range(n)):
-            for flips in range(1 << n):
-                g = SignedPermutation(perm, tuple(-1 if flips >> i & 1 else 1 for i in range(n)))
-                assert symmetry._is_signed_permutation(vertex_table(g, n), n), g
-    assert not symmetry._is_signed_permutation(SPECIAL_REFLECTION_4, 4)
-    swapped = list(range(16))
-    swapped[0], swapped[3] = 3, 0
-    assert not symmetry._is_signed_permutation(swapped, 4)
-    assert not symmetry._is_signed_permutation(list(range(16)), 5)
+def test_moved_descriptors_refuse_a_descriptor_off_the_index():
+    # with one face's anchor dropped from the index, the identity's table
+    # still moves every other face onto itself, and that face is refused
+    n = 5
+    lat = build_face_lattice(n)
+    identity = vertex_table(SignedPermutation.identity(n), n)
+    for dim, keys in enumerate(lat.keys):
+        spans, anchors, index = symmetry._descriptors(n, dim, keys)
+        assert symmetry._moved_descriptors(identity, dim, spans, anchors, index, "off") == list(
+            range(len(keys))
+        )
+        del index[spans[-1]][anchors[-1]]
+        with pytest.raises(ValueError, match="^gone$"):
+            symmetry._moved_descriptors(identity, dim, spans, anchors, index, "gone")
 
 
 def test_chain_map_refuses_an_image_cell_off_the_complex(monkeypatch):
-    # the n = 4 reflection stabilizes the 16-cell but swaps its simplex and
-    # half-cube tetrahedra, and C(4, 3) keeps only the simplex ones
+    # planted in place of the identity's, an odd element's table takes each
+    # simplex K(v', S), v' odd, to a descriptor with an even anchor, which
+    # no simplex has: every tetrahedron of C(4, 3) is a simplex, so each
+    # one's image is refused
     cx = build_complex(4, 3)
     identity = SignedPermutation.identity(4)
     assert chain_map_on_cells(identity, cx, 3) == [(j, 1) for j in range(len(cx.cells[3]))]
-    monkeypatch.setattr(symmetry, "vertex_table", lambda g, n: SPECIAL_REFLECTION_4)
-    with pytest.raises(ValueError, match="image cell left the complex"):
-        chain_map_on_cells(identity, cx, 3)
+    odd = vertex_table(SignedPermutation.sign_flips(4, (2,)), 4)
+    anchors = symmetry._descriptors(4, 3, cx.cells[3])[1]
+    assert all(a.bit_count() % 2 == 1 and odd[a].bit_count() % 2 == 0 for a in anchors)
+    monkeypatch.setattr(symmetry, "vertex_table", lambda g, n: odd)
+    for dim in (2, 3):
+        with pytest.raises(ValueError, match="image cell left the complex"):
+            chain_map_on_cells(identity, cx, dim)
 
 
 @pytest.mark.parametrize("n, k", [(4, 3), (5, 4), (6, 5), (7, 6)])
